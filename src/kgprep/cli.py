@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, ingest, split_audit
+from . import __version__, ingest
 from .config import STAGE_NAMES, PipelineConfig, load_config
 from .errors import ConfigError, InputError, StageError
 from .pipeline import PipelineRunner, run_pipeline
@@ -112,6 +112,7 @@ def _cmd_stats(args) -> int:
     g = _load_graph(args.graph)
     report = compute_stats(g)
     if args.out:
+        config.validate_out_dir()
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         report.write_json(out / "stats.json")
@@ -121,32 +122,25 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _tasks_for(args, config: PipelineConfig) -> list[str]:
-    tasks = args.task or config.split_tasks
-    for name in tasks:
-        if name not in split_audit.BUILTIN_TASKS:
-            raise ConfigError(
-                f"unknown task {name!r}; choose from {sorted(split_audit.BUILTIN_TASKS)}"
-            )
-    return tasks
+def _run_task_stage(args, stage: str):
+    """Run the splits or audit stage on ``--graph``; ``--task`` flags, when
+    given, replace the configured tasks."""
+    config = _load_effective_config(args)
+    if args.task:
+        config.split_tasks = args.task
+    runner = PipelineRunner(config, stage=stage)
+    _, logs = runner.run_stage(stage, _load_graph(args.graph))
+    return config, logs[0]
 
 
 def _cmd_split(args) -> int:
-    config = _load_effective_config(args)
-    config.split_tasks = _tasks_for(args, config)
-    runner = PipelineRunner(config, stage="splits")
-    g = _load_graph(args.graph)
-    runner._run_splits(g)
+    config, _ = _run_task_stage(args, "splits")
     log.info("splits written to %s", Path(config.out_dir) / "splits")
     return 0
 
 
 def _cmd_audit(args) -> int:
-    config = _load_effective_config(args)
-    config.split_tasks = _tasks_for(args, config)
-    runner = PipelineRunner(config, stage="audit")
-    g = _load_graph(args.graph)
-    stage_log = runner._run_audit(g)
+    config, stage_log = _run_task_stage(args, "audit")
     for key, value in sorted(stage_log.details.items()):
         log.info("%s = %d", key, value)
     log.info("report written to %s", Path(config.out_dir) / "leakage_report.json")

@@ -132,6 +132,22 @@ class PipelineConfig:
                 raise ConfigError(
                     f"unknown task {task!r}; choose from {sorted(BUILTIN_TASKS)}"
                 )
+        _reject_repeats("split.seeds", self.split_seeds)
+        _reject_repeats("split.tasks", self.split_tasks)
+        self.validate_out_dir()
+
+    def validate_out_dir(self) -> None:
+        out = Path(self.out_dir)
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"output directory {out} exists and is not a directory")
+
+
+def _reject_repeats(key: str, values: list) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{key} lists {value!r} more than once")
+        seen.add(value)
 
 
 def _parse_bool(key: str, value: str) -> bool:

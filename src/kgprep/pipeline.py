@@ -163,28 +163,22 @@ class PipelineRunner:
         )
         return g, [stage_log]
 
-    def _bundles(self, g: KnowledgeGraph, task_name: str) -> list:
-        task = split_audit.BUILTIN_TASKS[task_name]
-        return [
-            split_audit.make_splits(g, task, seed)
-            for seed in self.config.split_seeds
-        ]
-
     def _run_splits(self, g: KnowledgeGraph) -> StageLog:
         start = time.perf_counter()
         details: dict[str, int] = {}
         for task_name in self.config.split_tasks:
-            for bundle in self._bundles(g, task_name):
+            task = split_audit.BUILTIN_TASKS[task_name]
+            for bundle in split_audit.make_splits(g, task, self.config.split_seeds):
                 split_audit.write_bundle(
                     self.out_dir / "splits" / task_name / f"seed_{bundle.seed}",
                     bundle,
                     preserve_order=self.config.preserve_order,
                 )
-                if bundle.seed == self.config.split_seeds[0]:
-                    details[f"{task_name}_target"] = bundle.target_size()
-                    details[f"{task_name}_train"] = len(bundle.train)
-                    details[f"{task_name}_valid"] = len(bundle.valid)
-                    details[f"{task_name}_test"] = len(bundle.test)
+            # split sizes depend only on the target size, not on the seed
+            details[f"{task_name}_target"] = bundle.target_size()
+            details[f"{task_name}_train"] = len(bundle.train)
+            details[f"{task_name}_valid"] = len(bundle.valid)
+            details[f"{task_name}_test"] = len(bundle.test)
         rows = len(g)
         return StageLog(
             stage_name="splits",
@@ -198,22 +192,21 @@ class PipelineRunner:
 
     def _run_audit(self, g: KnowledgeGraph) -> StageLog:
         start = time.perf_counter()
-        maps = self.id_maps()
         entity_map: dict = {}
-        for table in maps.values():
+        for table in self.id_maps().values():
             entity_map.update(table.mapping)
-        harmonization = self.harmonization_table()
+        equivalence = split_audit.Equivalence(entity_map, self.harmonization_table())
         aggregates = []
         details: dict[str, int] = {}
         for task_name in self.config.split_tasks:
+            task = split_audit.BUILTIN_TASKS[task_name]
             reports = [
                 split_audit.detect_leakage(
                     bundle,
-                    equiv_entities=entity_map,
-                    equiv_relations=harmonization,
+                    equivalence,
                     include_inverse=self.config.audit_include_inverse,
                 )
-                for bundle in self._bundles(g, task_name)
+                for bundle in split_audit.make_splits(g, task, self.config.split_seeds)
             ]
             agg = split_audit.audit_report(reports)
             aggregates.append(agg)

@@ -7,6 +7,7 @@ with the production code paths.
 
 from __future__ import annotations
 
+import random
 import struct
 
 # --- circular-fingerprint environment enumerator ---------------------------
@@ -183,6 +184,43 @@ def resolve_by_substitution(mapping: dict, max_rounds: int = 10_000) -> dict:
             return current
         current = nxt
     raise ValueError("no fixed point: mapping contains a cycle")
+
+
+# --- splits: the per-seed recipe --------------------------------------------
+
+
+def splits_by_rescan(triplets, endpoint_types, seed: int):
+    """(train, valid, test, context) for one seed, recomputed from scratch:
+    scan every row, shuffle a copy of the target rows, cut 70/10/20 with the
+    valid and test sizes floored."""
+    target, context = [], []
+    for t in triplets:
+        is_target = {t.head.entity_type, t.tail.entity_type} == set(endpoint_types)
+        (target if is_target else context).append(t)
+    shuffled = list(target)
+    random.Random(seed).shuffle(shuffled)
+    n = len(shuffled)
+    n_valid, n_test = n // 10, n // 5
+    n_train = n - n_valid - n_test
+    return (
+        shuffled[:n_train],
+        shuffled[n_train : n_train + n_valid],
+        shuffled[n_train + n_valid :],
+        context,
+    )
+
+
+def split_file_texts(parts, preserve_order: bool) -> dict[str, str]:
+    """File name -> content for one seed's (train, valid, test, context):
+    every file rendered on its own and, unless preserve_order, sorted by the
+    (head, relation, tail) text tuple."""
+    files = {}
+    for name, rows in zip(("train", "valid", "test", "context"), parts):
+        rendered = [(t.head.text, t.relation.text, t.tail.text) for t in rows]
+        if not preserve_order:
+            rendered.sort()
+        files[f"{name}.tsv"] = "".join(f"{h}\t{r}\t{tl}\n" for h, r, tl in rendered)
+    return files
 
 
 # --- split aggregation -------------------------------------------------------

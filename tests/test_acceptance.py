@@ -28,6 +28,7 @@ from kgprep.pipeline import run_pipeline
 from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
+    Equivalence,
     audit_report,
     detect_leakage,
     make_splits,
@@ -143,7 +144,7 @@ def test_acceptance_1_property_suite(tmp_path):
         for i in range(233)
     ])
     for seed in range(20):
-        bundle = make_splits(target, BUILTIN_TASKS["ppi"], seed)
+        bundle, = make_splits(target, BUILTIN_TASKS["ppi"], [seed])
         n = bundle.target_size()
         assert n == 233
         assert len(bundle.valid) == 23 and len(bundle.test) == 46
@@ -157,7 +158,7 @@ def test_acceptance_1_property_suite(tmp_path):
     for _ in range(50):
         size = oracle_rng.randint(30, 500)
         bundle, table2, entity_map, relation_map = random_bundle(oracle_rng, size)
-        engine = detect_leakage(bundle, entity_map, table2)
+        engine = detect_leakage(bundle, Equivalence(entity_map, table2))
         train = to_oracle_form(bundle.train)
         for pair, eval_split in (("train_valid", bundle.valid), ("train_test", bundle.test)):
             eval_rows = to_oracle_form(eval_split)
@@ -373,9 +374,10 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
             entity_map.update(resolved.mapping)
 
     def any_ratio(task_name: str) -> tuple[float, float]:
+        equivalence = Equivalence(entity_map, table)
         reports = [
-            detect_leakage(make_splits(g, BUILTIN_TASKS[task_name], seed), entity_map, table)
-            for seed in range(5)
+            detect_leakage(bundle, equivalence)
+            for bundle in make_splits(g, BUILTIN_TASKS[task_name], range(5))
         ]
         agg = audit_report(reports)
         cell = agg.cells[("any", "train_test")]
@@ -396,9 +398,10 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
         if t.relation.origin.casefold() in ("sider", "hetionet")
         or {t.head.entity_type, t.tail.entity_type} != {"Compound", "SideEffect"}
     )
+    equivalence = Equivalence(entity_map, table)
     reports = [
-        detect_leakage(make_splits(sider, BUILTIN_TASKS["side_effect"], seed), entity_map, table)
-        for seed in range(5)
+        detect_leakage(bundle, equivalence)
+        for bundle in make_splits(sider, BUILTIN_TASKS["side_effect"], range(5))
     ]
     agg = audit_report(reports)
     for detector in ("relation_redundancy", "entity_redundancy"):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgprep
 from kgprep.cli import main
 from kgprep.corpus import build_corpus
 from kgprep.stats import compute_stats
@@ -135,6 +140,37 @@ def test_split_and_audit_subcommands(corpus, tmp_path):
             "mean", "std", "seeds",
         }
         assert record["task"] == "ppi"
+
+
+def test_repeated_task_flag_is_config_error(tmp_path, capsys):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("Gene::NCBI:1\tGNBR::B::Gene:Gene\tGene::NCBI:2\n", encoding="utf-8")
+    out = tmp_path / "sp"
+    rc = main(["--quiet", "--out", str(out), "split", "--graph", str(graph),
+               "--task", "ppi", "--task", "ppi"])
+    assert rc == 1
+    assert "split.tasks lists 'ppi' more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_that_is_a_file_is_config_error(corpus, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    src = str(Path(kgprep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgprep", "--config", str(corpus.config),
+         "--out", str(taken), "run"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"config error: output directory {taken} exists and is not a directory"
+    ]
+    assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_validate_config_subcommand(corpus, tmp_path, capsys):

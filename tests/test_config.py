@@ -80,3 +80,15 @@ def test_tier_and_task_validation():
     config.split_tasks = ["ppi", "alchemy"]
     with pytest.raises(ConfigError, match="alchemy"):
         config.validate()
+
+
+def test_duplicate_seeds_rejected():
+    config = parse_config_text("split.seeds = 0, 0\n")
+    with pytest.raises(ConfigError, match="split.seeds lists 0 more than once"):
+        config.validate_values()
+
+
+def test_duplicate_tasks_rejected():
+    config = parse_config_text("split.tasks = ppi, side_effect, ppi\n")
+    with pytest.raises(ConfigError, match="split.tasks lists 'ppi' more than once"):
+        config.validate_values()

@@ -10,6 +10,7 @@ from kgprep.model import KnowledgeGraph
 from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
+    Equivalence,
     SplitBundle,
     audit_report,
     detect_leakage,
@@ -43,23 +44,23 @@ def test_builtin_task_targets_are_disjoint(tiny_graph):
 
 
 def test_split_sizes_ten_targets():
-    bundle = make_splits(target_graph(10), BUILTIN_TASKS["ppi"], seed=0)
+    bundle = make_splits(target_graph(10), BUILTIN_TASKS["ppi"], [0])[0]
     assert (len(bundle.train), len(bundle.valid), len(bundle.test)) == (7, 1, 2)
     assert len(bundle.context) == 4
 
 
 def test_split_deterministic_per_seed():
     g = target_graph(50)
-    a = make_splits(g, BUILTIN_TASKS["ppi"], seed=3)
-    b = make_splits(g, BUILTIN_TASKS["ppi"], seed=3)
+    a = make_splits(g, BUILTIN_TASKS["ppi"], [3])[0]
+    b = make_splits(g, BUILTIN_TASKS["ppi"], [3])[0]
     assert [t.render() for t in a.train] == [t.render() for t in b.train]
     assert [t.render() for t in a.test] == [t.render() for t in b.test]
 
 
 def test_split_seeds_differ_but_sizes_match():
     g = target_graph(1000)
-    a = make_splits(g, BUILTIN_TASKS["ppi"], seed=0)
-    b = make_splits(g, BUILTIN_TASKS["ppi"], seed=1)
+    a = make_splits(g, BUILTIN_TASKS["ppi"], [0])[0]
+    b = make_splits(g, BUILTIN_TASKS["ppi"], [1])[0]
     assert len(a.train) == len(b.train) and len(a.test) == len(b.test)
     assert {t.render() for t in a.train} != {t.render() for t in b.train}
 
@@ -67,14 +68,14 @@ def test_split_seeds_differ_but_sizes_match():
 def test_split_empty_target_fatal():
     g = target_graph(0, n_context=3)
     with pytest.raises(StageError, match="ppi"):
-        make_splits(g, BUILTIN_TASKS["ppi"], seed=0)
+        make_splits(g, BUILTIN_TASKS["ppi"], [0])
 
 
 @settings(max_examples=40)
 @given(n=st.integers(1, 300), seed=st.integers(0, 10_000))
 def test_split_partition_property(n, seed):
     g = target_graph(n, n_context=0)
-    bundle = make_splits(g, BUILTIN_TASKS["ppi"], seed=seed)
+    bundle = make_splits(g, BUILTIN_TASKS["ppi"], [seed])[0]
     assert len(bundle.valid) == n // 10
     assert len(bundle.test) == n // 5
     assert len(bundle.train) == n - n // 10 - n // 5
@@ -109,13 +110,12 @@ def random_bundle(rng: random.Random, size: int):
     triplets = [random_triplet() for _ in range(size)]
     n_train = int(size * 0.7)
     n_valid = int(size * 0.1)
-    bundle = SplitBundle(
+    bundle = SplitBundle.from_lists(
         task="ppi",
         seed=0,
         train=triplets[:n_train],
         valid=triplets[n_train : n_train + n_valid],
         test=triplets[n_train + n_valid :],
-        context=[],
     )
     oracle_entity_map = dict(dup_entities)
     oracle_relation_map = {
@@ -130,7 +130,7 @@ def to_oracle_form(triplets):
 
 def test_literal_duplicate_leaks_under_all_detectors():
     shared = T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")
-    bundle = SplitBundle("ppi", 0, train=[shared], valid=[shared], test=[shared], context=[])
+    bundle = SplitBundle.from_lists("ppi", 0, train=[shared], valid=[shared], test=[shared])
     report = detect_leakage(bundle)
     for detector in DETECTORS:
         for pair in ("train_valid", "train_test"):
@@ -140,7 +140,7 @@ def test_literal_duplicate_leaks_under_all_detectors():
 def test_inverse_duplicate_detected():
     train = [T("Gene::NCBI:B", "GNBR::B::Gene:Gene", "Gene::NCBI:A")]
     test = [T("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B")]
-    bundle = SplitBundle("ppi", 0, train=train, valid=[], test=test, context=[])
+    bundle = SplitBundle.from_lists("ppi", 0, train=train, valid=[], test=test)
     report = detect_leakage(bundle)
     assert report.cells[("duplicate_inverse", "train_test")].leaked == 1
     no_inverse = detect_leakage(bundle, include_inverse=False)
@@ -151,7 +151,7 @@ def test_empty_tables_reduce_to_duplicate_inverse():
     rng = random.Random(5)
     for _ in range(10):
         bundle, _, _, _ = random_bundle(rng, 120)
-        report = detect_leakage(bundle, equiv_entities=None, equiv_relations=None)
+        report = detect_leakage(bundle, Equivalence(None, None))
         for pair in ("train_valid", "train_test"):
             dup = report.cells[("duplicate_inverse", pair)]
             assert report.cells[("relation_redundancy", pair)] == dup
@@ -163,7 +163,7 @@ def test_detector_monotonicity():
     rng = random.Random(6)
     for _ in range(10):
         bundle, table, entity_map, _ = random_bundle(rng, 150)
-        report = detect_leakage(bundle, entity_map, table)
+        report = detect_leakage(bundle, Equivalence(entity_map, table))
         for pair in ("train_valid", "train_test"):
             dup = report.cells[("duplicate_inverse", pair)].leaked
             rel = report.cells[("relation_redundancy", pair)].leaked
@@ -178,7 +178,7 @@ def test_detectors_equal_exhaustive_oracle():
     for round_ in range(12):
         size = rng.randint(40, 220)
         bundle, table, entity_map, relation_map = random_bundle(rng, size)
-        report = detect_leakage(bundle, entity_map, table)
+        report = detect_leakage(bundle, Equivalence(entity_map, table))
         train = to_oracle_form(bundle.train)
         for pair, eval_split in (("train_valid", bundle.valid), ("train_test", bundle.test)):
             eval_rows = to_oracle_form(eval_split)
@@ -193,11 +193,10 @@ def test_detectors_equal_exhaustive_oracle():
 
 def test_audit_report_aggregation():
     single = detect_leakage(
-        SplitBundle("ppi", 0,
-                    train=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
-                    valid=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
-                    test=[T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4")],
-                    context=[])
+        SplitBundle.from_lists("ppi", 0,
+                               train=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
+                               valid=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
+                               test=[T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4")])
     )
     agg = audit_report([single])
     cell = agg.cells[("duplicate_inverse", "train_valid")]
@@ -213,10 +212,7 @@ def test_audit_five_seeds_matches_external_recompute():
     # duplicate a third of the target rows so splits leak
     extra = [t for i, t in enumerate(g.triplets) if i % 3 == 0 and BUILTIN_TASKS["ppi"].matches(t)]
     g2 = KnowledgeGraph(list(g.triplets) + extra)
-    reports = [
-        detect_leakage(make_splits(g2, BUILTIN_TASKS["ppi"], seed=s))
-        for s in range(5)
-    ]
+    reports = [detect_leakage(b) for b in make_splits(g2, BUILTIN_TASKS["ppi"], range(5))]
     agg = audit_report(reports)
     for key, cell in agg.cells.items():
         mean, std = mean_and_population_std(cell["ratio"])
@@ -226,7 +222,7 @@ def test_audit_five_seeds_matches_external_recompute():
 
 
 def test_write_bundle_files(tmp_path):
-    bundle = make_splits(target_graph(20), BUILTIN_TASKS["ppi"], seed=0)
+    bundle = make_splits(target_graph(20), BUILTIN_TASKS["ppi"], [0])[0]
     write_bundle(tmp_path, bundle)
     for name in ("train", "valid", "test", "context"):
         path = tmp_path / f"{name}.tsv"
@@ -234,3 +230,19 @@ def test_write_bundle_files(tmp_path):
         lines = path.read_text().splitlines()
         assert lines == sorted(lines)
     assert len((tmp_path / "train.tsv").read_text().splitlines()) == 14
+
+
+def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
+    g = target_graph(20, n_context=6)
+    g = KnowledgeGraph(list(reversed(g.triplets)))
+    context_rows = [t for t in g.triplets if not BUILTIN_TASKS["ppi"].matches(t)]
+    graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (c.render() for c in context_rows))
+    by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(c.render() for c in context_rows))
+    assert graph_order != by_text
+    for bundle in make_splits(g, BUILTIN_TASKS["ppi"], [0, 1]):
+        for preserve_order, expected in ((False, by_text), (True, graph_order)):
+            out = tmp_path / f"{preserve_order}_{bundle.seed}"
+            write_bundle(out, bundle, preserve_order=preserve_order)
+            assert (out / "context.tsv").read_text() == expected
+    write_bundle(out, bundle, preserve_order=True)  # rewrite in place
+    assert (out / "context.tsv").read_text() == graph_order
