@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from ..errors import StageError
-from ..model import KnowledgeGraph, StageLog, StageTimer
+from ..model import KnowledgeGraph
 from .smiles import MoleculeGraph, parse_smiles
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -128,11 +128,10 @@ def fingerprint_all(
     smiles_dict: dict[str, str],
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
-) -> tuple[dict[str, Fingerprint], StageLog]:
+) -> tuple[dict[str, Fingerprint], dict[str, int]]:
     """One fingerprint per Compound node in the graph, keyed and ordered by the
     rendered compound id. The SMILES-less filter must already have run: any
     missing or unparseable entry here is a pipeline-order bug and is fatal."""
-    timer = StageTimer()
     table: dict[str, Fingerprint] = {}
     for node in sorted(g.nodes_of_type("Compound"), key=lambda n: n.text):
         smiles = smiles_dict.get(node.text)
@@ -148,16 +147,7 @@ def fingerprint_all(
                 f"fingerprints: unparseable SMILES for {node.text}: {exc}"
             ) from exc
         table[node.text] = morgan_fingerprint(mol, radius, nbits)
-    rows = len(g)
-    return table, StageLog(
-        stage_name="fingerprints",
-        rows_in=rows,
-        rows_removed=0,
-        rows_added=0,
-        rows_out=rows,
-        wall_time=timer.elapsed(),
-        details={"fingerprints_generated": len(table)},
-    )
+    return table, {"fingerprints_generated": len(table)}
 
 
 def write_fingerprints(path, table: dict[str, Fingerprint]) -> None:

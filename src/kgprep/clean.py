@@ -1,7 +1,8 @@
 """Format-defect filtering, relation harmonization and non-human pruning.
 
-Each operation is an independently toggleable stage: graph in, graph out,
-plus a StageLog with per-defect-class counters.
+Each operation is an independently toggleable row-local stage: built from
+its tables, it returns a step (row in, row or None out) and the per-defect
+counters the step fills as rows pass.
 """
 
 from __future__ import annotations
@@ -12,16 +13,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, StageError
-from .ingest import parse_entity
-from .model import (
-    ENTITY_TYPE_ALIASES,
-    EntityRef,
-    KnowledgeGraph,
-    RelationRef,
-    StageLog,
-    StageTimer,
-    Triplet,
-)
+from .ingest import HARMONIZATION_SCHEMA, parse_entity, read_rows
+from .model import ENTITY_TYPE_ALIASES, EntityRef, RelationRef, Step, Triplet
 
 log = logging.getLogger(__name__)
 
@@ -69,22 +62,7 @@ class HarmonizationTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HarmonizationTable":
-        rows = []
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                cols = line.split("\t")
-                if cols == ["origin", "label", "head_type", "tail_type", "canonical_label"]:
-                    continue
-                if len(cols) != 5:
-                    raise ParseError(
-                        f"harmonization file {path}: expected 5 columns, got {len(cols)}",
-                        line=line_no,
-                    )
-                rows.append(tuple(cols))
-        return cls.from_rows(rows)
+        return cls.from_rows(read_rows(path, HARMONIZATION_SCHEMA))
 
     @classmethod
     def builtin(cls) -> "HarmonizationTable":
@@ -118,52 +96,41 @@ class HarmonizationTable:
         return ("raw", relation.origin, relation.label)
 
 
-def filter_malformed(g: KnowledgeGraph) -> tuple[KnowledgeGraph, StageLog]:
+def filter_malformed() -> tuple[Step, dict[str, int]]:
     """Drop every triplet whose head or tail text contains ';' or '|'.
 
     Only endpoint fields are inspected; such characters mark entities that
     were erroneously merged into a single node upstream.
     """
-    timer = StageTimer()
-    kept: list[Triplet] = []
-    semicolons = 0
-    pipes = 0
-    for t in g.triplets:
+    details = {"semicolon_rows": 0, "pipe_rows": 0}
+
+    def step(t: Triplet) -> Triplet | None:
         endpoint_text = t.head.text + t.tail.text
         if ";" in endpoint_text:
-            semicolons += 1
+            details["semicolon_rows"] += 1
         elif "|" in endpoint_text:
-            pipes += 1
+            details["pipe_rows"] += 1
         else:
-            kept.append(t)
-    g2 = KnowledgeGraph._from_clean(kept)
-    return g2, StageLog(
-        stage_name="filter_malformed",
-        rows_in=len(g),
-        rows_removed=semicolons + pipes,
-        rows_added=0,
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={"semicolon_rows": semicolons, "pipe_rows": pipes},
-    )
+            return t
+        return None
+
+    return step, details
 
 
 def harmonize(
-    g: KnowledgeGraph, table: HarmonizationTable, strict: bool = False
-) -> tuple[KnowledgeGraph, StageLog]:
+    table: HarmonizationTable, strict: bool = False
+) -> tuple[Step, dict[str, int]]:
     """Replace each relation label with its canonical label.
 
     Already-canonical labels pass through, which makes the operation
     idempotent. Unknown keys pass through with a warning in lenient mode and
     are fatal in strict mode.
     """
-    timer = StageTimer()
-    out: list[Triplet] = []
-    rewritten = 0
-    unknown = 0
+    details = {"labels_rewritten": 0, "unmapped_rows": 0}
     # (replacement or None, counts-as-unmapped) memoized per distinct relation
     cache: dict[RelationRef, tuple[RelationRef | None, bool]] = {}
-    for t in g.triplets:
+
+    def step(t: Triplet) -> Triplet:
         rel = t.relation
         hit = cache.get(rel)
         if hit is None:
@@ -185,22 +152,13 @@ def harmonize(
             cache[rel] = hit
         new_rel, is_unmapped = hit
         if is_unmapped:
-            unknown += 1
+            details["unmapped_rows"] += 1
         if new_rel is None:
-            out.append(t)
-        else:
-            rewritten += 1
-            out.append(Triplet(t.head, new_rel, t.tail, t.origin_line))
-    g2 = KnowledgeGraph._from_clean(out)
-    return g2, StageLog(
-        stage_name="harmonize",
-        rows_in=len(g),
-        rows_removed=0,
-        rows_added=0,
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={"labels_rewritten": rewritten, "unmapped_rows": unknown},
-    )
+            return t
+        details["labels_rewritten"] += 1
+        return Triplet(t.head, new_rel, t.tail, t.origin_line)
+
+    return step, details
 
 
 @dataclass(frozen=True)
@@ -218,88 +176,57 @@ class NonHumanSpec:
 
 
 def remove_nonhuman(
-    g: KnowledgeGraph,
     spec: NonHumanSpec | None = None,
     taxonomy: dict[str, str] | None = None,
-) -> tuple[KnowledgeGraph, StageLog]:
+) -> tuple[Step, dict[str, int]]:
     """Remove banned-relation rows, then every non-human gene node with its
     incident rows. Genes absent from the taxonomy table default to human, so
-    missing evidence never deletes anything.
+    missing evidence never deletes anything. ``nonhuman_genes_removed``
+    counts the distinct non-human genes on rows that survive the ban.
     """
-    timer = StageTimer()
     spec = spec or NonHumanSpec()
-    taxonomy = taxonomy or {}
-    rows_in = len(g)
+    tags = {parse_entity(text): tag.casefold() for text, tag in (taxonomy or {}).items()}
+    nonhuman = {n for n, tag in tags.items() if n.entity_type == "Gene" and tag not in HUMAN_TAGS}
+    removed: set[EntityRef] = set()
+    details = {"banned_relation_rows": 0, "nonhuman_gene_rows": 0, "nonhuman_genes_removed": 0}
 
-    survivors: list[Triplet] = []
-    banned_rows = 0
-    for t in g.triplets:
+    def step(t: Triplet) -> Triplet | None:
         if spec.is_banned(t.relation.label):
-            banned_rows += 1
-        else:
-            survivors.append(t)
+            details["banned_relation_rows"] += 1
+            return None
+        if not nonhuman:
+            return t
+        doomed = [n for n in (t.head, t.tail) if n.entity_type == "Gene" and n in nonhuman]
+        if not doomed:
+            return t
+        details["nonhuman_gene_rows"] += 1
+        removed.update(doomed)
+        details["nonhuman_genes_removed"] = len(removed)
+        return None
 
-    nonhuman: set[EntityRef] = set()
-    if taxonomy:
-        tags = {}
-        for gene_text, tag in taxonomy.items():
-            tags[parse_entity(gene_text)] = tag.casefold()
-        for t in survivors:
-            for node in (t.head, t.tail):
-                if node.entity_type == "Gene":
-                    tag = tags.get(node)
-                    if tag is not None and tag not in HUMAN_TAGS:
-                        nonhuman.add(node)
-
-    gene_rows = 0
-    kept: list[Triplet] = []
-    for t in survivors:
-        if t.head in nonhuman or t.tail in nonhuman:
-            gene_rows += 1
-        else:
-            kept.append(t)
-
-    g2 = KnowledgeGraph._from_clean(kept)
-    return g2, StageLog(
-        stage_name="remove_nonhuman",
-        rows_in=rows_in,
-        rows_removed=banned_rows + gene_rows,
-        rows_added=0,
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={
-            "banned_relation_rows": banned_rows,
-            "nonhuman_gene_rows": gene_rows,
-            "nonhuman_genes_removed": len(nonhuman),
-        },
-    )
+    return step, details
 
 
 DEFAULT_DROP_TYPES = ("Tax", "Symptom", "Pathway")
 
 
-def drop_entity_types(
-    g: KnowledgeGraph, types=DEFAULT_DROP_TYPES
-) -> tuple[KnowledgeGraph, StageLog]:
+def drop_entity_types(types=DEFAULT_DROP_TYPES) -> tuple[Step, dict[str, int]]:
     """Remove every node of the listed categories along with incident rows.
     Pathways dropped here are re-integrated by the enrichment stage."""
-    timer = StageTimer()
     doomed = frozenset(types)
-    node_count = sum(1 for n in g.nodes if n.entity_type in doomed)
-    g2, removed = g.filter(
-        lambda t: t.head.entity_type not in doomed and t.tail.entity_type not in doomed
-    )
-    details = {"nodes_removed": node_count}
+    details = {"nodes_removed": 0}
     for etype in sorted(doomed):
-        details[f"nodes_removed_{etype}"] = sum(
-            1 for n in g.nodes if n.entity_type == etype
-        )
-    return g2, StageLog(
-        stage_name="drop_types",
-        rows_in=len(g),
-        rows_removed=removed,
-        rows_added=0,
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details=details,
-    )
+        details[f"nodes_removed_{etype}"] = 0
+    removed: set[EntityRef] = set()
+
+    def step(t: Triplet) -> Triplet | None:
+        if t.head.entity_type not in doomed and t.tail.entity_type not in doomed:
+            return t
+        for node in (t.head, t.tail):
+            if node.entity_type in doomed and node not in removed:
+                removed.add(node)
+                details["nodes_removed"] += 1
+                details[f"nodes_removed_{node.entity_type}"] += 1
+        return None
+
+    return step, details

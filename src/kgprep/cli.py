@@ -97,12 +97,12 @@ def _cmd_stage(args) -> int:
     config = _load_effective_config(args)
     runner = PipelineRunner(config, stage=args.name)
     g = _load_graph(args.graph)
-    g, logs = runner.run_stage(args.name, g)
+    g, stage_log = runner.run_stage(args.name, g)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ingest.write_triplets(out / "graph.tsv", g, preserve_order=config.preserve_order)
     with (out / f"stage_{args.name}.json").open("w", encoding="utf-8") as fh:
-        json.dump([s.to_dict() for s in logs], fh, indent=2, sort_keys=True)
+        json.dump([stage_log.to_dict()], fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
 
@@ -129,8 +129,8 @@ def _run_task_stage(args, stage: str):
     if args.task:
         config.split_tasks = args.task
     runner = PipelineRunner(config, stage=stage)
-    _, logs = runner.run_stage(stage, _load_graph(args.graph))
-    return config, logs[0]
+    _, stage_log = runner.run_stage(stage, _load_graph(args.graph))
+    return config, stage_log
 
 
 def _cmd_split(args) -> int:

@@ -137,9 +137,17 @@ class PipelineConfig:
         self.validate_out_dir()
 
     def validate_out_dir(self) -> None:
+        """The output directory, or its nearest existing ancestor, must be a
+        directory."""
         out = Path(self.out_dir)
-        if out.exists() and not out.is_dir():
+        for path in (out, *out.parents):
+            if path.exists():
+                break
+        if path.is_dir():
+            return
+        if path == out:
             raise ConfigError(f"output directory {out} exists and is not a directory")
+        raise ConfigError(f"output directory {out} is below {path}, which is not a directory")
 
 
 def _reject_repeats(key: str, values: list) -> None:

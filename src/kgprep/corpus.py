@@ -11,9 +11,19 @@ catalog, its own id-canonicalization maps and its own duplicate keys.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+
+# The fixed id pools hold corpora up to this many rows: at that size the
+# filler draws about 93% of the tightest key space (compound-disease
+# TREATMENT, 120 x 60 pairs). Larger corpora multiply the gene, compound and
+# disease pools by ceil(total_rows / FIXED_POOL_ROWS); smaller ones keep the
+# fixed pools, so their output does not depend on this rule.
+FIXED_POOL_ROWS = 100_000
+# Ids added by a grown pool start here, above every fixed id.
+GROWN_ID_BASE = 1_000_000
 
 # raw relation catalog: (origin, label, head_type, tail_type, canonical label)
 # canonical == label means the pipeline's harmonization passes it through.
@@ -112,6 +122,13 @@ class SyntheticCorpus:
     expected: PlantedCounts
 
 
+def _pool(template: str, first: int, size: int, scale: int) -> list[str]:
+    """``size`` fixed ids, then ``size * (scale - 1)`` grown ones."""
+    ids = [template.format(first + i) for i in range(size)]
+    ids += [template.format(GROWN_ID_BASE + i) for i in range(size * (scale - 1))]
+    return ids
+
+
 @dataclass
 class _Row:
     head: str  # canonical rendered text
@@ -131,9 +148,10 @@ class _Builder:
         self.remap: dict[str, str] = {}  # redundant id text -> canonical text
         self.expected = PlantedCounts()
         # id pools
-        self.genes = [f"Gene::NCBI:{1000 + i}" for i in range(400)]
-        self.compounds = [f"Compound::PubChem_Compounds:{10000 + i}" for i in range(120)]
-        self.diseases = [f"Disease::MESH:D{100000 + i}" for i in range(60)]
+        scale = max(1, math.ceil(total_rows / FIXED_POOL_ROWS))
+        self.genes = _pool("Gene::NCBI:{}", 1000, 400, scale)
+        self.compounds = _pool("Compound::PubChem_Compounds:{}", 10000, 120, scale)
+        self.diseases = _pool("Disease::MESH:D{}", 100000, 60, scale)
         self.side_effects = [f"SideEffect::umls:C{700000 + i}" for i in range(40)]
         self.anatomy = [f"Anatomy::UBERON:{2000 + i}" for i in range(10)]
         self.symptoms = [f"Symptom::MESH:D{900000 + i}" for i in range(12)]
@@ -180,14 +198,24 @@ class _Builder:
         return row
 
     def pick_unused_pair(self, rel_key: str, heads: list[str], tails: list[str]):
-        """Random endpoint pair whose canonical key is still free."""
+        """Random endpoint pair whose canonical key is still free; ValueError
+        once no key of ``heads x tails`` is free."""
+        misses = 0
         while True:
             head = self.rng.choice(heads)
             tail = self.rng.choice(tails)
-            if head == tail:
-                continue
-            if self._key(head, rel_key, tail) not in self.used:
+            if head != tail and self._key(head, rel_key, tail) not in self.used:
                 return head, tail
+            misses += 1
+            if misses == len(heads) * len(tails) and not any(
+                h != t and self._key(h, rel_key, t) not in self.used
+                for h in heads
+                for t in tails
+            ):
+                raise ValueError(
+                    f"corpus: no free {rel_key} key left for {len(heads)} head "
+                    f"x {len(tails)} tail ids"
+                )
 
     def maybe_strip_source(self, text: str) -> str:
         """Sometimes emit the source-less spelling the ingest stage must

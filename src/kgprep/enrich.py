@@ -8,13 +8,11 @@ orphan subgraphs appear, and they never create a duplicate canonical key.
 from __future__ import annotations
 
 import logging
-from collections import Counter
-from dataclasses import dataclass, field
 
 from .chem.smiles import parse_smiles
 from .errors import SmilesError
 from .ingest import parse_entity
-from .model import EntityRef, KnowledgeGraph, RelationRef, StageLog, StageTimer, Triplet
+from .model import EntityRef, KnowledgeGraph, RelationRef, Triplet
 from .normalize import IdMapTable, canonical_key
 
 log = logging.getLogger(__name__)
@@ -25,18 +23,9 @@ SIDE_EFFECT = RelationRef("OnSIDES", "SIDE_EFFECT", "Compound", "SideEffect")
 TIER_RANK = {"low": 0, "medium": 1, "high": 2}
 
 
-@dataclass
-class EnrichmentBatch:
-    """What one merge intends to add, plus per-reason skip counts."""
-
-    new_nodes: set[EntityRef] = field(default_factory=set)
-    new_triplets: list[Triplet] = field(default_factory=list)
-    skipped: Counter = field(default_factory=Counter)
-
-
 def merge_reactome(
     g: KnowledgeGraph, table: list[tuple[str, str]]
-) -> tuple[KnowledgeGraph, StageLog]:
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Add gene-to-pathway edges for genes already in the graph.
 
     Pathway nodes are created on first reference, only ever for present
@@ -44,40 +33,28 @@ def merge_reactome(
     or that would duplicate an existing canonical key, are skipped and
     counted.
     """
-    timer = StageTimer()
-    batch = EnrichmentBatch()
     keys = {canonical_key(t) for t in g.triplets}
-    g2 = KnowledgeGraph._from_clean(list(g.triplets))
+    g2 = g.copy()
+    details = dict.fromkeys(
+        ("edges_added", "pathway_nodes_added", "skipped_endpoint_absent", "skipped_duplicate"), 0
+    )
     for row_no, (gene_text, pathway_text) in enumerate(table, start=1):
         gene = parse_entity(gene_text)
         pathway = parse_entity(pathway_text)
         if not g2.has_node(gene):
-            batch.skipped["endpoint_absent"] += 1
+            details["skipped_endpoint_absent"] += 1
             continue
         t = Triplet(gene, GENE_PATHWAY, pathway, origin_line=row_no)
         key = canonical_key(t)
         if key in keys:
-            batch.skipped["duplicate"] += 1
+            details["skipped_duplicate"] += 1
             continue
         keys.add(key)
         if not g2.has_node(pathway):
-            batch.new_nodes.add(pathway)
+            details["pathway_nodes_added"] += 1
         g2.insert(t)
-        batch.new_triplets.append(t)
-    return g2, StageLog(
-        stage_name="reactome",
-        rows_in=len(g),
-        rows_removed=0,
-        rows_added=len(batch.new_triplets),
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={
-            "edges_added": len(batch.new_triplets),
-            "pathway_nodes_added": len(batch.new_nodes),
-            "skipped_endpoint_absent": batch.skipped["endpoint_absent"],
-            "skipped_duplicate": batch.skipped["duplicate"],
-        },
-    )
+        details["edges_added"] += 1
+    return g2, details
 
 
 def merge_onsides(
@@ -86,7 +63,7 @@ def merge_onsides(
     min_tier: str = "high",
     compound_map: IdMapTable | None = None,
     side_effect_map: IdMapTable | None = None,
-) -> tuple[KnowledgeGraph, StageLog]:
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Add compound/side-effect edges at or above the confidence threshold.
 
     Compound and side-effect ids are rewritten through the standardization
@@ -94,16 +71,24 @@ def merge_onsides(
     and rows whose endpoint pair already carries any edge (whatever its label
     or orientation) are suppressed as duplicates.
     """
-    timer = StageTimer()
     if min_tier not in TIER_RANK:
         raise ValueError(f"unknown confidence tier {min_tier!r}")
     threshold = TIER_RANK[min_tier]
-    batch = EnrichmentBatch()
     pairs = g.endpoint_pairs()
-    g2 = KnowledgeGraph._from_clean(list(g.triplets))
+    g2 = g.copy()
+    details = dict.fromkeys(
+        (
+            "edges_added",
+            "side_effect_nodes_added",
+            "skipped_below_confidence",
+            "skipped_endpoint_absent",
+            "skipped_duplicate",
+        ),
+        0,
+    )
     for row_no, (compound_text, se_text, tier) in enumerate(table, start=1):
         if TIER_RANK[tier] < threshold:
-            batch.skipped["below_confidence"] += 1
+            details["skipped_below_confidence"] += 1
             continue
         compound = parse_entity(compound_text)
         side_effect = parse_entity(se_text)
@@ -112,43 +97,27 @@ def merge_onsides(
         if side_effect_map is not None:
             side_effect = side_effect_map.apply(side_effect)
         if not g2.has_node(compound):
-            batch.skipped["endpoint_absent"] += 1
+            details["skipped_endpoint_absent"] += 1
             continue
         pair = frozenset((compound.text, side_effect.text))
         if pair in pairs:
-            batch.skipped["duplicate"] += 1
+            details["skipped_duplicate"] += 1
             continue
         pairs.add(pair)
-        t = Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no)
         if not g2.has_node(side_effect):
-            batch.new_nodes.add(side_effect)
-        g2.insert(t)
-        batch.new_triplets.append(t)
-    return g2, StageLog(
-        stage_name="onsides",
-        rows_in=len(g),
-        rows_removed=0,
-        rows_added=len(batch.new_triplets),
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={
-            "edges_added": len(batch.new_triplets),
-            "side_effect_nodes_added": len(batch.new_nodes),
-            "skipped_below_confidence": batch.skipped["below_confidence"],
-            "skipped_endpoint_absent": batch.skipped["endpoint_absent"],
-            "skipped_duplicate": batch.skipped["duplicate"],
-        },
-    )
+            details["side_effect_nodes_added"] += 1
+        g2.insert(Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no))
+        details["edges_added"] += 1
+    return g2, details
 
 
 def filter_no_smiles(
     g: KnowledgeGraph, smiles_dict: dict[str, str]
-) -> tuple[KnowledgeGraph, StageLog]:
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Remove every compound lacking a dictionary entry or whose structure
     string fails to parse, together with all incident rows. Missing and
     unparseable removals are counted separately; downstream fingerprinting
     requires a parseable structure either way."""
-    timer = StageTimer()
     missing = 0
     unparseable = 0
     doomed: set[EntityRef] = set()
@@ -166,18 +135,12 @@ def filter_no_smiles(
             log.debug("unparseable SMILES for %s: %s", node.text, exc)
             unparseable += 1
             doomed.add(node)
-    g2, removed = g.filter(lambda t: t.head not in doomed and t.tail not in doomed)
-    return g2, StageLog(
-        stage_name="smiles_filter",
-        rows_in=len(g),
-        rows_removed=removed,
-        rows_added=0,
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={
-            "compounds_missing": missing,
-            "compounds_unparseable": unparseable,
-            "compounds_removed": len(doomed),
-            "edges_removed": removed,
-        },
+    g2 = KnowledgeGraph._from_clean(
+        [t for t in g.triplets if t.head not in doomed and t.tail not in doomed]
     )
+    return g2, {
+        "compounds_missing": missing,
+        "compounds_unparseable": unparseable,
+        "compounds_removed": len(doomed),
+        "edges_removed": len(g) - len(g2),
+    }

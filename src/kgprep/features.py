@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import StageError
-from .model import (
-    ANNOTATION_TYPES,
-    EntityRef,
-    KnowledgeGraph,
-    StageLog,
-    StageTimer,
-)
+from .model import ANNOTATION_TYPES, EntityRef, KnowledgeGraph
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ def build_manifest(g: KnowledgeGraph) -> FeatureManifest:
 
 def collapse_to_features(
     g: KnowledgeGraph, manifest: FeatureManifest
-) -> tuple[KnowledgeGraph, dict[EntityRef, SparseFeatureVector], StageLog]:
+) -> tuple[KnowledgeGraph, dict[EntityRef, SparseFeatureVector], dict[str, int]]:
     """Turn gene/annotation adjacency into per-gene vectors and strip the
     annotation nodes and their edges from the graph.
 
@@ -89,7 +83,6 @@ def collapse_to_features(
     non-gene violates the star-shape premise and is fatal. Parallel edges to
     the same annotation node collapse onto a single bit.
     """
-    timer = StageTimer()
     positions = manifest.index_of()
     annotation_types = frozenset(ANNOTATION_TYPES)
     dim = manifest.total_dim
@@ -98,7 +91,6 @@ def collapse_to_features(
         n: set() for n in g.nodes if n.entity_type == "Gene"
     }
     kept = []
-    edges_removed = 0
     for t in g.triplets:
         head_is_ann = t.head.entity_type in annotation_types
         tail_is_ann = t.tail.entity_type in annotation_types
@@ -122,27 +114,17 @@ def collapse_to_features(
                 "manifest must be built from the same graph"
             )
         gene_bits[other].add(position)
-        edges_removed += 1
 
     table = {
         gene: SparseFeatureVector(dim, tuple(sorted(bits)))
         for gene, bits in gene_bits.items()
     }
-    g2 = KnowledgeGraph._from_clean(kept)
-    return g2, table, StageLog(
-        stage_name="features",
-        rows_in=len(g),
-        rows_removed=edges_removed,
-        rows_added=0,
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={
-            "annotation_nodes_removed": len(positions),
-            "feature_dim": dim,
-            "genes_with_features": sum(1 for v in table.values() if v.set_indices),
-            "genes_total": len(table),
-        },
-    )
+    return KnowledgeGraph._from_clean(kept), table, {
+        "annotation_nodes_removed": len(positions),
+        "feature_dim": dim,
+        "genes_with_features": sum(1 for v in table.values() if v.set_indices),
+        "genes_total": len(table),
+    }
 
 
 def reconstruct_edges(

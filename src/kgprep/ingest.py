@@ -8,20 +8,13 @@ from __future__ import annotations
 
 import logging
 import re
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import InputError, ParseError, StageError
-from .model import (
-    ENTITY_TYPE_ALIASES,
-    EntityRef,
-    KnowledgeGraph,
-    RelationRef,
-    StageLog,
-    StageTimer,
-    Triplet,
-)
+from .errors import InputError, ParseError
+from .model import ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +137,7 @@ def load_triplets(path: str | Path) -> tuple[KnowledgeGraph, StageLog]:
     Malformed lines are skipped, never silently: the stage log details count
     every skip by reason and ``loaded + skipped == physical lines - header``.
     """
-    timer = StageTimer()
+    start = time.perf_counter()
     path = Path(path)
     triplets: list[Triplet] = []
     skipped = {
@@ -211,7 +204,7 @@ def load_triplets(path: str | Path) -> tuple[KnowledgeGraph, StageLog]:
         rows_removed=n_skipped,
         rows_added=0,
         rows_out=len(g),
-        wall_time=timer.elapsed(),
+        wall_time=time.perf_counter() - start,
         details=details,
     )
 
@@ -222,7 +215,6 @@ class TableSchema:
 
     name: str
     columns: tuple[str, ...]
-    multivalued: bool = False
     # column index -> allowed values (checked case-sensitively)
     allowed: dict[int, frozenset[str]] = field(default_factory=dict)
 
@@ -230,21 +222,25 @@ class TableSchema:
 XREF_SCHEMA = TableSchema("xref", ("from_id", "to_id"))
 TAXONOMY_SCHEMA = TableSchema("taxonomy", ("gene_id", "species_tag"))
 SMILES_SCHEMA = TableSchema("smiles", ("compound_id", "smiles"))
-REACTOME_SCHEMA = TableSchema("reactome", ("gene_id", "pathway_id"), multivalued=True)
+REACTOME_SCHEMA = TableSchema("reactome", ("gene_id", "pathway_id"))
+HARMONIZATION_SCHEMA = TableSchema(
+    "harmonization", ("origin", "label", "head_type", "tail_type", "canonical_label")
+)
 ONSIDES_SCHEMA = TableSchema(
     "onsides",
     ("compound_id", "side_effect_id", "confidence_tier"),
-    multivalued=True,
     allowed={2: frozenset({"high", "medium", "low"})},
 )
 
 
 def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
-    """Read and validate the rows of a declared-schema TSV. Schema violations
-    are fatal with the offending line number."""
+    """Read and validate the rows of a declared-schema TSV. Blank and ``#``
+    lines are skipped, and the first other line may be the literal header.
+    Schema violations are fatal with the offending line number."""
     path = Path(path)
     n = len(schema.columns)
     rows: list[tuple[str, ...]] = []
+    first = True
     try:
         fh = path.open("r", encoding="utf-8")
     except OSError as exc:
@@ -262,8 +258,10 @@ def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
                     f"{schema.name} file {path}: expected {n} columns, got {len(cols)}",
                     line=line_no,
                 )
-            if line_no == 1 and cols == list(schema.columns):
-                continue  # optional literal header, checked before value validation
+            if first:
+                first = False
+                if cols == list(schema.columns):
+                    continue  # optional header, checked before value validation
             for idx, allowed in schema.allowed.items():
                 if cols[idx] not in allowed:
                     raise ParseError(
@@ -275,36 +273,18 @@ def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
     return rows
 
 
-def load_table(path: str | Path, schema: TableSchema):
-    """Load a keyed table per its schema.
-
-    Single-valued schemas return ``dict[key, value]`` with a last-wins-and-warn
-    duplicate policy; multivalued schemas return ``dict[key, list[values]]``
-    preserving row order (exact duplicate rows collapse with a warning).
-    """
-    rows = read_rows(path, schema)
-    if not schema.multivalued:
-        table: dict[str, str] = {}
-        for row in rows:
-            key, value = row[0], row[1]
-            if key in table and table[key] != value:
-                log.warning(
-                    "%s: duplicate key %r (%r replaces %r)",
-                    schema.name, key, value, table[key],
-                )
-            table[key] = value
-        return table
-    multi: dict[str, list] = {}
-    seen: set[tuple[str, ...]] = set()
-    for row in rows:
-        if row in seen:
-            log.warning("%s: duplicate row %r collapsed", schema.name, row)
-            continue
-        seen.add(row)
-        key = row[0]
-        value = row[1] if len(row) == 2 else tuple(row[1:])
-        multi.setdefault(key, []).append(value)
-    return multi
+def load_table(path: str | Path, schema: TableSchema) -> dict[str, str]:
+    """Load a two-column keyed table per its schema, last row wins on a
+    repeated key (with a warning)."""
+    table: dict[str, str] = {}
+    for key, value in read_rows(path, schema):
+        if key in table and table[key] != value:
+            log.warning(
+                "%s: duplicate key %r (%r replaces %r)",
+                schema.name, key, value, table[key],
+            )
+        table[key] = value
+    return table
 
 
 def load_xref(path: str | Path) -> dict[str, str]:
@@ -349,16 +329,3 @@ def write_triplets(
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for h, r, t in rendered:
             fh.write(f"{h}\t{r}\t{t}\n")
-
-
-def graph_from_rows(
-    rows: list[tuple[str, str, str]], stage_name: str = "ingest"
-) -> KnowledgeGraph:
-    """Build a graph from already-split row texts (used by tests and tools)."""
-    triplets = []
-    for i, (h, r, t) in enumerate(rows, start=1):
-        trip = Triplet(parse_entity(h), parse_relation(r), parse_entity(t), origin_line=i)
-        if not trip.signature_ok():
-            raise StageError(f"{stage_name}: row {i} endpoint/relation mismatch")
-        triplets.append(trip)
-    return KnowledgeGraph._from_clean(triplets)

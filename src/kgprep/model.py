@@ -9,7 +9,6 @@ deduplication and all serialized outputs are reproducible.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -128,6 +127,10 @@ class Triplet:
         return (self.head.text, self.relation.text, self.tail.text)
 
 
+# A row-local stage: the row to keep (possibly rewritten), or None to drop it.
+Step = Callable[[Triplet], Triplet | None]
+
+
 @dataclass
 class StageLog:
     """Row accounting for one pipeline stage.
@@ -164,29 +167,21 @@ class StageLog:
         }
 
 
-class StageTimer:
-    """Context helper: stages create one at entry and stamp logs at exit."""
-
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
-
-
 class KnowledgeGraph:
     """Ordered multiset of triplets plus a node registry derived from them.
 
     The registry maps each endpoint to its incidence count, so nodes with no
     remaining edges drop out automatically and the registry always equals the
-    set of triplet endpoints.
+    set of triplet endpoints. It is computed on first use and kept current by
+    ``insert``, so a chain of row stages that never asks for nodes never
+    builds it.
     """
 
-    __slots__ = ("triplets", "node_degree")
+    __slots__ = ("triplets", "_degree")
 
     def __init__(self, triplets: Iterable[Triplet] = ()):
         self.triplets: list[Triplet] = []
-        self.node_degree: dict[EntityRef, int] = {}
+        self._degree: dict[EntityRef, int] | None = {}
         for t in triplets:
             self.insert(t)
 
@@ -195,12 +190,21 @@ class KnowledgeGraph:
         """Bulk constructor for stage outputs whose rows were already validated."""
         g = cls.__new__(cls)
         g.triplets = triplets
-        degree: dict[EntityRef, int] = {}
-        for t in triplets:
-            degree[t.head] = degree.get(t.head, 0) + 1
-            degree[t.tail] = degree.get(t.tail, 0) + 1
-        g.node_degree = degree
+        g._degree = None
         return g
+
+    def copy(self) -> "KnowledgeGraph":
+        """Same rows in a new list; a registry already built is copied too."""
+        g = KnowledgeGraph._from_clean(list(self.triplets))
+        if self._degree is not None:
+            g._degree = dict(self._degree)
+        return g
+
+    @property
+    def node_degree(self) -> dict[EntityRef, int]:
+        if self._degree is None:
+            self._degree = _degrees(self.triplets)
+        return self._degree
 
     def insert(self, t: Triplet) -> "KnowledgeGraph":
         """Append one triplet, preserving input order. Multiset semantics:
@@ -212,8 +216,10 @@ class KnowledgeGraph:
                 f"{t.tail.entity_type}) for relation {t.relation}"
             )
         self.triplets.append(t)
-        self.node_degree[t.head] = self.node_degree.get(t.head, 0) + 1
-        self.node_degree[t.tail] = self.node_degree.get(t.tail, 0) + 1
+        degree = self._degree
+        if degree is not None:
+            degree[t.head] = degree.get(t.head, 0) + 1
+            degree[t.tail] = degree.get(t.tail, 0) + 1
         return self
 
     def __len__(self) -> int:
@@ -238,52 +244,22 @@ class KnowledgeGraph:
     def nodes_of_type(self, entity_type: str) -> list[EntityRef]:
         return [n for n in self.node_degree if n.entity_type == entity_type]
 
-    def relation_labels(self) -> set[str]:
-        return {t.relation.label for t in self.triplets}
-
     def endpoint_pairs(self) -> set[frozenset[str]]:
         """Unordered endpoint-pair index used by duplicate and leakage queries."""
         return {frozenset((t.head.text, t.tail.text)) for t in self.triplets}
 
-    def filter(
-        self, keep: Callable[[Triplet], bool]
-    ) -> tuple["KnowledgeGraph", int]:
-        """New graph with only rows passing ``keep``; returns removed count."""
-        kept = [t for t in self.triplets if keep(t)]
-        return KnowledgeGraph._from_clean(kept), len(self.triplets) - len(kept)
-
     def validate(self) -> None:
         """Assert registry consistency: registry == endpoint set and per-type
         counts sum to the node total."""
-        seen: dict[EntityRef, int] = {}
-        for t in self.triplets:
-            seen[t.head] = seen.get(t.head, 0) + 1
-            seen[t.tail] = seen.get(t.tail, 0) + 1
-        if seen != self.node_degree:
+        if _degrees(self.triplets) != self.node_degree:
             raise StageError("node registry out of sync with triplet endpoints")
         if sum(self.type_counts().values()) != self.node_count():
             raise StageError("per-type node counts do not sum to node total")
 
 
-def graph_insert(g: KnowledgeGraph, t: Triplet) -> KnowledgeGraph:
-    """Insert ``t`` into ``g`` (mutating); rejects endpoint/signature mismatch."""
-    return g.insert(t)
-
-
-def remove_node(
-    g: KnowledgeGraph, n: EntityRef, stage_name: str = "remove_node"
-) -> tuple[KnowledgeGraph, StageLog]:
-    """Remove ``n`` and every incident triplet. Absent node is a no-op."""
-    timer = StageTimer()
-    rows_in = len(g)
-    present = g.has_node(n)
-    g2, removed = g.filter(lambda t: t.head != n and t.tail != n)
-    return g2, StageLog(
-        stage_name=stage_name,
-        rows_in=rows_in,
-        rows_removed=removed,
-        rows_added=0,
-        rows_out=len(g2),
-        wall_time=timer.elapsed(),
-        details={"nodes_removed": int(present)},
-    )
+def _degrees(triplets: list[Triplet]) -> dict[EntityRef, int]:
+    degree: dict[EntityRef, int] = {}
+    for t in triplets:
+        degree[t.head] = degree.get(t.head, 0) + 1
+        degree[t.tail] = degree.get(t.tail, 0) + 1
+    return degree

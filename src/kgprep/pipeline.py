@@ -10,15 +10,55 @@ from __future__ import annotations
 import logging
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import clean, enrich, features, ingest, normalize, split_audit
 from .chem import fingerprint_all, write_fingerprints
 from .config import STAGE_NAMES, PipelineConfig
 from .errors import ConfigError
-from .model import KnowledgeGraph, StageLog
+from .model import KnowledgeGraph, StageLog, Step
 from .stats import StatsReport, compute_stats
 
 log = logging.getLogger(__name__)
+
+
+def account(
+    name: str,
+    g: KnowledgeGraph,
+    body: Callable[[], tuple[KnowledgeGraph, dict[str, int]]],
+) -> tuple[KnowledgeGraph, StageLog]:
+    """Time ``body`` and build stage ``name``'s log from the graph it returns.
+
+    No stage both removes and adds rows, so the row-count change is the
+    removed or the added count.
+    """
+    start = time.perf_counter()
+    out, details = body()
+    change = len(out) - len(g)
+    return out, StageLog(
+        stage_name=name,
+        rows_in=len(g),
+        rows_removed=max(-change, 0),
+        rows_added=max(change, 0),
+        rows_out=len(out),
+        wall_time=time.perf_counter() - start,
+        details=details,
+    )
+
+
+def run_step(
+    name: str, g: KnowledgeGraph, build: Callable[[], tuple[Step, dict[str, int]]]
+) -> tuple[KnowledgeGraph, StageLog]:
+    """Run a row-local stage: ``build()`` loads its tables and returns the
+    step with the ``details`` counters the step fills; the step then sees
+    every row once, in input order."""
+
+    def body() -> tuple[KnowledgeGraph, dict[str, int]]:
+        step, details = build()
+        kept = [row for row in map(step, g.triplets) if row is not None]
+        return KnowledgeGraph._from_clean(kept), details
+
+    return account(name, g, body)
 
 
 class PipelineRunner:
@@ -37,6 +77,8 @@ class PipelineRunner:
         self.out_dir = Path(config.out_dir)
         self._harmonization: clean.HarmonizationTable | None = None
         self._id_maps: dict[str, normalize.IdMapTable] | None = None
+        self._taxonomy: dict[str, str] | None = None
+        self._smiles: dict[str, str] | None = None
 
     # --- auxiliary inputs -------------------------------------------------
 
@@ -76,81 +118,31 @@ class PipelineRunner:
         )
 
     def taxonomy(self) -> dict[str, str]:
-        if self.config.taxonomy is None:
-            return {}
-        return ingest.load_taxonomy(self.config.taxonomy)
+        if self._taxonomy is None:
+            if self.config.taxonomy is None:
+                self._taxonomy = {}
+            else:
+                self._taxonomy = ingest.load_taxonomy(self.config.taxonomy)
+        return self._taxonomy
 
     def smiles_dict(self) -> dict[str, str]:
-        if self.config.smiles is None:
-            raise ConfigError("inputs.smiles is required for this stage")
-        return ingest.load_smiles_dict(self.config.smiles)
+        if self._smiles is None:
+            if self.config.smiles is None:
+                raise ConfigError("inputs.smiles is required for this stage")
+            self._smiles = ingest.load_smiles_dict(self.config.smiles)
+        return self._smiles
 
     # --- stages -----------------------------------------------------------
 
-    def run_stage(
-        self, name: str, g: KnowledgeGraph
-    ) -> tuple[KnowledgeGraph, list[StageLog]]:
-        """Run one named stage, writing any stage-specific outputs."""
-        cfg = self.config
-        if name == "filter_malformed":
-            g, stage_log = clean.filter_malformed(g)
-        elif name == "harmonize":
-            g, stage_log = clean.harmonize(
-                g, self.harmonization_table(), strict=cfg.harmonize_strict
-            )
-        elif name == "remove_nonhuman":
-            g, stage_log = clean.remove_nonhuman(
-                g, self.nonhuman_spec(), self.taxonomy()
-            )
-        elif name == "drop_types":
-            g, stage_log = clean.drop_entity_types(g, cfg.drop_types)
-        elif name == "remap":
-            maps = self.id_maps()
-            g, stage_log = normalize.remap_entities(
-                g, maps["Compound"], maps["Disease"], maps["Gene"]
-            )
-        elif name == "dedup":
-            g, stage_log = normalize.deduplicate(
-                g, same_type_only=cfg.dedup_same_type_only
-            )
-        elif name == "reactome":
-            table = ingest.load_reactome(cfg.reactome)
-            g, stage_log = enrich.merge_reactome(g, table)
-        elif name == "onsides":
-            rows = ingest.load_onsides(cfg.onsides)
-            maps = self.id_maps()
-            g, stage_log = enrich.merge_onsides(
-                g,
-                rows,
-                min_tier=cfg.onsides_min_tier,
-                compound_map=maps["Compound"],
-                side_effect_map=maps["SideEffect"],
-            )
-        elif name == "smiles_filter":
-            g, stage_log = enrich.filter_no_smiles(g, self.smiles_dict())
-        elif name == "fingerprints":
-            table, stage_log = fingerprint_all(
-                g,
-                self.smiles_dict(),
-                radius=cfg.fingerprint_radius,
-                nbits=cfg.fingerprint_nbits,
-            )
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            write_fingerprints(self.out_dir / "fingerprints.tsv", table)
-        elif name == "features":
-            manifest = features.build_manifest(g)
-            g, table, stage_log = features.collapse_to_features(g, manifest)
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            features.write_manifest(self.out_dir / "feature_manifest.tsv", manifest)
-            features.write_features(self.out_dir / "gene_features.tsv", table)
-        elif name == "splits":
-            stage_log = self._run_splits(g)
-        elif name == "audit":
-            stage_log = self._run_audit(g)
+    def run_stage(self, name: str, g: KnowledgeGraph) -> tuple[KnowledgeGraph, StageLog]:
+        """Run one named stage, writing any stage-specific outputs. The stage's
+        clock covers loading the auxiliary tables it needs."""
+        build = self._row_steps().get(name)
+        if build is not None:
+            g, stage_log = run_step(name, g, build)
         else:
-            raise ConfigError(f"unknown stage {name!r}")
-
-        if cfg.validate_each_stage:
+            g, stage_log = account(name, g, lambda: self._run_graph_stage(name, g))
+        if self.config.validate_each_stage:
             g.validate()
         log.info(
             "stage %-16s rows %d -> %d (removed %d, added %d) [%.3fs]",
@@ -161,10 +153,68 @@ class PipelineRunner:
             stage_log.rows_added,
             stage_log.wall_time,
         )
-        return g, [stage_log]
+        return g, stage_log
 
-    def _run_splits(self, g: KnowledgeGraph) -> StageLog:
-        start = time.perf_counter()
+    def _row_steps(self) -> dict[str, Callable[[], tuple[Step, dict[str, int]]]]:
+        """The row-local stages; every other stage takes the whole graph."""
+        cfg = self.config
+        return {
+            "filter_malformed": clean.filter_malformed,
+            "harmonize": lambda: clean.harmonize(
+                self.harmonization_table(), strict=cfg.harmonize_strict
+            ),
+            "remove_nonhuman": lambda: clean.remove_nonhuman(
+                self.nonhuman_spec(), self.taxonomy()
+            ),
+            "drop_types": lambda: clean.drop_entity_types(cfg.drop_types),
+            "remap": lambda: normalize.remap_entities(
+                *(self.id_maps()[t] for t in ("Compound", "Disease", "Gene"))
+            ),
+            "dedup": lambda: normalize.deduplicate(same_type_only=cfg.dedup_same_type_only),
+        }
+
+    def _run_graph_stage(
+        self, name: str, g: KnowledgeGraph
+    ) -> tuple[KnowledgeGraph, dict[str, int]]:
+        cfg = self.config
+        if name == "reactome":
+            return enrich.merge_reactome(g, ingest.load_reactome(cfg.reactome))
+        if name == "onsides":
+            rows = ingest.load_onsides(cfg.onsides)
+            maps = self.id_maps()
+            return enrich.merge_onsides(
+                g,
+                rows,
+                min_tier=cfg.onsides_min_tier,
+                compound_map=maps["Compound"],
+                side_effect_map=maps["SideEffect"],
+            )
+        if name == "smiles_filter":
+            return enrich.filter_no_smiles(g, self.smiles_dict())
+        if name == "fingerprints":
+            table, details = fingerprint_all(
+                g,
+                self.smiles_dict(),
+                radius=cfg.fingerprint_radius,
+                nbits=cfg.fingerprint_nbits,
+            )
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            write_fingerprints(self.out_dir / "fingerprints.tsv", table)
+            return g, details
+        if name == "features":
+            manifest = features.build_manifest(g)
+            collapsed, table, details = features.collapse_to_features(g, manifest)
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            features.write_manifest(self.out_dir / "feature_manifest.tsv", manifest)
+            features.write_features(self.out_dir / "gene_features.tsv", table)
+            return collapsed, details
+        if name == "splits":
+            return g, self._run_splits(g)
+        if name == "audit":
+            return g, self._run_audit(g)
+        raise ConfigError(f"unknown stage {name!r}")
+
+    def _run_splits(self, g: KnowledgeGraph) -> dict[str, int]:
         details: dict[str, int] = {}
         for task_name in self.config.split_tasks:
             task = split_audit.BUILTIN_TASKS[task_name]
@@ -179,19 +229,9 @@ class PipelineRunner:
             details[f"{task_name}_train"] = len(bundle.train)
             details[f"{task_name}_valid"] = len(bundle.valid)
             details[f"{task_name}_test"] = len(bundle.test)
-        rows = len(g)
-        return StageLog(
-            stage_name="splits",
-            rows_in=rows,
-            rows_removed=0,
-            rows_added=0,
-            rows_out=rows,
-            wall_time=time.perf_counter() - start,
-            details=details,
-        )
+        return details
 
-    def _run_audit(self, g: KnowledgeGraph) -> StageLog:
-        start = time.perf_counter()
+    def _run_audit(self, g: KnowledgeGraph) -> dict[str, int]:
         entity_map: dict = {}
         for table in self.id_maps().values():
             entity_map.update(table.mapping)
@@ -214,16 +254,7 @@ class PipelineRunner:
                 details[f"{task_name}_{detector}_{pair}_leaked"] = sum(cell["leaked"])
         self.out_dir.mkdir(parents=True, exist_ok=True)
         split_audit.write_leakage_json(self.out_dir / "leakage_report.json", aggregates)
-        rows = len(g)
-        return StageLog(
-            stage_name="audit",
-            rows_in=rows,
-            rows_removed=0,
-            rows_added=0,
-            rows_out=rows,
-            wall_time=time.perf_counter() - start,
-            details=details,
-        )
+        return details
 
     # --- full run ---------------------------------------------------------
 
@@ -243,8 +274,8 @@ class PipelineRunner:
         for name in STAGE_NAMES:
             if not cfg.enabled(name):
                 continue
-            g, stage_logs = self.run_stage(name, g)
-            logs.extend(stage_logs)
+            g, stage_log = self.run_stage(name, g)
+            logs.append(stage_log)
         ingest.write_triplets(
             self.out_dir / "graph.tsv", g, preserve_order=cfg.preserve_order
         )

@@ -160,17 +160,22 @@ def test_out_that_is_a_file_is_config_error(corpus, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kgprep", "--config", str(corpus.config),
-         "--out", str(taken), "run"],
-        capture_output=True, text=True, env=env,
+    cases = (
+        (taken, f"output directory {taken} exists and is not a directory"),
+        (taken / "sub", f"output directory {taken / 'sub'} is below {taken}, "
+                        "which is not a directory"),
     )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [
-        f"config error: output directory {taken} exists and is not a directory"
-    ]
-    assert taken.read_text(encoding="utf-8") == "keep\n"
+    for out, message in cases:
+        for command in ("run", "validate-config"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kgprep", "--config", str(corpus.config),
+                 "--out", str(out), command],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 1, (out, command)
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.splitlines() == [f"config error: {message}"]
+            assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_validate_config_subcommand(corpus, tmp_path, capsys):

@@ -23,10 +23,10 @@ def test_merge_reactome_fixture():
         ("Gene::NCBI:999", "Pathway::Reactome:R-HSA-3"),
         ("Gene::NCBI:998", "Pathway::Reactome:R-HSA-3"),
     ]
-    g2, log = merge_reactome(base_graph(), table)
-    assert log.details["edges_added"] == 3
-    assert log.details["pathway_nodes_added"] == 2
-    assert log.details["skipped_endpoint_absent"] == 2
+    g2, details = merge_reactome(base_graph(), table)
+    assert details["edges_added"] == 3
+    assert details["pathway_nodes_added"] == 2
+    assert details["skipped_endpoint_absent"] == 2
     # no orphan pathways: every added pathway node has degree >= 1
     for node in g2.nodes_of_type("Pathway"):
         assert g2.node_degree[node] >= 1
@@ -37,9 +37,9 @@ def test_merge_reactome_duplicate_row_suppressed():
         ("Gene::NCBI:1", "Pathway::Reactome:R-HSA-1"),
         ("Gene::NCBI:1", "Pathway::Reactome:R-HSA-1"),
     ]
-    g2, log = merge_reactome(base_graph(), table)
-    assert log.details["edges_added"] == 1
-    assert log.details["skipped_duplicate"] == 1
+    g2, details = merge_reactome(base_graph(), table)
+    assert details["edges_added"] == 1
+    assert details["skipped_duplicate"] == 1
 
 
 def test_merge_onsides_tiers_and_duplicates():
@@ -49,21 +49,21 @@ def test_merge_onsides_tiers_and_duplicates():
         ("Compound::PubChem_Compounds:11", "SideEffect::umls:C1", "high"),  # dup of CcSE row
         ("Compound::PubChem_Compounds:404", "SideEffect::umls:C4", "high"),
     ]
-    g2, log = merge_onsides(base_graph(), rows)
-    assert log.details["edges_added"] == 1
-    assert log.details["skipped_below_confidence"] == 1
-    assert log.details["skipped_duplicate"] == 1
-    assert log.details["skipped_endpoint_absent"] == 1
+    g2, details = merge_onsides(base_graph(), rows)
+    assert details["edges_added"] == 1
+    assert details["skipped_below_confidence"] == 1
+    assert details["skipped_duplicate"] == 1
+    assert details["skipped_endpoint_absent"] == 1
     added = [t for t in g2 if t.relation.label == "SIDE_EFFECT"]
     assert len(added) == 1 and added[0].relation.origin == "OnSIDES"
 
 
 def test_merge_onsides_min_tier_config():
     rows = [("Compound::PubChem_Compounds:10", "SideEffect::umls:C2", "medium")]
-    _, high_log = merge_onsides(base_graph(), rows, min_tier="high")
-    assert high_log.details["skipped_below_confidence"] == 1
-    _, med_log = merge_onsides(base_graph(), rows, min_tier="medium")
-    assert med_log.details["edges_added"] == 1
+    _, high = merge_onsides(base_graph(), rows, min_tier="high")
+    assert high["skipped_below_confidence"] == 1
+    _, medium = merge_onsides(base_graph(), rows, min_tier="medium")
+    assert medium["edges_added"] == 1
 
 
 def test_merge_onsides_remaps_ids_before_insertion():
@@ -81,9 +81,11 @@ def test_merge_onsides_remaps_ids_before_insertion():
         ("Compound::CHEMBL:CHEMBL9", "SideEffect::umls:C5", "high"),  # -> compound 10
         ("Compound::PubChem_Compounds:11", "SideEffect::umls:C9", "high"),  # -> dup of C1 pair
     ]
-    g2, log = merge_onsides(base_graph(), rows, compound_map=compound_map, side_effect_map=se_map)
-    assert log.details["edges_added"] == 1
-    assert log.details["skipped_duplicate"] == 1
+    g2, details = merge_onsides(
+        base_graph(), rows, compound_map=compound_map, side_effect_map=se_map
+    )
+    assert details["edges_added"] == 1
+    assert details["skipped_duplicate"] == 1
     added = [t for t in g2 if t.relation.label == "SIDE_EFFECT"]
     assert added[0].head.text == "Compound::PubChem_Compounds:10"
 
@@ -101,10 +103,10 @@ def test_filter_no_smiles_classes():
         "Compound::PubChem_Compounds:3": "C(",  # unparseable
         # compound 2 missing entirely
     }
-    g2, log = filter_no_smiles(g, smiles)
-    assert log.details["compounds_missing"] == 1
-    assert log.details["compounds_unparseable"] == 1
-    assert log.details["edges_removed"] == 3
+    g2, details = filter_no_smiles(g, smiles)
+    assert details["compounds_missing"] == 1
+    assert details["compounds_unparseable"] == 1
+    assert details["edges_removed"] == 3
     remaining = {n.text for n in g2.nodes_of_type("Compound")}
     assert remaining == {"Compound::PubChem_Compounds:1"}
     # every surviving compound re-parses
@@ -116,6 +118,6 @@ def test_filter_no_smiles_classes():
 
 def test_filter_no_smiles_keeps_valid(tiny_graph):
     smiles = {"Compound::PubChem_Compounds:10": "CCO"}
-    g2, log = filter_no_smiles(tiny_graph, smiles)
+    g2, details = filter_no_smiles(tiny_graph, smiles)
     assert len(g2) == len(tiny_graph)
-    assert log.rows_removed == 0
+    assert details["edges_removed"] == 0

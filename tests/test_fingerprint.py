@@ -120,8 +120,8 @@ def test_fingerprint_all_counts_and_order():
         "Compound::PubChem_Compounds:2": "OCC",
         "Compound::PubChem_Compounds:3": "c1ccccc1",
     }
-    table, log = fingerprint_all(g, smiles)
-    assert log.details["fingerprints_generated"] == 3
+    table, details = fingerprint_all(g, smiles)
+    assert details["fingerprints_generated"] == 3
     assert list(table) == sorted(table)
     # identical molecules written differently agree
     assert table["Compound::PubChem_Compounds:1"] == table["Compound::PubChem_Compounds:2"]

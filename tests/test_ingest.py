@@ -230,3 +230,21 @@ def test_load_table_schema_violation_fatal(tmp_path):
     bad = _write(tmp_path, "x.tsv", ["only-one-column"])
     with pytest.raises(ParseError, match="expected 3 columns"):
         load_table(bad, ONSIDES_SCHEMA)
+
+
+def test_header_accepted_on_first_line_after_comments(tmp_path):
+    path = _write(tmp_path, "s.tsv", [
+        "# comment",
+        "",
+        "compound_id\tsmiles",
+        "Compound::PubChem_Compounds:702\tCCO",
+    ])
+    assert load_smiles_dict(path) == {"Compound::PubChem_Compounds:702": "CCO"}
+    later = _write(tmp_path, "later.tsv", [
+        "Compound::PubChem_Compounds:702\tCCO",
+        "compound_id\tsmiles",
+    ])
+    assert load_smiles_dict(later) == {
+        "Compound::PubChem_Compounds:702": "CCO",
+        "compound_id": "smiles",
+    }

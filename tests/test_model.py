@@ -1,14 +1,16 @@
 import pytest
 
 from kgprep.errors import StageError
-from kgprep.model import KnowledgeGraph, StageLog, Triplet, graph_insert, remove_node
+from kgprep.clean import drop_entity_types
+from kgprep.model import KnowledgeGraph, StageLog, Triplet
+from kgprep.pipeline import run_step
 
 from conftest import E, R, T, graph_of
 
 
 def test_insert_builds_registry():
     g = KnowledgeGraph()
-    graph_insert(g, T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157"))
+    g.insert(T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157"))
     assert len(g) == 1
     assert g.node_count() == 2
     assert g.type_counts() == {"Gene": 2}
@@ -17,8 +19,8 @@ def test_insert_builds_registry():
 def test_insert_same_triplet_twice_is_multiset():
     g = KnowledgeGraph()
     t = T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157")
-    graph_insert(g, t)
-    graph_insert(g, t)
+    g.insert(t)
+    g.insert(t)
     assert len(g) == 2
     assert g.node_count() == 2
 
@@ -31,46 +33,30 @@ def test_insert_signature_mismatch_rejected():
         E("Gene::NCBI:2"),
     )
     with pytest.raises(StageError, match="mismatch"):
-        graph_insert(g, mismatched)
-
-
-def test_remove_node_star_center():
-    g = graph_of(
-        ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
-        ("Gene::NCBI:1", "STRING::Binding::Gene:Gene", "Gene::NCBI:3"),
-        ("Gene::NCBI:1", "Hetionet::GiG::Gene:Gene", "Gene::NCBI:4"),
-    )
-    g2, log = remove_node(g, E("Gene::NCBI:1"))
-    assert len(g2) == 0
-    assert g2.node_count() == 0
-    assert log.rows_removed == 3
-
-
-def test_remove_absent_node_is_noop(tiny_graph):
-    g2, log = remove_node(tiny_graph, E("Gene::NCBI:999"))
-    assert len(g2) == len(tiny_graph)
-    assert log.rows_removed == 0
-    assert log.details["nodes_removed"] == 0
-
-
-def test_remove_path_endpoint_keeps_still_incident_middle():
-    # path A-B-C-D; removing B kills AB and BC, C survives through CD
-    g = graph_of(
-        ("Gene::NCBI:A1", "GNBR::B::Gene:Gene", "Gene::NCBI:B1"),
-        ("Gene::NCBI:B1", "GNBR::B::Gene:Gene", "Gene::NCBI:C1"),
-        ("Gene::NCBI:C1", "GNBR::B::Gene:Gene", "Gene::NCBI:D1"),
-    )
-    g2, log = remove_node(g, E("Gene::NCBI:B1"))
-    assert log.rows_removed == 2
-    assert len(g2) == 1
-    assert g2.has_node(E("Gene::NCBI:C1"))
-    assert not g2.has_node(E("Gene::NCBI:B1"))
+        g.insert(mismatched)
 
 
 def test_registry_matches_endpoints_after_ops(tiny_graph):
     tiny_graph.validate()
-    g2, _ = remove_node(tiny_graph, E("Gene::NCBI:2"))
+    g2, _ = run_step("drop_types", tiny_graph, lambda: drop_entity_types(("Compound",)))
     g2.validate()
+    g2.insert(T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4"))
+    g2.validate()
+    assert g2.node_count() == 4
+
+
+def test_registry_built_on_first_use_and_kept_by_insert(tiny_graph):
+    g2, _ = run_step("drop_types", tiny_graph, lambda: drop_entity_types(()))
+    assert g2._degree is None
+    assert g2.node_degree[E("Gene::NCBI:2")] == 2
+    g2.insert(T("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:9"))
+    assert g2.node_degree[E("Gene::NCBI:2")] == 3
+    copied = g2.copy()
+    copied.insert(T("Gene::NCBI:9", "GNBR::B::Gene:Gene", "Gene::NCBI:1"))
+    assert copied.node_degree[E("Gene::NCBI:9")] == 2
+    assert g2.node_degree[E("Gene::NCBI:9")] == 1
+    g2.validate()
+    copied.validate()
 
 
 def test_stage_log_conservation_enforced():

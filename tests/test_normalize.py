@@ -12,6 +12,7 @@ from kgprep.normalize import (
     remap_entities,
     resolve_fixed_point,
 )
+from kgprep.pipeline import run_step
 
 from conftest import E, T, graph_of
 from oracles import resolve_by_substitution
@@ -98,9 +99,9 @@ def test_remap_rewrites_and_passes_through():
     compounds = resolve_fixed_point(
         _compound_table([("Compound::CHEMBL:CHEMBL25", "Compound::PubChem_Compounds:2244")])
     )
-    g2, log = remap_entities(
-        g, compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
-    )
+    g2, log = run_step("remap", g, lambda: remap_entities(
+        compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
+    ))
     heads = [t.head.text for t in g2]
     assert heads == ["Compound::PubChem_Compounds:2244", "Compound::PubChem_Compounds:5"]
     # no gene xref: the drugbank-sourced gene id survives untouched
@@ -117,8 +118,8 @@ def test_remap_idempotent_at_fixed_point():
         _compound_table([("Compound::CHEMBL:CHEMBL25", "Compound::PubChem_Compounds:2244")])
     )
     empty_d, empty_g = IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
-    once, _ = remap_entities(g, compounds, empty_d, empty_g)
-    twice, log = remap_entities(once, compounds, empty_d, empty_g)
+    once, _ = run_step("remap", g, lambda: remap_entities(compounds, empty_d, empty_g))
+    twice, log = run_step("remap", once, lambda: remap_entities(compounds, empty_d, empty_g))
     assert [t.render() for t in twice] == [t.render() for t in once]
     assert log.details["endpoints_rewritten"] == 0
 
@@ -133,7 +134,9 @@ def test_remap_merged_count_equals_domain_occurrence():
         ("Compound::CHEMBL:CHEMBL1", "Compound::PubChem_Compounds:11"),
         ("Compound::CHEMBL:CHEMBL2", "Compound::PubChem_Compounds:12"),  # not in g
     ]))
-    _, log = remap_entities(g, compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene"))
+    _, log = run_step("remap", g, lambda: remap_entities(
+        compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
+    ))
     domain_in_graph = {
         n for n in g.nodes if n in compounds.mapping
     }
@@ -145,7 +148,7 @@ def test_dedup_exact():
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B"),
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B"),
     )
-    g2, log = deduplicate(g)
+    g2, log = run_step("dedup", g, deduplicate)
     assert len(g2) == 1
     assert log.details == {"exact_duplicates": 1, "reversed_duplicates": 0}
 
@@ -155,7 +158,7 @@ def test_dedup_reversed_keeps_first():
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B", 1),
         ("Gene::NCBI:B", "GNBR::B::Gene:Gene", "Gene::NCBI:A", 2),
     )
-    g2, log = deduplicate(g)
+    g2, log = run_step("dedup", g, deduplicate)
     assert len(g2) == 1
     assert g2.triplets[0].head.text == "Gene::NCBI:A"
     assert log.details == {"exact_duplicates": 0, "reversed_duplicates": 1}
@@ -166,7 +169,7 @@ def test_dedup_distinct_relations_kept():
         ("Gene::NCBI:A", "GNBR::Rg::Gene:Gene", "Gene::NCBI:B"),
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B"),
     )
-    g2, _ = deduplicate(g)
+    g2, _ = run_step("dedup", g, deduplicate)
     assert len(g2) == 2
 
 
@@ -176,7 +179,7 @@ def test_dedup_cross_origin_same_label_collapses():
         ("Gene::NCBI:A", "GNBR::GENE_BIND::Gene:Gene", "Gene::NCBI:B"),
         ("Gene::NCBI:B", "STRING::GENE_BIND::Gene:Gene", "Gene::NCBI:A"),
     )
-    g2, log = deduplicate(g)
+    g2, log = run_step("dedup", g, deduplicate)
     assert len(g2) == 1
     assert log.details["reversed_duplicates"] == 1
 
@@ -186,9 +189,9 @@ def test_dedup_same_type_only_flag():
         ("Compound::PubChem_Compounds:1", "GNBR::CMP_BIND::Compound:Gene", "Gene::NCBI:2"),
         ("Gene::NCBI:2", "DGIdb::CMP_BIND::Gene:Compound", "Compound::PubChem_Compounds:1"),
     )
-    unrestricted, _ = deduplicate(g, same_type_only=False)
+    unrestricted, _ = run_step("dedup", g, lambda: deduplicate(same_type_only=False))
     assert len(unrestricted) == 1
-    restricted, _ = deduplicate(g, same_type_only=True)
+    restricted, _ = run_step("dedup", g, lambda: deduplicate(same_type_only=True))
     assert len(restricted) == 2
 
 
@@ -210,8 +213,8 @@ def test_dedup_idempotent_and_keyset_unique(data):
             continue
         triplets.append(T(h, "GNBR::GENE_BIND::Gene:Gene", t))
     g = KnowledgeGraph(triplets)
-    once, _ = deduplicate(g)
-    twice, log2 = deduplicate(once)
+    once, _ = run_step("dedup", g, deduplicate)
+    twice, log2 = run_step("dedup", once, deduplicate)
     assert [t.render() for t in twice] == [t.render() for t in once]
     assert log2.rows_removed == 0
     # brute-force check: no two survivors share a canonical key
