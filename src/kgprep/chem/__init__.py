@@ -11,7 +11,7 @@ from .fingerprint import (
     morgan_fingerprint,
     write_fingerprints,
 )
-from .smiles import AROMATIC, Atom, Bond, MoleculeGraph, parse_smiles
+from .smiles import AROMATIC, Atom, Bond, MoleculeGraph, check_smiles, parse_smiles
 
 __all__ = [
     "AROMATIC",
@@ -22,6 +22,7 @@ __all__ = [
     "Fingerprint",
     "MoleculeGraph",
     "atom_environments",
+    "check_smiles",
     "fingerprint_all",
     "fingerprint_smiles",
     "fnv1a64",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 from ..errors import StageError
 from ..model import KnowledgeGraph
@@ -55,25 +56,44 @@ def _atom_seed(atom) -> int:
     )
 
 
-def atom_environments(mol: MoleculeGraph, radius: int) -> list[list[int]]:
+def atom_environments(
+    mol: MoleculeGraph, radius: int, memo: dict | None = None
+) -> list[list[int]]:
     """Per-level identifier lists: result[k][i] is atom i's identifier at
-    radius k. Levels run 0..radius inclusive."""
+    radius k. Levels run 0..radius inclusive. ``memo`` maps each hash input
+    (atom invariants, or the centre identifier followed by the sorted bond
+    orders and neighbor identifiers) to its identifier; environments recur
+    across molecules, so a caller fingerprinting many passes one dict."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if memo is None:
+        memo = {}
     adj = mol.neighbors()
-    current = [_atom_seed(a) for a in mol.atoms]
+    current = []
+    for atom in mol.atoms:
+        key = (atom.element, atom.degree, atom.hydrogens, atom.charge,
+               atom.aromatic, atom.in_ring)
+        ident = memo.get(key)
+        if ident is None:
+            ident = memo[key] = _atom_seed(atom)
+        current.append(ident)
     levels = [current]
     for _ in range(radius):
         nxt = []
-        for idx, incident in enumerate(adj):
+        for centre, incident in zip(current, adj):
             if not incident:
-                nxt.append(current[idx])
+                nxt.append(centre)
                 continue
-            pairs = sorted((order, current[nbr]) for nbr, order in incident)
-            payload = b"E" + struct.pack("<Q", current[idx])
-            for order, nbr_id in pairs:
-                payload += struct.pack("<BQ", order, nbr_id)
-            nxt.append(fnv1a64(payload))
+            pairs = [(order, current[nbr]) for nbr, order in incident]
+            pairs.sort()
+            key = (centre, *chain.from_iterable(pairs))
+            ident = memo.get(key)
+            if ident is None:
+                payload = b"E" + struct.pack("<Q", centre)
+                for order, nbr_id in pairs:
+                    payload += struct.pack("<BQ", order, nbr_id)
+                ident = memo[key] = fnv1a64(payload)
+            nxt.append(ident)
         levels.append(nxt)
         current = nxt
     return levels
@@ -108,11 +128,15 @@ class Fingerprint:
 
 
 def morgan_fingerprint(
-    mol: MoleculeGraph, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
+    mol: MoleculeGraph,
+    radius: int = DEFAULT_RADIUS,
+    nbits: int = DEFAULT_NBITS,
+    memo: dict | None = None,
 ) -> Fingerprint:
-    """Fold all environment identifiers of radii 0..radius onto nbits bits."""
+    """Fold all environment identifiers of radii 0..radius onto nbits bits;
+    ``memo`` is passed to ``atom_environments``."""
     ids = set()
-    for level in atom_environments(mol, radius):
+    for level in atom_environments(mol, radius, memo):
         ids.update(level)
     return Fingerprint(nbits, frozenset(i % nbits for i in ids))
 
@@ -133,6 +157,7 @@ def fingerprint_all(
     rendered compound id. The SMILES-less filter must already have run: any
     missing or unparseable entry here is a pipeline-order bug and is fatal."""
     table: dict[str, Fingerprint] = {}
+    memo: dict = {}
     for node in sorted(g.nodes_of_type("Compound"), key=lambda n: n.text):
         smiles = smiles_dict.get(node.text)
         if smiles is None:
@@ -146,7 +171,7 @@ def fingerprint_all(
             raise StageError(
                 f"fingerprints: unparseable SMILES for {node.text}: {exc}"
             ) from exc
-        table[node.text] = morgan_fingerprint(mol, radius, nbits)
+        table[node.text] = morgan_fingerprint(mol, radius, nbits, memo)
     return table, {"fingerprints_generated": len(table)}
 
 

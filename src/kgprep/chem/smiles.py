@@ -88,10 +88,6 @@ class MoleculeGraph:
         return adj
 
 
-def _bond_weight(order: int) -> float:
-    return 1.5 if order == AROMATIC else float(order)
-
-
 def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
     """Parse a bracket atom beginning at ``start``; returns atom and end index."""
     end = text.find("]", start)
@@ -138,34 +134,32 @@ def _mark_rings(mol: MoleculeGraph) -> None:
     for idx, bond in enumerate(mol.bonds):
         adj[bond.a].append((bond.b, idx))
         adj[bond.b].append((bond.a, idx))
-    visited = [False] * n
-    disc = [0] * n
+    disc = [0] * n  # discovery order from 1; 0 is unvisited
     low = [0] * n
     is_bridge = [False] * len(mol.bonds)
     counter = 0
     for root in range(n):
-        if visited[root]:
+        if disc[root]:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # node, entry edge, next child
+        counter += 1
+        disc[root] = low[root] = counter
+        stack = [(root, -1, iter(adj[root]))]  # node, entry edge, unseen edges
         while stack:
-            node, in_edge, child_i = stack[-1]
-            if child_i == 0:
-                visited[node] = True
-                counter += 1
-                disc[node] = low[node] = counter
-            if child_i < len(adj[node]):
-                stack[-1] = (node, in_edge, child_i + 1)
-                nxt, edge_idx = adj[node][child_i]
+            node, in_edge, edges = stack[-1]
+            for nxt, edge_idx in edges:
                 if edge_idx == in_edge:
                     continue
-                if visited[nxt]:
+                if disc[nxt]:
                     low[node] = min(low[node], disc[nxt])
                 else:
-                    stack.append((nxt, edge_idx, 0))
+                    counter += 1
+                    disc[nxt] = low[nxt] = counter
+                    stack.append((nxt, edge_idx, iter(adj[nxt])))
+                    break
             else:
                 stack.pop()
                 if stack:
-                    parent, _, _ = stack[-1]
+                    parent = stack[-1][0]
                     low[parent] = min(low[parent], low[node])
                     if low[node] > disc[parent]:
                         is_bridge[in_edge] = True
@@ -176,33 +170,45 @@ def _mark_rings(mol: MoleculeGraph) -> None:
 
 
 def _fill_hydrogens(mol: MoleculeGraph) -> None:
-    """Standard-valence implicit hydrogens for organic-subset atoms. Aromatic
-    atoms use only their lowest valence; aromatic bonds count 1.5."""
-    adj = mol.neighbors()
-    for atom, incident in zip(mol.atoms, adj):
-        atom.degree = len(incident)
+    """Degrees, and standard-valence implicit hydrogens for organic-subset
+    atoms. Aromatic atoms use only their lowest valence; aromatic bonds count
+    1.5."""
+    degree = [0] * len(mol.atoms)
+    bondsum = [0] * len(mol.atoms)
+    for bond in mol.bonds:
+        weight = 1.5 if bond.order == AROMATIC else bond.order
+        degree[bond.a] += 1
+        degree[bond.b] += 1
+        bondsum[bond.a] += weight
+        bondsum[bond.b] += weight
+    for atom, atom_degree, total in zip(mol.atoms, degree, bondsum):
+        atom.degree = atom_degree
         if atom.explicit_h:
             continue
         candidates = _VALENCES.get(atom.element)
         if candidates is None:
             continue
-        bondsum = sum(_bond_weight(order) for _, order in incident)
         if atom.aromatic:
             valence = candidates[0]
         else:
-            valence = next((v for v in candidates if v >= bondsum), None)
+            valence = next((v for v in candidates if v >= total), None)
             if valence is None:
                 atom.hydrogens = 0
                 continue
-        atom.hydrogens = max(0, int(valence - bondsum))
+        atom.hydrogens = max(0, int(valence - total))
 
 
-def parse_smiles(text: str) -> MoleculeGraph:
-    """Parse SMILES text into a MoleculeGraph over the supported subset."""
+def check_smiles(text: str) -> MoleculeGraph:
+    """Tokenize and validate SMILES text over the supported subset.
+
+    Raises ``SmilesError`` exactly where ``parse_smiles`` does. The returned
+    graph holds the written atoms and bonds only: ring flags, degrees and
+    implicit hydrogens are left to the passes in ``parse_smiles``.
+    """
     if not text:
         raise SmilesError("empty SMILES", 0)
     mol = MoleculeGraph()
-    bonded: set[frozenset[int]] = set()
+    bonded: set[tuple[int, int]] = set()  # (lower, higher) atom index
     anchor: int | None = None
     pending: tuple[int, int] | None = None  # (order, position of bond symbol)
     branch_stack: list[tuple[int | None, int]] = []  # (anchor, '(' position)
@@ -222,7 +228,7 @@ def parse_smiles(text: str) -> MoleculeGraph:
     def _add_bond(a: int, b: int, order: int | None, pos: int) -> None:
         if a == b:
             raise SmilesError("bond between an atom and itself", pos)
-        key = frozenset((a, b))
+        key = (a, b) if a < b else (b, a)
         if key in bonded:
             raise SmilesError("duplicate bond between the same atoms", pos)
         if order is None:
@@ -257,12 +263,13 @@ def parse_smiles(text: str) -> MoleculeGraph:
             atom, end = _parse_bracket(text, i)
             add_atom(atom, i)
             i = end
-        elif text[i : i + 2] in _ORGANIC_TWO:
-            add_atom(Atom(text[i : i + 2]), i)
-            i += 2
         elif ch in _ORGANIC_ONE:
-            add_atom(Atom(ch), i)
-            i += 1
+            if text[i : i + 2] in _ORGANIC_TWO:
+                add_atom(Atom(text[i : i + 2]), i)
+                i += 2
+            else:
+                add_atom(Atom(ch), i)
+                i += 1
         elif ch in _ORGANIC_AROMATIC:
             add_atom(Atom(ch.upper(), aromatic=True), i)
             i += 1
@@ -310,7 +317,14 @@ def parse_smiles(text: str) -> MoleculeGraph:
         raise SmilesError(f"unmatched ring closure {marker}", pos)
     if not mol.atoms:
         raise SmilesError("no atoms in SMILES", 0)
+    return mol
 
+
+def parse_smiles(text: str) -> MoleculeGraph:
+    """Parse SMILES text into a MoleculeGraph over the supported subset: the
+    validated graph of ``check_smiles`` with ring flags, degrees and implicit
+    hydrogens filled in. Only ``check_smiles`` raises."""
+    mol = check_smiles(text)
     _mark_rings(mol)
     _fill_hydrogens(mol)
     return mol

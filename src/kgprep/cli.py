@@ -2,6 +2,7 @@
 
 Subcommands: run, stage <name>, stats, split, audit, validate-config.
 Exit codes: 0 success, 1 config error, 2 input parse error, 3 stage failure.
+An output that cannot be written is a config error.
 """
 
 from __future__ import annotations
@@ -183,6 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # every input read maps its OSError where it opens the file, so one
+        # that reaches here came from writing an output
+        where = "output" if exc.filename is None else exc.filename
+        print(f"config error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import logging
 
-from .chem.smiles import parse_smiles
-from .errors import SmilesError
+from .chem.smiles import check_smiles
+from .errors import ParseError, SmilesError
 from .ingest import parse_entity
 from .model import EntityRef, KnowledgeGraph, RelationRef, Triplet
 from .normalize import IdMapTable, canonical_key
@@ -74,7 +74,12 @@ def merge_onsides(
     if min_tier not in TIER_RANK:
         raise ValueError(f"unknown confidence tier {min_tier!r}")
     threshold = TIER_RANK[min_tier]
-    pairs = g.endpoint_pairs()
+    named = _compounds_named(table, threshold, compound_map)
+    pairs = {
+        frozenset((t.head.text, t.tail.text))
+        for t in g.triplets
+        if t.head.text in named or t.tail.text in named
+    }
     g2 = g.copy()
     details = dict.fromkeys(
         (
@@ -111,13 +116,33 @@ def merge_onsides(
     return g2, details
 
 
+def _compounds_named(
+    table: list[tuple[str, str, str]], threshold: int, compound_map: IdMapTable | None
+) -> set[str]:
+    """Remapped texts of the compounds named at or above the threshold; rows
+    that fail to parse are left for ``merge_onsides`` to raise on, in order."""
+    named = set()
+    for compound_text, _, tier in table:
+        if TIER_RANK.get(tier, -1) < threshold:
+            continue
+        try:
+            compound = parse_entity(compound_text)
+        except ParseError:
+            continue
+        if compound_map is not None:
+            compound = compound_map.apply(compound)
+        named.add(compound.text)
+    return named
+
+
 def filter_no_smiles(
     g: KnowledgeGraph, smiles_dict: dict[str, str]
 ) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Remove every compound lacking a dictionary entry or whose structure
-    string fails to parse, together with all incident rows. Missing and
-    unparseable removals are counted separately; downstream fingerprinting
-    requires a parseable structure either way."""
+    string fails the SMILES syntax check, together with all incident rows.
+    Missing and unparseable removals are counted separately; downstream
+    fingerprinting requires a parseable structure either way. The check is
+    ``check_smiles``, which accepts exactly what ``parse_smiles`` accepts."""
     missing = 0
     unparseable = 0
     doomed: set[EntityRef] = set()
@@ -130,14 +155,12 @@ def filter_no_smiles(
             doomed.add(node)
             continue
         try:
-            parse_smiles(smiles)
+            check_smiles(smiles)
         except SmilesError as exc:
             log.debug("unparseable SMILES for %s: %s", node.text, exc)
             unparseable += 1
             doomed.add(node)
-    g2 = KnowledgeGraph._from_clean(
-        [t for t in g.triplets if t.head not in doomed and t.tail not in doomed]
-    )
+    g2 = g.without_nodes(doomed)
     return g2, {
         "compounds_missing": missing,
         "compounds_unparseable": unparseable,

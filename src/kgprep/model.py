@@ -244,9 +244,25 @@ class KnowledgeGraph:
     def nodes_of_type(self, entity_type: str) -> list[EntityRef]:
         return [n for n in self.node_degree if n.entity_type == entity_type]
 
-    def endpoint_pairs(self) -> set[frozenset[str]]:
-        """Unordered endpoint-pair index used by duplicate and leakage queries."""
-        return {frozenset((t.head.text, t.tail.text)) for t in self.triplets}
+    def without_nodes(self, doomed: set[EntityRef]) -> "KnowledgeGraph":
+        """The rows touching no node in ``doomed``, in order. The registry is
+        carried over, not recomputed: each removed row's endpoints lose one
+        incidence (a self-loop loses two) and drop out at zero."""
+        degree = dict(self.node_degree)
+        kept = []
+        for t in self.triplets:
+            if t.head not in doomed and t.tail not in doomed:
+                kept.append(t)
+                continue
+            for node in (t.head, t.tail):
+                left = degree[node] - 1
+                if left:
+                    degree[node] = left
+                else:
+                    del degree[node]
+        g = KnowledgeGraph._from_clean(kept)
+        g._degree = degree
+        return g
 
     def validate(self) -> None:
         """Assert registry consistency: registry == endpoint set and per-type

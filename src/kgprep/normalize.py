@@ -197,16 +197,18 @@ def deduplicate(same_type_only: bool = False) -> tuple[Step, dict[str, int]]:
     Must run after remapping so keys compare canonical ids. Exact and
     reversed duplicates are counted separately.
     """
-    seen: dict[tuple[str, str, str], tuple[str, str]] = {}
+    # key -> the first occurrence's head text: a later row with the same
+    # head is an exact duplicate (a self-loop always is), else a reversed one
+    seen: dict[tuple[str, str, str], str] = {}
     details = {"exact_duplicates": 0, "reversed_duplicates": 0}
 
     def step(t: Triplet) -> Triplet | None:
         key = canonical_key(t, same_type_only)
         first = seen.get(key)
         if first is None:
-            seen[key] = (t.head.text, t.tail.text)
+            seen[key] = t.head.text
             return t
-        if first == (t.head.text, t.tail.text):
+        if first == t.head.text:
             details["exact_duplicates"] += 1
         else:
             details["reversed_duplicates"] += 1

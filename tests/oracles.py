@@ -7,8 +7,10 @@ with the production code paths.
 
 from __future__ import annotations
 
+import json
 import random
 import struct
+import sys
 
 # --- circular-fingerprint environment enumerator ---------------------------
 #
@@ -231,3 +233,71 @@ def mean_and_population_std(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, var ** 0.5
+
+
+# --- planted-defect corpus counters ------------------------------------------
+#
+# (stage, counter in stats.json, PlantedCounts field). A counter is a field of
+# the stage's own entry or a key of its "details"; stage "final" reads the
+# output graph's totals.
+
+PLANTED_COUNTERS = (
+    ("ingest", "rows_out", "total_rows"),
+    ("filter_malformed", "semicolon_rows", "semicolon_rows"),
+    ("filter_malformed", "pipe_rows", "pipe_rows"),
+    ("harmonize", "labels_rewritten", "harmonize_rewrites"),
+    ("remove_nonhuman", "banned_relation_rows", "virus_rows"),
+    ("remove_nonhuman", "nonhuman_gene_rows", "nonhuman_gene_rows"),
+    ("remove_nonhuman", "nonhuman_genes_removed", "nonhuman_genes"),
+    ("drop_types", "rows_removed", "drop_rows"),
+    ("drop_types", "nodes_removed", "drop_nodes"),
+    ("remap", "compound_ids_merged", "compound_ids_merged"),
+    ("remap", "disease_ids_merged", "disease_ids_merged"),
+    ("remap", "gene_ids_merged", "gene_ids_merged"),
+    ("remap", "endpoints_rewritten", "endpoints_rewritten"),
+    ("dedup", "exact_duplicates", "exact_duplicates"),
+    ("dedup", "reversed_duplicates", "reversed_duplicates"),
+    ("reactome", "edges_added", "reactome_edges"),
+    ("reactome", "pathway_nodes_added", "reactome_pathways"),
+    ("reactome", "skipped_endpoint_absent", "reactome_skipped_absent"),
+    ("onsides", "edges_added", "onsides_added"),
+    ("onsides", "skipped_below_confidence", "onsides_below_confidence"),
+    ("onsides", "skipped_endpoint_absent", "onsides_absent"),
+    ("onsides", "skipped_duplicate", "onsides_duplicate"),
+    ("smiles_filter", "compounds_missing", "smiles_missing_compounds"),
+    ("smiles_filter", "compounds_unparseable", "smiles_unparseable_compounds"),
+    ("smiles_filter", "edges_removed", "smiles_edges_removed"),
+    ("fingerprints", "fingerprints_generated", "fingerprints"),
+    ("features", "annotation_nodes_removed", "feature_nodes"),
+    ("features", "rows_removed", "feature_edges_removed"),
+    ("final", "edges", "final_edges"),
+    ("final", "nodes", "final_nodes"),
+)
+
+
+def planted_mismatches(stats: dict, expected: dict) -> list[str]:
+    """One line per planted counter that ``stats`` (a ``stats.json`` object)
+    reports differently from ``expected`` (a ``PlantedCounts`` as a dict)."""
+    stages = {entry["stage"]: entry for entry in stats["stages"]}
+    mismatches = []
+    for stage, counter, field in PLANTED_COUNTERS:
+        if stage == "final":
+            got = stats[counter]["total"]
+        else:
+            entry = stages[stage]
+            got = entry[counter] if counter in entry else entry["details"][counter]
+        if got != expected[field]:
+            mismatches.append(f"{stage}.{counter}: got {got}, want {expected[field]}")
+    return mismatches
+
+
+if __name__ == "__main__":
+    # python tests/oracles.py STATS_JSON EXPECTED_COUNTS_JSON
+    stats_path, expected_path = sys.argv[1:]
+    with open(stats_path, encoding="utf-8") as fh:
+        run_stats = json.load(fh)
+    with open(expected_path, encoding="utf-8") as fh:
+        planted = json.load(fh)
+    problems = planted_mismatches(run_stats, planted)
+    print("\n".join(problems) or f"all {len(PLANTED_COUNTERS)} planted counters match")
+    sys.exit(1 if problems else 0)

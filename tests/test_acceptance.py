@@ -9,6 +9,7 @@ Each criterion prints one PASS/FAIL/SKIP line (run pytest with -s to see
 them on success).
 """
 
+import dataclasses
 import os
 import random
 import time
@@ -36,7 +37,12 @@ from kgprep.split_audit import (
 
 from conftest import FIXTURE_MOLECULES, graph_of
 from molwrite import random_smiles
-from oracles import fingerprint_bits_bruteforce, leaked_count_bruteforce
+from oracles import (
+    PLANTED_COUNTERS,
+    fingerprint_bits_bruteforce,
+    leaked_count_bruteforce,
+    planted_mismatches,
+)
 from test_split_audit import random_bundle, to_oracle_form
 
 DATA_DIR = os.environ.get("KGPREP_DATA_DIR")
@@ -189,73 +195,11 @@ def test_acceptance_2_planted_defect_corpus(tmp_path):
     report = run_pipeline(config)
     elapsed = time.perf_counter() - start
 
-    logs = {s.stage_name: s for s in report.stages}
-    expectations = {
-        ("ingest", "rows_out"): (logs["ingest"].rows_out, exp.total_rows),
-        ("filter_malformed", "semicolon_rows"): (
-            logs["filter_malformed"].details["semicolon_rows"], exp.semicolon_rows),
-        ("filter_malformed", "pipe_rows"): (
-            logs["filter_malformed"].details["pipe_rows"], exp.pipe_rows),
-        ("harmonize", "labels_rewritten"): (
-            logs["harmonize"].details["labels_rewritten"], exp.harmonize_rewrites),
-        ("remove_nonhuman", "banned_relation_rows"): (
-            logs["remove_nonhuman"].details["banned_relation_rows"], exp.virus_rows),
-        ("remove_nonhuman", "nonhuman_gene_rows"): (
-            logs["remove_nonhuman"].details["nonhuman_gene_rows"], exp.nonhuman_gene_rows),
-        ("remove_nonhuman", "nonhuman_genes_removed"): (
-            logs["remove_nonhuman"].details["nonhuman_genes_removed"], exp.nonhuman_genes),
-        ("drop_types", "rows_removed"): (logs["drop_types"].rows_removed, exp.drop_rows),
-        ("drop_types", "nodes_removed"): (
-            logs["drop_types"].details["nodes_removed"], exp.drop_nodes),
-        ("remap", "compound_ids_merged"): (
-            logs["remap"].details["compound_ids_merged"], exp.compound_ids_merged),
-        ("remap", "disease_ids_merged"): (
-            logs["remap"].details["disease_ids_merged"], exp.disease_ids_merged),
-        ("remap", "gene_ids_merged"): (
-            logs["remap"].details["gene_ids_merged"], exp.gene_ids_merged),
-        ("remap", "endpoints_rewritten"): (
-            logs["remap"].details["endpoints_rewritten"], exp.endpoints_rewritten),
-        ("dedup", "exact_duplicates"): (
-            logs["dedup"].details["exact_duplicates"], exp.exact_duplicates),
-        ("dedup", "reversed_duplicates"): (
-            logs["dedup"].details["reversed_duplicates"], exp.reversed_duplicates),
-        ("reactome", "edges_added"): (
-            logs["reactome"].details["edges_added"], exp.reactome_edges),
-        ("reactome", "pathway_nodes_added"): (
-            logs["reactome"].details["pathway_nodes_added"], exp.reactome_pathways),
-        ("reactome", "skipped_endpoint_absent"): (
-            logs["reactome"].details["skipped_endpoint_absent"], exp.reactome_skipped_absent),
-        ("onsides", "edges_added"): (
-            logs["onsides"].details["edges_added"], exp.onsides_added),
-        ("onsides", "skipped_below_confidence"): (
-            logs["onsides"].details["skipped_below_confidence"], exp.onsides_below_confidence),
-        ("onsides", "skipped_endpoint_absent"): (
-            logs["onsides"].details["skipped_endpoint_absent"], exp.onsides_absent),
-        ("onsides", "skipped_duplicate"): (
-            logs["onsides"].details["skipped_duplicate"], exp.onsides_duplicate),
-        ("smiles_filter", "compounds_missing"): (
-            logs["smiles_filter"].details["compounds_missing"], exp.smiles_missing_compounds),
-        ("smiles_filter", "compounds_unparseable"): (
-            logs["smiles_filter"].details["compounds_unparseable"], exp.smiles_unparseable_compounds),
-        ("smiles_filter", "edges_removed"): (
-            logs["smiles_filter"].details["edges_removed"], exp.smiles_edges_removed),
-        ("fingerprints", "fingerprints_generated"): (
-            logs["fingerprints"].details["fingerprints_generated"], exp.fingerprints),
-        ("features", "annotation_nodes_removed"): (
-            logs["features"].details["annotation_nodes_removed"], exp.feature_nodes),
-        ("features", "rows_removed"): (logs["features"].rows_removed, exp.feature_edges_removed),
-        ("final", "edges"): (report.edge_total, exp.final_edges),
-        ("final", "nodes"): (report.node_total, exp.final_nodes),
-    }
-    mismatches = [
-        f"{stage}.{counter}: got {got}, want {want}"
-        for (stage, counter), (got, want) in expectations.items()
-        if got != want
-    ]
+    mismatches = planted_mismatches(report.to_dict(), dataclasses.asdict(exp))
     assert not mismatches, "\n".join(mismatches)
     assert elapsed < 10, f"pipeline took {elapsed:.1f}s on the 10k corpus"
     _report(
-        f"2 (planted-defect corpus): PASS, {len(expectations)} counters exact, "
+        f"2 (planted-defect corpus): PASS, {len(PLANTED_COUNTERS)} counters exact, "
         f"pipeline {elapsed:.2f}s"
     )
 

@@ -178,6 +178,25 @@ def test_out_that_is_a_file_is_config_error(corpus, tmp_path):
             assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
+def test_unwritable_output_is_config_error(corpus, tmp_path):
+    out = tmp_path / "out"
+    (out / "graph.tsv").mkdir(parents=True)
+    src = str(Path(kgprep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgprep", "--quiet", "--config", str(corpus.config),
+         "--out", str(out), "run"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"config error: cannot write {out / 'graph.tsv'}: Is a directory"
+    ]
+
+
 def test_validate_config_subcommand(corpus, tmp_path, capsys):
     assert main(["--quiet", "--config", str(corpus.config), "validate-config"]) == 0
     bad = tmp_path / "bad.cfg"

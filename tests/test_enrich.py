@@ -1,8 +1,14 @@
+import random
+
+import pytest
+
 from kgprep.enrich import filter_no_smiles, merge_onsides, merge_reactome
+from kgprep.errors import ParseError
 from kgprep.ingest import parse_entity
+from kgprep.model import _degrees
 from kgprep.normalize import IdMapTable
 
-from conftest import graph_of
+from conftest import E, T, graph_of
 
 
 def base_graph():
@@ -121,3 +127,86 @@ def test_filter_no_smiles_keeps_valid(tiny_graph):
     g2, details = filter_no_smiles(tiny_graph, smiles)
     assert len(g2) == len(tiny_graph)
     assert details["edges_removed"] == 0
+
+
+def test_merge_onsides_duplicate_of_any_orientation_or_alias():
+    g = base_graph()
+    g.insert(T("SideEffect::umls:C7", "Test::REV::SideEffect:Compound",
+               "Compound::PubChem_Compounds:10"))
+    compound_map = IdMapTable(
+        "Compound",
+        {parse_entity("Compound::CHEMBL:CHEMBL9"): parse_entity("Compound::PubChem_Compounds:11")},
+        resolved=True,
+    )
+    rows = [
+        ("Compound::PubChem_Compounds:10", "SideEffect::umls:C7", "high"),  # reversed row
+        ("Compound::CHEMBL:CHEMBL9", "SideEffect::umls:C1", "high"),  # alias of 11
+        ("Compound::PubChem_Compounds:10", "SideEffect::umls:C8", "high"),
+        ("Compound::PubChem_Compounds:10", "SideEffect::umls:C8", "high"),  # added above
+    ]
+    g2, details = merge_onsides(g, rows, compound_map=compound_map)
+    assert details["skipped_duplicate"] == 3
+    assert details["edges_added"] == 1
+    g2.validate()
+
+
+def test_merge_onsides_first_bad_row_raises_in_order():
+    rows = [
+        ("Compound::PubChem_Compounds:10", "SideEffect::umls:C5", "high"),
+        ("nonsense", "SideEffect::umls:C6", "high"),
+        ("Compound::PubChem_Compounds:10", "also nonsense", "high"),
+    ]
+    with pytest.raises(ParseError, match="'nonsense'"):
+        merge_onsides(base_graph(), rows)
+    with pytest.raises(ParseError, match="'also nonsense'"):
+        merge_onsides(base_graph(), [rows[0], rows[2], rows[1]])
+
+
+def test_filter_no_smiles_carries_registry():
+    cmp1, cmp2 = "Compound::PubChem_Compounds:1", "Compound::PubChem_Compounds:2"
+    ddi = "Hetionet::CrC::Compound:Compound"
+    g = graph_of(
+        (cmp1, "GNBR::CMP_BIND::Compound:Gene", "Gene::NCBI:1"),  # gene 1's only edge
+        (cmp2, "GNBR::CMP_BIND::Compound:Gene", "Gene::NCBI:2"),
+        (cmp1, ddi, cmp1),  # self-loop on a removed compound
+        (cmp2, ddi, cmp2),  # self-loop on a kept compound
+        (cmp1, ddi, cmp2),
+        ("Gene::NCBI:2", "GNBR::GENE_BIND::Gene:Gene", "Gene::NCBI:3"),
+    )
+    before = dict(g.node_degree)
+    g2, details = filter_no_smiles(g, {cmp1: "C(", cmp2: "CCO"})
+    assert details["edges_removed"] == 3
+    assert g2._degree == _degrees(g2.triplets)
+    assert g2.node_degree[E(cmp2)] == 3
+    assert not g2.has_node(E("Gene::NCBI:1"))
+    assert not g2.has_node(E(cmp1))
+    assert g.node_degree == before
+    g2.validate()
+
+
+def test_filter_no_smiles_registry_on_random_graphs():
+    rng = random.Random(29)
+    compounds = [f"Compound::PubChem_Compounds:{i}" for i in range(6)]
+    genes = [f"Gene::NCBI:{i}" for i in range(4)]
+    relations = {
+        ("Compound", "Compound"): "Hetionet::CrC::Compound:Compound",
+        ("Compound", "Gene"): "GNBR::CMP_BIND::Compound:Gene",
+        ("Gene", "Compound"): "Test::REV::Gene:Compound",
+        ("Gene", "Gene"): "GNBR::GENE_BIND::Gene:Gene",
+    }
+    for _ in range(200):
+        rows = []
+        for _ in range(rng.randrange(1, 15)):
+            head, tail = rng.choice(compounds + genes), rng.choice(compounds + genes)
+            rows.append((head, relations[head.split("::")[0], tail.split("::")[0]], tail))
+        g = graph_of(*rows)
+        smiles = {
+            c: rng.choice(("CCO", "C(", "c1ccccc1")) for c in compounds if rng.random() < 0.7
+        }
+        g2, _ = filter_no_smiles(g, smiles)
+        kept = {c for c, text in smiles.items() if text != "C("}
+        assert [t.render() for t in g2] == [
+            t.render() for t in g
+            if all(n.entity_type != "Compound" or n.text in kept for n in (t.head, t.tail))
+        ]
+        assert g2._degree == _degrees(g2.triplets)

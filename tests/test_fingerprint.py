@@ -23,6 +23,17 @@ CCO_RADIUS2_BITS = frozenset({
     103, 161, 184, 331, 639, 1178, 1396, 1738, 1956,
 })
 
+# Drug-sized molecules (20-40 heavy atoms), whose environments recur.
+DRUG_MOLECULES = (
+    "CC(=O)Nc1ccc(O)cc1",
+    "CN1C(=O)CN=C(c2ccccc2)c2cc(Cl)ccc21",
+    "O=C(O)c1cn(C2CC2)c2cc(N3CCNCC3)c(F)cc2c1=O",
+    "CCCc1nn(C)c2c(=O)[nH]c(-c3cc(S(=O)(=O)N4CCN(C)CC4)ccc3OCC)nc12",
+    "Cc1ccc(NC(=O)c2ccc(CN3CCN(C)CC3)cc2)cc1Nc1nccc(-c2cccnc2)n1",
+    "CC(C)c1c(C(=O)Nc2ccccc2)c(-c2ccccc2)c(-c2ccc(F)cc2)n1CC[C@@H](O)C[C@@H](O)CC(=O)O",
+    "CN1CC[C@]23c4c5ccc(O)c4O[C@H]2[C@@H](O)C=C[C@H]3[C@H]1C5",
+)
+
 
 def test_fnv1a_matches_reference_vectors():
     # standard FNV-1a 64-bit test vectors
@@ -133,3 +144,31 @@ def test_fingerprint_all_missing_smiles_is_pipeline_bug():
     )
     with pytest.raises(StageError, match="SMILES"):
         fingerprint_all(g, {})
+
+
+def test_memoized_environments_equal_bruteforce_on_drug_sized_molecules():
+    rng = random.Random(23)
+    memo: dict = {}
+    for smiles in DRUG_MOLECULES:
+        mol = parse_smiles(smiles)
+        for text in (smiles, random_smiles(mol, rng)):
+            variant = parse_smiles(text)
+            for radius in (0, 1, 2, 3):
+                shared = morgan_fingerprint(variant, radius, 2048, memo)
+                oracle = fingerprint_bits_bruteforce(variant, radius, 2048)
+                assert set(shared.bits) == oracle, (text, radius)
+                assert morgan_fingerprint(variant, radius, 2048) == shared
+    assert memo
+
+
+def test_fingerprint_all_repeat_calls_agree():
+    rows = [
+        (f"Compound::PubChem_Compounds:{i}", "GNBR::CMP_BIND::Compound:Gene", "Gene::NCBI:1")
+        for i in range(len(DRUG_MOLECULES))
+    ]
+    smiles = {row[0]: text for row, text in zip(rows, DRUG_MOLECULES)}
+    first, _ = fingerprint_all(graph_of(*rows), smiles)
+    second, _ = fingerprint_all(graph_of(*rows), smiles)
+    assert first == second
+    for compound, text in smiles.items():
+        assert first[compound] == fingerprint_smiles(text)

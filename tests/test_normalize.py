@@ -164,6 +164,20 @@ def test_dedup_reversed_keeps_first():
     assert log.details == {"exact_duplicates": 0, "reversed_duplicates": 1}
 
 
+def test_dedup_self_loop_duplicates_are_exact():
+    rows = [
+        ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
+        ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
+        ("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
+        ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
+        ("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
+    ]
+    for same_type_only in (False, True):
+        g2, log = run_step("dedup", graph_of(*rows), lambda: deduplicate(same_type_only))
+        assert log.details == {"exact_duplicates": 2, "reversed_duplicates": 1}
+        assert [t.render() for t in g2] == [rows[0], rows[2]]
+
+
 def test_dedup_distinct_relations_kept():
     g = graph_of(
         ("Gene::NCBI:A", "GNBR::Rg::Gene:Gene", "Gene::NCBI:B"),

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from kgprep.chem.smiles import AROMATIC, parse_smiles
+from kgprep.chem.smiles import AROMATIC, check_smiles, parse_smiles
 from kgprep.errors import SmilesError
 
 from conftest import FIXTURE_MOLECULES
@@ -145,3 +147,37 @@ def test_all_fixture_molecules_parse():
         assert mol.atoms
         for idx, atom in enumerate(mol.atoms):
             assert atom.degree == sum(1 for b in mol.bonds if idx in (b.a, b.b))
+
+
+# The broken strings the DRKG-shaped benchmark generator plants.
+DRKG_BROKEN_SMILES = ("C1CC(", "c1ccccc", "CC(C(=O)O", "C[Xx]C", "CC==O", "N1CCC2")
+
+
+def _outcome(parse, text):
+    try:
+        mol = parse(text)
+    except SmilesError as exc:
+        return ("error", str(exc), exc.position)
+    return [(a.element, a.charge, a.aromatic, a.explicit_h) for a in mol.atoms], [
+        (b.a, b.b, b.order) for b in mol.bonds
+    ]
+
+
+def test_check_smiles_rejects_exactly_what_parse_rejects():
+    rng = random.Random(17)
+    alphabet = sorted(set("".join(FIXTURE_MOLECULES)) | set("()[]%=#:.+-@/\\HXx0123456789"))
+    texts = [*FIXTURE_MOLECULES, *DRKG_BROKEN_SMILES]
+    for smiles in FIXTURE_MOLECULES:
+        for i in range(len(smiles)):
+            texts.append(smiles[:i] + smiles[i + 1:])
+            texts.append(smiles[:i] + rng.choice(alphabet) + smiles[i + 1:])
+            texts.append(smiles[:i] + rng.choice(alphabet) + smiles[i:])
+    rejected = 0
+    for text in texts:
+        expected = _outcome(parse_smiles, text)
+        assert _outcome(check_smiles, text) == expected, text
+        rejected += expected[0] == "error"
+    for text in DRKG_BROKEN_SMILES:
+        with pytest.raises(SmilesError):
+            check_smiles(text)
+    assert 0 < rejected < len(texts)
