@@ -101,30 +101,38 @@ def atom_environments(
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Fixed-length binary vector; ``bits`` holds the set bit indices."""
+    """Fixed-length binary vector held as one int: bit index b is the
+    ``1 << (nbits - 1 - b)`` bit of ``value``, so index 0 is the most
+    significant bit, as in the hex form."""
 
     nbits: int
-    bits: frozenset[int]
+    value: int
 
     def __post_init__(self) -> None:
-        if any(b < 0 or b >= self.nbits for b in self.bits):
+        if not 0 <= self.value < 1 << self.nbits:
+            raise ValueError("value has bits beyond nbits")
+
+    @classmethod
+    def from_bits(cls, nbits: int, bits) -> "Fingerprint":
+        if any(b < 0 or b >= nbits for b in bits):
             raise ValueError("bit index out of range")
+        return cls(nbits, sum(1 << (nbits - 1 - b) for b in set(bits)))
+
+    @property
+    def bits(self) -> frozenset[int]:
+        """The set bit indices."""
+        return frozenset(
+            self.nbits - 1 - i for i in range(self.nbits) if self.value >> i & 1
+        )
 
     def to_hex(self) -> str:
         """Lowercase hex, ``nbits / 4`` characters, bit index 0 at the most
         significant position."""
-        value = 0
-        for b in self.bits:
-            value |= 1 << (self.nbits - 1 - b)
-        return format(value, f"0{self.nbits // 4}x")
+        return format(self.value, f"0{self.nbits // 4}x")
 
     @classmethod
     def from_hex(cls, text: str, nbits: int = DEFAULT_NBITS) -> "Fingerprint":
-        value = int(text, 16)
-        bits = frozenset(
-            nbits - 1 - i for i in range(nbits) if value >> i & 1
-        )
-        return cls(nbits, bits)
+        return cls(nbits, int(text, 16))
 
 
 def morgan_fingerprint(
@@ -138,7 +146,7 @@ def morgan_fingerprint(
     ids = set()
     for level in atom_environments(mol, radius, memo):
         ids.update(level)
-    return Fingerprint(nbits, frozenset(i % nbits for i in ids))
+    return Fingerprint.from_bits(nbits, {i % nbits for i in ids})
 
 
 def fingerprint_smiles(

@@ -14,7 +14,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import InputError, ParseError
-from .model import ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
+from .model import (
+    ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet, tsv_line,
+)
 
 log = logging.getLogger(__name__)
 
@@ -321,11 +323,9 @@ def load_onsides(path: str | Path) -> list[tuple[str, str, str]]:
 def write_triplets(
     path: str | Path, g: KnowledgeGraph, preserve_order: bool = False
 ) -> None:
-    """Serialize a graph as triplet TSV. Rows are sorted by rendered
-    (head, relation, tail) unless input order is requested."""
-    rendered = [t.render() for t in g.triplets]
-    if not preserve_order:
-        rendered.sort()
+    """Serialize a graph as triplet TSV: in the graph's text order, or in
+    input order if requested."""
+    rows = g.triplets
+    order = range(len(rows)) if preserve_order else g.text_order
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for h, r, t in rendered:
-            fh.write(f"{h}\t{r}\t{t}\n")
+        fh.writelines(map(tsv_line, map(rows.__getitem__, order)))

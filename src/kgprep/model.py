@@ -9,8 +9,10 @@ deduplication and all serialized outputs are reproducible.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import StageError
@@ -57,7 +59,8 @@ class EntityRef:
     """One fully qualified node identity.
 
     ``text`` caches the rendered ``entity_type::source:local_id`` form; it is
-    derived and excluded from equality.
+    derived and excluded from equality. Equal refs render alike, so the hash
+    is the text's, which Python caches.
     """
 
     entity_type: str
@@ -69,6 +72,9 @@ class EntityRef:
         object.__setattr__(
             self, "text", f"{self.entity_type}::{self.source}:{self.local_id}"
         )
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     def is_clean(self) -> bool:
         """True when local_id satisfies the post-cleaning invariant
@@ -84,7 +90,8 @@ class EntityRef:
 class RelationRef:
     """A relation qualified by origin database and endpoint-type signature.
 
-    ``(origin, label, head_type, tail_type)`` is the harmonization key.
+    ``(origin, label, head_type, tail_type)`` is the harmonization key;
+    ``text`` renders it, so like ``EntityRef`` the hash is the text's.
     """
 
     origin: str
@@ -99,6 +106,9 @@ class RelationRef:
             "text",
             f"{self.origin}::{self.label}::{self.head_type}:{self.tail_type}",
         )
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     def with_label(self, label: str) -> "RelationRef":
         return RelationRef(self.origin, label, self.head_type, self.tail_type)
@@ -125,6 +135,15 @@ class Triplet:
 
     def render(self) -> tuple[str, str, str]:
         return (self.head.text, self.relation.text, self.tail.text)
+
+
+# The output sort key: Triplet.render, built in C.
+_TEXT = attrgetter("head.text", "relation.text", "tail.text")
+
+
+def tsv_line(t: Triplet) -> str:
+    """One row of the triplet TSV format, newline included."""
+    return f"{t.head.text}\t{t.relation.text}\t{t.tail.text}\n"
 
 
 # A row-local stage: the row to keep (possibly rewritten), or None to drop it.
@@ -174,14 +193,16 @@ class KnowledgeGraph:
     remaining edges drop out automatically and the registry always equals the
     set of triplet endpoints. It is computed on first use and kept current by
     ``insert``, so a chain of row stages that never asks for nodes never
-    builds it.
+    builds it. ``text_order`` is likewise computed on first use; ``insert``
+    drops it.
     """
 
-    __slots__ = ("triplets", "_degree")
+    __slots__ = ("triplets", "_degree", "_text_order")
 
     def __init__(self, triplets: Iterable[Triplet] = ()):
         self.triplets: list[Triplet] = []
         self._degree: dict[EntityRef, int] | None = {}
+        self._text_order: array | None = None
         for t in triplets:
             self.insert(t)
 
@@ -191,6 +212,7 @@ class KnowledgeGraph:
         g = cls.__new__(cls)
         g.triplets = triplets
         g._degree = None
+        g._text_order = None
         return g
 
     def copy(self) -> "KnowledgeGraph":
@@ -206,6 +228,16 @@ class KnowledgeGraph:
             self._degree = _degrees(self.triplets)
         return self._degree
 
+    @property
+    def text_order(self) -> array:
+        """Row positions sorted by the rendered (head, relation, tail) tuple;
+        rows that render alike stay in graph order. Every sorted output of
+        the graph walks this one order."""
+        if self._text_order is None:
+            keys = list(map(_TEXT, self.triplets))
+            self._text_order = array("i", sorted(range(len(keys)), key=keys.__getitem__))
+        return self._text_order
+
     def insert(self, t: Triplet) -> "KnowledgeGraph":
         """Append one triplet, preserving input order. Multiset semantics:
         duplicates are accepted here and handled by the dedup stage."""
@@ -216,6 +248,7 @@ class KnowledgeGraph:
                 f"{t.tail.entity_type}) for relation {t.relation}"
             )
         self.triplets.append(t)
+        self._text_order = None
         degree = self._degree
         if degree is not None:
             degree[t.head] = degree.get(t.head, 0) + 1

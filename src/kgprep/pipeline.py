@@ -79,6 +79,10 @@ class PipelineRunner:
         self._id_maps: dict[str, normalize.IdMapTable] | None = None
         self._taxonomy: dict[str, str] | None = None
         self._smiles: dict[str, str] | None = None
+        # the split plan: the graph it was made for, and per task the seeded
+        # bundles the splits stage made and the audit has not yet used
+        self._plan_graph: KnowledgeGraph | None = None
+        self._plan: dict[str, list[split_audit.SplitBundle]] = {}
 
     # --- auxiliary inputs -------------------------------------------------
 
@@ -214,21 +218,37 @@ class PipelineRunner:
             return g, self._run_audit(g)
         raise ConfigError(f"unknown stage {name!r}")
 
+    def _bundles(
+        self, g: KnowledgeGraph, task_name: str, keep: bool
+    ) -> list[split_audit.SplitBundle]:
+        """One task's seeded bundles on ``g``: the ones an earlier stage kept
+        for this very graph, or new ones. ``keep`` leaves them for a later
+        stage; otherwise they are released."""
+        if self._plan_graph is not g:
+            self._plan_graph, self._plan = g, {}
+        bundles = self._plan.pop(task_name, None)
+        if bundles is None:
+            task = split_audit.BUILTIN_TASKS[task_name]
+            bundles = split_audit.make_splits(g, task, self.config.split_seeds)
+        if keep:
+            self._plan[task_name] = bundles
+        return bundles
+
     def _run_splits(self, g: KnowledgeGraph) -> dict[str, int]:
         details: dict[str, int] = {}
+        keep = self.config.enabled("audit")
         for task_name in self.config.split_tasks:
-            task = split_audit.BUILTIN_TASKS[task_name]
-            for bundle in split_audit.make_splits(g, task, self.config.split_seeds):
+            for bundle in self._bundles(g, task_name, keep):
                 split_audit.write_bundle(
                     self.out_dir / "splits" / task_name / f"seed_{bundle.seed}",
                     bundle,
                     preserve_order=self.config.preserve_order,
                 )
             # split sizes depend only on the target size, not on the seed
-            details[f"{task_name}_target"] = bundle.target_size()
-            details[f"{task_name}_train"] = len(bundle.train)
-            details[f"{task_name}_valid"] = len(bundle.valid)
-            details[f"{task_name}_test"] = len(bundle.test)
+            details[f"{task_name}_target"] = n = bundle.target_size()
+            details[f"{task_name}_train"] = bundle.n_train
+            details[f"{task_name}_valid"] = bundle.n_valid
+            details[f"{task_name}_test"] = n - bundle.n_train - bundle.n_valid
         return details
 
     def _run_audit(self, g: KnowledgeGraph) -> dict[str, int]:
@@ -239,14 +259,13 @@ class PipelineRunner:
         aggregates = []
         details: dict[str, int] = {}
         for task_name in self.config.split_tasks:
-            task = split_audit.BUILTIN_TASKS[task_name]
             reports = [
                 split_audit.detect_leakage(
                     bundle,
                     equivalence,
                     include_inverse=self.config.audit_include_inverse,
                 )
-                for bundle in split_audit.make_splits(g, task, self.config.split_seeds)
+                for bundle in self._bundles(g, task_name, keep=False)
             ]
             agg = split_audit.audit_report(reports)
             aggregates.append(agg)

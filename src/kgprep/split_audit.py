@@ -3,9 +3,10 @@ leakage audit.
 
 A split shuffles the task's target triplets under a seed and partitions them
 70/10/20 (valid and test sizes floored, remainder to train); every non-target
-triplet stays in the context set. A task's rows are partitioned, rendered and
-sorted once and shared by all its seeds. The audit asks, for each evaluation
-triplet, whether the training split contains an equivalent counterpart:
+triplet stays in the context set. A task's rows are partitioned once and
+shared by all its seeds, and every sorted file filters the graph's one text
+order. The audit asks, for each evaluation triplet, whether the training
+split contains an equivalent counterpart:
 
 * duplicate_inverse - same origin and label, endpoints equal or swapped;
 * relation_redundancy - endpoints equal or swapped, labels equal after
@@ -26,14 +27,14 @@ import shutil
 import statistics
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import compress, filterfalse
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
-from .model import KnowledgeGraph, RelationRef, Triplet
+from .model import KnowledgeGraph, Triplet, tsv_line
 from .normalize import IdMapTable
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
@@ -48,7 +49,11 @@ class TaskSpec:
     endpoint_types: frozenset[str]
 
     def matches(self, t: Triplet) -> bool:
-        return {t.head.entity_type, t.tail.entity_type} == set(self.endpoint_types)
+        return self.matches_types((t.head.entity_type, t.tail.entity_type))
+
+    def matches_types(self, types: tuple[str, str]) -> bool:
+        """Whether a (head type, tail type) pair is the task's target."""
+        return set(types) == self.endpoint_types
 
 
 BUILTIN_TASKS: dict[str, TaskSpec] = {
@@ -58,12 +63,17 @@ BUILTIN_TASKS: dict[str, TaskSpec] = {
 }
 
 
-# The sort key of output rows: the same tuple as Triplet.render, built in C.
-_TEXT = attrgetter("head.text", "relation.text", "tail.text")
+class _Memo(dict):
+    """``key -> compute(key)``, computed on first lookup, so a hit is one
+    dict lookup with no Python call."""
 
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
 
-def _line(t: Triplet) -> str:
-    return f"{t.head.text}\t{t.relation.text}\t{t.tail.text}\n"
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def _open(path: Path):
@@ -72,21 +82,24 @@ def _open(path: Path):
 
 @dataclass
 class TaskRows:
-    """One task's partition of a graph: target rows and context rows (all the
-    others), both in graph order. Every seed's bundle of the task shares it, so
-    the rows are partitioned, rendered and sorted once per task."""
+    """One task's partition of a graph: ``target`` lists the positions of the
+    task's target rows in graph order; every other row is context. Every
+    seed's bundle of the task shares it. It holds one int array, so the
+    splits stage can leave it to the audit at little cost."""
 
     task: str
-    target: list[Triplet]
-    context: list[Triplet]
+    graph: KnowledgeGraph
+    target: array
     # ordering (preserve_order flag) -> first context.tsv written for it
     _context_files: dict[bool, Path] = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def target_by_text(self) -> array:
-        """Target positions sorted by the rendered (head, relation, tail)."""
-        keys = list(map(_TEXT, self.target))
-        return array("i", sorted(range(len(keys)), key=keys.__getitem__))
+    def context_positions(self, preserve_order: bool) -> Iterator[int]:
+        """Context row positions in graph order, or in the graph's text order."""
+        is_target = bytearray(len(self.graph))
+        for p in self.target:
+            is_target[p] = 1
+        walk = range(len(self.graph)) if preserve_order else self.graph.text_order
+        return filterfalse(is_target.__getitem__, walk)
 
     def write_context(self, path: Path, preserve_order: bool) -> None:
         """Write context.tsv: the first call per ordering renders it, later
@@ -95,16 +108,16 @@ class TaskRows:
         if first is not None and first != path:
             shutil.copyfile(first, path)
             return
-        rows = self.context if preserve_order else sorted(self.context, key=_TEXT)
+        positions = self.context_positions(preserve_order)
         with _open(path) as fh:
-            fh.writelines(map(_line, rows))
+            fh.writelines(map(tsv_line, map(self.graph.triplets.__getitem__, positions)))
         self._context_files[preserve_order] = path
 
 
 @dataclass
 class SplitBundle:
     """One seed's split of a task. ``order`` is the seeded permutation of
-    positions in ``rows.target``: its first ``n_train`` positions are train,
+    indices into ``rows.target``: its first ``n_train`` indices are train,
     the next ``n_valid`` valid and the rest test."""
 
     rows: TaskRows
@@ -123,44 +136,55 @@ class SplitBundle:
         test: list[Triplet],
     ) -> "SplitBundle":
         """A bundle of given splits, in the given order, with no context."""
-        rows = TaskRows(task, [*train, *valid, *test], [])
-        return cls(rows, seed, array("i", range(len(rows.target))), len(train), len(valid))
+        g = KnowledgeGraph._from_clean([*train, *valid, *test])
+        everything = array("i", range(len(g)))
+        return cls(TaskRows(task, g, everything), seed, everything, len(train), len(valid))
 
     @property
     def task(self) -> str:
         return self.rows.task
 
-    def _slice(self, start: int, stop: int | None) -> list[Triplet]:
-        target = self.rows.target
-        return [target[i] for i in self.order[start:stop]]
+    def cuts(self) -> tuple[int, int, int, int]:
+        """Where train, valid and test start in ``order``, and its end."""
+        end_valid = self.n_train + self.n_valid
+        return 0, self.n_train, end_valid, len(self.order)
+
+    def rows_between(self, start: int, stop: int) -> Iterator[Triplet]:
+        """The rows that ``order[start:stop]`` names, in that order."""
+        positions = map(self.rows.target.__getitem__, self.order[start:stop])
+        return map(self.rows.graph.triplets.__getitem__, positions)
 
     @property
     def train(self) -> list[Triplet]:
-        return self._slice(0, self.n_train)
+        return list(self.rows_between(*self.cuts()[0:2]))
 
     @property
     def valid(self) -> list[Triplet]:
-        return self._slice(self.n_train, self.n_train + self.n_valid)
+        return list(self.rows_between(*self.cuts()[1:3]))
 
     @property
     def test(self) -> list[Triplet]:
-        return self._slice(self.n_train + self.n_valid, None)
+        return list(self.rows_between(*self.cuts()[2:4]))
 
     @property
     def context(self) -> list[Triplet]:
-        return self.rows.context
+        positions = self.rows.context_positions(preserve_order=True)
+        return list(map(self.rows.graph.triplets.__getitem__, positions))
 
     def target_size(self) -> int:
         return len(self.order)
 
     def split_of(self) -> bytearray:
-        """Split of every target position: 0 train, 1 valid, 2 test."""
-        split = bytearray(len(self.order))
-        for i in self.order[self.n_train : self.n_train + self.n_valid]:
-            split[i] = 1
-        for i in self.order[self.n_train + self.n_valid :]:
-            split[i] = 2
+        """Split of every graph row: 0 context, 1 train, 2 valid, 3 test."""
+        split = bytearray(len(self.rows.graph))
+        target, cuts = self.rows.target, self.cuts()
+        for code in (1, 2, 3):
+            for p in map(target.__getitem__, self.order[cuts[code - 1] : cuts[code]]):
+                split[p] = code
         return split
+
+
+_ENDPOINT_TYPES = attrgetter("head.entity_type", "tail.entity_type")
 
 
 def make_splits(
@@ -169,23 +193,18 @@ def make_splits(
     """Seeded uniform 70/10/20 partitions of the task's target triplets, one
     bundle per seed (valid and test sizes floored, remainder to train).
 
-    The graph is partitioned once; each seed then shuffles target positions.
+    The graph is partitioned once, testing each distinct endpoint-type pair
+    once; each seed then shuffles indices into the target positions.
     ``random.Random(seed).shuffle`` draws depend only on the sequence length,
-    so position k of a seed's order names the row that shuffling a copy of
-    the target list would put at k.
+    so index k of a seed's order names the row that shuffling a copy of the
+    target list would put at k.
     """
-    target: list[Triplet] = []
-    context: list[Triplet] = []
-    is_target: dict[tuple[str, str], bool] = {}
-    for t in g.triplets:
-        types = (t.head.entity_type, t.tail.entity_type)
-        hit = is_target.get(types)
-        if hit is None:
-            hit = is_target[types] = task.matches(t)
-        (target if hit else context).append(t)
+    hit = _Memo(task.matches_types)
+    is_target = bytearray(map(hit.__getitem__, map(_ENDPOINT_TYPES, g.triplets)))
+    target = array("i", compress(range(len(g)), is_target))
     if not target:
         raise StageError(f"task {task.name}: target triplet set is empty")
-    rows = TaskRows(task.name, target, context)
+    rows = TaskRows(task.name, g, target)
     n = len(target)
     n_valid = n // 10
     n_train = n - n_valid - n // 5
@@ -235,14 +254,7 @@ class Equivalence:
             getattr(k, "text", k): getattr(v, "text", v)
             for k, v in (equiv_entities or {}).items()
         }
-        self._table = equiv_relations or HarmonizationTable.empty()
-        self._relations: dict[RelationRef, tuple] = {}
-
-    def relation(self, r: RelationRef) -> tuple:
-        canon = self._relations.get(r)
-        if canon is None:
-            canon = self._relations[r] = self._table.canon_label(r)
-        return canon
+        self.relations = _Memo((equiv_relations or HarmonizationTable.empty()).canon_label)
 
 
 def detect_leakage(
@@ -259,22 +271,35 @@ def detect_leakage(
     wanted = DETECTORS if detector == "all" else (detector,)
     equivalence = equivalence or Equivalence()
     canon_e = equivalence.entities.get
-    canon_r = equivalence.relation
+    canon_r = equivalence.relations.__getitem__
 
+    # A train row whose endpoints the entity map leaves unmapped has the same
+    # key in both standardized indexes, so it shares one tuple. Until a train
+    # row has a mapped endpoint (after the remap stage, none has), the entity
+    # index is the relation index itself.
     raw_index: set = set()
     rel_index: set = set()
-    ent_index: set = set()
-    for t in bundle.train:
+    ent_index = rel_index
+    _, end_train, end_valid, end = bundle.cuts()
+    for t in bundle.rows_between(0, end_train):
         h, tl, r = t.head.text, t.tail.text, t.relation
         cr = canon_r(r)
+        ch, ct = canon_e(h, h), canon_e(tl, tl)
+        rel_key = (h, cr, tl)
+        unmapped = ch is h and ct is tl
+        if ent_index is rel_index and not unmapped:
+            ent_index = set(rel_index)
         raw_index.add((h, r.origin, r.label, tl))
-        rel_index.add((h, cr, tl))
-        ent_index.add((canon_e(h, h), cr, canon_e(tl, tl)))
+        rel_index.add(rel_key)
+        ent_index.add(rel_key if unmapped else (ch, cr, ct))
 
     report = LeakageReport(task=bundle.task, seed=bundle.seed)
-    for pair_name, eval_split in (("train_valid", bundle.valid), ("train_test", bundle.test)):
+    for pair_name, start, stop in (
+        ("train_valid", end_train, end_valid),
+        ("train_test", end_valid, end),
+    ):
         n_dup = n_rel = n_ent = n_any = 0
-        for t in eval_split:
+        for t in bundle.rows_between(start, stop):
             h, tl, r = t.head.text, t.tail.text, t.relation
             cr = canon_r(r)
             ch, ct = canon_e(h, h), canon_e(tl, tl)
@@ -292,9 +317,8 @@ def detect_leakage(
             n_ent += ent_leak
             n_any += dup or rel_leak or ent_leak
         counts = dict(zip(DETECTORS, (n_dup, n_rel, n_ent, n_any)))
-        total = len(eval_split)
         for d in wanted:
-            report.cells[(d, pair_name)] = LeakCell(counts[d], total)
+            report.cells[(d, pair_name)] = LeakCell(counts[d], stop - start)
     return report
 
 
@@ -350,24 +374,27 @@ def audit_report(reports: list[LeakageReport]) -> AggregatedLeakage:
 
 
 def write_bundle(out_dir, bundle: SplitBundle, preserve_order: bool = False) -> None:
-    """train/valid/test/context TSVs in triplet format. Rows are sorted by the
-    rendered (head, relation, tail) unless ``preserve_order``, which keeps
-    shuffled order for the splits and graph order for context. Each seed walks
-    the task's shared order once, so nothing is sorted per seed."""
+    """train/valid/test/context TSVs in triplet format. Rows are in the
+    graph's text order unless ``preserve_order``, which keeps shuffled order
+    for the splits and graph order for context. Each seed filters the graph's
+    one text order, so nothing is sorted per task or seed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = bundle.rows
-    target = rows.target
+    triplets = rows.graph.triplets
     split_of = bundle.split_of()
-    walk = bundle.order if preserve_order else rows.target_by_text
+    if preserve_order:
+        walk = map(rows.target.__getitem__, bundle.order)
+    else:
+        walk = filter(split_of.__getitem__, rows.graph.text_order)
     with (
         _open(out / "train.tsv") as train,
         _open(out / "valid.tsv") as valid,
         _open(out / "test.tsv") as test,
     ):
-        files = (train, valid, test)
-        for i in walk:
-            files[split_of[i]].write(_line(target[i]))
+        files = (None, train, valid, test)
+        for p in walk:
+            files[split_of[p]].write(tsv_line(triplets[p]))
     rows.write_context(out / "context.tsv", preserve_order)
 
 

@@ -111,13 +111,14 @@ def test_radius_zero_is_atom_invariants_only():
 
 
 def test_hex_round_trip_and_layout():
-    fp = Fingerprint(nbits=2048, bits=frozenset({0, 7, 2047}))
+    fp = Fingerprint.from_bits(2048, frozenset({0, 7, 2047}))
     text = fp.to_hex()
     assert len(text) == 512 and text == text.lower()
     assert text[0] == "8"  # bit 0 is the most significant of the first nibble
     assert text[1] == "1"  # bit 7 is the least significant of the second nibble
     assert text[-1] == "1"  # bit 2047 is the least significant overall
     assert Fingerprint.from_hex(text) == fp
+    assert fp.bits == frozenset({0, 7, 2047})
 
 
 def test_fingerprint_all_counts_and_order():

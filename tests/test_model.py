@@ -2,7 +2,7 @@ import pytest
 
 from kgprep.errors import StageError
 from kgprep.clean import drop_entity_types
-from kgprep.model import KnowledgeGraph, StageLog, Triplet
+from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
 from kgprep.pipeline import run_step
 
 from conftest import E, R, T, graph_of
@@ -70,3 +70,30 @@ def test_entity_cleanliness_flags():
     assert E("Disease::MESH:D015658").is_clean()
     assert not E("Compound::DB01;DB02").is_clean()
     assert not E("Compound::A|B").is_clean()
+
+
+def test_equal_refs_built_separately_hash_alike():
+    a, b = EntityRef("Gene", "NCBI", "7"), EntityRef("Gene", "NCBI", "7")
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert E("Gene::NCBI:7") == a and hash(E("Gene::NCBI:7")) == hash(a)
+    r, s = RelationRef("GNBR", "B", "Gene", "Gene"), RelationRef("GNBR", "B", "Gene", "Gene")
+    assert r == s and r is not s
+    assert hash(r) == hash(s)
+    assert len({r, s, r.with_label("B")}) == 1
+    assert R("GNBR::B::Gene:Gene") == r and hash(R("GNBR::B::Gene:Gene")) == hash(r)
+    assert EntityRef("Gene", "NCBI", "8") != a
+
+
+def test_text_order_sorts_rendered_tuples_and_insert_drops_it():
+    g = graph_of(
+        ("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
+        ("Gene::NCBI:1\x01", "GNBR::B::Gene:Gene", "Gene::NCBI:3"),
+        ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:3"),
+        ("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
+    )
+    assert list(g.text_order) == [2, 1, 0, 3]
+    assert g.text_order is g.text_order
+    g.insert(T("Gene::NCBI:0", "GNBR::B::Gene:Gene", "Gene::NCBI:1"))
+    assert list(g.text_order) == [4, 2, 1, 0, 3]
