@@ -118,21 +118,10 @@ class Fingerprint:
             raise ValueError("bit index out of range")
         return cls(nbits, sum(1 << (nbits - 1 - b) for b in set(bits)))
 
-    @property
-    def bits(self) -> frozenset[int]:
-        """The set bit indices."""
-        return frozenset(
-            self.nbits - 1 - i for i in range(self.nbits) if self.value >> i & 1
-        )
-
     def to_hex(self) -> str:
         """Lowercase hex, ``nbits / 4`` characters, bit index 0 at the most
         significant position."""
         return format(self.value, f"0{self.nbits // 4}x")
-
-    @classmethod
-    def from_hex(cls, text: str, nbits: int = DEFAULT_NBITS) -> "Fingerprint":
-        return cls(nbits, int(text, 16))
 
 
 def morgan_fingerprint(
@@ -147,12 +136,6 @@ def morgan_fingerprint(
     for level in atom_environments(mol, radius, memo):
         ids.update(level)
     return Fingerprint.from_bits(nbits, {i % nbits for i in ids})
-
-
-def fingerprint_smiles(
-    smiles: str, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
-) -> Fingerprint:
-    return morgan_fingerprint(parse_smiles(smiles), radius, nbits)
 
 
 def fingerprint_all(

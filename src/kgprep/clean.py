@@ -8,7 +8,7 @@ counters the step fills as rows pass.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -75,6 +75,7 @@ class HarmonizationTable:
         return cls({}, ENRICHMENT_LABELS)
 
     def lookup(self, relation: RelationRef) -> str | None:
+        """The label the table maps the relation's key to, or None."""
         return self.mapping.get(
             (
                 relation.origin.casefold(),
@@ -84,16 +85,21 @@ class HarmonizationTable:
             )
         )
 
-    def canon_label(self, relation: RelationRef):
-        """Canonical form used for equality: the mapped label when the key is
-        known, otherwise the (origin, label) pair itself. With an empty table
-        this degenerates to raw-relation identity."""
+    def canonical(self, relation: RelationRef) -> str | None:
+        """The relation's canonical label: its own label when that is
+        already canonical, else the label the table maps it to, else None."""
         if relation.label in self.canonical_labels:
-            return ("label", relation.label)
-        mapped = self.lookup(relation)
-        if mapped is not None:
-            return ("label", mapped)
-        return ("raw", relation.origin, relation.label)
+            return relation.label
+        return self.lookup(relation)
+
+    def canon_label(self, relation: RelationRef):
+        """Canonical form used for equality: the canonical label when there
+        is one, otherwise the (origin, label) pair itself. With an empty
+        table this degenerates to raw-relation identity."""
+        label = self.canonical(relation)
+        if label is None:
+            return ("raw", relation.origin, relation.label)
+        return ("label", label)
 
 
 def filter_malformed() -> tuple[Step, dict[str, int]]:
@@ -134,21 +140,20 @@ def harmonize(
         rel = t.relation
         hit = cache.get(rel)
         if hit is None:
-            if rel.label in table.canonical_labels:
+            label = table.canonical(rel)
+            if label == rel.label:
                 hit = (None, False)
+            elif label is not None:
+                hit = (rel.with_label(label), False)
+            elif strict:
+                raise StageError(
+                    "harmonize: no canonical label for "
+                    f"({rel.origin}, {rel.label}, {rel.head_type}, "
+                    f"{rel.tail_type}) in strict mode"
+                )
             else:
-                mapped = table.lookup(rel)
-                if mapped is not None:
-                    hit = (rel.with_label(mapped), False)
-                elif strict:
-                    raise StageError(
-                        "harmonize: no canonical label for "
-                        f"({rel.origin}, {rel.label}, {rel.head_type}, "
-                        f"{rel.tail_type}) in strict mode"
-                    )
-                else:
-                    log.warning("harmonize: passing through unmapped relation %s", rel)
-                    hit = (None, True)
+                log.warning("harmonize: passing through unmapped relation %s", rel)
+                hit = (None, True)
             cache[rel] = hit
         new_rel, is_unmapped = hit
         if is_unmapped:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import ENTITY_TYPES
 
 STAGE_NAMES = (
     "filter_malformed",
@@ -131,6 +132,12 @@ class PipelineConfig:
             if task not in BUILTIN_TASKS:
                 raise ConfigError(
                     f"unknown task {task!r}; choose from {sorted(BUILTIN_TASKS)}"
+                )
+        for etype in self.drop_types:
+            if etype not in ENTITY_TYPES:
+                raise ConfigError(
+                    f"drop.types: unknown entity type {etype!r}; "
+                    f"choose from {sorted(ENTITY_TYPES)}"
                 )
         _reject_repeats("split.seeds", self.split_seeds)
         _reject_repeats("split.tasks", self.split_tasks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 
 from .chem.smiles import check_smiles
-from .errors import ParseError, SmilesError
+from .errors import InputError, ParseError, SmilesError
 from .ingest import parse_entity
 from .model import EntityRef, KnowledgeGraph, RelationRef, Triplet
 from .normalize import IdMapTable, canonical_key
@@ -21,6 +21,18 @@ GENE_PATHWAY = RelationRef("Reactome", "GENE_PATHWAY", "Gene", "Pathway")
 SIDE_EFFECT = RelationRef("OnSIDES", "SIDE_EFFECT", "Compound", "SideEffect")
 
 TIER_RANK = {"low": 0, "medium": 1, "high": 2}
+
+
+def _insert(g: KnowledgeGraph, t: Triplet, table: str) -> None:
+    """Add a merged row, rejecting it as an input defect when its endpoint
+    types do not fit the merge's relation."""
+    if not t.signature_ok():
+        rel = t.relation
+        raise InputError(
+            f"{table} table, row {t.origin_line}: {t.head.text} -> {t.tail.text} does not "
+            f"fit {rel.label}, which links {rel.head_type} to {rel.tail_type}"
+        )
+    g.insert(t)
 
 
 def merge_reactome(
@@ -52,7 +64,7 @@ def merge_reactome(
         keys.add(key)
         if not g2.has_node(pathway):
             details["pathway_nodes_added"] += 1
-        g2.insert(t)
+        _insert(g2, t, "reactome")
         details["edges_added"] += 1
     return g2, details
 
@@ -111,7 +123,7 @@ def merge_onsides(
         pairs.add(pair)
         if not g2.has_node(side_effect):
             details["side_effect_nodes_added"] += 1
-        g2.insert(Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no))
+        _insert(g2, Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no), "onsides")
         details["edges_added"] += 1
     return g2, details
 

@@ -28,9 +28,6 @@ class FeatureManifest:
     def total_dim(self) -> int:
         return sum(len(ids) for _, ids in self.blocks)
 
-    def block_sizes(self) -> dict[str, int]:
-        return {category: len(ids) for category, ids in self.blocks}
-
     def index_of(self) -> dict[EntityRef, int]:
         table: dict[EntityRef, int] = {}
         offset = 0
@@ -39,12 +36,6 @@ class FeatureManifest:
                 table[ref] = offset + i
             offset += len(ids)
         return table
-
-    def entities(self) -> list[EntityRef]:
-        out: list[EntityRef] = []
-        for _, ids in self.blocks:
-            out.extend(ids)
-        return out
 
 
 @dataclass(frozen=True)
@@ -125,19 +116,6 @@ def collapse_to_features(
         "genes_with_features": sum(1 for v in table.values() if v.set_indices),
         "genes_total": len(table),
     }
-
-
-def reconstruct_edges(
-    manifest: FeatureManifest, table: dict[EntityRef, SparseFeatureVector]
-) -> set[tuple[str, str]]:
-    """Invert the collapse: the (gene, annotation) pair set encoded by the
-    vectors. Used to check round-trip losslessness."""
-    entities = manifest.entities()
-    pairs = set()
-    for gene, vector in table.items():
-        for idx in vector.set_indices:
-            pairs.add((gene.text, entities[idx].text))
-    return pairs
 
 
 def write_manifest(path, manifest: FeatureManifest) -> None:

@@ -76,12 +76,6 @@ class EntityRef:
     def __hash__(self) -> int:
         return hash(self.text)
 
-    def is_clean(self) -> bool:
-        """True when local_id satisfies the post-cleaning invariant
-        (non-empty, no ';', '|' or tab)."""
-        lid = self.local_id
-        return bool(lid) and not any(c in lid for c in ";|\t")
-
     def __str__(self) -> str:
         return self.text
 
@@ -133,11 +127,8 @@ class Triplet:
             and self.tail.entity_type == self.relation.tail_type
         )
 
-    def render(self) -> tuple[str, str, str]:
-        return (self.head.text, self.relation.text, self.tail.text)
 
-
-# The output sort key: Triplet.render, built in C.
+# The output sort key: the rendered (head, relation, tail) texts, built in C.
 _TEXT = attrgetter("head.text", "relation.text", "tail.text")
 
 

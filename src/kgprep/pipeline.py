@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import clean, enrich, features, ingest, normalize, split_audit
-from .chem import fingerprint_all, write_fingerprints
+from .chem.fingerprint import fingerprint_all, write_fingerprints
 from .config import STAGE_NAMES, PipelineConfig
 from .errors import ConfigError
 from .model import KnowledgeGraph, StageLog, Step

@@ -35,10 +35,8 @@ from typing import Iterable, Iterator, Sequence
 from .clean import HarmonizationTable
 from .errors import StageError
 from .model import KnowledgeGraph, Triplet, tsv_line
-from .normalize import IdMapTable
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
-SPLIT_PAIRS = ("train_valid", "train_test")
 
 
 @dataclass(frozen=True)
@@ -47,9 +45,6 @@ class TaskSpec:
 
     name: str
     endpoint_types: frozenset[str]
-
-    def matches(self, t: Triplet) -> bool:
-        return self.matches_types((t.head.entity_type, t.tail.entity_type))
 
     def matches_types(self, types: tuple[str, str]) -> bool:
         """Whether a (head type, tail type) pair is the task's target."""
@@ -126,20 +121,6 @@ class SplitBundle:
     n_train: int
     n_valid: int
 
-    @classmethod
-    def from_lists(
-        cls,
-        task: str,
-        seed: int,
-        train: list[Triplet],
-        valid: list[Triplet],
-        test: list[Triplet],
-    ) -> "SplitBundle":
-        """A bundle of given splits, in the given order, with no context."""
-        g = KnowledgeGraph._from_clean([*train, *valid, *test])
-        everything = array("i", range(len(g)))
-        return cls(TaskRows(task, g, everything), seed, everything, len(train), len(valid))
-
     @property
     def task(self) -> str:
         return self.rows.task
@@ -153,23 +134,6 @@ class SplitBundle:
         """The rows that ``order[start:stop]`` names, in that order."""
         positions = map(self.rows.target.__getitem__, self.order[start:stop])
         return map(self.rows.graph.triplets.__getitem__, positions)
-
-    @property
-    def train(self) -> list[Triplet]:
-        return list(self.rows_between(*self.cuts()[0:2]))
-
-    @property
-    def valid(self) -> list[Triplet]:
-        return list(self.rows_between(*self.cuts()[1:3]))
-
-    @property
-    def test(self) -> list[Triplet]:
-        return list(self.rows_between(*self.cuts()[2:4]))
-
-    @property
-    def context(self) -> list[Triplet]:
-        positions = self.rows.context_positions(preserve_order=True)
-        return list(map(self.rows.graph.triplets.__getitem__, positions))
 
     def target_size(self) -> int:
         return len(self.order)
@@ -232,9 +196,6 @@ class LeakageReport:
     seed: int
     cells: dict[tuple[str, str], LeakCell] = field(default_factory=dict)
 
-    def ratio(self, detector: str, split_pair: str) -> float:
-        return self.cells[(detector, split_pair)].ratio
-
 
 class Equivalence:
     """The audit's standardization: entity identifiers as a text -> canonical
@@ -243,13 +204,9 @@ class Equivalence:
 
     def __init__(
         self,
-        equiv_entities: IdMapTable | dict | None = None,
+        equiv_entities: dict | None = None,
         equiv_relations: HarmonizationTable | None = None,
     ):
-        if isinstance(equiv_entities, IdMapTable):
-            equiv_entities = equiv_entities.mapping
-        if not isinstance(equiv_entities, (dict, type(None))):
-            raise TypeError("equiv_entities must be an IdMapTable, dict or None")
         self.entities: dict[str, str] = {
             getattr(k, "text", k): getattr(v, "text", v)
             for k, v in (equiv_entities or {}).items()
@@ -260,15 +217,11 @@ class Equivalence:
 def detect_leakage(
     bundle: SplitBundle,
     equivalence: Equivalence | None = None,
-    detector: str = "all",
     include_inverse: bool = True,
 ) -> LeakageReport:
-    """Leaked-count report for train/valid and train/test under the chosen
-    detector ("all" computes every detector plus their union). Without an
-    equivalence, standardization is the identity."""
-    if detector != "all" and detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    wanted = DETECTORS if detector == "all" else (detector,)
+    """Leaked-count report for train/valid and train/test under every
+    detector and their union. Without an equivalence, standardization is the
+    identity."""
     equivalence = equivalence or Equivalence()
     canon_e = equivalence.entities.get
     canon_r = equivalence.relations.__getitem__
@@ -316,9 +269,8 @@ def detect_leakage(
             n_rel += rel_leak
             n_ent += ent_leak
             n_any += dup or rel_leak or ent_leak
-        counts = dict(zip(DETECTORS, (n_dup, n_rel, n_ent, n_any)))
-        for d in wanted:
-            report.cells[(d, pair_name)] = LeakCell(counts[d], stop - start)
+        for d, leaked in zip(DETECTORS, (n_dup, n_rel, n_ent, n_any)):
+            report.cells[(d, pair_name)] = LeakCell(leaked, stop - start)
     return report
 
 

@@ -1,7 +1,12 @@
+from array import array
+
 import pytest
 
+from kgprep.chem.fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, morgan_fingerprint
+from kgprep.chem.smiles import parse_smiles
 from kgprep.ingest import parse_entity, parse_relation
 from kgprep.model import KnowledgeGraph, Triplet
+from kgprep.split_audit import SplitBundle, TaskRows
 
 # Shared molecule fixtures: diverse coverage of the supported SMILES subset.
 # The first ten are the oracle-equivalence set.
@@ -43,6 +48,23 @@ def T(head: str, relation: str, tail: str, line: int = 0) -> Triplet:
 
 def graph_of(*rows) -> KnowledgeGraph:
     return KnowledgeGraph(T(*row) for row in rows)
+
+
+def bundle_of(task: str, seed: int, train, valid, test) -> SplitBundle:
+    """A bundle of given splits, in the given order, with no context."""
+    g = KnowledgeGraph([*train, *valid, *test])
+    everything = array("i", range(len(g)))
+    return SplitBundle(TaskRows(task, g, everything), seed, everything, len(train), len(valid))
+
+
+def fingerprint_of(
+    smiles: str, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
+) -> Fingerprint:
+    return morgan_fingerprint(parse_smiles(smiles), radius, nbits)
+
+
+def fingerprint_from_hex(text: str, nbits: int = DEFAULT_NBITS) -> Fingerprint:
+    return Fingerprint(nbits, int(text, 16))
 
 
 @pytest.fixture

@@ -225,6 +225,68 @@ def split_file_texts(parts, preserve_order: bool) -> dict[str, str]:
     return files
 
 
+# --- reading results through their public fields -----------------------------
+
+
+def render(t) -> tuple[str, str, str]:
+    """A triplet's (head, relation, tail) texts."""
+    return (t.head.text, t.relation.text, t.tail.text)
+
+
+def is_clean(ref) -> bool:
+    """The post-cleaning invariant on an entity: a non-empty local id with
+    no ';', '|' or tab."""
+    return bool(ref.local_id) and not any(c in ref.local_id for c in ";|\t")
+
+
+def task_matches(task, t) -> bool:
+    """Whether a triplet's unordered endpoint types are the task's target."""
+    return {t.head.entity_type, t.tail.entity_type} == set(task.endpoint_types)
+
+
+def _bundle_part(bundle, start: int, stop: int) -> list:
+    rows = bundle.rows
+    return [rows.graph.triplets[rows.target[i]] for i in list(bundle.order)[start:stop]]
+
+
+def split_train(bundle) -> list:
+    return _bundle_part(bundle, 0, bundle.n_train)
+
+
+def split_valid(bundle) -> list:
+    return _bundle_part(bundle, bundle.n_train, bundle.n_train + bundle.n_valid)
+
+
+def split_test(bundle) -> list:
+    return _bundle_part(bundle, bundle.n_train + bundle.n_valid, len(bundle.order))
+
+
+def split_context(bundle) -> list:
+    """The graph rows outside the task's target, in graph order."""
+    target = set(bundle.rows.target)
+    return [t for p, t in enumerate(bundle.rows.graph.triplets) if p not in target]
+
+
+def fingerprint_bits(fp) -> frozenset[int]:
+    """The set bit indices; index 0 is the most significant bit of ``value``."""
+    return frozenset(i for i in range(fp.nbits) if fp.value >> (fp.nbits - 1 - i) & 1)
+
+
+def block_sizes(manifest) -> dict[str, int]:
+    return {category: len(ids) for category, ids in manifest.blocks}
+
+
+def reconstruct_edges(manifest, table) -> set[tuple[str, str]]:
+    """Invert the feature collapse: the (gene, annotation) pair set the
+    vectors encode, reading dimension k as the k-th manifest entity."""
+    entities = [ref for _, ids in manifest.blocks for ref in ids]
+    return {
+        (gene.text, entities[idx].text)
+        for gene, vector in table.items()
+        for idx in vector.set_indices
+    }
+
+
 # --- split aggregation -------------------------------------------------------
 
 

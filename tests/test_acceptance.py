@@ -17,11 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from kgprep.chem import fingerprint_smiles, morgan_fingerprint, parse_smiles
+from kgprep.chem.fingerprint import morgan_fingerprint
+from kgprep.chem.smiles import parse_smiles
 from kgprep.clean import HarmonizationTable, harmonize
 from kgprep.config import load_config
 from kgprep.corpus import build_corpus
-from kgprep.features import build_manifest, collapse_to_features, reconstruct_edges
+from kgprep.features import build_manifest, collapse_to_features
 from kgprep.ingest import load_triplets, load_xref, parse_entity, parse_relation
 from kgprep.model import ENTITY_TYPES, EntityRef, KnowledgeGraph, RelationRef
 from kgprep.normalize import IdMapTable, deduplicate, remap_entities, resolve_fixed_point
@@ -35,13 +36,19 @@ from kgprep.split_audit import (
     make_splits,
 )
 
-from conftest import FIXTURE_MOLECULES, graph_of
+from conftest import FIXTURE_MOLECULES, fingerprint_of, graph_of
 from molwrite import random_smiles
 from oracles import (
     PLANTED_COUNTERS,
+    fingerprint_bits,
     fingerprint_bits_bruteforce,
     leaked_count_bruteforce,
     planted_mismatches,
+    reconstruct_edges,
+    render,
+    split_test,
+    split_train,
+    split_valid,
 )
 from test_split_audit import random_bundle, to_oracle_form
 
@@ -71,7 +78,7 @@ def test_acceptance_1_property_suite(tmp_path):
     table = HarmonizationTable.builtin()
     h1, _ = run_step("harmonize", g, lambda: harmonize(table))
     h2, _ = run_step("harmonize", h1, lambda: harmonize(table))
-    assert [t.render() for t in h1] == [t.render() for t in h2]
+    assert [render(t) for t in h1] == [render(t) for t in h2]
 
     compounds = resolve_fixed_point(
         IdMapTable.from_pairs(
@@ -85,7 +92,7 @@ def test_acceptance_1_property_suite(tmp_path):
         "remap", r1, lambda: remap_entities(compounds, empty_d, empty_g)
     )
     assert log2.details["endpoints_rewritten"] == 0
-    assert [t.render() for t in r1] == [t.render() for t in r2]
+    assert [render(t) for t in r1] == [render(t) for t in r2]
 
     d1, _ = run_step("dedup", r1, deduplicate)
     d2, dlog = run_step("dedup", d1, deduplicate)
@@ -115,10 +122,10 @@ def test_acceptance_1_property_suite(tmp_path):
     for smiles in FIXTURE_MOLECULES:
         mol = parse_smiles(smiles)
         reference = morgan_fingerprint(mol)
-        assert fingerprint_smiles(smiles) == reference  # recomputation agrees
+        assert fingerprint_of(smiles) == reference  # recomputation agrees
         for _ in range(100):
             variant = random_smiles(mol, rng)
-            assert fingerprint_smiles(variant).bits == reference.bits, (smiles, variant)
+            assert fingerprint_bits(fingerprint_of(variant)) == fingerprint_bits(reference), (smiles, variant)
 
     # feature round-trip losslessness on a randomized annotated graph
     rows = []
@@ -156,11 +163,11 @@ def test_acceptance_1_property_suite(tmp_path):
         bundle, = make_splits(target, BUILTIN_TASKS["ppi"], [seed])
         n = bundle.target_size()
         assert n == 233
-        assert len(bundle.valid) == 23 and len(bundle.test) == 46
+        assert len(split_valid(bundle)) == 23 and len(split_test(bundle)) == 46
         rendered = sorted(
-            t.render() for t in bundle.train + bundle.valid + bundle.test
+            render(t) for t in split_train(bundle) + split_valid(bundle) + split_test(bundle)
         )
-        assert rendered == sorted(t.render() for t in target)
+        assert rendered == sorted(render(t) for t in target)
 
     # leakage detectors equal the exhaustive pairwise oracle on 50 bundles
     oracle_rng = random.Random(99)
@@ -168,8 +175,8 @@ def test_acceptance_1_property_suite(tmp_path):
         size = oracle_rng.randint(30, 500)
         bundle, table2, entity_map, relation_map = random_bundle(oracle_rng, size)
         engine = detect_leakage(bundle, Equivalence(entity_map, table2))
-        train = to_oracle_form(bundle.train)
-        for pair, eval_split in (("train_valid", bundle.valid), ("train_test", bundle.test)):
+        train = to_oracle_form(split_train(bundle))
+        for pair, eval_split in (("train_valid", split_valid(bundle)), ("train_test", split_test(bundle))):
             eval_rows = to_oracle_form(eval_split)
             for detector in DETECTORS:
                 expected = leaked_count_bruteforce(
@@ -371,7 +378,7 @@ def test_acceptance_3_4_report_skip_without_data():
 def test_acceptance_5_fingerprint_oracle_equivalence():
     for smiles in FIXTURE_MOLECULES[:10]:
         mol = parse_smiles(smiles)
-        engine_bits = set(morgan_fingerprint(mol, radius=2, nbits=2048).bits)
+        engine_bits = set(fingerprint_bits(morgan_fingerprint(mol, radius=2, nbits=2048)))
         oracle_bits = fingerprint_bits_bruteforce(mol, radius=2, nbits=2048)
         assert engine_bits == oracle_bits, smiles
     _report("5 (fingerprint oracle equivalence): PASS, 10/10 molecules exact")

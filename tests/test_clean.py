@@ -12,6 +12,7 @@ from kgprep.errors import StageError
 from kgprep.pipeline import run_step
 
 from conftest import graph_of
+from oracles import render
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ def test_remove_nonhuman_retain_config_is_identity():
     )
     spec = NonHumanSpec(banned_labels=frozenset(), ban_vir_prefix=False)
     g2, log = run_step("remove_nonhuman", g, lambda: remove_nonhuman(spec, {}))
-    assert [t.render() for t in g2] == [t.render() for t in g]
+    assert [render(t) for t in g2] == [render(t) for t in g]
     assert log.rows_removed == 0
 
 

@@ -227,6 +227,44 @@ def test_exit_codes(tmp_path):
                  "--task", "side_effect"]) == 3
 
 
+@pytest.mark.parametrize(
+    "stage, table, row, message",
+    [
+        (
+            "reactome",
+            "Gene::NCBI:1\tCompound::drugbank:DB1\n",
+            1,
+            "Gene::NCBI:1 -> Compound::drugbank:DB1 does not fit GENE_PATHWAY, "
+            "which links Gene to Pathway",
+        ),
+        (
+            "onsides",
+            "Compound::drugbank:DB1\tSideEffect::umls:C1\thigh\n"
+            "Compound::drugbank:DB1\tGene::NCBI:2\thigh\n",
+            2,
+            "Compound::drugbank:DB1 -> Gene::NCBI:2 does not fit SIDE_EFFECT, "
+            "which links Compound to SideEffect",
+        ),
+    ],
+)
+def test_mistyped_enrichment_row_is_input_error(tmp_path, capsys, stage, table, row, message):
+    graph = tmp_path / "g.tsv"
+    graph.write_text(
+        "Compound::drugbank:DB1\tGNBR::B::Compound:Gene\tGene::NCBI:1\n", encoding="utf-8"
+    )
+    (tmp_path / "table.tsv").write_text(table, encoding="utf-8")
+    cfg = tmp_path / "enrich.cfg"
+    cfg.write_text(f"inputs.{stage} = table.tsv\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["--quiet", "--config", str(cfg), "--out", str(out),
+               "stage", stage, "--graph", str(graph)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: {stage} table, row {row}: {message}"
+    ]
+    assert not (out / "graph.tsv").exists()
+
+
 def test_compute_stats_totals_match_breakdowns():
     g = graph_of(
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),

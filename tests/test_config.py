@@ -1,5 +1,6 @@
 import pytest
 
+from kgprep.cli import main
 from kgprep.config import PipelineConfig, load_config, parse_config_text
 from kgprep.errors import ConfigError
 
@@ -92,3 +93,16 @@ def test_duplicate_tasks_rejected():
     config = parse_config_text("split.tasks = ppi, side_effect, ppi\n")
     with pytest.raises(ConfigError, match="split.tasks lists 'ppi' more than once"):
         config.validate_values()
+
+
+def test_unknown_drop_type_rejected(tmp_path):
+    # the raw spelling "Side Effect" is not a graph entity type either: ingest
+    # stores it as SideEffect, so dropping "Side Effect" would drop nothing
+    for value, bad in (("Side Effect,Bogus", "Side Effect"), ("SideEffect,Bogus", "Bogus")):
+        config = parse_config_text(f"drop.types = {value}\n")
+        with pytest.raises(ConfigError, match=f"drop.types: unknown entity type '{bad}'"):
+            config.validate_values()
+    parse_config_text("drop.types = SideEffect,Tax\n").validate_values()
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text("drop.types = Side Effect,Bogus\n", encoding="utf-8")
+    assert main(["--quiet", "--config", str(cfg), "validate-config"]) == 1

@@ -9,6 +9,7 @@ from kgprep.model import _degrees
 from kgprep.normalize import IdMapTable
 
 from conftest import E, T, graph_of
+from oracles import render
 
 
 def base_graph():
@@ -116,7 +117,7 @@ def test_filter_no_smiles_classes():
     remaining = {n.text for n in g2.nodes_of_type("Compound")}
     assert remaining == {"Compound::PubChem_Compounds:1"}
     # every surviving compound re-parses
-    from kgprep.chem import parse_smiles
+    from kgprep.chem.smiles import parse_smiles
 
     for text in remaining:
         parse_smiles(smiles[text])
@@ -205,8 +206,8 @@ def test_filter_no_smiles_registry_on_random_graphs():
         }
         g2, _ = filter_no_smiles(g, smiles)
         kept = {c for c, text in smiles.items() if text != "C("}
-        assert [t.render() for t in g2] == [
-            t.render() for t in g
+        assert [render(t) for t in g2] == [
+            render(t) for t in g
             if all(n.entity_type != "Compound" or n.text in kept for n in (t.head, t.tail))
         ]
         assert g2._degree == _degrees(g2.triplets)

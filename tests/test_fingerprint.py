@@ -2,20 +2,19 @@ import random
 
 import pytest
 
-from kgprep.chem import (
+from kgprep.chem.fingerprint import (
     Fingerprint,
     atom_environments,
     fingerprint_all,
-    fingerprint_smiles,
     fnv1a64,
     morgan_fingerprint,
-    parse_smiles,
 )
+from kgprep.chem.smiles import parse_smiles
 from kgprep.errors import StageError
 
-from conftest import FIXTURE_MOLECULES, graph_of
+from conftest import FIXTURE_MOLECULES, fingerprint_from_hex, fingerprint_of, graph_of
 from molwrite import random_smiles
-from oracles import fingerprint_bits_bruteforce, fnv1a64_reference
+from oracles import fingerprint_bits, fingerprint_bits_bruteforce, fnv1a64_reference
 
 # Expected bit indices for "CCO" at radius 2 / 2048 bits, frozen from the
 # recursive brute-force enumerator (tests/oracles.py) before the engine ran.
@@ -46,18 +45,18 @@ def test_fnv1a_matches_reference_vectors():
 
 def test_methane_single_environment():
     fp = morgan_fingerprint(parse_smiles("C"), radius=2)
-    assert len(fp.bits) == 1
+    assert len(fingerprint_bits(fp)) == 1
 
 
 def test_cco_frozen_oracle_bits():
-    fp = fingerprint_smiles("CCO", radius=2, nbits=2048)
-    assert fp.bits == CCO_RADIUS2_BITS
+    fp = fingerprint_of("CCO", radius=2, nbits=2048)
+    assert fingerprint_bits(fp) == CCO_RADIUS2_BITS
 
 
 def test_engine_equals_bruteforce_enumerator():
     for smiles in FIXTURE_MOLECULES[:10]:
         mol = parse_smiles(smiles)
-        engine = set(morgan_fingerprint(mol, radius=2, nbits=2048).bits)
+        engine = set(fingerprint_bits(morgan_fingerprint(mol, radius=2, nbits=2048)))
         oracle = fingerprint_bits_bruteforce(mol, radius=2, nbits=2048)
         assert engine == oracle, smiles
 
@@ -65,21 +64,21 @@ def test_engine_equals_bruteforce_enumerator():
 def test_atom_order_permutation_invariance():
     rng = random.Random(11)
     for smiles in FIXTURE_MOLECULES:
-        reference = fingerprint_smiles(smiles)
+        reference = fingerprint_of(smiles)
         mol = parse_smiles(smiles)
         for _ in range(5):
             variant = random_smiles(mol, rng)
-            assert fingerprint_smiles(variant).bits == reference.bits, (smiles, variant)
+            assert fingerprint_bits(fingerprint_of(variant)) == fingerprint_bits(reference), (smiles, variant)
 
 
 def test_simple_permutation_pairs():
-    assert fingerprint_smiles("CCO").bits == fingerprint_smiles("OCC").bits
-    assert fingerprint_smiles("N#Cc1ccccc1").bits == fingerprint_smiles("c1ccccc1C#N").bits
+    assert fingerprint_bits(fingerprint_of("CCO")) == fingerprint_bits(fingerprint_of("OCC"))
+    assert fingerprint_bits(fingerprint_of("N#Cc1ccccc1")) == fingerprint_bits(fingerprint_of("c1ccccc1C#N"))
 
 
 def test_determinism_across_calls():
-    a = fingerprint_smiles("CC(=O)Oc1ccccc1C(=O)O")
-    b = fingerprint_smiles("CC(=O)Oc1ccccc1C(=O)O")
+    a = fingerprint_of("CC(=O)Oc1ccccc1C(=O)O")
+    b = fingerprint_of("CC(=O)Oc1ccccc1C(=O)O")
     assert a == b
 
 
@@ -98,15 +97,15 @@ def test_bit_count_bound():
         mol = parse_smiles(smiles)
         for radius in (0, 1, 2):
             fp = morgan_fingerprint(mol, radius=radius)
-            assert len(fp.bits) <= len(mol.atoms) * (radius + 1)
-            assert len(fp.bits) >= 1
+            assert len(fingerprint_bits(fp)) <= len(mol.atoms) * (radius + 1)
+            assert len(fingerprint_bits(fp)) >= 1
 
 
 def test_radius_zero_is_atom_invariants_only():
     # CH3 (C, degree 1), CH2 (C, degree 2) and OH all carry distinct invariants
     mol = parse_smiles("CCO")
     fp = morgan_fingerprint(mol, radius=0)
-    assert len(fp.bits) == 3
+    assert len(fingerprint_bits(fp)) == 3
     assert len(set(atom_environments(mol, 0)[0])) == 3
 
 
@@ -117,8 +116,8 @@ def test_hex_round_trip_and_layout():
     assert text[0] == "8"  # bit 0 is the most significant of the first nibble
     assert text[1] == "1"  # bit 7 is the least significant of the second nibble
     assert text[-1] == "1"  # bit 2047 is the least significant overall
-    assert Fingerprint.from_hex(text) == fp
-    assert fp.bits == frozenset({0, 7, 2047})
+    assert fingerprint_from_hex(text) == fp
+    assert fingerprint_bits(fp) == frozenset({0, 7, 2047})
 
 
 def test_fingerprint_all_counts_and_order():
@@ -157,7 +156,7 @@ def test_memoized_environments_equal_bruteforce_on_drug_sized_molecules():
             for radius in (0, 1, 2, 3):
                 shared = morgan_fingerprint(variant, radius, 2048, memo)
                 oracle = fingerprint_bits_bruteforce(variant, radius, 2048)
-                assert set(shared.bits) == oracle, (text, radius)
+                assert set(fingerprint_bits(shared)) == oracle, (text, radius)
                 assert morgan_fingerprint(variant, radius, 2048) == shared
     assert memo
 
@@ -172,4 +171,4 @@ def test_fingerprint_all_repeat_calls_agree():
     second, _ = fingerprint_all(graph_of(*rows), smiles)
     assert first == second
     for compound, text in smiles.items():
-        assert first[compound] == fingerprint_smiles(text)
+        assert first[compound] == fingerprint_of(text)

@@ -19,6 +19,8 @@ from kgprep.ingest import (
 )
 from kgprep.model import ENTITY_TYPES, EntityRef, RelationRef
 
+from oracles import is_clean
+
 
 def test_parse_entity_full_form():
     ref = parse_entity("Disease::MESH:D015658")
@@ -59,7 +61,7 @@ def test_parse_entity_spaced_aliases():
 def test_parse_entity_keeps_defect_characters():
     # removal happens in the cleaning stage, not at parse time
     ref = parse_entity("Compound::DB01;DB02")
-    assert ";" in ref.local_id and not ref.is_clean()
+    assert ";" in ref.local_id and not is_clean(ref)
 
 
 def test_parse_relation_forms():

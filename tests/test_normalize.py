@@ -15,7 +15,7 @@ from kgprep.normalize import (
 from kgprep.pipeline import run_step
 
 from conftest import E, T, graph_of
-from oracles import resolve_by_substitution
+from oracles import render, resolve_by_substitution
 
 
 def _compound_table(pairs):
@@ -120,7 +120,7 @@ def test_remap_idempotent_at_fixed_point():
     empty_d, empty_g = IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
     once, _ = run_step("remap", g, lambda: remap_entities(compounds, empty_d, empty_g))
     twice, log = run_step("remap", once, lambda: remap_entities(compounds, empty_d, empty_g))
-    assert [t.render() for t in twice] == [t.render() for t in once]
+    assert [render(t) for t in twice] == [render(t) for t in once]
     assert log.details["endpoints_rewritten"] == 0
 
 
@@ -175,7 +175,7 @@ def test_dedup_self_loop_duplicates_are_exact():
     for same_type_only in (False, True):
         g2, log = run_step("dedup", graph_of(*rows), lambda: deduplicate(same_type_only))
         assert log.details == {"exact_duplicates": 2, "reversed_duplicates": 1}
-        assert [t.render() for t in g2] == [rows[0], rows[2]]
+        assert [render(t) for t in g2] == [rows[0], rows[2]]
 
 
 def test_dedup_distinct_relations_kept():
@@ -229,7 +229,7 @@ def test_dedup_idempotent_and_keyset_unique(data):
     g = KnowledgeGraph(triplets)
     once, _ = run_step("dedup", g, deduplicate)
     twice, log2 = run_step("dedup", once, deduplicate)
-    assert [t.render() for t in twice] == [t.render() for t in once]
+    assert [render(t) for t in twice] == [render(t) for t in once]
     assert log2.rows_removed == 0
     # brute-force check: no two survivors share a canonical key
     keys = [

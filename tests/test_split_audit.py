@@ -11,15 +11,23 @@ from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
     Equivalence,
-    SplitBundle,
     audit_report,
     detect_leakage,
     make_splits,
     write_bundle,
 )
 
-from conftest import T, graph_of
-from oracles import leaked_count_bruteforce, mean_and_population_std
+from conftest import T, bundle_of, graph_of
+from oracles import (
+    leaked_count_bruteforce,
+    mean_and_population_std,
+    render,
+    split_context,
+    split_test,
+    split_train,
+    split_valid,
+    task_matches,
+)
 
 
 def target_graph(n_target: int = 10, n_context: int = 4) -> KnowledgeGraph:
@@ -40,29 +48,29 @@ def test_builtin_task_targets_are_disjoint(tiny_graph):
             if a.name == b.name:
                 continue
             for t in tiny_graph:
-                assert not (a.matches(t) and b.matches(t))
+                assert not (task_matches(a, t) and task_matches(b, t))
 
 
 def test_split_sizes_ten_targets():
     bundle = make_splits(target_graph(10), BUILTIN_TASKS["ppi"], [0])[0]
-    assert (len(bundle.train), len(bundle.valid), len(bundle.test)) == (7, 1, 2)
-    assert len(bundle.context) == 4
+    assert (len(split_train(bundle)), len(split_valid(bundle)), len(split_test(bundle))) == (7, 1, 2)
+    assert len(split_context(bundle)) == 4
 
 
 def test_split_deterministic_per_seed():
     g = target_graph(50)
     a = make_splits(g, BUILTIN_TASKS["ppi"], [3])[0]
     b = make_splits(g, BUILTIN_TASKS["ppi"], [3])[0]
-    assert [t.render() for t in a.train] == [t.render() for t in b.train]
-    assert [t.render() for t in a.test] == [t.render() for t in b.test]
+    assert [render(t) for t in split_train(a)] == [render(t) for t in split_train(b)]
+    assert [render(t) for t in split_test(a)] == [render(t) for t in split_test(b)]
 
 
 def test_split_seeds_differ_but_sizes_match():
     g = target_graph(1000)
     a = make_splits(g, BUILTIN_TASKS["ppi"], [0])[0]
     b = make_splits(g, BUILTIN_TASKS["ppi"], [1])[0]
-    assert len(a.train) == len(b.train) and len(a.test) == len(b.test)
-    assert {t.render() for t in a.train} != {t.render() for t in b.train}
+    assert len(split_train(a)) == len(split_train(b)) and len(split_test(a)) == len(split_test(b))
+    assert {render(t) for t in split_train(a)} != {render(t) for t in split_train(b)}
 
 
 def test_split_empty_target_fatal():
@@ -76,12 +84,12 @@ def test_split_empty_target_fatal():
 def test_split_partition_property(n, seed):
     g = target_graph(n, n_context=0)
     bundle = make_splits(g, BUILTIN_TASKS["ppi"], [seed])[0]
-    assert len(bundle.valid) == n // 10
-    assert len(bundle.test) == n // 5
-    assert len(bundle.train) == n - n // 10 - n // 5
-    whole = [t.render() for t in bundle.train + bundle.valid + bundle.test]
+    assert len(split_valid(bundle)) == n // 10
+    assert len(split_test(bundle)) == n // 5
+    assert len(split_train(bundle)) == n - n // 10 - n // 5
+    whole = [render(t) for t in split_train(bundle) + split_valid(bundle) + split_test(bundle)]
     assert len(whole) == n
-    assert sorted(whole) == sorted(t.render() for t in g if BUILTIN_TASKS["ppi"].matches(t))
+    assert sorted(whole) == sorted(render(t) for t in g if task_matches(BUILTIN_TASKS["ppi"], t))
 
 
 # --- leakage ---------------------------------------------------------------
@@ -110,7 +118,7 @@ def random_bundle(rng: random.Random, size: int):
     triplets = [random_triplet() for _ in range(size)]
     n_train = int(size * 0.7)
     n_valid = int(size * 0.1)
-    bundle = SplitBundle.from_lists(
+    bundle = bundle_of(
         task="ppi",
         seed=0,
         train=triplets[:n_train],
@@ -130,7 +138,7 @@ def to_oracle_form(triplets):
 
 def test_literal_duplicate_leaks_under_all_detectors():
     shared = T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")
-    bundle = SplitBundle.from_lists("ppi", 0, train=[shared], valid=[shared], test=[shared])
+    bundle = bundle_of("ppi", 0, train=[shared], valid=[shared], test=[shared])
     report = detect_leakage(bundle)
     for detector in DETECTORS:
         for pair in ("train_valid", "train_test"):
@@ -140,7 +148,7 @@ def test_literal_duplicate_leaks_under_all_detectors():
 def test_inverse_duplicate_detected():
     train = [T("Gene::NCBI:B", "GNBR::B::Gene:Gene", "Gene::NCBI:A")]
     test = [T("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B")]
-    bundle = SplitBundle.from_lists("ppi", 0, train=train, valid=[], test=test)
+    bundle = bundle_of("ppi", 0, train=train, valid=[], test=test)
     report = detect_leakage(bundle)
     assert report.cells[("duplicate_inverse", "train_test")].leaked == 1
     no_inverse = detect_leakage(bundle, include_inverse=False)
@@ -179,8 +187,8 @@ def test_detectors_equal_exhaustive_oracle():
         size = rng.randint(40, 220)
         bundle, table, entity_map, relation_map = random_bundle(rng, size)
         report = detect_leakage(bundle, Equivalence(entity_map, table))
-        train = to_oracle_form(bundle.train)
-        for pair, eval_split in (("train_valid", bundle.valid), ("train_test", bundle.test)):
+        train = to_oracle_form(split_train(bundle))
+        for pair, eval_split in (("train_valid", split_valid(bundle)), ("train_test", split_test(bundle))):
             eval_rows = to_oracle_form(eval_split)
             for detector in DETECTORS:
                 expected = leaked_count_bruteforce(
@@ -193,7 +201,7 @@ def test_detectors_equal_exhaustive_oracle():
 
 def test_audit_report_aggregation():
     single = detect_leakage(
-        SplitBundle.from_lists("ppi", 0,
+        bundle_of("ppi", 0,
                                train=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
                                valid=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
                                test=[T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4")])
@@ -210,7 +218,7 @@ def test_audit_report_aggregation():
 def test_audit_five_seeds_matches_external_recompute():
     g = target_graph(200)
     # duplicate a third of the target rows so splits leak
-    extra = [t for i, t in enumerate(g.triplets) if i % 3 == 0 and BUILTIN_TASKS["ppi"].matches(t)]
+    extra = [t for i, t in enumerate(g.triplets) if i % 3 == 0 and task_matches(BUILTIN_TASKS["ppi"], t)]
     g2 = KnowledgeGraph(list(g.triplets) + extra)
     reports = [detect_leakage(b) for b in make_splits(g2, BUILTIN_TASKS["ppi"], range(5))]
     agg = audit_report(reports)
@@ -235,9 +243,9 @@ def test_write_bundle_files(tmp_path):
 def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
     g = target_graph(20, n_context=6)
     g = KnowledgeGraph(list(reversed(g.triplets)))
-    context_rows = [t for t in g.triplets if not BUILTIN_TASKS["ppi"].matches(t)]
-    graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (c.render() for c in context_rows))
-    by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(c.render() for c in context_rows))
+    context_rows = [t for t in g.triplets if not task_matches(BUILTIN_TASKS["ppi"], t)]
+    graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (render(c) for c in context_rows))
+    by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(render(c) for c in context_rows))
     assert graph_order != by_text
     for bundle in make_splits(g, BUILTIN_TASKS["ppi"], [0, 1]):
         for preserve_order, expected in ((False, by_text), (True, graph_order)):

@@ -12,12 +12,12 @@ from kgprep.pipeline import PipelineRunner
 from kgprep.split_audit import (
     BUILTIN_TASKS,
     Equivalence,
-    SplitBundle,
     audit_report,
     detect_leakage,
     write_leakage_json,
 )
 
+from conftest import bundle_of
 from oracles import split_file_texts, splits_by_rescan
 
 TASKS = ("ppi", "drug_repurposing", "side_effect")
@@ -112,7 +112,7 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
                 lines = text.splitlines(keepends=True)
                 line_sort_differs |= sorted(lines) != lines
             train, valid, test, _ = parts
-            bundle = SplitBundle.from_lists(task_name, seed, train, valid, test)
+            bundle = bundle_of(task_name, seed, train, valid, test)
             reports.append(detect_leakage(bundle, equivalence, include_inverse=include_inverse))
         aggregates.append(audit_report(reports))
     assert {p for p in splits.rglob("*") if p.is_file()} == expected_files

@@ -14,6 +14,7 @@ from kgprep.model import KnowledgeGraph
 from kgprep.pipeline import PipelineRunner
 
 from conftest import graph_of
+from oracles import render
 
 TASKS = ["ppi", "drug_repurposing", "side_effect"]
 SEEDS = [0, 1, 2]
@@ -53,7 +54,7 @@ def _config(tmp_path, splits: bool) -> PipelineConfig:
 
 
 def _rendered_and_sorted(g: KnowledgeGraph) -> bytes:
-    rendered = sorted(t.render() for t in g)
+    rendered = sorted(render(t) for t in g)
     return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rendered).encode("utf-8")
 
 
