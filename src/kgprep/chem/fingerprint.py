@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from ..errors import StageError
+from ..ingest import open_output
 from ..model import KnowledgeGraph
 from .smiles import MoleculeGraph, parse_smiles
 
@@ -168,8 +169,6 @@ def fingerprint_all(
 
 def write_fingerprints(path, table: dict[str, Fingerprint]) -> None:
     """TSV: compound_id, lowercase hex bits (index 0 = most significant)."""
-    from pathlib import Path
-
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for compound in sorted(table):
             fh.write(f"{compound}\t{table[compound].to_hex()}\n")

@@ -1,8 +1,9 @@
 """Format-defect filtering, relation harmonization and non-human pruning.
 
-Each operation is an independently toggleable row-local stage: built from
-its tables, it returns a step (row in, row or None out) and the per-defect
-counters the step fills as rows pass.
+Each operation is an independently toggleable row-local stage: it takes
+the graph and its tables, passes every row once through a step (row in, row
+or None out), and returns the new graph with the per-defect counters the
+step filled.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .errors import ParseError, StageError
 from .ingest import HARMONIZATION_SCHEMA, parse_entity, read_rows
-from .model import ENTITY_TYPE_ALIASES, EntityRef, RelationRef, Step, Triplet
+from .model import ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, Triplet
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +103,7 @@ class HarmonizationTable:
         return ("label", label)
 
 
-def filter_malformed() -> tuple[Step, dict[str, int]]:
+def filter_malformed(g: KnowledgeGraph) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Drop every triplet whose head or tail text contains ';' or '|'.
 
     Only endpoint fields are inspected; such characters mark entities that
@@ -120,12 +121,12 @@ def filter_malformed() -> tuple[Step, dict[str, int]]:
             return t
         return None
 
-    return step, details
+    return g.map_rows(step), details
 
 
 def harmonize(
-    table: HarmonizationTable, strict: bool = False
-) -> tuple[Step, dict[str, int]]:
+    g: KnowledgeGraph, table: HarmonizationTable, strict: bool = False
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Replace each relation label with its canonical label.
 
     Already-canonical labels pass through, which makes the operation
@@ -163,7 +164,7 @@ def harmonize(
         details["labels_rewritten"] += 1
         return Triplet(t.head, new_rel, t.tail, t.origin_line)
 
-    return step, details
+    return g.map_rows(step), details
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,10 @@ class NonHumanSpec:
 
 
 def remove_nonhuman(
+    g: KnowledgeGraph,
     spec: NonHumanSpec | None = None,
     taxonomy: dict[str, str] | None = None,
-) -> tuple[Step, dict[str, int]]:
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Remove banned-relation rows, then every non-human gene node with its
     incident rows. Genes absent from the taxonomy table default to human, so
     missing evidence never deletes anything. ``nonhuman_genes_removed``
@@ -209,13 +211,15 @@ def remove_nonhuman(
         details["nonhuman_genes_removed"] = len(removed)
         return None
 
-    return step, details
+    return g.map_rows(step), details
 
 
 DEFAULT_DROP_TYPES = ("Tax", "Symptom", "Pathway")
 
 
-def drop_entity_types(types=DEFAULT_DROP_TYPES) -> tuple[Step, dict[str, int]]:
+def drop_entity_types(
+    g: KnowledgeGraph, types=DEFAULT_DROP_TYPES
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Remove every node of the listed categories along with incident rows.
     Pathways dropped here are re-integrated by the enrichment stage."""
     doomed = frozenset(types)
@@ -234,4 +238,4 @@ def drop_entity_types(types=DEFAULT_DROP_TYPES) -> tuple[Step, dict[str, int]]:
                 details[f"nodes_removed_{node.entity_type}"] += 1
         return None
 
-    return step, details
+    return g.map_rows(step), details

@@ -100,11 +100,8 @@ def _cmd_stage(args) -> int:
     g = _load_graph(args.graph)
     g, stage_log = runner.run_stage(args.name, g)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ingest.write_triplets(out / "graph.tsv", g, preserve_order=config.preserve_order)
-    with (out / f"stage_{args.name}.json").open("w", encoding="utf-8") as fh:
-        json.dump([stage_log.to_dict()], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ingest.write_json(out / f"stage_{args.name}.json", [stage_log.to_dict()])
     return 0
 
 
@@ -114,9 +111,7 @@ def _cmd_stats(args) -> int:
     report = compute_stats(g)
     if args.out:
         config.validate_out_dir()
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.write_json(out / "stats.json")
+        ingest.write_json(Path(config.out_dir) / "stats.json", report.to_dict())
     else:
         json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

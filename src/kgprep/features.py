@@ -12,9 +12,8 @@ manifest plus the vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-
 from .errors import StageError
+from .ingest import open_output
 from .model import ANNOTATION_TYPES, EntityRef, KnowledgeGraph
 
 
@@ -120,7 +119,7 @@ def collapse_to_features(
 
 def write_manifest(path, manifest: FeatureManifest) -> None:
     """TSV: index, category, entity_id."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         idx = 0
         for category, ids in manifest.blocks:
             for ref in ids:
@@ -131,7 +130,7 @@ def write_manifest(path, manifest: FeatureManifest) -> None:
 def write_features(path, table: dict[EntityRef, SparseFeatureVector]) -> None:
     """TSV: gene_id, comma-separated set indices (empty column for the zero
     vector). Rows sorted by gene id."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for gene in sorted(table, key=lambda n: n.text):
             indices = ",".join(str(i) for i in table[gene].set_indices)
             fh.write(f"{gene.text}\t{indices}\n")

@@ -1,4 +1,5 @@
-"""Streaming parsers for triplet TSVs and the auxiliary data files.
+"""Streaming parsers for triplet TSVs and the auxiliary data files, and the
+one way outputs are opened.
 
 All parsers are pure; entity and relation parsing is memoized per input text,
 which matters when the same identifiers repeat across millions of rows.
@@ -6,12 +7,14 @@ which matters when the same identifiers repeat across millions of rows.
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .errors import InputError, ParseError
 from .model import (
@@ -133,6 +136,23 @@ def _is_header(columns: list[str]) -> bool:
     return True
 
 
+def _lines(path: Path, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, text without its line end) for each line of a UTF-8
+    file. A file that cannot be opened or decoded is an InputError naming
+    it."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                # text mode has already turned CRLF into LF
+                yield line_no, line.rstrip("\n")
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the codec's position counts from the start of a read buffer, not
+        # of the file, so it is left out
+        raise InputError(f"cannot read {what} file {path}: not UTF-8 ({exc.reason})") from exc
+
+
 def load_triplets(path: str | Path) -> tuple[KnowledgeGraph, StageLog]:
     """Load a 3-column triplet TSV into a graph.
 
@@ -151,49 +171,41 @@ def load_triplets(path: str | Path) -> tuple[KnowledgeGraph, StageLog]:
     }
     physical = 0
     header = 0
-    try:
-        fh = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read triplet file {path}: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            physical += 1
-            line = line.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line.strip():
-                skipped["blank"] += 1
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                skipped["bad_columns"] += 1
-                log.debug("%s:%d: %d columns, expected 3", path, line_no, len(cols))
-                continue
-            if line_no == 1 and _is_header(cols):
-                header = 1
-                continue
-            try:
-                head = parse_entity(cols[0])
-                tail = parse_entity(cols[2])
-            except ParseError as exc:
-                skipped["bad_entity"] += 1
-                log.debug("%s:%d: %s", path, line_no, exc)
-                continue
-            try:
-                rel = parse_relation(cols[1])
-            except ParseError as exc:
-                skipped["bad_relation"] += 1
-                log.debug("%s:%d: %s", path, line_no, exc)
-                continue
-            t = Triplet(head, rel, tail, origin_line=line_no)
-            if not t.signature_ok():
-                skipped["signature_mismatch"] += 1
-                log.debug(
-                    "%s:%d: endpoint types (%s, %s) do not match relation %s",
-                    path, line_no, head.entity_type, tail.entity_type, rel,
-                )
-                continue
-            triplets.append(t)
+    for line_no, line in _lines(path, "triplet"):
+        physical += 1
+        if not line.strip():
+            skipped["blank"] += 1
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            skipped["bad_columns"] += 1
+            log.debug("%s:%d: %d columns, expected 3", path, line_no, len(cols))
+            continue
+        if line_no == 1 and _is_header(cols):
+            header = 1
+            continue
+        try:
+            head = parse_entity(cols[0])
+            tail = parse_entity(cols[2])
+        except ParseError as exc:
+            skipped["bad_entity"] += 1
+            log.debug("%s:%d: %s", path, line_no, exc)
+            continue
+        try:
+            rel = parse_relation(cols[1])
+        except ParseError as exc:
+            skipped["bad_relation"] += 1
+            log.debug("%s:%d: %s", path, line_no, exc)
+            continue
+        t = Triplet(head, rel, tail, origin_line=line_no)
+        if not t.signature_ok():
+            skipped["signature_mismatch"] += 1
+            log.debug(
+                "%s:%d: endpoint types (%s, %s) do not match relation %s",
+                path, line_no, head.entity_type, tail.entity_type, rel,
+            )
+            continue
+        triplets.append(t)
 
     g = KnowledgeGraph._from_clean(triplets)
     n_skipped = sum(skipped.values())
@@ -243,35 +255,27 @@ def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
     n = len(schema.columns)
     rows: list[tuple[str, ...]] = []
     first = True
-    try:
-        fh = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {schema.name} file {path}: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != n:
+    for line_no, line in _lines(path, schema.name):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != n:
+            raise ParseError(
+                f"{schema.name} file {path}: expected {n} columns, got {len(cols)}",
+                line=line_no,
+            )
+        if first:
+            first = False
+            if cols == list(schema.columns):
+                continue  # optional header, checked before value validation
+        for idx, allowed in schema.allowed.items():
+            if cols[idx] not in allowed:
                 raise ParseError(
-                    f"{schema.name} file {path}: expected {n} columns, got {len(cols)}",
+                    f"{schema.name} file {path}: {schema.columns[idx]} "
+                    f"{cols[idx]!r} not in {sorted(allowed)}",
                     line=line_no,
                 )
-            if first:
-                first = False
-                if cols == list(schema.columns):
-                    continue  # optional header, checked before value validation
-            for idx, allowed in schema.allowed.items():
-                if cols[idx] not in allowed:
-                    raise ParseError(
-                        f"{schema.name} file {path}: {schema.columns[idx]} "
-                        f"{cols[idx]!r} not in {sorted(allowed)}",
-                        line=line_no,
-                    )
-            rows.append(tuple(cols))
+        rows.append(tuple(cols))
     return rows
 
 
@@ -317,7 +321,21 @@ def load_reactome(path: str | Path) -> list[tuple[str, str]]:
 
 def load_onsides(path: str | Path) -> list[tuple[str, str, str]]:
     """Compound/side-effect/tier rows in file order."""
-    return [tuple(r) for r in read_rows(path, ONSIDES_SCHEMA)]
+    return read_rows(path, ONSIDES_SCHEMA)
+
+
+def open_output(path: str | Path) -> TextIO:
+    """Open an output file for writing as UTF-8 with LF line ends, creating
+    its directory first. Every output of a run is opened here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8", newline="\n")
+
+
+def write_json(path: str | Path, data) -> None:
+    with open_output(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_triplets(
@@ -327,5 +345,5 @@ def write_triplets(
     input order if requested."""
     rows = g.triplets
     order = range(len(rows)) if preserve_order else g.text_order
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.writelines(map(tsv_line, map(rows.__getitem__, order)))

@@ -10,7 +10,6 @@ deduplication and all serialized outputs are reproducible.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
@@ -137,7 +136,7 @@ def tsv_line(t: Triplet) -> str:
     return f"{t.head.text}\t{t.relation.text}\t{t.tail.text}\n"
 
 
-# A row-local stage: the row to keep (possibly rewritten), or None to drop it.
+# A step of a row-local stage: the row to keep (possibly rewritten), or None to drop it.
 Step = Callable[[Triplet], Triplet | None]
 
 
@@ -262,11 +261,13 @@ class KnowledgeGraph:
     def has_node(self, n: EntityRef) -> bool:
         return n in self.node_degree
 
-    def type_counts(self) -> Counter:
-        return Counter(n.entity_type for n in self.node_degree)
-
     def nodes_of_type(self, entity_type: str) -> list[EntityRef]:
         return [n for n in self.node_degree if n.entity_type == entity_type]
+
+    def map_rows(self, step: Step) -> "KnowledgeGraph":
+        """The rows ``step`` keeps, as it returns them, in order; the step
+        sees every row once."""
+        return KnowledgeGraph._from_clean([t for t in map(step, self.triplets) if t is not None])
 
     def without_nodes(self, doomed: set[EntityRef]) -> "KnowledgeGraph":
         """The rows touching no node in ``doomed``, in order. The registry is
@@ -289,12 +290,9 @@ class KnowledgeGraph:
         return g
 
     def validate(self) -> None:
-        """Assert registry consistency: registry == endpoint set and per-type
-        counts sum to the node total."""
+        """Assert registry consistency: registry == endpoint counts."""
         if _degrees(self.triplets) != self.node_degree:
             raise StageError("node registry out of sync with triplet endpoints")
-        if sum(self.type_counts().values()) != self.node_count():
-            raise StageError("per-type node counts do not sum to node total")
 
 
 def _degrees(triplets: list[Triplet]) -> dict[EntityRef, int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, StageError
 from .ingest import load_xref, parse_entity
-from .model import EntityRef, Step, Triplet
+from .model import EntityRef, KnowledgeGraph, Triplet
 
 log = logging.getLogger(__name__)
 
@@ -134,10 +134,11 @@ def resolve_fixed_point(table: IdMapTable) -> IdMapTable:
 
 
 def remap_entities(
+    g: KnowledgeGraph,
     compounds: IdMapTable,
     diseases: IdMapTable,
     genes: IdMapTable,
-) -> tuple[Step, dict[str, int]]:
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Rewrite every endpoint through its category's fixed-point table.
 
     Ids absent from every table pass through unchanged; that is exactly how
@@ -176,7 +177,7 @@ def remap_entities(
     def step(t: Triplet) -> Triplet:
         return Triplet(rewrite(t.head), t.relation, rewrite(t.tail), t.origin_line)
 
-    return step, details
+    return g.map_rows(step), details
 
 
 def canonical_key(t: Triplet, same_type_only: bool = False) -> tuple[str, str, str]:
@@ -191,7 +192,9 @@ def canonical_key(t: Triplet, same_type_only: bool = False) -> tuple[str, str, s
     return (h, t.relation.label, tl)
 
 
-def deduplicate(same_type_only: bool = False) -> tuple[Step, dict[str, int]]:
+def deduplicate(
+    g: KnowledgeGraph, same_type_only: bool = False
+) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Remove exact and reversed-order duplicates; first occurrence survives.
 
     Must run after remapping so keys compare canonical ids. Exact and
@@ -214,4 +217,4 @@ def deduplicate(same_type_only: bool = False) -> tuple[Step, dict[str, int]]:
             details["reversed_duplicates"] += 1
         return None
 
-    return step, details
+    return g.map_rows(step), details

@@ -21,7 +21,6 @@ detectors reduce to duplicate_inverse.
 
 from __future__ import annotations
 
-import json
 import random
 import shutil
 import statistics
@@ -34,6 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
+from .ingest import open_output, write_json
 from .model import KnowledgeGraph, Triplet, tsv_line
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
@@ -71,10 +71,6 @@ class _Memo(dict):
         return value
 
 
-def _open(path: Path):
-    return path.open("w", encoding="utf-8", newline="\n")
-
-
 @dataclass
 class TaskRows:
     """One task's partition of a graph: ``target`` lists the positions of the
@@ -104,7 +100,7 @@ class TaskRows:
             shutil.copyfile(first, path)
             return
         positions = self.context_positions(preserve_order)
-        with _open(path) as fh:
+        with open_output(path) as fh:
             fh.writelines(map(tsv_line, map(self.graph.triplets.__getitem__, positions)))
         self._context_files[preserve_order] = path
 
@@ -331,7 +327,6 @@ def write_bundle(out_dir, bundle: SplitBundle, preserve_order: bool = False) -> 
     for the splits and graph order for context. Each seed filters the graph's
     one text order, so nothing is sorted per task or seed."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = bundle.rows
     triplets = rows.graph.triplets
     split_of = bundle.split_of()
@@ -340,9 +335,9 @@ def write_bundle(out_dir, bundle: SplitBundle, preserve_order: bool = False) -> 
     else:
         walk = filter(split_of.__getitem__, rows.graph.text_order)
     with (
-        _open(out / "train.tsv") as train,
-        _open(out / "valid.tsv") as valid,
-        _open(out / "test.tsv") as test,
+        open_output(out / "train.tsv") as train,
+        open_output(out / "valid.tsv") as valid,
+        open_output(out / "test.tsv") as test,
     ):
         files = (None, train, valid, test)
         for p in walk:
@@ -354,6 +349,4 @@ def write_leakage_json(path, aggregates: list[AggregatedLeakage]) -> None:
     records = []
     for agg in aggregates:
         records.extend(agg.to_records())
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, records)

@@ -3,10 +3,8 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .model import KnowledgeGraph, StageLog
 
@@ -33,11 +31,6 @@ class StatsReport:
             "stages": [s.to_dict() for s in self.stages],
             "wall_time_seconds": self.wall_time_seconds,
         }
-
-    def write_json(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def compute_stats(g: KnowledgeGraph) -> StatsReport:

@@ -6,6 +6,7 @@ from kgprep.chem.fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, 
 from kgprep.chem.smiles import parse_smiles
 from kgprep.ingest import parse_entity, parse_relation
 from kgprep.model import KnowledgeGraph, Triplet
+from kgprep.pipeline import account
 from kgprep.split_audit import SplitBundle, TaskRows
 
 # Shared molecule fixtures: diverse coverage of the supported SMILES subset.
@@ -48,6 +49,12 @@ def T(head: str, relation: str, tail: str, line: int = 0) -> Triplet:
 
 def graph_of(*rows) -> KnowledgeGraph:
     return KnowledgeGraph(T(*row) for row in rows)
+
+
+def run_stage(name: str, g: KnowledgeGraph, stage):
+    """Run ``stage`` (``g -> (graph, details)``) on ``g`` as the pipeline
+    runner does: timed, with its rows counted into a StageLog."""
+    return account(name, g, lambda: stage(g))
 
 
 def bundle_of(task: str, seed: int, train, valid, test) -> SplitBundle:

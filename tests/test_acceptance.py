@@ -26,7 +26,7 @@ from kgprep.features import build_manifest, collapse_to_features
 from kgprep.ingest import load_triplets, load_xref, parse_entity, parse_relation
 from kgprep.model import ENTITY_TYPES, EntityRef, KnowledgeGraph, RelationRef
 from kgprep.normalize import IdMapTable, deduplicate, remap_entities, resolve_fixed_point
-from kgprep.pipeline import run_pipeline, run_step
+from kgprep.pipeline import run_pipeline
 from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
@@ -36,7 +36,7 @@ from kgprep.split_audit import (
     make_splits,
 )
 
-from conftest import FIXTURE_MOLECULES, fingerprint_of, graph_of
+from conftest import FIXTURE_MOLECULES, fingerprint_of, graph_of, run_stage
 from molwrite import random_smiles
 from oracles import (
     PLANTED_COUNTERS,
@@ -76,8 +76,8 @@ def test_acceptance_1_property_suite(tmp_path):
     # idempotence of harmonize, remap and dedup
     g, _ = load_triplets(corpus.triplets)
     table = HarmonizationTable.builtin()
-    h1, _ = run_step("harmonize", g, lambda: harmonize(table))
-    h2, _ = run_step("harmonize", h1, lambda: harmonize(table))
+    h1, _ = run_stage("harmonize", g, lambda g: harmonize(g, table))
+    h2, _ = run_stage("harmonize", h1, lambda g: harmonize(g, table))
     assert [render(t) for t in h1] == [render(t) for t in h2]
 
     compounds = resolve_fixed_point(
@@ -87,15 +87,15 @@ def test_acceptance_1_property_suite(tmp_path):
         )
     )
     empty_d, empty_g = IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
-    r1, _ = run_step("remap", h1, lambda: remap_entities(compounds, empty_d, empty_g))
-    r2, log2 = run_step(
-        "remap", r1, lambda: remap_entities(compounds, empty_d, empty_g)
+    r1, _ = run_stage("remap", h1, lambda g: remap_entities(g, compounds, empty_d, empty_g))
+    r2, log2 = run_stage(
+        "remap", r1, lambda g: remap_entities(g, compounds, empty_d, empty_g)
     )
     assert log2.details["endpoints_rewritten"] == 0
     assert [render(t) for t in r1] == [render(t) for t in r2]
 
-    d1, _ = run_step("dedup", r1, deduplicate)
-    d2, dlog = run_step("dedup", d1, deduplicate)
+    d1, _ = run_stage("dedup", r1, deduplicate)
+    d2, dlog = run_stage("dedup", d1, deduplicate)
     assert dlog.rows_removed == 0
 
     # parse round-trips over a deterministic sample

@@ -9,9 +9,8 @@ from kgprep.clean import (
     remove_nonhuman,
 )
 from kgprep.errors import StageError
-from kgprep.pipeline import run_step
 
-from conftest import graph_of
+from conftest import graph_of, run_stage
 from oracles import render
 
 
@@ -26,7 +25,7 @@ def test_filter_malformed_counts_by_class():
         ("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:3"),
         ("Compound::A|B", "GNBR::B::Compound:Gene", "Gene::NCBI:1"),
     )
-    g2, log = run_step("filter_malformed", g, filter_malformed)
+    g2, log = run_stage("filter_malformed", g, filter_malformed)
     assert len(g2) == 1
     assert log.details == {"semicolon_rows": 1, "pipe_rows": 1}
     for t in g2:
@@ -37,7 +36,7 @@ def test_filter_malformed_counts_by_class():
 def test_filter_malformed_ignores_relation_text():
     # only endpoint fields are inspected
     g = graph_of(("Gene::NCBI:1", "GNBR::E;weird::Gene:Gene", "Gene::NCBI:2"))
-    g2, log = run_step("filter_malformed", g, filter_malformed)
+    g2, log = run_stage("filter_malformed", g, filter_malformed)
     assert len(g2) == 1 and log.rows_removed == 0
 
 
@@ -47,7 +46,7 @@ def test_harmonize_table_fixtures(table):
         ("Compound::PubChem_Compounds:1", "GNBR::B::Compound:Gene", "Gene::NCBI:2"),
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
     )
-    g2, log = run_step("harmonize", g, lambda: harmonize(table))
+    g2, log = run_stage("harmonize", g, lambda g: harmonize(g, table))
     labels = [t.relation.label for t in g2]
     assert labels == ["Activator", "CMP_BIND", "GENE_BIND"]
     assert log.details["labels_rewritten"] == 3
@@ -60,7 +59,7 @@ def test_harmonize_case_insensitive_origin_and_label(table):
         ("Compound::PubChem_Compounds:1", "DGIDB::AGONIST::Compound:Gene", "Gene::NCBI:1"),
         ("Compound::PubChem_Compounds:2", "DRUGBANK::Target::Compound:Gene", "Gene::NCBI:1"),
     )
-    g2, _ = run_step("harmonize", g, lambda: harmonize(table))
+    g2, _ = run_stage("harmonize", g, lambda g: harmonize(g, table))
     assert [t.relation.label for t in g2] == ["Activator", "CMP_BIND"]
 
 
@@ -70,8 +69,8 @@ def test_harmonize_idempotent(table):
         ("Gene::NCBI:1", "STRING::Other::Gene:Gene", "Gene::NCBI:2"),
         ("Gene::NCBI:1", "Hetionet::GpBP::Gene:BiologicalProcess", "Biological Process::GO:1"),
     )
-    once, _ = run_step("harmonize", g, lambda: harmonize(table))
-    twice, log = run_step("harmonize", once, lambda: harmonize(table))
+    once, _ = run_stage("harmonize", g, lambda g: harmonize(g, table))
+    twice, log = run_stage("harmonize", once, lambda g: harmonize(g, table))
     assert [t.relation for t in twice] == [t.relation for t in once]
     assert log.details["labels_rewritten"] == 0
 
@@ -81,7 +80,7 @@ def test_harmonize_canonical_label_set_property(table):
         ("Compound::PubChem_Compounds:1", "GNBR::B::Compound:Gene", "Gene::NCBI:1"),
         ("Gene::NCBI:1", "Hetionet::GpBP::Gene:BiologicalProcess", "Biological Process::GO:1"),
     )
-    g2, log = run_step("harmonize", g, lambda: harmonize(table))
+    g2, log = run_stage("harmonize", g, lambda g: harmonize(g, table))
     passthroughs = {
         t.relation.label for t in g2 if t.relation.label not in table.canonical_labels
     }
@@ -92,7 +91,7 @@ def test_harmonize_canonical_label_set_property(table):
 def test_harmonize_strict_unknown_fatal(table):
     g = graph_of(("Gene::NCBI:1", "Hetionet::GpBP::Gene:BiologicalProcess", "Biological Process::GO:1"))
     with pytest.raises(StageError, match="GpBP"):
-        run_step("harmonize", g, lambda: harmonize(table, strict=True))
+        run_stage("harmonize", g, lambda g: harmonize(g, table, strict=True))
 
 
 def test_remove_nonhuman_banned_labels():
@@ -101,7 +100,7 @@ def test_remove_nonhuman_banned_labels():
         ("Compound::PubChem_Compounds:1", "bioarx::DrugVirGen::Compound:Gene", "Gene::NCBI:1"),
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
     )
-    g2, log = run_step("remove_nonhuman", g, lambda: remove_nonhuman(NonHumanSpec(), {}))
+    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), {}))
     assert len(g2) == 1
     assert log.details["banned_relation_rows"] == 2
 
@@ -116,7 +115,7 @@ def test_remove_nonhuman_gene_fixture():
         ("Gene::NCBI:h2", "STRING::Binding::Gene:Gene", "Gene::NCBI:h3"),
     )
     taxonomy = {"Gene::NCBI:n1": "mouse", "Gene::NCBI:n2": "virus", "Gene::NCBI:h1": "human"}
-    g2, log = run_step("remove_nonhuman", g, lambda: remove_nonhuman(NonHumanSpec(), taxonomy))
+    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), taxonomy))
     assert log.details["nonhuman_genes_removed"] == 2
     assert log.details["nonhuman_gene_rows"] == 3
     assert len(g2) == 2
@@ -124,7 +123,7 @@ def test_remove_nonhuman_gene_fixture():
 
 def test_remove_nonhuman_defaults_absent_genes_to_human():
     g = graph_of(("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"))
-    g2, log = run_step("remove_nonhuman", g, lambda: remove_nonhuman(NonHumanSpec(), {}))
+    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), {}))
     assert len(g2) == 1 and log.rows_removed == 0
 
 
@@ -134,20 +133,20 @@ def test_remove_nonhuman_retain_config_is_identity():
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
     )
     spec = NonHumanSpec(banned_labels=frozenset(), ban_vir_prefix=False)
-    g2, log = run_step("remove_nonhuman", g, lambda: remove_nonhuman(spec, {}))
+    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, spec, {}))
     assert [render(t) for t in g2] == [render(t) for t in g]
     assert log.rows_removed == 0
 
 
 def test_drop_entity_types_tax_node():
     g = graph_of(("Gene::NCBI:1", "bioarx::GeneTax::Gene:Tax", "Tax::NCBI:9606"))
-    g2, log = run_step("drop_types", g, lambda: drop_entity_types(("Tax",)))
+    g2, log = run_stage("drop_types", g, lambda g: drop_entity_types(g, ("Tax",)))
     assert len(g2) == 0
     assert log.details["nodes_removed"] == 1
 
 
 def test_drop_entity_types_empty_list_is_identity(tiny_graph):
-    g2, log = run_step("drop_types", tiny_graph, lambda: drop_entity_types(()))
+    g2, log = run_stage("drop_types", tiny_graph, lambda g: drop_entity_types(g, ()))
     assert len(g2) == len(tiny_graph) and log.rows_removed == 0
 
 
@@ -163,7 +162,7 @@ def test_drop_entity_types_pathway_fixture():
     rows.append(("Gene::NCBI:0", "Hetionet::GpPW::Gene:Pathway", "Pathway::KEGG:hsa3"))
     rows.append(("Gene::NCBI:0", "GNBR::B::Gene:Gene", "Gene::NCBI:1"))
     g = graph_of(*rows)
-    g2, log = run_step("drop_types", g, lambda: drop_entity_types(("Pathway",)))
+    g2, log = run_stage("drop_types", g, lambda g: drop_entity_types(g, ("Pathway",)))
     assert log.rows_removed == 9
     assert log.details["nodes_removed"] == 4
     assert len(g2) == 1

@@ -197,6 +197,41 @@ def test_unwritable_output_is_config_error(corpus, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "bad, command, code, message",
+    [
+        ("g.tsv", ["stats", "--graph", "g.tsv"], 2, "input error: cannot read triplet file"),
+        ("tax.tsv", ["run"], 2, "input error: cannot read taxonomy file"),
+        ("run.cfg", ["validate-config"], 1, "config error: cannot read config file"),
+    ],
+    ids=["triplets", "taxonomy", "config"],
+)
+def test_non_utf8_input_exits_with_one_line(tmp_path, bad, command, code, message):
+    (tmp_path / "g.tsv").write_bytes(b"Gene::NCBI:1\tGNBR::B::Gene:Gene\tGene::NCBI:2\n")
+    (tmp_path / "tax.tsv").write_bytes(b"Gene::NCBI:1\thuman\n")
+    (tmp_path / "run.cfg").write_bytes(
+        b"inputs.triplets = g.tsv\ninputs.taxonomy = tax.tsv\n"
+        b"stages.reactome = false\nstages.onsides = false\n"
+        b"stages.smiles_filter = false\nstages.fingerprints = false\n"
+        b"stages.features = false\n"
+    )
+    with (tmp_path / bad).open("ab") as fh:
+        fh.write(b"\xff\n")
+    src = str(Path(kgprep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgprep", "--quiet", "--config", "run.cfg",
+         "--out", "out", *command],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"{message} {bad}: ")
+
+
 def test_validate_config_subcommand(corpus, tmp_path, capsys):
     assert main(["--quiet", "--config", str(corpus.config), "validate-config"]) == 0
     bad = tmp_path / "bad.cfg"

@@ -20,9 +20,8 @@ from kgprep.clean import (
 from kgprep.ingest import parse_entity
 from kgprep.model import KnowledgeGraph
 from kgprep.normalize import IdMapTable, deduplicate, remap_entities
-from kgprep.pipeline import run_step
 
-from conftest import T
+from conftest import T, run_stage
 
 ENTITIES = (
     "Gene::NCBI:1",
@@ -47,22 +46,22 @@ GENE_MAP = IdMapTable(
     resolved=True,
 )
 
-# stage -> (build, reason counters whose sum is rows_removed)
+# stage -> (its call on (graph, taxonomy), reason counters whose sum is rows_removed)
 STAGES = {
-    "filter_malformed": (lambda tax: filter_malformed(), ("semicolon_rows", "pipe_rows")),
-    "harmonize": (lambda tax: harmonize(HarmonizationTable.builtin()), ()),
+    "filter_malformed": (lambda g, tax: filter_malformed(g), ("semicolon_rows", "pipe_rows")),
+    "harmonize": (lambda g, tax: harmonize(g, HarmonizationTable.builtin()), ()),
     "remove_nonhuman": (
-        lambda tax: remove_nonhuman(NonHumanSpec(), tax),
+        lambda g, tax: remove_nonhuman(g, NonHumanSpec(), tax),
         ("banned_relation_rows", "nonhuman_gene_rows"),
     ),
-    "drop_types": (lambda tax: drop_entity_types(DROP_TYPES), None),
+    "drop_types": (lambda g, tax: drop_entity_types(g, DROP_TYPES), None),
     "remap": (
-        lambda tax: remap_entities(
-            IdMapTable.empty("Compound"), IdMapTable.empty("Disease"), GENE_MAP
+        lambda g, tax: remap_entities(
+            g, IdMapTable.empty("Compound"), IdMapTable.empty("Disease"), GENE_MAP
         ),
         (),
     ),
-    "dedup": (lambda tax: deduplicate(), ("exact_duplicates", "reversed_duplicates")),
+    "dedup": (lambda g, tax: deduplicate(g), ("exact_duplicates", "reversed_duplicates")),
 }
 
 
@@ -98,8 +97,8 @@ def test_row_stage_ledgers(rows, taxonomy):
         elif extra == 2:
             triplets.append(_row(tail, label, head))
     g = KnowledgeGraph(triplets)
-    for name, (build, reasons) in STAGES.items():
-        out, log = run_step(name, g, lambda: build(taxonomy))
+    for name, (stage, reasons) in STAGES.items():
+        out, log = run_stage(name, g, lambda g: stage(g, taxonomy))
         assert log.stage_name == name
         assert log.rows_in == len(g)
         assert log.rows_out == len(out)
@@ -107,7 +106,7 @@ def test_row_stage_ledgers(rows, taxonomy):
         if reasons is not None:
             assert log.rows_removed == sum(log.details[key] for key in reasons), name
         out.validate()
-    _, log = run_step("drop_types", g, lambda: drop_entity_types(DROP_TYPES))
+    _, log = run_stage("drop_types", g, lambda g: drop_entity_types(g, DROP_TYPES))
     by_type = {t: log.details[f"nodes_removed_{t}"] for t in DROP_TYPES}
     assert log.details["nodes_removed"] == sum(by_type.values())
     assert by_type == {t: len(g.nodes_of_type(t)) for t in DROP_TYPES}

@@ -1,11 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from kgprep.errors import StageError
 from kgprep.clean import drop_entity_types
 from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
-from kgprep.pipeline import run_step
 
-from conftest import E, R, T, graph_of
+from conftest import E, R, T, graph_of, run_stage
 from oracles import is_clean
 
 
@@ -14,7 +15,7 @@ def test_insert_builds_registry():
     g.insert(T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157"))
     assert len(g) == 1
     assert g.node_count() == 2
-    assert g.type_counts() == {"Gene": 2}
+    assert Counter(n.entity_type for n in g.nodes) == {"Gene": 2}
 
 
 def test_insert_same_triplet_twice_is_multiset():
@@ -39,7 +40,7 @@ def test_insert_signature_mismatch_rejected():
 
 def test_registry_matches_endpoints_after_ops(tiny_graph):
     tiny_graph.validate()
-    g2, _ = run_step("drop_types", tiny_graph, lambda: drop_entity_types(("Compound",)))
+    g2, _ = run_stage("drop_types", tiny_graph, lambda g: drop_entity_types(g, ("Compound",)))
     g2.validate()
     g2.insert(T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4"))
     g2.validate()
@@ -47,7 +48,7 @@ def test_registry_matches_endpoints_after_ops(tiny_graph):
 
 
 def test_registry_built_on_first_use_and_kept_by_insert(tiny_graph):
-    g2, _ = run_step("drop_types", tiny_graph, lambda: drop_entity_types(()))
+    g2, _ = run_stage("drop_types", tiny_graph, lambda g: drop_entity_types(g, ()))
     assert g2._degree is None
     assert g2.node_degree[E("Gene::NCBI:2")] == 2
     g2.insert(T("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:9"))

@@ -12,9 +12,8 @@ from kgprep.normalize import (
     remap_entities,
     resolve_fixed_point,
 )
-from kgprep.pipeline import run_step
 
-from conftest import E, T, graph_of
+from conftest import E, T, graph_of, run_stage
 from oracles import render, resolve_by_substitution
 
 
@@ -99,8 +98,8 @@ def test_remap_rewrites_and_passes_through():
     compounds = resolve_fixed_point(
         _compound_table([("Compound::CHEMBL:CHEMBL25", "Compound::PubChem_Compounds:2244")])
     )
-    g2, log = run_step("remap", g, lambda: remap_entities(
-        compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
+    g2, log = run_stage("remap", g, lambda g: remap_entities(
+        g, compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
     ))
     heads = [t.head.text for t in g2]
     assert heads == ["Compound::PubChem_Compounds:2244", "Compound::PubChem_Compounds:5"]
@@ -118,8 +117,8 @@ def test_remap_idempotent_at_fixed_point():
         _compound_table([("Compound::CHEMBL:CHEMBL25", "Compound::PubChem_Compounds:2244")])
     )
     empty_d, empty_g = IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
-    once, _ = run_step("remap", g, lambda: remap_entities(compounds, empty_d, empty_g))
-    twice, log = run_step("remap", once, lambda: remap_entities(compounds, empty_d, empty_g))
+    once, _ = run_stage("remap", g, lambda g: remap_entities(g, compounds, empty_d, empty_g))
+    twice, log = run_stage("remap", once, lambda g: remap_entities(g, compounds, empty_d, empty_g))
     assert [render(t) for t in twice] == [render(t) for t in once]
     assert log.details["endpoints_rewritten"] == 0
 
@@ -134,8 +133,8 @@ def test_remap_merged_count_equals_domain_occurrence():
         ("Compound::CHEMBL:CHEMBL1", "Compound::PubChem_Compounds:11"),
         ("Compound::CHEMBL:CHEMBL2", "Compound::PubChem_Compounds:12"),  # not in g
     ]))
-    _, log = run_step("remap", g, lambda: remap_entities(
-        compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
+    _, log = run_stage("remap", g, lambda g: remap_entities(
+        g, compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
     ))
     domain_in_graph = {
         n for n in g.nodes if n in compounds.mapping
@@ -148,7 +147,7 @@ def test_dedup_exact():
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B"),
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B"),
     )
-    g2, log = run_step("dedup", g, deduplicate)
+    g2, log = run_stage("dedup", g, deduplicate)
     assert len(g2) == 1
     assert log.details == {"exact_duplicates": 1, "reversed_duplicates": 0}
 
@@ -158,7 +157,7 @@ def test_dedup_reversed_keeps_first():
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B", 1),
         ("Gene::NCBI:B", "GNBR::B::Gene:Gene", "Gene::NCBI:A", 2),
     )
-    g2, log = run_step("dedup", g, deduplicate)
+    g2, log = run_stage("dedup", g, deduplicate)
     assert len(g2) == 1
     assert g2.triplets[0].head.text == "Gene::NCBI:A"
     assert log.details == {"exact_duplicates": 0, "reversed_duplicates": 1}
@@ -173,7 +172,7 @@ def test_dedup_self_loop_duplicates_are_exact():
         ("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
     ]
     for same_type_only in (False, True):
-        g2, log = run_step("dedup", graph_of(*rows), lambda: deduplicate(same_type_only))
+        g2, log = run_stage("dedup", graph_of(*rows), lambda g: deduplicate(g, same_type_only))
         assert log.details == {"exact_duplicates": 2, "reversed_duplicates": 1}
         assert [render(t) for t in g2] == [rows[0], rows[2]]
 
@@ -183,7 +182,7 @@ def test_dedup_distinct_relations_kept():
         ("Gene::NCBI:A", "GNBR::Rg::Gene:Gene", "Gene::NCBI:B"),
         ("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B"),
     )
-    g2, _ = run_step("dedup", g, deduplicate)
+    g2, _ = run_stage("dedup", g, deduplicate)
     assert len(g2) == 2
 
 
@@ -193,7 +192,7 @@ def test_dedup_cross_origin_same_label_collapses():
         ("Gene::NCBI:A", "GNBR::GENE_BIND::Gene:Gene", "Gene::NCBI:B"),
         ("Gene::NCBI:B", "STRING::GENE_BIND::Gene:Gene", "Gene::NCBI:A"),
     )
-    g2, log = run_step("dedup", g, deduplicate)
+    g2, log = run_stage("dedup", g, deduplicate)
     assert len(g2) == 1
     assert log.details["reversed_duplicates"] == 1
 
@@ -203,9 +202,9 @@ def test_dedup_same_type_only_flag():
         ("Compound::PubChem_Compounds:1", "GNBR::CMP_BIND::Compound:Gene", "Gene::NCBI:2"),
         ("Gene::NCBI:2", "DGIdb::CMP_BIND::Gene:Compound", "Compound::PubChem_Compounds:1"),
     )
-    unrestricted, _ = run_step("dedup", g, lambda: deduplicate(same_type_only=False))
+    unrestricted, _ = run_stage("dedup", g, lambda g: deduplicate(g, same_type_only=False))
     assert len(unrestricted) == 1
-    restricted, _ = run_step("dedup", g, lambda: deduplicate(same_type_only=True))
+    restricted, _ = run_stage("dedup", g, lambda g: deduplicate(g, same_type_only=True))
     assert len(restricted) == 2
 
 
@@ -227,8 +226,8 @@ def test_dedup_idempotent_and_keyset_unique(data):
             continue
         triplets.append(T(h, "GNBR::GENE_BIND::Gene:Gene", t))
     g = KnowledgeGraph(triplets)
-    once, _ = run_step("dedup", g, deduplicate)
-    twice, log2 = run_step("dedup", once, deduplicate)
+    once, _ = run_stage("dedup", g, deduplicate)
+    twice, log2 = run_stage("dedup", once, deduplicate)
     assert [render(t) for t in twice] == [render(t) for t in once]
     assert log2.rows_removed == 0
     # brute-force check: no two survivors share a canonical key

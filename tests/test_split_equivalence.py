@@ -94,9 +94,9 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
 
     g, _ = load_triplets(config.triplets)
     entity_map = {}
-    for table in runner.id_maps().values():
+    for table in runner.id_maps.values():
         entity_map.update(table.mapping)
-    equivalence = Equivalence(entity_map, runner.harmonization_table())
+    equivalence = Equivalence(entity_map, runner.harmonization_table)
     splits = tmp_path / "out" / "splits"
     expected_files = set()
     line_sort_differs = False
