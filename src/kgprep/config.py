@@ -86,7 +86,6 @@ class PipelineConfig:
     nonhuman_ban_vir_prefix: bool = True
     audit_include_inverse: bool = True
     preserve_order: bool = False
-    validate_each_stage: bool = False
 
     def enabled(self, stage: str) -> bool:
         return self.stages.get(stage, False)
@@ -217,7 +216,6 @@ _VALUE_KEYS = {
     "nonhuman.ban_vir_prefix": ("nonhuman_ban_vir_prefix", _parse_bool),
     "audit.include_inverse": ("audit_include_inverse", _parse_bool),
     "output.preserve_order": ("preserve_order", _parse_bool),
-    "debug.validate": ("validate_each_stage", _parse_bool),
 }
 
 

@@ -638,7 +638,6 @@ stages.splits = true
 stages.audit = true
 split.tasks = ppi,drug_repurposing,side_effect
 split.seeds = 0,1,2
-debug.validate = true
 """
 
 

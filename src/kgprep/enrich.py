@@ -23,16 +23,16 @@ SIDE_EFFECT = RelationRef("OnSIDES", "SIDE_EFFECT", "Compound", "SideEffect")
 TIER_RANK = {"low": 0, "medium": 1, "high": 2}
 
 
-def _insert(g: KnowledgeGraph, t: Triplet, table: str) -> None:
-    """Add a merged row, rejecting it as an input defect when its endpoint
-    types do not fit the merge's relation."""
+def _checked(t: Triplet, table: str) -> Triplet:
+    """A merged row, rejected as an input defect when its endpoint types do
+    not fit the merge's relation."""
     if not t.signature_ok():
         rel = t.relation
         raise InputError(
             f"{table} table, row {t.origin_line}: {t.head.text} -> {t.tail.text} does not "
             f"fit {rel.label}, which links {rel.head_type} to {rel.tail_type}"
         )
-    g.insert(t)
+    return t
 
 
 def merge_reactome(
@@ -41,19 +41,21 @@ def merge_reactome(
     """Add gene-to-pathway edges for genes already in the graph.
 
     Pathway nodes are created on first reference, only ever for present
-    genes, so every added pathway has degree >= 1. Rows whose gene is absent,
-    or that would duplicate an existing canonical key, are skipped and
-    counted.
+    genes, so every added pathway has degree >= 1. A node is present when it
+    is in ``g`` or an earlier row of the table added it. Rows whose gene is
+    absent, or that would duplicate an existing canonical key, are skipped
+    and counted.
     """
-    keys = {canonical_key(t) for t in g.triplets}
-    g2 = g.copy()
-    details = dict.fromkeys(
-        ("edges_added", "pathway_nodes_added", "skipped_endpoint_absent", "skipped_duplicate"), 0
-    )
+    # a merged row's key carries its label, so only GENE_PATHWAY rows can match
+    keys = {canonical_key(t) for t in g.triplets if t.relation.label == GENE_PATHWAY.label}
+    nodes = g.nodes
+    new_nodes: set[EntityRef] = set()
+    added: list[Triplet] = []
+    details = {"skipped_endpoint_absent": 0, "skipped_duplicate": 0}
     for row_no, (gene_text, pathway_text) in enumerate(table, start=1):
         gene = parse_entity(gene_text)
         pathway = parse_entity(pathway_text)
-        if not g2.has_node(gene):
+        if gene not in nodes and gene not in new_nodes:
             details["skipped_endpoint_absent"] += 1
             continue
         t = Triplet(gene, GENE_PATHWAY, pathway, origin_line=row_no)
@@ -62,11 +64,12 @@ def merge_reactome(
             details["skipped_duplicate"] += 1
             continue
         keys.add(key)
-        if not g2.has_node(pathway):
-            details["pathway_nodes_added"] += 1
-        _insert(g2, t, "reactome")
-        details["edges_added"] += 1
-    return g2, details
+        added.append(_checked(t, "reactome"))
+        if pathway not in nodes:
+            new_nodes.add(pathway)
+    details["edges_added"] = len(added)
+    details["pathway_nodes_added"] = len(new_nodes)
+    return g.plus(added), details
 
 
 def merge_onsides(
@@ -92,17 +95,14 @@ def merge_onsides(
         for t in g.triplets
         if t.head.text in named or t.tail.text in named
     }
-    g2 = g.copy()
-    details = dict.fromkeys(
-        (
-            "edges_added",
-            "side_effect_nodes_added",
-            "skipped_below_confidence",
-            "skipped_endpoint_absent",
-            "skipped_duplicate",
-        ),
-        0,
-    )
+    nodes = g.nodes
+    new_nodes: set[EntityRef] = set()
+    added: list[Triplet] = []
+    details = {
+        "skipped_below_confidence": 0,
+        "skipped_endpoint_absent": 0,
+        "skipped_duplicate": 0,
+    }
     for row_no, (compound_text, se_text, tier) in enumerate(table, start=1):
         if TIER_RANK[tier] < threshold:
             details["skipped_below_confidence"] += 1
@@ -113,7 +113,7 @@ def merge_onsides(
             compound = compound_map.apply(compound)
         if side_effect_map is not None:
             side_effect = side_effect_map.apply(side_effect)
-        if not g2.has_node(compound):
+        if compound not in nodes and compound not in new_nodes:
             details["skipped_endpoint_absent"] += 1
             continue
         pair = frozenset((compound.text, side_effect.text))
@@ -121,11 +121,14 @@ def merge_onsides(
             details["skipped_duplicate"] += 1
             continue
         pairs.add(pair)
-        if not g2.has_node(side_effect):
-            details["side_effect_nodes_added"] += 1
-        _insert(g2, Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no), "onsides")
-        details["edges_added"] += 1
-    return g2, details
+        added.append(
+            _checked(Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no), "onsides")
+        )
+        if side_effect not in nodes:
+            new_nodes.add(side_effect)
+    details["edges_added"] = len(added)
+    details["side_effect_nodes_added"] = len(new_nodes)
+    return g.plus(added), details
 
 
 def _compounds_named(
@@ -158,9 +161,7 @@ def filter_no_smiles(
     missing = 0
     unparseable = 0
     doomed: set[EntityRef] = set()
-    for node in g.nodes:
-        if node.entity_type != "Compound":
-            continue
+    for node in g.nodes_of_type("Compound"):
         smiles = smiles_dict.get(node.text)
         if smiles is None:
             missing += 1
@@ -172,10 +173,10 @@ def filter_no_smiles(
             log.debug("unparseable SMILES for %s: %s", node.text, exc)
             unparseable += 1
             doomed.add(node)
-    g2 = g.without_nodes(doomed)
-    return g2, {
+    kept = [t for t in g.triplets if t.head not in doomed and t.tail not in doomed]
+    return KnowledgeGraph._from_clean(kept), {
         "compounds_missing": missing,
         "compounds_unparseable": unparseable,
         "compounds_removed": len(doomed),
-        "edges_removed": len(g) - len(g2),
+        "edges_removed": len(g) - len(kept),
     }

@@ -231,12 +231,14 @@ class TableSchema:
     columns: tuple[str, ...]
     # column index -> allowed values (checked case-sensitively)
     allowed: dict[int, frozenset[str]] = field(default_factory=dict)
+    # indices of the columns that hold entity ids
+    entities: tuple[int, ...] = ()
 
 
-XREF_SCHEMA = TableSchema("xref", ("from_id", "to_id"))
-TAXONOMY_SCHEMA = TableSchema("taxonomy", ("gene_id", "species_tag"))
+XREF_SCHEMA = TableSchema("xref", ("from_id", "to_id"), entities=(0, 1))
+TAXONOMY_SCHEMA = TableSchema("taxonomy", ("gene_id", "species_tag"), entities=(0,))
 SMILES_SCHEMA = TableSchema("smiles", ("compound_id", "smiles"))
-REACTOME_SCHEMA = TableSchema("reactome", ("gene_id", "pathway_id"))
+REACTOME_SCHEMA = TableSchema("reactome", ("gene_id", "pathway_id"), entities=(0, 1))
 HARMONIZATION_SCHEMA = TableSchema(
     "harmonization", ("origin", "label", "head_type", "tail_type", "canonical_label")
 )
@@ -250,7 +252,8 @@ ONSIDES_SCHEMA = TableSchema(
 def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
     """Read and validate the rows of a declared-schema TSV. Blank and ``#``
     lines are skipped, and the first other line may be the literal header.
-    Schema violations are fatal with the offending line number."""
+    Schema violations, including an id in an entity column that does not
+    parse, are fatal with the offending line number."""
     path = Path(path)
     n = len(schema.columns)
     rows: list[tuple[str, ...]] = []
@@ -275,6 +278,11 @@ def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
                     f"{cols[idx]!r} not in {sorted(allowed)}",
                     line=line_no,
                 )
+        for idx in schema.entities:
+            try:
+                parse_entity(cols[idx])
+            except ParseError as exc:
+                raise ParseError(f"{schema.name} file {path}: {exc}", line=line_no) from exc
         rows.append(tuple(cols))
     return rows
 

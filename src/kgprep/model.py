@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, KeysView
 
 from .errors import StageError
 
@@ -129,6 +130,8 @@ class Triplet:
 
 # The output sort key: the rendered (head, relation, tail) texts, built in C.
 _TEXT = attrgetter("head.text", "relation.text", "tail.text")
+# A row's endpoints, head first.
+_ENDPOINTS = attrgetter("head", "tail")
 
 
 def tsv_line(t: Triplet) -> str:
@@ -177,46 +180,51 @@ class StageLog:
 
 
 class KnowledgeGraph:
-    """Ordered multiset of triplets plus a node registry derived from them.
+    """Ordered multiset of triplets; its rows never change once built.
 
-    The registry maps each endpoint to its incidence count, so nodes with no
-    remaining edges drop out automatically and the registry always equals the
-    set of triplet endpoints. It is computed on first use and kept current by
-    ``insert``, so a chain of row stages that never asks for nodes never
-    builds it. ``text_order`` is likewise computed on first use; ``insert``
-    drops it.
+    ``nodes`` is derived from the rows on first use, so a chain of row
+    stages that never asks for nodes never builds it. ``text_order`` is
+    likewise computed on first use.
     """
 
-    __slots__ = ("triplets", "_degree", "_text_order")
+    __slots__ = ("triplets", "_nodes", "_text_order")
 
     def __init__(self, triplets: Iterable[Triplet] = ()):
-        self.triplets: list[Triplet] = []
-        self._degree: dict[EntityRef, int] | None = {}
+        self.triplets: list[Triplet] = list(triplets)
+        for t in self.triplets:
+            if not t.signature_ok():
+                raise StageError(
+                    f"endpoint/relation type mismatch: ({t.head.entity_type}, "
+                    f"{t.relation.head_type}:{t.relation.tail_type}, "
+                    f"{t.tail.entity_type}) for relation {t.relation}"
+                )
+        self._nodes: dict[EntityRef, None] | None = None
         self._text_order: array | None = None
-        for t in triplets:
-            self.insert(t)
 
     @classmethod
     def _from_clean(cls, triplets: list[Triplet]) -> "KnowledgeGraph":
         """Bulk constructor for stage outputs whose rows were already validated."""
         g = cls.__new__(cls)
         g.triplets = triplets
-        g._degree = None
+        g._nodes = None
         g._text_order = None
         return g
 
-    def copy(self) -> "KnowledgeGraph":
-        """Same rows in a new list; a registry already built is copied too."""
-        g = KnowledgeGraph._from_clean(list(self.triplets))
-        if self._degree is not None:
-            g._degree = dict(self._degree)
+    def plus(self, added: list[Triplet]) -> "KnowledgeGraph":
+        """A new graph of these rows followed by ``added``, whose rows were
+        already validated. A node set already built here is extended by the
+        added endpoints, not rebuilt."""
+        g = KnowledgeGraph._from_clean(self.triplets + added)
+        if self._nodes is not None:
+            g._nodes = {**self._nodes, **_endpoints(added)}
         return g
 
     @property
-    def node_degree(self) -> dict[EntityRef, int]:
-        if self._degree is None:
-            self._degree = _degrees(self.triplets)
-        return self._degree
+    def nodes(self) -> KeysView[EntityRef]:
+        """The row endpoints, in order of first appearance."""
+        if self._nodes is None:
+            self._nodes = _endpoints(self.triplets)
+        return self._nodes.keys()
 
     @property
     def text_order(self) -> array:
@@ -228,76 +236,20 @@ class KnowledgeGraph:
             self._text_order = array("i", sorted(range(len(keys)), key=keys.__getitem__))
         return self._text_order
 
-    def insert(self, t: Triplet) -> "KnowledgeGraph":
-        """Append one triplet, preserving input order. Multiset semantics:
-        duplicates are accepted here and handled by the dedup stage."""
-        if not t.signature_ok():
-            raise StageError(
-                f"endpoint/relation type mismatch: ({t.head.entity_type}, "
-                f"{t.relation.head_type}:{t.relation.tail_type}, "
-                f"{t.tail.entity_type}) for relation {t.relation}"
-            )
-        self.triplets.append(t)
-        self._text_order = None
-        degree = self._degree
-        if degree is not None:
-            degree[t.head] = degree.get(t.head, 0) + 1
-            degree[t.tail] = degree.get(t.tail, 0) + 1
-        return self
-
     def __len__(self) -> int:
         return len(self.triplets)
 
     def __iter__(self) -> Iterator[Triplet]:
         return iter(self.triplets)
 
-    @property
-    def nodes(self) -> Iterable[EntityRef]:
-        return self.node_degree.keys()
-
-    def node_count(self) -> int:
-        return len(self.node_degree)
-
-    def has_node(self, n: EntityRef) -> bool:
-        return n in self.node_degree
-
     def nodes_of_type(self, entity_type: str) -> list[EntityRef]:
-        return [n for n in self.node_degree if n.entity_type == entity_type]
+        return [n for n in self.nodes if n.entity_type == entity_type]
 
     def map_rows(self, step: Step) -> "KnowledgeGraph":
         """The rows ``step`` keeps, as it returns them, in order; the step
         sees every row once."""
         return KnowledgeGraph._from_clean([t for t in map(step, self.triplets) if t is not None])
 
-    def without_nodes(self, doomed: set[EntityRef]) -> "KnowledgeGraph":
-        """The rows touching no node in ``doomed``, in order. The registry is
-        carried over, not recomputed: each removed row's endpoints lose one
-        incidence (a self-loop loses two) and drop out at zero."""
-        degree = dict(self.node_degree)
-        kept = []
-        for t in self.triplets:
-            if t.head not in doomed and t.tail not in doomed:
-                kept.append(t)
-                continue
-            for node in (t.head, t.tail):
-                left = degree[node] - 1
-                if left:
-                    degree[node] = left
-                else:
-                    del degree[node]
-        g = KnowledgeGraph._from_clean(kept)
-        g._degree = degree
-        return g
 
-    def validate(self) -> None:
-        """Assert registry consistency: registry == endpoint counts."""
-        if _degrees(self.triplets) != self.node_degree:
-            raise StageError("node registry out of sync with triplet endpoints")
-
-
-def _degrees(triplets: list[Triplet]) -> dict[EntityRef, int]:
-    degree: dict[EntityRef, int] = {}
-    for t in triplets:
-        degree[t.head] = degree.get(t.head, 0) + 1
-        degree[t.tail] = degree.get(t.tail, 0) + 1
-    return degree
+def _endpoints(triplets: list[Triplet]) -> dict[EntityRef, None]:
+    return dict.fromkeys(chain.from_iterable(map(_ENDPOINTS, triplets)))

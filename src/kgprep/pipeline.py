@@ -115,8 +115,6 @@ class PipelineRunner:
         if body is None:
             raise ConfigError(f"unknown stage {name!r}")
         g, stage_log = account(name, g, lambda: body(g))
-        if self.config.validate_each_stage:
-            g.validate()
         log.info(
             "stage %-16s rows %d -> %d (removed %d, added %d) [%.3fs]",
             stage_log.stage_name,

@@ -50,7 +50,7 @@ def compute_stats(g: KnowledgeGraph) -> StatsReport:
         for (signature, origin), count in sorted(edge_counter.items())
     ]
     return StatsReport(
-        node_total=g.node_count(),
+        node_total=len(g.nodes),
         edge_total=len(g),
         nodes_by_type_source=nodes,
         edges_by_signature_origin=edges,

@@ -233,6 +233,18 @@ def render(t) -> tuple[str, str, str]:
     return (t.head.text, t.relation.text, t.tail.text)
 
 
+def endpoints(g) -> list:
+    """A graph's heads and tails in order of first appearance."""
+    seen = set()
+    out = []
+    for t in g.triplets:
+        for node in (t.head, t.tail):
+            if node not in seen:
+                seen.add(node)
+                out.append(node)
+    return out
+
+
 def is_clean(ref) -> bool:
     """The post-cleaning invariant on an entity: a non-empty local id with
     no ';', '|' or tab."""

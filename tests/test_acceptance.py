@@ -40,6 +40,7 @@ from conftest import FIXTURE_MOLECULES, fingerprint_of, graph_of, run_stage
 from molwrite import random_smiles
 from oracles import (
     PLANTED_COUNTERS,
+    endpoints,
     fingerprint_bits,
     fingerprint_bits_bruteforce,
     leaked_count_bruteforce,
@@ -65,13 +66,16 @@ def _report(line: str) -> None:
 def test_acceptance_1_property_suite(tmp_path):
     start = time.perf_counter()
 
-    # conservation per stage + registry consistency on a full pipeline run
+    # conservation per stage on a full pipeline run; the node total counts
+    # the endpoints of the written graph
     corpus = build_corpus(tmp_path / "corpus", total_rows=1500, seed=11)
     config = load_config(corpus.config)
     config.out_dir = str(tmp_path / "out")
-    report = run_pipeline(config)  # debug.validate is on in the corpus config
+    report = run_pipeline(config)
     for stage in report.stages:
         assert stage.rows_out == stage.rows_in - stage.rows_removed + stage.rows_added
+    final, _ = load_triplets(tmp_path / "out" / "graph.tsv")
+    assert report.node_total == len(endpoints(final))
 
     # idempotence of harmonize, remap and dedup
     g, _ = load_triplets(corpus.triplets)

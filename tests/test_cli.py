@@ -280,6 +280,23 @@ def test_exit_codes(tmp_path):
             "Compound::drugbank:DB1 -> Gene::NCBI:2 does not fit SIDE_EFFECT, "
             "which links Compound to SideEffect",
         ),
+        # a node an earlier row of the same table added counts as present
+        (
+            "reactome",
+            "Gene::NCBI:1\tPathway::Reactome:P1\n"
+            "Pathway::Reactome:P1\tPathway::Reactome:P2\n",
+            2,
+            "Pathway::Reactome:P1 -> Pathway::Reactome:P2 does not fit GENE_PATHWAY, "
+            "which links Gene to Pathway",
+        ),
+        (
+            "onsides",
+            "Compound::drugbank:DB1\tSideEffect::umls:C1\thigh\n"
+            "SideEffect::umls:C1\tSideEffect::umls:C2\thigh\n",
+            2,
+            "SideEffect::umls:C1 -> SideEffect::umls:C2 does not fit SIDE_EFFECT, "
+            "which links Compound to SideEffect",
+        ),
     ],
 )
 def test_mistyped_enrichment_row_is_input_error(tmp_path, capsys, stage, table, row, message):
@@ -298,6 +315,45 @@ def test_mistyped_enrichment_row_is_input_error(tmp_path, capsys, stage, table, 
         f"input error: {stage} table, row {row}: {message}"
     ]
     assert not (out / "graph.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, stage, table, message",
+    [
+        (
+            "gene_xref",
+            "remap",
+            "Gene::NCBI:1\tGene::NCBI:2\nGene::NCBI:3\tnotanentity\n",
+            "xref file {path}: entity 'notanentity': missing '::' type separator",
+        ),
+        (
+            "taxonomy",
+            "remove_nonhuman",
+            "Gene::NCBI:1\thuman\nnotanentity\thuman\n",
+            "taxonomy file {path}: entity 'notanentity': missing '::' type separator",
+        ),
+        (
+            "reactome",
+            "reactome",
+            "Gene::NCBI:1\tPathway::Reactome:P1\nGene::NCBI:1\tBanana::x:1\n",
+            "reactome file {path}: entity 'Banana::x:1': unknown entity type 'Banana'",
+        ),
+    ],
+    ids=["xref", "taxonomy", "reactome"],
+)
+def test_malformed_id_in_table_names_file_and_line(tmp_path, capsys, key, stage, table, message):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("Gene::NCBI:1\tGNBR::B::Gene:Gene\tGene::NCBI:2\n", encoding="utf-8")
+    path = tmp_path / "table.tsv"
+    path.write_text(table, encoding="utf-8")
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(f"inputs.{key} = table.tsv\n", encoding="utf-8")
+    rc = main(["--quiet", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "stage", stage, "--graph", str(graph)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: line 2: " + message.format(path=path)
+    ]
 
 
 def test_compute_stats_totals_match_breakdowns():

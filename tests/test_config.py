@@ -29,6 +29,8 @@ def test_parse_basic_keys(tmp_path):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("inputs.banana = x\n")
+    with pytest.raises(ConfigError, match="unknown key 'debug.validate'"):
+        parse_config_text("debug.validate = true\n")
     with pytest.raises(ConfigError, match="unknown stage"):
         parse_config_text("stages.banana = true\n")
 

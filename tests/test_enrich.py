@@ -5,11 +5,10 @@ import pytest
 from kgprep.enrich import filter_no_smiles, merge_onsides, merge_reactome
 from kgprep.errors import ParseError
 from kgprep.ingest import parse_entity
-from kgprep.model import _degrees
 from kgprep.normalize import IdMapTable
 
 from conftest import E, T, graph_of
-from oracles import render
+from oracles import endpoints, render
 
 
 def base_graph():
@@ -34,9 +33,9 @@ def test_merge_reactome_fixture():
     assert details["edges_added"] == 3
     assert details["pathway_nodes_added"] == 2
     assert details["skipped_endpoint_absent"] == 2
-    # no orphan pathways: every added pathway node has degree >= 1
-    for node in g2.nodes_of_type("Pathway"):
-        assert g2.node_degree[node] >= 1
+    # no orphan pathways: the node set is exactly the row endpoints
+    assert list(g2.nodes) == endpoints(g2)
+    assert len(g2.nodes_of_type("Pathway")) == 2
 
 
 def test_merge_reactome_duplicate_row_suppressed():
@@ -47,6 +46,25 @@ def test_merge_reactome_duplicate_row_suppressed():
     g2, details = merge_reactome(base_graph(), table)
     assert details["edges_added"] == 1
     assert details["skipped_duplicate"] == 1
+
+
+@pytest.mark.parametrize(
+    "row, duplicate",
+    [
+        (("Gene::NCBI:2", "Reactome::GENE_PATHWAY::Gene:Pathway", "Pathway::Reactome:R-HSA-1"), 1),
+        (("Pathway::Reactome:R-HSA-1", "Test::GENE_PATHWAY::Pathway:Gene", "Gene::NCBI:2"), 1),
+        (("Gene::NCBI:2", "Test::PATHWAY_MEMBER::Gene:Pathway", "Pathway::Reactome:R-HSA-1"), 0),
+    ],
+    ids=["same", "reversed", "other-label"],
+)
+def test_merge_reactome_duplicate_of_a_graph_row(row, duplicate):
+    # only a GENE_PATHWAY row on the same endpoints, in either orientation, blocks the merge
+    g = base_graph().plus([T(*row)])
+    g2, details = merge_reactome(g, [("Gene::NCBI:2", "Pathway::Reactome:R-HSA-1")])
+    assert details["skipped_duplicate"] == duplicate
+    assert details["edges_added"] == 1 - duplicate
+    assert details["pathway_nodes_added"] == 0
+    assert len(g2) == len(g) + 1 - duplicate
 
 
 def test_merge_onsides_tiers_and_duplicates():
@@ -131,9 +149,8 @@ def test_filter_no_smiles_keeps_valid(tiny_graph):
 
 
 def test_merge_onsides_duplicate_of_any_orientation_or_alias():
-    g = base_graph()
-    g.insert(T("SideEffect::umls:C7", "Test::REV::SideEffect:Compound",
-               "Compound::PubChem_Compounds:10"))
+    g = base_graph().plus([T("SideEffect::umls:C7", "Test::REV::SideEffect:Compound",
+                             "Compound::PubChem_Compounds:10")])
     compound_map = IdMapTable(
         "Compound",
         {parse_entity("Compound::CHEMBL:CHEMBL9"): parse_entity("Compound::PubChem_Compounds:11")},
@@ -148,7 +165,7 @@ def test_merge_onsides_duplicate_of_any_orientation_or_alias():
     g2, details = merge_onsides(g, rows, compound_map=compound_map)
     assert details["skipped_duplicate"] == 3
     assert details["edges_added"] == 1
-    g2.validate()
+    assert list(g2.nodes) == endpoints(g2)
 
 
 def test_merge_onsides_first_bad_row_raises_in_order():
@@ -174,15 +191,17 @@ def test_filter_no_smiles_carries_registry():
         (cmp1, ddi, cmp2),
         ("Gene::NCBI:2", "GNBR::GENE_BIND::Gene:Gene", "Gene::NCBI:3"),
     )
-    before = dict(g.node_degree)
+    before = list(g.nodes)
     g2, details = filter_no_smiles(g, {cmp1: "C(", cmp2: "CCO"})
     assert details["edges_removed"] == 3
-    assert g2._degree == _degrees(g2.triplets)
-    assert g2.node_degree[E(cmp2)] == 3
-    assert not g2.has_node(E("Gene::NCBI:1"))
-    assert not g2.has_node(E(cmp1))
-    assert g.node_degree == before
-    g2.validate()
+    assert [render(t) for t in g2] == [
+        render(t) for t in g if cmp1 not in (t.head.text, t.tail.text)
+    ]
+    assert list(g2.nodes) == endpoints(g2)
+    assert E(cmp2) in g2.nodes
+    assert E("Gene::NCBI:1") not in g2.nodes
+    assert E(cmp1) not in g2.nodes
+    assert list(g.nodes) == before
 
 
 def test_filter_no_smiles_registry_on_random_graphs():
@@ -210,4 +229,4 @@ def test_filter_no_smiles_registry_on_random_graphs():
             render(t) for t in g
             if all(n.entity_type != "Compound" or n.text in kept for n in (t.head, t.tail))
         ]
-        assert g2._degree == _degrees(g2.triplets)
+        assert list(g2.nodes) == endpoints(g2)

@@ -7,58 +7,69 @@ from kgprep.clean import drop_entity_types
 from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
 
 from conftest import E, R, T, graph_of, run_stage
-from oracles import is_clean
+from oracles import endpoints, is_clean, render
 
 
 def test_insert_builds_registry():
-    g = KnowledgeGraph()
-    g.insert(T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157"))
+    g = KnowledgeGraph([T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157")])
     assert len(g) == 1
-    assert g.node_count() == 2
+    assert len(g.nodes) == 2
     assert Counter(n.entity_type for n in g.nodes) == {"Gene": 2}
 
 
 def test_insert_same_triplet_twice_is_multiset():
-    g = KnowledgeGraph()
     t = T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157")
-    g.insert(t)
-    g.insert(t)
+    g = KnowledgeGraph([t, t])
     assert len(g) == 2
-    assert g.node_count() == 2
+    assert len(g.nodes) == 2
 
 
 def test_insert_signature_mismatch_rejected():
-    g = KnowledgeGraph()
     mismatched = Triplet(
         E("Compound::PubChem_Compounds:5"),
         R("GNBR::B::Gene:Gene"),
         E("Gene::NCBI:2"),
     )
     with pytest.raises(StageError, match="mismatch"):
-        g.insert(mismatched)
+        KnowledgeGraph([mismatched])
 
 
 def test_registry_matches_endpoints_after_ops(tiny_graph):
-    tiny_graph.validate()
+    assert list(tiny_graph.nodes) == endpoints(tiny_graph)
     g2, _ = run_stage("drop_types", tiny_graph, lambda g: drop_entity_types(g, ("Compound",)))
-    g2.validate()
-    g2.insert(T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4"))
-    g2.validate()
-    assert g2.node_count() == 4
+    assert list(g2.nodes) == endpoints(g2)
+    g3 = g2.plus([T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4")])
+    assert list(g3.nodes) == endpoints(g3)
+    assert len(g3.nodes) == 4
 
 
 def test_registry_built_on_first_use_and_kept_by_insert(tiny_graph):
     g2, _ = run_stage("drop_types", tiny_graph, lambda g: drop_entity_types(g, ()))
-    assert g2._degree is None
-    assert g2.node_degree[E("Gene::NCBI:2")] == 2
-    g2.insert(T("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:9"))
-    assert g2.node_degree[E("Gene::NCBI:2")] == 3
-    copied = g2.copy()
-    copied.insert(T("Gene::NCBI:9", "GNBR::B::Gene:Gene", "Gene::NCBI:1"))
-    assert copied.node_degree[E("Gene::NCBI:9")] == 2
-    assert g2.node_degree[E("Gene::NCBI:9")] == 1
-    g2.validate()
-    copied.validate()
+    assert g2._nodes is None
+    assert E("Gene::NCBI:2") in g2.nodes
+    row = T("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:9")
+    g3 = g2.plus([row])
+    assert g3._nodes is not None
+    assert E("Gene::NCBI:9") in g3.nodes
+    assert E("Gene::NCBI:9") not in g2.nodes
+    assert len(g2) == len(tiny_graph)
+    # a graph whose node set was never built builds its own on first use
+    g4 = tiny_graph.plus([row])
+    assert tiny_graph._nodes is None and g4._nodes is None
+    assert list(g4.nodes) == endpoints(g4)
+
+
+def test_plus_extends_a_built_node_set_in_first_appearance_order(tiny_graph):
+    list(tiny_graph.nodes)
+    rows = [
+        T("Gene::NCBI:7", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
+        T("Compound::PubChem_Compounds:11", "GNBR::B::Compound:Gene", "Gene::NCBI:7"),
+        T("Gene::NCBI:8", "GNBR::B::Gene:Gene", "Gene::NCBI:8"),
+    ]
+    g = tiny_graph.plus(rows)
+    assert [render(t) for t in g] == [render(t) for t in [*tiny_graph, *rows]]
+    assert list(g.nodes) == endpoints(g)
+    assert list(tiny_graph.nodes) == endpoints(tiny_graph)
 
 
 def test_stage_log_conservation_enforced():
@@ -97,5 +108,6 @@ def test_text_order_sorts_rendered_tuples_and_insert_drops_it():
     )
     assert list(g.text_order) == [2, 1, 0, 3]
     assert g.text_order is g.text_order
-    g.insert(T("Gene::NCBI:0", "GNBR::B::Gene:Gene", "Gene::NCBI:1"))
-    assert list(g.text_order) == [4, 2, 1, 0, 3]
+    g2 = g.plus([T("Gene::NCBI:0", "GNBR::B::Gene:Gene", "Gene::NCBI:1")])
+    assert list(g2.text_order) == [4, 2, 1, 0, 3]
+    assert list(g.text_order) == [2, 1, 0, 3]
