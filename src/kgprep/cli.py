@@ -98,10 +98,12 @@ def _cmd_stage(args) -> int:
     config = _load_effective_config(args)
     runner = PipelineRunner(config, stage=args.name)
     g = _load_graph(args.graph)
-    g, stage_log = runner.run_stage(args.name, g)
-    out = Path(config.out_dir)
-    ingest.write_triplets(out / "graph.tsv", g, preserve_order=config.preserve_order)
-    ingest.write_json(out / f"stage_{args.name}.json", [stage_log.to_dict()])
+    try:
+        g, stage_log = runner.run_stage(args.name, g)
+        runner.write_graph(g)
+    finally:
+        runner.discard_graph()
+    ingest.write_json(Path(config.out_dir) / f"stage_{args.name}.json", [stage_log.to_dict()])
     return 0
 
 
@@ -125,7 +127,10 @@ def _run_task_stage(args, stage: str):
     if args.task:
         config.split_tasks = args.task
     runner = PipelineRunner(config, stage=stage)
-    _, stage_log = runner.run_stage(stage, _load_graph(args.graph))
+    try:
+        _, stage_log = runner.run_stage(stage, _load_graph(args.graph))
+    finally:
+        runner.discard_graph()  # split writes no graph.tsv
     return config, stage_log
 
 
@@ -181,8 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         # every input read maps its OSError where it opens the file, so one
-        # that reaches here came from writing an output
-        where = "output" if exc.filename is None else exc.filename
+        # that reaches here came from writing an output; a failed rename
+        # names the file it writes second
+        where = exc.filename2 or exc.filename or "output"
         print(f"config error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 

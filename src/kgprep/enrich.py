@@ -8,6 +8,7 @@ orphan subgraphs appear, and they never create a duplicate canonical key.
 from __future__ import annotations
 
 import logging
+from itertools import count
 
 from .chem.smiles import check_smiles
 from .errors import InputError, ParseError, SmilesError
@@ -35,6 +36,12 @@ def _checked(t: Triplet, table: str) -> Triplet:
     return t
 
 
+def _numbered(table: list[tuple]):
+    """(row number, row) for each table row: its file line when the table
+    was read from a file (``ingest.Rows``), else its place counted from 1."""
+    return zip(getattr(table, "lines", None) or count(1), table)
+
+
 def merge_reactome(
     g: KnowledgeGraph, table: list[tuple[str, str]]
 ) -> tuple[KnowledgeGraph, dict[str, int]]:
@@ -52,7 +59,7 @@ def merge_reactome(
     new_nodes: set[EntityRef] = set()
     added: list[Triplet] = []
     details = {"skipped_endpoint_absent": 0, "skipped_duplicate": 0}
-    for row_no, (gene_text, pathway_text) in enumerate(table, start=1):
+    for row_no, (gene_text, pathway_text) in _numbered(table):
         gene = parse_entity(gene_text)
         pathway = parse_entity(pathway_text)
         if gene not in nodes and gene not in new_nodes:
@@ -103,7 +110,7 @@ def merge_onsides(
         "skipped_endpoint_absent": 0,
         "skipped_duplicate": 0,
     }
-    for row_no, (compound_text, se_text, tier) in enumerate(table, start=1):
+    for row_no, (compound_text, se_text, tier) in _numbered(table):
         if TIER_RANK[tier] < threshold:
             details["skipped_below_confidence"] += 1
             continue

@@ -11,14 +11,16 @@ import json
 import logging
 import re
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, islice
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator
 
 from .errors import InputError, ParseError
 from .model import (
-    ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet, tsv_line,
+    ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet,
 )
 
 log = logging.getLogger(__name__)
@@ -249,14 +251,23 @@ ONSIDES_SCHEMA = TableSchema(
 )
 
 
-def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
+class Rows(list):
+    """A table's rows in file order; ``lines[i]`` is the file line of row
+    ``i``."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: list[int] = []
+
+
+def read_rows(path: str | Path, schema: TableSchema) -> Rows:
     """Read and validate the rows of a declared-schema TSV. Blank and ``#``
     lines are skipped, and the first other line may be the literal header.
     Schema violations, including an id in an entity column that does not
     parse, are fatal with the offending line number."""
     path = Path(path)
     n = len(schema.columns)
-    rows: list[tuple[str, ...]] = []
+    rows = Rows()
     first = True
     for line_no, line in _lines(path, schema.name):
         if not line.strip() or line.startswith("#"):
@@ -284,6 +295,7 @@ def read_rows(path: str | Path, schema: TableSchema) -> list[tuple[str, ...]]:
             except ParseError as exc:
                 raise ParseError(f"{schema.name} file {path}: {exc}", line=line_no) from exc
         rows.append(tuple(cols))
+        rows.lines.append(line_no)
     return rows
 
 
@@ -313,30 +325,34 @@ def load_smiles_dict(path: str | Path) -> dict[str, str]:
     return load_table(path, SMILES_SCHEMA)
 
 
-def load_reactome(path: str | Path) -> list[tuple[str, str]]:
+def load_reactome(path: str | Path) -> Rows:
     """Gene-to-pathway rows in file order (merge semantics need ordering)."""
     rows = read_rows(path, REACTOME_SCHEMA)
-    out: list[tuple[str, str]] = []
+    out = Rows()
     seen: set[tuple[str, str]] = set()
-    for gene, pathway in rows:
+    for line_no, (gene, pathway) in zip(rows.lines, rows):
         if (gene, pathway) in seen:
             log.warning("reactome: duplicate row (%s, %s) collapsed", gene, pathway)
             continue
         seen.add((gene, pathway))
         out.append((gene, pathway))
+        out.lines.append(line_no)
     return out
 
 
-def load_onsides(path: str | Path) -> list[tuple[str, str, str]]:
+def load_onsides(path: str | Path) -> Rows:
     """Compound/side-effect/tier rows in file order."""
     return read_rows(path, ONSIDES_SCHEMA)
 
 
-def open_output(path: str | Path) -> TextIO:
-    """Open an output file for writing as UTF-8 with LF line ends, creating
-    its directory first. Every output of a run is opened here."""
+def open_output(path: str | Path, binary: bool = False) -> IO:
+    """Open an output file for writing as UTF-8 with LF line ends, or for
+    bytes, creating its directory first. Every output of a run is opened
+    here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    if binary:
+        return path.open("wb")
     return path.open("w", encoding="utf-8", newline="\n")
 
 
@@ -346,12 +362,25 @@ def write_json(path: str | Path, data) -> None:
         fh.write("\n")
 
 
+# rows rendered and written per write call
+_WRITE_CHUNK = 8192
+
+
 def write_triplets(
     path: str | Path, g: KnowledgeGraph, preserve_order: bool = False
-) -> None:
+) -> array:
     """Serialize a graph as triplet TSV: in the graph's text order, or in
-    input order if requested."""
+    input order if requested. Returns the byte offset at which each written
+    row starts, in the order written, followed by the file size."""
     rows = g.triplets
     order = range(len(rows)) if preserve_order else g.text_order
-    with open_output(path) as fh:
-        fh.writelines(map(tsv_line, map(rows.__getitem__, order)))
+    offsets = array("q", [0])
+    with open_output(path, binary=True) as fh:
+        for start in range(0, len(order), _WRITE_CHUNK):
+            lines = [
+                f"{t.head.text}\t{t.relation.text}\t{t.tail.text}\n".encode()
+                for t in map(rows.__getitem__, order[start : start + _WRITE_CHUNK])
+            ]
+            offsets.extend(islice(accumulate(map(len, lines), initial=offsets[-1]), 1, None))
+            fh.write(b"".join(lines))
+    return offsets

@@ -134,11 +134,6 @@ _TEXT = attrgetter("head.text", "relation.text", "tail.text")
 _ENDPOINTS = attrgetter("head", "tail")
 
 
-def tsv_line(t: Triplet) -> str:
-    """One row of the triplet TSV format, newline included."""
-    return f"{t.head.text}\t{t.relation.text}\t{t.tail.text}\n"
-
-
 # A step of a row-local stage: the row to keep (possibly rewritten), or None to drop it.
 Step = Callable[[Triplet], Triplet | None]
 

@@ -8,6 +8,7 @@ TSV format, so any stage can be resumed from a checkpoint file.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +24,9 @@ from .stats import StatsReport, compute_stats
 log = logging.getLogger(__name__)
 
 StageResult = tuple[KnowledgeGraph, dict[str, int]]
+
+# the graph file the splits stage writes, until it is moved to graph.tsv
+RENDERED_GRAPH = "graph.tsv.partial"
 
 
 def account(
@@ -67,6 +71,8 @@ class PipelineRunner:
         # bundles the splits stage made and the audit has not yet used
         self._plan_graph: KnowledgeGraph | None = None
         self._plan: dict[str, list[split_audit.SplitBundle]] = {}
+        # the graph whose file the splits stage wrote to RENDERED_GRAPH
+        self._rendered: KnowledgeGraph | None = None
 
     # --- auxiliary inputs, each read on first use -------------------------
 
@@ -196,12 +202,16 @@ class PipelineRunner:
     def _splits(self, g: KnowledgeGraph) -> StageResult:
         details: dict[str, int] = {}
         keep = self.config.enabled("audit")
+        self._rendered = g
+        graph_file = split_audit.GraphFile(
+            self.out_dir / RENDERED_GRAPH, g, preserve_order=self.config.preserve_order
+        )
         for task_name in self.config.split_tasks:
             for bundle in self._bundles(g, task_name, keep):
                 split_audit.write_bundle(
                     self.out_dir / "splits" / task_name / f"seed_{bundle.seed}",
                     bundle,
-                    preserve_order=self.config.preserve_order,
+                    graph_file,
                 )
             # split sizes depend only on the target size, not on the seed
             details[f"{task_name}_target"] = n = bundle.target_size()
@@ -233,6 +243,24 @@ class PipelineRunner:
         split_audit.write_leakage_json(self.out_dir / "leakage_report.json", aggregates)
         return g, details
 
+    # --- graph.tsv --------------------------------------------------------
+
+    def write_graph(self, g: KnowledgeGraph) -> None:
+        """Write graph.tsv: move into place the file the splits stage wrote
+        of ``g``, or write ``g`` now."""
+        path = self.out_dir / "graph.tsv"
+        if self._rendered is g:
+            os.replace(self.out_dir / RENDERED_GRAPH, path)
+        else:
+            ingest.write_triplets(path, g, preserve_order=self.config.preserve_order)
+
+    def discard_graph(self) -> None:
+        """Delete the file the splits stage wrote, unless it was moved into
+        place. Every command calls this on its way out, so that no run,
+        failed or not, leaves it behind."""
+        if self._rendered is not None:
+            (self.out_dir / RENDERED_GRAPH).unlink(missing_ok=True)
+
     # --- full run ---------------------------------------------------------
 
     def run(self) -> StatsReport:
@@ -247,14 +275,15 @@ class PipelineRunner:
             ingest_log.rows_removed,
         )
         logs = [ingest_log]
-        for name in STAGE_NAMES:
-            if not cfg.enabled(name):
-                continue
-            g, stage_log = self.run_stage(name, g)
-            logs.append(stage_log)
-        ingest.write_triplets(
-            self.out_dir / "graph.tsv", g, preserve_order=cfg.preserve_order
-        )
+        try:
+            for name in STAGE_NAMES:
+                if not cfg.enabled(name):
+                    continue
+                g, stage_log = self.run_stage(name, g)
+                logs.append(stage_log)
+            self.write_graph(g)
+        finally:
+            self.discard_graph()
         report = compute_stats(g)
         report.stages = logs
         report.wall_time_seconds = time.perf_counter() - start

@@ -4,9 +4,11 @@ leakage audit.
 A split shuffles the task's target triplets under a seed and partitions them
 70/10/20 (valid and test sizes floored, remainder to train); every non-target
 triplet stays in the context set. A task's rows are partitioned once and
-shared by all its seeds, and every sorted file filters the graph's one text
-order. The audit asks, for each evaluation triplet, whether the training
-split contains an equivalent counterpart:
+shared by all its seeds. Split files are cut from the bytes of the graph file
+the run writes once: a seed marks each written row with its split, and each
+file is the byte runs of its split's rows, so no row is rendered again. The
+audit asks, for each evaluation triplet, whether the training split contains
+an equivalent counterpart:
 
 * duplicate_inverse - same origin and label, endpoints equal or swapped;
 * relation_redundancy - endpoints equal or swapped, labels equal after
@@ -16,25 +18,28 @@ split contains an equivalent counterpart:
 * any - the union of the three.
 
 With empty equivalence tables, standardization is the identity and all
-detectors reduce to duplicate_inverse.
+detectors reduce to duplicate_inverse. Each detector's keys of a task's
+target rows are interned to int ids once, and every seed probes them.
 """
 
 from __future__ import annotations
 
+import os
 import random
-import shutil
+import re
 import statistics
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, methodcaller, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
-from .ingest import open_output, write_json
-from .model import KnowledgeGraph, Triplet, tsv_line
+from .ingest import open_output, parse_relation, write_json, write_triplets
+from .model import KnowledgeGraph
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
@@ -75,34 +80,21 @@ class _Memo(dict):
 class TaskRows:
     """One task's partition of a graph: ``target`` lists the positions of the
     task's target rows in graph order; every other row is context. Every
-    seed's bundle of the task shares it. It holds one int array, so the
-    splits stage can leave it to the audit at little cost."""
+    seed's bundle of the task shares it, and with it the leak keys the audit
+    built for the last equivalence it used. Until then it holds one int
+    array, so the splits stage can leave it to the audit at little cost."""
 
     task: str
     graph: KnowledgeGraph
     target: array
-    # ordering (preserve_order flag) -> first context.tsv written for it
-    _context_files: dict[bool, Path] = field(default_factory=dict, init=False, repr=False)
+    _keys: tuple | None = field(default=None, init=False, repr=False)
 
-    def context_positions(self, preserve_order: bool) -> Iterator[int]:
-        """Context row positions in graph order, or in the graph's text order."""
-        is_target = bytearray(len(self.graph))
-        for p in self.target:
-            is_target[p] = 1
-        walk = range(len(self.graph)) if preserve_order else self.graph.text_order
-        return filterfalse(is_target.__getitem__, walk)
-
-    def write_context(self, path: Path, preserve_order: bool) -> None:
-        """Write context.tsv: the first call per ordering renders it, later
-        calls copy that file, so every seed gets the same bytes."""
-        first = self._context_files.get(preserve_order)
-        if first is not None and first != path:
-            shutil.copyfile(first, path)
-            return
-        positions = self.context_positions(preserve_order)
-        with open_output(path) as fh:
-            fh.writelines(map(tsv_line, map(self.graph.triplets.__getitem__, positions)))
-        self._context_files[preserve_order] = path
+    def leak_keys(self, equivalence: Equivalence) -> tuple[tuple[array, array], ...]:
+        """The target rows' interned keys under ``equivalence``, built on
+        first use (see ``_leak_keys``)."""
+        if self._keys is None or self._keys[0] is not equivalence:
+            self._keys = (equivalence, _leak_keys(self, equivalence))
+        return self._keys[1]
 
 
 @dataclass
@@ -121,30 +113,19 @@ class SplitBundle:
     def task(self) -> str:
         return self.rows.task
 
-    def cuts(self) -> tuple[int, int, int, int]:
-        """Where train, valid and test start in ``order``, and its end."""
+    def parts(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """Train, valid and test: indices into ``rows.target`` in shuffled
+        order."""
         end_valid = self.n_train + self.n_valid
-        return 0, self.n_train, end_valid, len(self.order)
-
-    def rows_between(self, start: int, stop: int) -> Iterator[Triplet]:
-        """The rows that ``order[start:stop]`` names, in that order."""
-        positions = map(self.rows.target.__getitem__, self.order[start:stop])
-        return map(self.rows.graph.triplets.__getitem__, positions)
+        order = self.order
+        return order[: self.n_train], order[self.n_train : end_valid], order[end_valid:]
 
     def target_size(self) -> int:
         return len(self.order)
 
-    def split_of(self) -> bytearray:
-        """Split of every graph row: 0 context, 1 train, 2 valid, 3 test."""
-        split = bytearray(len(self.rows.graph))
-        target, cuts = self.rows.target, self.cuts()
-        for code in (1, 2, 3):
-            for p in map(target.__getitem__, self.order[cuts[code - 1] : cuts[code]]):
-                split[p] = code
-        return split
 
-
-_ENDPOINT_TYPES = attrgetter("head.entity_type", "tail.entity_type")
+_SIGNATURE = attrgetter("head_type", "tail_type")
+_RELATION_TEXT = attrgetter("relation.text")
 
 
 def make_splits(
@@ -153,14 +134,15 @@ def make_splits(
     """Seeded uniform 70/10/20 partitions of the task's target triplets, one
     bundle per seed (valid and test sizes floored, remainder to train).
 
-    The graph is partitioned once, testing each distinct endpoint-type pair
-    once; each seed then shuffles indices into the target positions.
+    The graph is partitioned once, testing each distinct relation once (a
+    row's endpoint types are its relation's); each seed then shuffles
+    indices into the target positions.
     ``random.Random(seed).shuffle`` draws depend only on the sequence length,
     so index k of a seed's order names the row that shuffling a copy of the
     target list would put at k.
     """
-    hit = _Memo(task.matches_types)
-    is_target = bytearray(map(hit.__getitem__, map(_ENDPOINT_TYPES, g.triplets)))
+    hit = _Memo(lambda text: task.matches_types(_SIGNATURE(parse_relation(text))))
+    is_target = bytearray(map(hit.__getitem__, map(_RELATION_TEXT, g.triplets)))
     target = array("i", compress(range(len(g)), is_target))
     if not target:
         raise StageError(f"task {task.name}: target triplet set is empty")
@@ -196,7 +178,8 @@ class LeakageReport:
 class Equivalence:
     """The audit's standardization: entity identifiers as a text -> canonical
     text map (converted once), and ``canon_label`` memoized per relation.
-    Build one per audit and share it across tasks and seeds."""
+    Build one per audit and share it across tasks and seeds: each task's
+    leak keys are built once per equivalence."""
 
     def __init__(
         self,
@@ -210,6 +193,75 @@ class Equivalence:
         self.relations = _Memo((equiv_relations or HarmonizationTable.empty()).canon_label)
 
 
+_HEAD_TEXT = attrgetter("head.text")
+_TAIL_TEXT = attrgetter("tail.text")
+
+
+def _intern(keys: Iterable, inverse_keys: Iterable, size: int) -> tuple[array, array]:
+    """Each key's id, the place of its first occurrence among ``keys``, and
+    the id of each inverse key; an inverse that no key equals gets ``size``,
+    an id no row has."""
+    ids: dict = {}
+    key_ids = array("i", map(ids.setdefault, keys, count()))
+    return key_ids, array("i", map(ids.get, inverse_keys, repeat(size)))
+
+
+def _leak_keys(rows: TaskRows, equivalence: Equivalence) -> tuple[tuple[array, array], ...]:
+    """(ids, inverse ids) of the task's target rows, in target order, for
+    each detector: raw keys ``(head, (origin, label), tail)``, relation keys
+    ``(head, canonical label, tail)`` and entity keys, which also map the
+    endpoints. When the entity map leaves every endpoint unmapped, the entity
+    keys are the relation keys, and so are their ids. Each row's relation is
+    held as the place of the first target row with its text, and labels are
+    computed once per such relation."""
+    triplets, target = rows.graph.triplets, rows.target
+
+    def column(get):
+        return map(get, map(triplets.__getitem__, target))
+
+    first: dict[str, int] = {}
+    relation_of = array("i", map(first.setdefault, column(_RELATION_TEXT), count()))
+    relations = {i: triplets[target[i]].relation for i in first.values()}
+    raw_label = {i: (r.origin, r.label) for i, r in relations.items()}
+    canon_label = {i: equivalence.relations[r] for i, r in relations.items()}
+
+    def intern(heads: list, label: dict, tails: list) -> tuple[array, array]:
+        labels = label.__getitem__
+        return _intern(
+            zip(heads, map(labels, relation_of), tails),
+            zip(tails, map(labels, relation_of), heads),
+            len(target),
+        )
+
+    heads, tails = list(column(_HEAD_TEXT)), list(column(_TAIL_TEXT))
+    raw = intern(heads, raw_label, tails)
+    relation = intern(heads, canon_label, tails)
+    entities = equivalence.entities
+    if entities.keys().isdisjoint(heads) and entities.keys().isdisjoint(tails):
+        return raw, relation, relation
+    canon = entities.get
+    heads, tails = list(map(canon, heads, heads)), list(map(canon, tails, tails))
+    return raw, relation, intern(heads, canon_label, tails)
+
+
+def _leaks(
+    keys: tuple[array, array],
+    train: Sequence[int],
+    evals: Iterable[Sequence[int]],
+    include_inverse: bool,
+) -> list[list[int]]:
+    """For each evaluation part, 1 for each row whose key (or, with
+    ``include_inverse``, inverse key) some train row has, else 0."""
+    ids, inverse = keys
+    # one slot per id, plus the id of an inverse that no row has
+    in_train = bytearray(len(ids) + 1)
+    for i in train:
+        in_train[ids[i]] = 1
+    if include_inverse:
+        return [[in_train[ids[i]] | in_train[inverse[i]] for i in part] for part in evals]
+    return [[in_train[ids[i]] for i in part] for part in evals]
+
+
 def detect_leakage(
     bundle: SplitBundle,
     equivalence: Equivalence | None = None,
@@ -217,56 +269,20 @@ def detect_leakage(
 ) -> LeakageReport:
     """Leaked-count report for train/valid and train/test under every
     detector and their union. Without an equivalence, standardization is the
-    identity."""
-    equivalence = equivalence or Equivalence()
-    canon_e = equivalence.entities.get
-    canon_r = equivalence.relations.__getitem__
-
-    # A train row whose endpoints the entity map leaves unmapped has the same
-    # key in both standardized indexes, so it shares one tuple. Until a train
-    # row has a mapped endpoint (after the remap stage, none has), the entity
-    # index is the relation index itself.
-    raw_index: set = set()
-    rel_index: set = set()
-    ent_index = rel_index
-    _, end_train, end_valid, end = bundle.cuts()
-    for t in bundle.rows_between(0, end_train):
-        h, tl, r = t.head.text, t.tail.text, t.relation
-        cr = canon_r(r)
-        ch, ct = canon_e(h, h), canon_e(tl, tl)
-        rel_key = (h, cr, tl)
-        unmapped = ch is h and ct is tl
-        if ent_index is rel_index and not unmapped:
-            ent_index = set(rel_index)
-        raw_index.add((h, r.origin, r.label, tl))
-        rel_index.add(rel_key)
-        ent_index.add(rel_key if unmapped else (ch, cr, ct))
-
+    identity. A seed marks its train rows' ids and looks up each evaluation
+    row's; the task's ids are built on its first seed audited under
+    ``equivalence``, and its other seeds reuse them."""
+    raw, relation, entity = bundle.rows.leak_keys(equivalence or Equivalence())
+    train, valid, test = bundle.parts()
+    evals = (valid, test)
+    dup = _leaks(raw, train, evals, include_inverse)
+    rel = _leaks(relation, train, evals, include_inverse)
+    ent = rel if entity is relation else _leaks(entity, train, evals, include_inverse)
     report = LeakageReport(task=bundle.task, seed=bundle.seed)
-    for pair_name, start, stop in (
-        ("train_valid", end_train, end_valid),
-        ("train_test", end_valid, end),
-    ):
-        n_dup = n_rel = n_ent = n_any = 0
-        for t in bundle.rows_between(start, stop):
-            h, tl, r = t.head.text, t.tail.text, t.relation
-            cr = canon_r(r)
-            ch, ct = canon_e(h, h), canon_e(tl, tl)
-            dup = (h, r.origin, r.label, tl) in raw_index or (
-                include_inverse and (tl, r.origin, r.label, h) in raw_index
-            )
-            rel_leak = (h, cr, tl) in rel_index or (
-                include_inverse and (tl, cr, h) in rel_index
-            )
-            ent_leak = (ch, cr, ct) in ent_index or (
-                include_inverse and (ct, cr, ch) in ent_index
-            )
-            n_dup += dup
-            n_rel += rel_leak
-            n_ent += ent_leak
-            n_any += dup or rel_leak or ent_leak
-        for d, leaked in zip(DETECTORS, (n_dup, n_rel, n_ent, n_any)):
-            report.cells[(d, pair_name)] = LeakCell(leaked, stop - start)
+    for pair_name, part, *hits in zip(("train_valid", "train_test"), evals, dup, rel, ent):
+        counts = [*map(sum, hits), sum(map(max, *hits))]
+        for detector, leaked in zip(DETECTORS, counts):
+            report.cells[(detector, pair_name)] = LeakCell(leaked, len(part))
     return report
 
 
@@ -321,28 +337,76 @@ def audit_report(reports: list[LeakageReport]) -> AggregatedLeakage:
     )
 
 
-def write_bundle(out_dir, bundle: SplitBundle, preserve_order: bool = False) -> None:
-    """train/valid/test/context TSVs in triplet format. Rows are in the
-    graph's text order unless ``preserve_order``, which keeps shuffled order
-    for the splits and graph order for context. Each seed filters the graph's
-    one text order, so nothing is sorted per task or seed."""
-    out = Path(out_dir)
+# a run of rows of each split code (0 context, 1 train, 2 valid, 3 test), of
+# at most this many rows, so that no read holds much of the file
+_RUN_ROWS = 4096
+_RUNS = tuple(re.compile(b"%c{1,%d}" % (code, _RUN_ROWS)) for code in range(4))
+_SPAN = methodcaller("span")
+
+
+class GraphFile:
+    """A graph written once as triplet TSV by ``ingest.write_triplets``: in
+    its text order, or in graph order under ``preserve_order``. The k-th
+    written row starts at byte ``offsets[k]``. Split files are cut from
+    these bytes."""
+
+    def __init__(self, path, g: KnowledgeGraph, preserve_order: bool = False):
+        self.path = Path(path)
+        self.graph = g
+        self.preserve_order = preserve_order
+        self.offsets = write_triplets(self.path, g, preserve_order)
+
+    @cached_property
+    def place(self) -> Sequence[int]:
+        """``place[p]``: which written row graph row ``p`` is."""
+        if self.preserve_order:
+            return range(len(self.graph))
+        place = array("i", [0]) * len(self.graph)
+        for k, p in enumerate(self.graph.text_order):
+            place[p] = k
+        return place
+
+    def runs(self, codes: bytes, code: int) -> Iterator[bytes]:
+        """The bytes of each run of written rows whose code is ``code``, in
+        file order."""
+        spans = chain.from_iterable(map(_SPAN, _RUNS[code].finditer(codes)))
+        edges = array("q", map(self.offsets.__getitem__, spans))
+        return self._read(edges[::2], edges[1::2])
+
+    def rows_at(self, written: array) -> Iterator[bytes]:
+        """The bytes of these written rows, in the given order."""
+        starts = array("q", map(self.offsets.__getitem__, written))
+        ends = array("q", map(self.offsets.__getitem__, map(add, written, repeat(1))))
+        return self._read(starts, ends)
+
+    def _read(self, starts: array, ends: array) -> Iterator[bytes]:
+        with open(self.path, "rb") as fh:
+            yield from map(os.pread, repeat(fh.fileno()), map(sub, ends, starts), starts)
+
+
+def write_bundle(out_dir, bundle: SplitBundle, graph: GraphFile) -> None:
+    """train/valid/test/context TSVs in triplet format, cut from the bytes of
+    ``graph``, the graph of ``bundle``. Rows are in the graph's text order
+    unless ``graph`` was written under ``preserve_order``: then the splits
+    keep shuffled order and context keeps graph order. Nothing is rendered
+    or sorted per task or seed."""
     rows = bundle.rows
-    triplets = rows.graph.triplets
-    split_of = bundle.split_of()
-    if preserve_order:
-        walk = map(rows.target.__getitem__, bundle.order)
-    else:
-        walk = filter(split_of.__getitem__, rows.graph.text_order)
-    with (
-        open_output(out / "train.tsv") as train,
-        open_output(out / "valid.tsv") as valid,
-        open_output(out / "test.tsv") as test,
-    ):
-        files = (None, train, valid, test)
-        for p in walk:
-            files[split_of[p]].write(tsv_line(triplets[p]))
-    rows.write_context(out / "context.tsv", preserve_order)
+    if rows.graph is not graph.graph:
+        raise ValueError(f"task {rows.task}: a bundle of another graph than {graph.path}")
+    out = Path(out_dir)
+    parts = bundle.parts()
+    place, target = graph.place, rows.target
+    # the split code of each written row
+    codes = bytearray(len(place))
+    for code, part in enumerate(parts, start=1):
+        for j in part:
+            codes[place[target[j]]] = code
+    for code, name in enumerate(("context", "train", "valid", "test")):
+        with open_output(out / f"{name}.tsv", binary=True) as fh:
+            if code and graph.preserve_order:
+                fh.writelines(graph.rows_at(array("i", map(target.__getitem__, parts[code - 1]))))
+            else:
+                fh.writelines(graph.runs(codes, code))
 
 
 def write_leakage_json(path, aggregates: list[AggregatedLeakage]) -> None:

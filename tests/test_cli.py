@@ -7,8 +7,12 @@ from pathlib import Path
 import pytest
 
 import kgprep
+from kgprep import split_audit
 from kgprep.cli import main
+from kgprep.config import STAGE_NAMES
 from kgprep.corpus import build_corpus
+from kgprep.errors import StageError
+from kgprep.pipeline import RENDERED_GRAPH
 from kgprep.stats import compute_stats
 
 from conftest import graph_of
@@ -318,6 +322,50 @@ def test_mistyped_enrichment_row_is_input_error(tmp_path, capsys, stage, table, 
 
 
 @pytest.mark.parametrize(
+    "stage, table, row, message",
+    [
+        # a comment line, then a row, its duplicate and a mistyped row on line 4
+        (
+            "reactome",
+            "# gene to pathway\n"
+            "Gene::NCBI:1\tPathway::Reactome:P1\n"
+            "Gene::NCBI:1\tPathway::Reactome:P1\n"
+            "Gene::NCBI:1\tCompound::drugbank:DB2\n",
+            4,
+            "Gene::NCBI:1 -> Compound::drugbank:DB2 does not fit GENE_PATHWAY, "
+            "which links Gene to Pathway",
+        ),
+        # a comment line and the header come before the rows
+        (
+            "onsides",
+            "# compound to side effect\n"
+            "compound_id\tside_effect_id\tconfidence_tier\n"
+            "Compound::drugbank:DB1\tSideEffect::umls:C1\thigh\n"
+            "Compound::drugbank:DB1\tGene::NCBI:2\thigh\n",
+            4,
+            "Compound::drugbank:DB1 -> Gene::NCBI:2 does not fit SIDE_EFFECT, "
+            "which links Compound to SideEffect",
+        ),
+    ],
+    ids=["reactome", "onsides"],
+)
+def test_enrichment_row_number_is_its_file_line(tmp_path, capsys, stage, table, row, message):
+    graph = tmp_path / "g.tsv"
+    graph.write_text(
+        "Compound::drugbank:DB1\tGNBR::B::Compound:Gene\tGene::NCBI:1\n", encoding="utf-8"
+    )
+    (tmp_path / "table.tsv").write_text(table, encoding="utf-8")
+    cfg = tmp_path / "enrich.cfg"
+    cfg.write_text(f"inputs.{stage} = table.tsv\n", encoding="utf-8")
+    rc = main(["--quiet", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "stage", stage, "--graph", str(graph)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: {stage} table, row {row}: {message}"
+    ]
+
+
+@pytest.mark.parametrize(
     "key, stage, table, message",
     [
         (
@@ -367,3 +415,72 @@ def test_compute_stats_totals_match_breakdowns():
     assert report.node_total == sum(r["count"] for r in report.nodes_by_type_source)
     rows = report.nodes_by_type_source
     assert rows == sorted(rows, key=lambda r: (r["type"], r["source"]))
+
+
+# --- the output tree of each command ------------------------------------------
+
+
+def _splits_config(tmp_path, graph) -> Path:
+    """A config that runs only splits and audit, so the run's final graph is
+    the input graph."""
+    toggles = "".join(
+        f"stages.{name} = {'true' if name in ('splits', 'audit') else 'false'}\n"
+        for name in STAGE_NAMES
+    )
+    cfg = tmp_path / "splits.cfg"
+    cfg.write_text(
+        f"inputs.triplets = {graph}\nsplit.tasks = ppi,drug_repurposing\n"
+        "split.seeds = 0,1\n" + toggles,
+        encoding="utf-8",
+    )
+    return cfg
+
+
+def _graph_file(tmp_path) -> Path:
+    """ppi and drug_repurposing targets plus context rows, written so that
+    input order is not text order."""
+    graph = tmp_path / "g.tsv"
+    rows = [f"Gene::NCBI:{i % 7}\tGNBR::B::Gene:Gene\tGene::NCBI:{i % 5 + 10}" for i in range(30)]
+    rows += [f"Compound::drugbank:DB{i % 4}\tGNBR::A+::Compound:Gene\tGene::NCBI:{i}"
+             for i in range(20)]
+    rows += [f"Gene::NCBI:{i}\tGNBR::L::Gene:Disease\tDisease::MESH:D{i % 3}" for i in range(10)]
+    graph.write_text("".join(r + "\n" for r in reversed(rows)), encoding="utf-8")
+    return graph
+
+
+def test_run_whose_audit_fails_leaves_no_graph_file(corpus, tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise StageError("audit failed")
+
+    monkeypatch.setattr(split_audit, "detect_leakage", failing)
+    out = tmp_path / "out"
+    rc = main(["--quiet", "--config", str(corpus.config), "--out", str(out), "run"])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == ["stage failure: audit failed"]
+    assert (out / "splits").is_dir()
+    assert not (out / "graph.tsv").exists()
+    assert not (out / RENDERED_GRAPH).exists()
+
+
+def test_split_leaves_only_splits(tmp_path):
+    graph, out = _graph_file(tmp_path), tmp_path / "out"
+    rc = main(["--quiet", "--config", str(_splits_config(tmp_path, graph)),
+               "--out", str(out), "split", "--graph", str(graph)])
+    assert rc == 0
+    assert [p.name for p in out.iterdir()] == ["splits"]
+    assert sorted(p.name for p in (out / "splits").iterdir()) == ["drug_repurposing", "ppi"]
+
+
+@pytest.mark.parametrize("preserve_order", [False, True])
+def test_stage_splits_writes_the_graph_run_writes(tmp_path, preserve_order):
+    graph = _graph_file(tmp_path)
+    cfg = str(_splits_config(tmp_path, graph))
+    order = ["--preserve-order"] if preserve_order else []
+    run_out, stage_out = tmp_path / "run", tmp_path / "stage"
+    assert main(["--quiet", "--config", cfg, "--out", str(run_out), *order, "run"]) == 0
+    assert main(["--quiet", "--config", cfg, "--out", str(stage_out), *order,
+                 "stage", "splits", "--graph", str(graph)]) == 0
+    written = (stage_out / "graph.tsv").read_bytes()
+    assert written == (run_out / "graph.tsv").read_bytes()
+    assert (written == graph.read_bytes()) == preserve_order
+    assert sorted(p.name for p in stage_out.iterdir()) == ["graph.tsv", "splits", "stage_splits.json"]

@@ -4,7 +4,7 @@ import pytest
 
 from kgprep.enrich import filter_no_smiles, merge_onsides, merge_reactome
 from kgprep.errors import ParseError
-from kgprep.ingest import parse_entity
+from kgprep.ingest import load_onsides, load_reactome, parse_entity
 from kgprep.normalize import IdMapTable
 
 from conftest import E, T, graph_of
@@ -65,6 +65,32 @@ def test_merge_reactome_duplicate_of_a_graph_row(row, duplicate):
     assert details["edges_added"] == 1 - duplicate
     assert details["pathway_nodes_added"] == 0
     assert len(g2) == len(g) + 1 - duplicate
+
+
+def test_merged_rows_carry_their_file_lines(tmp_path):
+    reactome = tmp_path / "reactome.tsv"
+    reactome.write_text(
+        "# gene to pathway\n"
+        "gene_id\tpathway_id\n"
+        "Gene::NCBI:1\tPathway::Reactome:R-HSA-1\n"
+        "Gene::NCBI:1\tPathway::Reactome:R-HSA-1\n"
+        "\n"
+        "Gene::NCBI:2\tPathway::Reactome:R-HSA-2\n",
+        encoding="utf-8",
+    )
+    g = base_graph()
+    g2, _ = merge_reactome(g, load_reactome(reactome))
+    assert [t.origin_line for t in g2.triplets[len(g):]] == [3, 6]
+
+    onsides = tmp_path / "onsides.tsv"
+    onsides.write_text(
+        "# compound to side effect\n"
+        "Compound::PubChem_Compounds:10\tSideEffect::umls:C5\tlow\n"
+        "Compound::PubChem_Compounds:10\tSideEffect::umls:C6\thigh\n",
+        encoding="utf-8",
+    )
+    g3, _ = merge_onsides(g, load_onsides(onsides))
+    assert [t.origin_line for t in g3.triplets[len(g):]] == [3]
 
 
 def test_merge_onsides_tiers_and_duplicates():

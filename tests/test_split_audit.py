@@ -11,6 +11,7 @@ from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
     Equivalence,
+    GraphFile,
     audit_report,
     detect_leakage,
     make_splits,
@@ -231,7 +232,7 @@ def test_audit_five_seeds_matches_external_recompute():
 
 def test_write_bundle_files(tmp_path):
     bundle = make_splits(target_graph(20), BUILTIN_TASKS["ppi"], [0])[0]
-    write_bundle(tmp_path, bundle)
+    write_bundle(tmp_path, bundle, GraphFile(tmp_path / "graph.tsv", bundle.rows.graph))
     for name in ("train", "valid", "test", "context"):
         path = tmp_path / f"{name}.tsv"
         assert path.exists()
@@ -241,7 +242,8 @@ def test_write_bundle_files(tmp_path):
 
 
 def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
-    g = target_graph(20, n_context=6)
+    # the context rows form one run longer than the rows read at once
+    g = target_graph(20, n_context=4100)
     g = KnowledgeGraph(list(reversed(g.triplets)))
     context_rows = [t for t in g.triplets if not task_matches(BUILTIN_TASKS["ppi"], t)]
     graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (render(c) for c in context_rows))
@@ -250,7 +252,67 @@ def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
     for bundle in make_splits(g, BUILTIN_TASKS["ppi"], [0, 1]):
         for preserve_order, expected in ((False, by_text), (True, graph_order)):
             out = tmp_path / f"{preserve_order}_{bundle.seed}"
-            write_bundle(out, bundle, preserve_order=preserve_order)
+            graph_file = GraphFile(tmp_path / f"graph_{preserve_order}.tsv", g, preserve_order)
+            write_bundle(out, bundle, graph_file)
             assert (out / "context.tsv").read_text() == expected
-    write_bundle(out, bundle, preserve_order=True)  # rewrite in place
+    write_bundle(out, bundle, graph_file)  # rewrite in place
     assert (out / "context.tsv").read_text() == graph_order
+
+
+
+def test_write_bundle_needs_the_file_of_its_graph(tmp_path):
+    bundle = make_splits(target_graph(20), BUILTIN_TASKS["ppi"], [0])[0]
+    other = GraphFile(tmp_path / "graph.tsv", target_graph(20))
+    with pytest.raises(ValueError, match="another graph"):
+        write_bundle(tmp_path / "out", bundle, other)
+
+# --- leak keys, built once per task ------------------------------------------
+
+
+def leaky_graph() -> KnowledgeGraph:
+    """ppi rows with literal duplicates, reversed rows, relation synonyms and
+    xref-duplicate genes (the tables of ``leak_equivalence``), plus context."""
+    rng = random.Random(17)
+    genes = [f"Gene::NCBI:{i}" for i in range(12)] + [f"Gene::NCBI:{100 + i}" for i in range(4)]
+    relations = ["GNBR::B::Gene:Gene", "STRING::Binding::Gene:Gene", "Hetionet::GiG::Gene:Gene",
+                 "GNBR::Q::Gene:Gene"]
+    rows = []
+    for _ in range(200):
+        h, t = rng.sample(genes, 2)
+        rows.append((h, rng.choice(relations), t))
+    rows += rows[::5] + [(t, r, h) for h, r, t in rows[1::9]]
+    rows += [(g, "GNBR::L::Gene:Disease", f"Disease::MESH:D{i % 3}") for i, g in enumerate(genes)]
+    rng.shuffle(rows)
+    return graph_of(*rows)
+
+
+def leak_equivalence() -> Equivalence:
+    table = HarmonizationTable.from_rows([
+        ("GNBR", "B", "Gene", "Gene", "GENE_BIND"),
+        ("STRING", "Binding", "Gene", "Gene", "GENE_BIND"),
+        ("Hetionet", "GiG", "Gene", "Gene", "GENE_BIND"),
+    ])
+    return Equivalence({f"Gene::NCBI:{100 + i}": f"Gene::NCBI:{i}" for i in range(4)}, table)
+
+
+def test_seeds_audited_together_equal_each_seed_alone():
+    g, equivalence = leaky_graph(), leak_equivalence()
+    ppi = BUILTIN_TASKS["ppi"]
+    together = [detect_leakage(b, equivalence) for b in make_splits(g, ppi, [0, 1, 2])]
+    alone = [detect_leakage(make_splits(g, ppi, [s])[0], equivalence) for s in (0, 1, 2)]
+    assert together == alone
+    assert together[0].cells != together[1].cells
+    cells = together[0].cells
+    leaked = [cells[(d, "train_test")].leaked for d in DETECTORS[:3]]
+    assert 0 < leaked[0] < leaked[1] < leaked[2]  # every detector adds leaks here
+
+
+def test_task_keys_are_rebuilt_for_another_equivalence():
+    g, equivalence = leaky_graph(), leak_equivalence()
+    ppi = BUILTIN_TASKS["ppi"]
+    bundles = make_splits(g, ppi, [0, 1])
+    identity = detect_leakage(bundles[0])
+    mapped = detect_leakage(bundles[1], equivalence)
+    assert mapped == detect_leakage(make_splits(g, ppi, [1])[0], equivalence)
+    assert detect_leakage(bundles[0]) == identity
+    assert detect_leakage(bundles[1]).cells != mapped.cells

@@ -26,8 +26,10 @@ SEEDS = (0, 1, 2, 3)
 
 def _graph_rows() -> list[tuple[str, str, str]]:
     """Rows of every task plus context rows, with literal duplicates,
-    reversed rows, relation synonyms, xref-mapped genes and gene ids that
-    extend another id by a character below TAB."""
+    reversed rows, relation synonyms, xref-mapped genes, gene ids that
+    extend another id by a character below TAB, and disease ids with 2-, 3-
+    and 4-byte UTF-8 characters, which every task has in its context, so a
+    row's byte offset in a written file differs from its character offset."""
     rng = random.Random(11)
     genes = [f"Gene::NCBI:{i}" for i in range(12)]
     genes += [f"Gene::NCBI:{i}\x01b" for i in range(6)]
@@ -35,6 +37,8 @@ def _graph_rows() -> list[tuple[str, str, str]]:
     compounds = [f"Compound::PubChem_Compounds:{i}" for i in range(8)]
     side_effects = [f"SideEffect::UMLS:C{i}" for i in range(6)]
     diseases = [f"Disease::MESH:D{i}" for i in range(5)]
+    diseases += [f"Disease::MESH:D{i}\u00e9" for i in range(2)]
+    diseases += ["Disease::MESH:D\u20ac", "Disease::MESH:D\U0001d50a"]
     ppi_rel = ["GNBR::B::Gene:Gene", "STRING::Binding::Gene:Gene", "Hetionet::GiG::Gene:Gene",
                "GNBR::Rg::Gene:Gene"]
     drug_rel = ["GNBR::A+::Compound:Gene", "DGIdb::Agonist::Compound:Gene",
@@ -116,6 +120,9 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
             reports.append(detect_leakage(bundle, equivalence, include_inverse=include_inverse))
         aggregates.append(audit_report(reports))
     assert {p for p in splits.rglob("*") if p.is_file()} == expected_files
+    for task_name in TASKS:
+        context = splits / task_name / f"seed_{SEEDS[0]}" / "context.tsv"
+        assert not context.read_text(encoding="utf-8").isascii(), task_name
     if not preserve_order:
         # sorting whole lines instead of text tuples would reorder some file
         assert line_sort_differs

@@ -115,3 +115,19 @@ def test_audit_of_another_graph_does_not_reuse_splits_bundles(tmp_path):
     assert log.details != stale_log.details
     report = (tmp_path / "reused" / "leakage_report.json").read_bytes()
     assert report == (tmp_path / "fresh" / "leakage_report.json").read_bytes()
+
+
+def test_audit_keys_are_built_for_each_graph(tmp_path):
+    def runner(out):
+        config = _config(tmp_path, splits=True)
+        config.out_dir = str(tmp_path / out)
+        return PipelineRunner(config, stage="audit")
+
+    g1, g2 = graph_of(*_rows(1)), graph_of(*_rows(2))
+    reused = runner("reused")
+    reused.run_stage("splits", g1)
+    _, first = reused.run_stage("audit", g1)
+    _, second = reused.run_stage("audit", g2)
+    _, fresh = runner("fresh").run_stage("audit", g2)
+    assert second.details == fresh.details
+    assert second.details != first.details
