@@ -114,8 +114,11 @@ def merge_onsides(
         if TIER_RANK[tier] < threshold:
             details["skipped_below_confidence"] += 1
             continue
-        compound = parse_entity(compound_text)
-        side_effect = parse_entity(se_text)
+        try:
+            compound = parse_entity(compound_text)
+            side_effect = parse_entity(se_text)
+        except ParseError as exc:
+            raise ParseError(f"onsides table, row {row_no}: {exc}") from exc
         if compound_map is not None:
             compound = compound_map.apply(compound)
         if side_effect_map is not None:

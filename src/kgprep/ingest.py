@@ -76,7 +76,14 @@ def infer_source(entity_type: str, local_id: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _parse_entity_default(text: str) -> EntityRef:
+def parse_entity(text: str) -> EntityRef:
+    """Parse ``entity_type::source:local_id`` (source inferred when absent).
+
+    Identifiers containing ';' or '|' are accepted here; removing them is the
+    format-filter stage's job.
+    """
+    if not text:
+        raise ParseError("empty entity text")
     head, sep, rest = text.partition("::")
     if not sep:
         raise ParseError(f"entity {text!r}: missing '::' type separator")
@@ -93,17 +100,6 @@ def _parse_entity_default(text: str) -> EntityRef:
     if not source:
         raise ParseError(f"entity {text!r}: empty source segment")
     return EntityRef(entity_type, source, local_id)
-
-
-def parse_entity(text: str) -> EntityRef:
-    """Parse ``entity_type::source:local_id`` (source inferred when absent).
-
-    Identifiers containing ';' or '|' are accepted here; removing them is the
-    format-filter stage's job.
-    """
-    if not text:
-        raise ParseError("empty entity text")
-    return _parse_entity_default(text)
 
 
 @lru_cache(maxsize=None)

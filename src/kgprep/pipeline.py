@@ -193,8 +193,7 @@ class PipelineRunner:
             self._plan_graph, self._plan = g, {}
         bundles = self._plan.pop(task_name, None)
         if bundles is None:
-            task = split_audit.BUILTIN_TASKS[task_name]
-            bundles = split_audit.make_splits(g, task, self.config.split_seeds)
+            bundles = split_audit.make_splits(g, task_name, self.config.split_seeds)
         if keep:
             self._plan[task_name] = bundles
         return bundles
@@ -225,23 +224,23 @@ class PipelineRunner:
         for table in self.id_maps.values():
             entity_map.update(table.mapping)
         equivalence = split_audit.Equivalence(entity_map, self.harmonization_table)
-        aggregates = []
-        details: dict[str, int] = {}
+        records = []
         for task_name in self.config.split_tasks:
+            bundles = self._bundles(g, task_name, keep=False)
             reports = [
                 split_audit.detect_leakage(
                     bundle,
                     equivalence,
                     include_inverse=self.config.audit_include_inverse,
                 )
-                for bundle in self._bundles(g, task_name, keep=False)
+                for bundle in bundles
             ]
-            agg = split_audit.audit_report(reports)
-            aggregates.append(agg)
-            for (detector, pair), cell in sorted(agg.cells.items()):
-                details[f"{task_name}_{detector}_{pair}_leaked"] = sum(cell["leaked"])
-        split_audit.write_leakage_json(self.out_dir / "leakage_report.json", aggregates)
-        return g, details
+            records += split_audit.audit_report(task_name, [b.seed for b in bundles], reports)
+        split_audit.write_leakage_json(self.out_dir / "leakage_report.json", records)
+        return g, {
+            f"{r['task']}_{r['detector']}_{r['split_pair']}_leaked": sum(r["leaked"])
+            for r in records
+        }
 
     # --- graph.tsv --------------------------------------------------------
 

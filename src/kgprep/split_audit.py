@@ -44,22 +44,11 @@ from .model import KnowledgeGraph
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """A link-prediction task: its name and unordered endpoint-type target."""
-
-    name: str
-    endpoint_types: frozenset[str]
-
-    def matches_types(self, types: tuple[str, str]) -> bool:
-        """Whether a (head type, tail type) pair is the task's target."""
-        return set(types) == self.endpoint_types
-
-
-BUILTIN_TASKS: dict[str, TaskSpec] = {
-    "ppi": TaskSpec("ppi", frozenset({"Gene"})),
-    "drug_repurposing": TaskSpec("drug_repurposing", frozenset({"Compound", "Gene"})),
-    "side_effect": TaskSpec("side_effect", frozenset({"Compound", "SideEffect"})),
+# each link-prediction task's target: the set of a target row's head and tail types
+BUILTIN_TASKS: dict[str, frozenset[str]] = {
+    "ppi": frozenset({"Gene"}),
+    "drug_repurposing": frozenset({"Compound", "Gene"}),
+    "side_effect": frozenset({"Compound", "SideEffect"}),
 }
 
 
@@ -109,10 +98,6 @@ class SplitBundle:
     n_train: int
     n_valid: int
 
-    @property
-    def task(self) -> str:
-        return self.rows.task
-
     def parts(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
         """Train, valid and test: indices into ``rows.target`` in shuffled
         order."""
@@ -128,11 +113,10 @@ _SIGNATURE = attrgetter("head_type", "tail_type")
 _RELATION_TEXT = attrgetter("relation.text")
 
 
-def make_splits(
-    g: KnowledgeGraph, task: TaskSpec, seeds: Iterable[int]
-) -> list[SplitBundle]:
+def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> list[SplitBundle]:
     """Seeded uniform 70/10/20 partitions of the task's target triplets, one
-    bundle per seed (valid and test sizes floored, remainder to train).
+    bundle per seed (valid and test sizes floored, remainder to train). A
+    row is a target when its endpoint types are the task's.
 
     The graph is partitioned once, testing each distinct relation once (a
     row's endpoint types are its relation's); each seed then shuffles
@@ -141,12 +125,13 @@ def make_splits(
     so index k of a seed's order names the row that shuffling a copy of the
     target list would put at k.
     """
-    hit = _Memo(lambda text: task.matches_types(_SIGNATURE(parse_relation(text))))
+    types = BUILTIN_TASKS[task_name]
+    hit = _Memo(lambda text: set(_SIGNATURE(parse_relation(text))) == types)
     is_target = bytearray(map(hit.__getitem__, map(_RELATION_TEXT, g.triplets)))
     target = array("i", compress(range(len(g)), is_target))
     if not target:
-        raise StageError(f"task {task.name}: target triplet set is empty")
-    rows = TaskRows(task.name, g, target)
+        raise StageError(f"task {task_name}: target triplet set is empty")
+    rows = TaskRows(task_name, g, target)
     n = len(target)
     n_valid = n // 10
     n_train = n - n_valid - n // 5
@@ -156,23 +141,6 @@ def make_splits(
         random.Random(seed).shuffle(order)
         bundles.append(SplitBundle(rows, seed, order, n_train, n_valid))
     return bundles
-
-
-@dataclass(frozen=True)
-class LeakCell:
-    leaked: int
-    total: int
-
-    @property
-    def ratio(self) -> float:
-        return self.leaked / self.total if self.total else 0.0
-
-
-@dataclass
-class LeakageReport:
-    task: str
-    seed: int
-    cells: dict[tuple[str, str], LeakCell] = field(default_factory=dict)
 
 
 class Equivalence:
@@ -266,75 +234,51 @@ def detect_leakage(
     bundle: SplitBundle,
     equivalence: Equivalence | None = None,
     include_inverse: bool = True,
-) -> LeakageReport:
-    """Leaked-count report for train/valid and train/test under every
-    detector and their union. Without an equivalence, standardization is the
-    identity. A seed marks its train rows' ids and looks up each evaluation
-    row's; the task's ids are built on its first seed audited under
-    ``equivalence``, and its other seeds reuse them."""
+) -> dict[tuple[str, str], tuple[int, int]]:
+    """``(detector, split pair) -> (leaked, total)`` for train/valid and
+    train/test under every detector and their union. Without an
+    equivalence, standardization is the identity. A seed marks its train
+    rows' ids and looks up each evaluation row's; the task's ids are built
+    on its first seed audited under ``equivalence``, and its other seeds
+    reuse them."""
     raw, relation, entity = bundle.rows.leak_keys(equivalence or Equivalence())
     train, valid, test = bundle.parts()
     evals = (valid, test)
     dup = _leaks(raw, train, evals, include_inverse)
     rel = _leaks(relation, train, evals, include_inverse)
     ent = rel if entity is relation else _leaks(entity, train, evals, include_inverse)
-    report = LeakageReport(task=bundle.task, seed=bundle.seed)
+    counts = {}
     for pair_name, part, *hits in zip(("train_valid", "train_test"), evals, dup, rel, ent):
-        counts = [*map(sum, hits), sum(map(max, *hits))]
-        for detector, leaked in zip(DETECTORS, counts):
-            report.cells[(detector, pair_name)] = LeakCell(leaked, len(part))
-    return report
+        leaked = [*map(sum, hits), sum(map(max, *hits))]
+        for detector, n in zip(DETECTORS, leaked):
+            counts[(detector, pair_name)] = (n, len(part))
+    return counts
 
 
-@dataclass
-class AggregatedLeakage:
-    """Per-cell mean and population standard deviation across seeded runs."""
-
-    task: str
-    seeds: list[int]
-    cells: dict[tuple[str, str], dict]
-
-    def to_records(self) -> list[dict]:
-        records = []
-        for (detector, split_pair), cell in sorted(self.cells.items()):
-            records.append({
-                "task": self.task,
-                "detector": detector,
-                "split_pair": split_pair,
-                "leaked": cell["leaked"],
-                "total": cell["total"],
-                "ratio": cell["ratio"],
-                "mean": cell["mean"],
-                "std": cell["std"],
-                "seeds": self.seeds,
-            })
-        return records
-
-
-def audit_report(reports: list[LeakageReport]) -> AggregatedLeakage:
-    """Aggregate seeded leakage reports for one task: mean and population
-    standard deviation of each (detector, split-pair) ratio."""
-    if not reports:
-        raise ValueError("audit_report needs at least one run")
-    tasks = {r.task for r in reports}
-    if len(tasks) != 1:
-        raise ValueError(f"cannot aggregate across tasks {sorted(tasks)}")
-    keys = set(reports[0].cells)
-    cells: dict[tuple[str, str], dict] = {}
-    for key in keys:
-        ratios = [r.cells[key].ratio for r in reports]
-        cells[key] = {
-            "leaked": [r.cells[key].leaked for r in reports],
-            "total": [r.cells[key].total for r in reports],
+def audit_report(
+    task: str, seeds: list[int], reports: list[dict[tuple[str, str], tuple[int, int]]]
+) -> list[dict]:
+    """One task's ``leakage_report.json`` records from the ``detect_leakage``
+    counts of its seeds, in (detector, split pair) order: each seed's leaked
+    and total counts and ratio, and the mean and population standard
+    deviation of the ratios."""
+    records = []
+    for detector, split_pair in sorted(reports[0]):
+        leaked = [report[(detector, split_pair)][0] for report in reports]
+        total = [report[(detector, split_pair)][1] for report in reports]
+        ratios = [n / d if d else 0.0 for n, d in zip(leaked, total)]
+        records.append({
+            "task": task,
+            "detector": detector,
+            "split_pair": split_pair,
+            "leaked": leaked,
+            "total": total,
             "ratio": ratios,
             "mean": statistics.fmean(ratios),
             "std": statistics.pstdev(ratios),
-        }
-    return AggregatedLeakage(
-        task=reports[0].task,
-        seeds=[r.seed for r in reports],
-        cells=cells,
-    )
+            "seeds": seeds,
+        })
+    return records
 
 
 # a run of rows of each split code (0 context, 1 train, 2 valid, 3 test), of
@@ -409,8 +353,5 @@ def write_bundle(out_dir, bundle: SplitBundle, graph: GraphFile) -> None:
                 fh.writelines(graph.runs(codes, code))
 
 
-def write_leakage_json(path, aggregates: list[AggregatedLeakage]) -> None:
-    records = []
-    for agg in aggregates:
-        records.extend(agg.to_records())
+def write_leakage_json(path, records: list[dict]) -> None:
     write_json(path, records)

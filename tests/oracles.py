@@ -251,9 +251,9 @@ def is_clean(ref) -> bool:
     return bool(ref.local_id) and not any(c in ref.local_id for c in ";|\t")
 
 
-def task_matches(task, t) -> bool:
-    """Whether a triplet's unordered endpoint types are the task's target."""
-    return {t.head.entity_type, t.tail.entity_type} == set(task.endpoint_types)
+def task_matches(endpoint_types, t) -> bool:
+    """Whether a triplet's unordered endpoint types are a task's target."""
+    return {t.head.entity_type, t.tail.entity_type} == set(endpoint_types)
 
 
 def _bundle_part(bundle, start: int, stop: int) -> list:
@@ -307,6 +307,69 @@ def mean_and_population_std(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, var ** 0.5
+
+
+# --- leakage report recomputed from the split files on disk ------------------
+
+LEAK_DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
+
+
+def _read_split_file(path) -> list[tuple[str, str, str, str]]:
+    """A split file's rows as (head, origin, label, tail) texts."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            head, relation, tail = line.rstrip("\n").split("\t")
+            parts = relation.split("::")
+            rows.append((head, parts[0], "::".join(parts[1:-1]), tail))
+    return rows
+
+
+def leakage_records_from_splits(
+    splits_dir,
+    tasks,
+    seeds,
+    entity_map: dict[str, str],
+    relation_map: dict[tuple[str, str], str],
+    include_inverse: bool = True,
+) -> list[dict]:
+    """The records ``leakage_report.json`` should hold for a run, per task in
+    (detector, split pair) order: each seed's train, valid and test files
+    read back from ``splits_dir/<task>/seed_<seed>``, every evaluation row
+    compared with every train row, and the ratios, mean and population std
+    computed by hand."""
+    records = []
+    for task in tasks:
+        counts = {}  # (detector, split pair) -> [(leaked, total) per seed]
+        for seed in seeds:
+            seed_dir = f"{splits_dir}/{task}/seed_{seed}"
+            train = _read_split_file(f"{seed_dir}/train.tsv")
+            for pair, name in (("train_valid", "valid"), ("train_test", "test")):
+                evaluated = _read_split_file(f"{seed_dir}/{name}.tsv")
+                for detector in LEAK_DETECTORS:
+                    leaked = leaked_count_bruteforce(
+                        train, evaluated, entity_map, relation_map, detector, include_inverse
+                    )
+                    counts.setdefault((detector, pair), []).append((leaked, len(evaluated)))
+        for detector, pair in sorted(counts):
+            leaked, total, ratios = [], [], []
+            for n, size in counts[(detector, pair)]:
+                leaked.append(n)
+                total.append(size)
+                ratios.append(n / size if size else 0.0)
+            mean, std = mean_and_population_std(ratios)
+            records.append({
+                "task": task,
+                "detector": detector,
+                "split_pair": pair,
+                "leaked": leaked,
+                "total": total,
+                "ratio": ratios,
+                "mean": mean,
+                "std": std,
+                "seeds": list(seeds),
+            })
+    return records
 
 
 # --- planted-defect corpus counters ------------------------------------------

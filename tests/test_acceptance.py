@@ -28,7 +28,6 @@ from kgprep.model import ENTITY_TYPES, EntityRef, KnowledgeGraph, RelationRef
 from kgprep.normalize import IdMapTable, deduplicate, remap_entities, resolve_fixed_point
 from kgprep.pipeline import run_pipeline
 from kgprep.split_audit import (
-    BUILTIN_TASKS,
     DETECTORS,
     Equivalence,
     audit_report,
@@ -164,7 +163,7 @@ def test_acceptance_1_property_suite(tmp_path):
         for i in range(233)
     ])
     for seed in range(20):
-        bundle, = make_splits(target, BUILTIN_TASKS["ppi"], [seed])
+        bundle, = make_splits(target, "ppi", [seed])
         n = bundle.target_size()
         assert n == 233
         assert len(split_valid(bundle)) == 23 and len(split_test(bundle)) == 46
@@ -187,7 +186,7 @@ def test_acceptance_1_property_suite(tmp_path):
                     train, eval_rows, entity_map, relation_map, detector,
                     canonical_labels=set(table2.canonical_labels),
                 )
-                assert engine.cells[(detector, pair)].leaked == expected
+                assert engine[(detector, pair)][0] == expected
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"property suite took {elapsed:.1f}s"
@@ -335,10 +334,10 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
         equivalence = Equivalence(entity_map, table)
         reports = [
             detect_leakage(bundle, equivalence)
-            for bundle in make_splits(g, BUILTIN_TASKS[task_name], range(5))
+            for bundle in make_splits(g, task_name, range(5))
         ]
-        agg = audit_report(reports)
-        cell = agg.cells[("any", "train_test")]
+        cell, = (r for r in audit_report(task_name, list(range(5)), reports)
+                 if (r["detector"], r["split_pair"]) == ("any", "train_test"))
         return cell["mean"], cell["std"]
 
     ppi_mean, ppi_std = any_ratio("ppi")
@@ -359,11 +358,12 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
     equivalence = Equivalence(entity_map, table)
     reports = [
         detect_leakage(bundle, equivalence)
-        for bundle in make_splits(sider, BUILTIN_TASKS["side_effect"], range(5))
+        for bundle in make_splits(sider, "side_effect", range(5))
     ]
-    agg = audit_report(reports)
+    means = {(r["detector"], r["split_pair"]): r["mean"]
+             for r in audit_report("side_effect", list(range(5)), reports)}
     for detector in ("relation_redundancy", "entity_redundancy"):
-        ratio = agg.cells[(detector, "train_test")]["mean"]
+        ratio = means[(detector, "train_test")]
         print(f"  side_effect {detector} train/test: {ratio:.4f}")
         assert ratio <= 0.001
     _report("4 (leakage reproduction): PASS")

@@ -346,8 +346,25 @@ def test_mistyped_enrichment_row_is_input_error(tmp_path, capsys, stage, table, 
             "Compound::drugbank:DB1 -> Gene::NCBI:2 does not fit SIDE_EFFECT, "
             "which links Compound to SideEffect",
         ),
+        # an id that does not parse, in either column, after the header
+        (
+            "onsides",
+            "compound_id\tside_effect_id\tconfidence_tier\n"
+            "Compound::drugbank:DB1\tSideEffect::umls:C1\thigh\n"
+            "notanentity\tSideEffect::umls:C2\thigh\n",
+            3,
+            "entity 'notanentity': missing '::' type separator",
+        ),
+        (
+            "onsides",
+            "compound_id\tside_effect_id\tconfidence_tier\n"
+            "Compound::drugbank:DB1\tSideEffect::umls:C1\thigh\n"
+            "Compound::drugbank:DB1\tnotanentity\thigh\n",
+            3,
+            "entity 'notanentity': missing '::' type separator",
+        ),
     ],
-    ids=["reactome", "onsides"],
+    ids=["reactome", "onsides", "onsides-compound-id", "onsides-side-effect-id"],
 )
 def test_enrichment_row_number_is_its_file_line(tmp_path, capsys, stage, table, row, message):
     graph = tmp_path / "g.tsv"
@@ -402,6 +419,26 @@ def test_malformed_id_in_table_names_file_and_line(tmp_path, capsys, key, stage,
     assert capsys.readouterr().err.splitlines() == [
         "input error: line 2: " + message.format(path=path)
     ]
+
+
+def test_onsides_row_below_confidence_is_skipped_unparsed(tmp_path):
+    graph = tmp_path / "g.tsv"
+    graph.write_text(
+        "Compound::drugbank:DB1\tGNBR::B::Compound:Gene\tGene::NCBI:1\n", encoding="utf-8"
+    )
+    (tmp_path / "table.tsv").write_text(
+        "Compound::drugbank:DB1\tSideEffect::umls:C1\thigh\nnotanentity\tnotanentity\tlow\n",
+        encoding="utf-8",
+    )
+    cfg = tmp_path / "enrich.cfg"
+    cfg.write_text("inputs.onsides = table.tsv\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["--quiet", "--config", str(cfg), "--out", str(out),
+               "stage", "onsides", "--graph", str(graph)])
+    assert rc == 0
+    stage_log, = json.loads((out / "stage_onsides.json").read_text())
+    assert stage_log["details"]["skipped_below_confidence"] == 1
+    assert stage_log["details"]["edges_added"] == 1
 
 
 def test_compute_stats_totals_match_breakdowns():

@@ -1,0 +1,111 @@
+"""leakage_report.json and the audit counters of a small run against a report
+recomputed from the split files the run wrote, pair by pair."""
+
+import json
+import random
+
+import pytest
+
+from kgprep.cli import main
+from kgprep.config import STAGE_NAMES
+
+from oracles import leakage_records_from_splits
+
+TASKS = ("ppi", "drug_repurposing", "side_effect")
+SEEDS = (0, 1, 2)
+FLOATS = ("ratio", "mean", "std")
+
+# (origin, label, head type, tail type, canonical label)
+HARMONIZATION = (
+    ("GNBR", "B", "Gene", "Gene", "GENE_BIND"),
+    ("STRING", "Binding", "Gene", "Gene", "GENE_BIND"),
+    ("DGIdb", "Agonist", "Compound", "Gene", "AGONIST"),
+    ("GNBR", "A+", "Compound", "Gene", "AGONIST"),
+)
+GENE_XREF = {"Gene::NCBI:100": "Gene::NCBI:1", "Gene::NCBI:101": "Gene::NCBI:2"}
+
+
+def _graph_rows() -> list[tuple[str, str, str]]:
+    """ppi and drug rows with literal duplicates, reversed rows, relation
+    synonyms and xref-mapped genes; six side-effect rows, so that task's
+    valid split is empty; and context rows."""
+    rng = random.Random(23)
+    genes = [f"Gene::NCBI:{i}" for i in range(8)] + list(GENE_XREF)
+    compounds = [f"Compound::PubChem_Compounds:{i}" for i in range(5)]
+    rows = []
+    for _ in range(60):
+        h, t = rng.sample(genes, 2)
+        rows.append((h, rng.choice(["GNBR::B::Gene:Gene", "STRING::Binding::Gene:Gene",
+                                    "GNBR::Q::Gene:Gene"]), t))
+    for _ in range(30):
+        rows.append((rng.choice(compounds),
+                     rng.choice(["DGIdb::Agonist::Compound:Gene", "GNBR::A+::Compound:Gene"]),
+                     rng.choice(genes)))
+    rows += rows[::6] + [(t, r, h) for h, r, t in rows[1:60:7]]
+    rows += [(compounds[i % 5], "SIDER::causes::Compound:SideEffect", f"SideEffect::UMLS:C{i}")
+             for i in range(6)]
+    rows += [(g, "GNBR::L::Gene:Disease", f"Disease::MESH:D{i % 3}") for i, g in enumerate(genes)]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def run_out(tmp_path_factory):
+    root = tmp_path_factory.mktemp("report")
+    (root / "graph.tsv").write_text(
+        "".join(f"{h}\t{r}\t{t}\n" for h, r, t in _graph_rows()), encoding="utf-8"
+    )
+    (root / "gene_xref.tsv").write_text(
+        "".join(f"{k}\t{v}\n" for k, v in GENE_XREF.items()), encoding="utf-8"
+    )
+    (root / "harmonization.tsv").write_text(
+        "".join("\t".join(row) + "\n" for row in HARMONIZATION), encoding="utf-8"
+    )
+    toggles = "".join(
+        f"stages.{name} = {'true' if name in ('splits', 'audit') else 'false'}\n"
+        for name in STAGE_NAMES
+    )
+    (root / "pipeline.cfg").write_text(
+        "inputs.triplets = graph.tsv\ninputs.gene_xref = gene_xref.tsv\n"
+        "inputs.harmonization = harmonization.tsv\n"
+        f"split.tasks = {','.join(TASKS)}\nsplit.seeds = {','.join(map(str, SEEDS))}\n"
+        + toggles,
+        encoding="utf-8",
+    )
+    out = root / "out"
+    assert main(["--quiet", "--config", str(root / "pipeline.cfg"), "--out", str(out), "run"]) == 0
+    return out
+
+
+def test_report_equals_pairwise_recount_of_split_files(run_out):
+    report = json.loads((run_out / "leakage_report.json").read_text(encoding="utf-8"))
+    relation_map = {(origin, label): canon for origin, label, _, _, canon in HARMONIZATION}
+    expected = leakage_records_from_splits(
+        run_out / "splits", TASKS, SEEDS, GENE_XREF, relation_map
+    )
+    assert len(report) == len(expected) == len(TASKS) * 8
+    for got, want in zip(report, expected):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key in FLOATS:
+                assert got[key] == pytest.approx(value), (want["task"], key)
+            else:
+                assert got[key] == value, (want["task"], key)
+
+    # side_effect has 6 targets: its valid split is empty and reads 0.0
+    empty = [r for r in report if r["split_pair"] == "train_valid" and r["task"] == "side_effect"]
+    assert empty and all(r["total"] == [0] * len(SEEDS) and r["ratio"] == [0.0] * len(SEEDS)
+                         for r in empty)
+    # every detector finds leaks in ppi, so the comparison is not vacuous
+    ppi = {r["detector"]: sum(r["leaked"]) for r in report
+           if r["task"] == "ppi" and r["split_pair"] == "train_test"}
+    assert 0 < ppi["duplicate_inverse"] < ppi["relation_redundancy"] < ppi["entity_redundancy"]
+
+
+def test_audit_counters_are_the_report_sums(run_out):
+    report = json.loads((run_out / "leakage_report.json").read_text(encoding="utf-8"))
+    stats = json.loads((run_out / "stats.json").read_text(encoding="utf-8"))
+    audit, = (s for s in stats["stages"] if s["stage"] == "audit")
+    assert audit["details"] == {
+        f"{r['task']}_{r['detector']}_{r['split_pair']}_leaked": sum(r["leaked"]) for r in report
+    }

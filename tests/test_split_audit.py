@@ -44,32 +44,32 @@ def target_graph(n_target: int = 10, n_context: int = 4) -> KnowledgeGraph:
 
 
 def test_builtin_task_targets_are_disjoint(tiny_graph):
-    for a in BUILTIN_TASKS.values():
-        for b in BUILTIN_TASKS.values():
-            if a.name == b.name:
+    for name_a, a in BUILTIN_TASKS.items():
+        for name_b, b in BUILTIN_TASKS.items():
+            if name_a == name_b:
                 continue
             for t in tiny_graph:
                 assert not (task_matches(a, t) and task_matches(b, t))
 
 
 def test_split_sizes_ten_targets():
-    bundle = make_splits(target_graph(10), BUILTIN_TASKS["ppi"], [0])[0]
+    bundle = make_splits(target_graph(10), "ppi", [0])[0]
     assert (len(split_train(bundle)), len(split_valid(bundle)), len(split_test(bundle))) == (7, 1, 2)
     assert len(split_context(bundle)) == 4
 
 
 def test_split_deterministic_per_seed():
     g = target_graph(50)
-    a = make_splits(g, BUILTIN_TASKS["ppi"], [3])[0]
-    b = make_splits(g, BUILTIN_TASKS["ppi"], [3])[0]
+    a = make_splits(g, "ppi", [3])[0]
+    b = make_splits(g, "ppi", [3])[0]
     assert [render(t) for t in split_train(a)] == [render(t) for t in split_train(b)]
     assert [render(t) for t in split_test(a)] == [render(t) for t in split_test(b)]
 
 
 def test_split_seeds_differ_but_sizes_match():
     g = target_graph(1000)
-    a = make_splits(g, BUILTIN_TASKS["ppi"], [0])[0]
-    b = make_splits(g, BUILTIN_TASKS["ppi"], [1])[0]
+    a = make_splits(g, "ppi", [0])[0]
+    b = make_splits(g, "ppi", [1])[0]
     assert len(split_train(a)) == len(split_train(b)) and len(split_test(a)) == len(split_test(b))
     assert {render(t) for t in split_train(a)} != {render(t) for t in split_train(b)}
 
@@ -77,14 +77,14 @@ def test_split_seeds_differ_but_sizes_match():
 def test_split_empty_target_fatal():
     g = target_graph(0, n_context=3)
     with pytest.raises(StageError, match="ppi"):
-        make_splits(g, BUILTIN_TASKS["ppi"], [0])
+        make_splits(g, "ppi", [0])
 
 
 @settings(max_examples=40)
 @given(n=st.integers(1, 300), seed=st.integers(0, 10_000))
 def test_split_partition_property(n, seed):
     g = target_graph(n, n_context=0)
-    bundle = make_splits(g, BUILTIN_TASKS["ppi"], [seed])[0]
+    bundle = make_splits(g, "ppi", [seed])[0]
     assert len(split_valid(bundle)) == n // 10
     assert len(split_test(bundle)) == n // 5
     assert len(split_train(bundle)) == n - n // 10 - n // 5
@@ -143,7 +143,8 @@ def test_literal_duplicate_leaks_under_all_detectors():
     report = detect_leakage(bundle)
     for detector in DETECTORS:
         for pair in ("train_valid", "train_test"):
-            assert report.cells[(detector, pair)].ratio == 1.0
+            leaked, total = report[(detector, pair)]
+            assert total > 0 and leaked == total
 
 
 def test_inverse_duplicate_detected():
@@ -151,9 +152,9 @@ def test_inverse_duplicate_detected():
     test = [T("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B")]
     bundle = bundle_of("ppi", 0, train=train, valid=[], test=test)
     report = detect_leakage(bundle)
-    assert report.cells[("duplicate_inverse", "train_test")].leaked == 1
+    assert report[("duplicate_inverse", "train_test")][0] == 1
     no_inverse = detect_leakage(bundle, include_inverse=False)
-    assert no_inverse.cells[("duplicate_inverse", "train_test")].leaked == 0
+    assert no_inverse[("duplicate_inverse", "train_test")][0] == 0
 
 
 def test_empty_tables_reduce_to_duplicate_inverse():
@@ -162,10 +163,10 @@ def test_empty_tables_reduce_to_duplicate_inverse():
         bundle, _, _, _ = random_bundle(rng, 120)
         report = detect_leakage(bundle, Equivalence(None, None))
         for pair in ("train_valid", "train_test"):
-            dup = report.cells[("duplicate_inverse", pair)]
-            assert report.cells[("relation_redundancy", pair)] == dup
-            assert report.cells[("entity_redundancy", pair)] == dup
-            assert report.cells[("any", pair)] == dup
+            dup = report[("duplicate_inverse", pair)]
+            assert report[("relation_redundancy", pair)] == dup
+            assert report[("entity_redundancy", pair)] == dup
+            assert report[("any", pair)] == dup
 
 
 def test_detector_monotonicity():
@@ -174,10 +175,10 @@ def test_detector_monotonicity():
         bundle, table, entity_map, _ = random_bundle(rng, 150)
         report = detect_leakage(bundle, Equivalence(entity_map, table))
         for pair in ("train_valid", "train_test"):
-            dup = report.cells[("duplicate_inverse", pair)].leaked
-            rel = report.cells[("relation_redundancy", pair)].leaked
-            ent = report.cells[("entity_redundancy", pair)].leaked
-            any_ = report.cells[("any", pair)].leaked
+            dup = report[("duplicate_inverse", pair)][0]
+            rel = report[("relation_redundancy", pair)][0]
+            ent = report[("entity_redundancy", pair)][0]
+            any_ = report[("any", pair)][0]
             assert dup <= rel <= ent
             assert any_ >= max(dup, rel, ent)
 
@@ -196,7 +197,7 @@ def test_detectors_equal_exhaustive_oracle():
                     train, eval_rows, entity_map, relation_map, detector,
                     canonical_labels=set(table.canonical_labels),
                 )
-                got = report.cells[(detector, pair)].leaked
+                got = report[(detector, pair)][0]
                 assert got == expected, (round_, detector, pair)
 
 
@@ -207,8 +208,8 @@ def test_audit_report_aggregation():
                                valid=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
                                test=[T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4")])
     )
-    agg = audit_report([single])
-    cell = agg.cells[("duplicate_inverse", "train_valid")]
+    cell, = (r for r in audit_report("ppi", [0], [single])
+             if (r["detector"], r["split_pair"]) == ("duplicate_inverse", "train_valid"))
     assert cell["mean"] == 1.0 and cell["std"] == 0.0
 
     # {0.6, 0.7} -> mean 0.65, population std 0.05
@@ -221,17 +222,17 @@ def test_audit_five_seeds_matches_external_recompute():
     # duplicate a third of the target rows so splits leak
     extra = [t for i, t in enumerate(g.triplets) if i % 3 == 0 and task_matches(BUILTIN_TASKS["ppi"], t)]
     g2 = KnowledgeGraph(list(g.triplets) + extra)
-    reports = [detect_leakage(b) for b in make_splits(g2, BUILTIN_TASKS["ppi"], range(5))]
-    agg = audit_report(reports)
-    for key, cell in agg.cells.items():
+    reports = [detect_leakage(b) for b in make_splits(g2, "ppi", range(5))]
+    records = audit_report("ppi", [0, 1, 2, 3, 4], reports)
+    for cell in records:
         mean, std = mean_and_population_std(cell["ratio"])
         assert cell["mean"] == pytest.approx(mean)
         assert cell["std"] == pytest.approx(std)
-    assert agg.seeds == [0, 1, 2, 3, 4]
+        assert cell["seeds"] == [0, 1, 2, 3, 4]
 
 
 def test_write_bundle_files(tmp_path):
-    bundle = make_splits(target_graph(20), BUILTIN_TASKS["ppi"], [0])[0]
+    bundle = make_splits(target_graph(20), "ppi", [0])[0]
     write_bundle(tmp_path, bundle, GraphFile(tmp_path / "graph.tsv", bundle.rows.graph))
     for name in ("train", "valid", "test", "context"):
         path = tmp_path / f"{name}.tsv"
@@ -249,7 +250,7 @@ def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
     graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (render(c) for c in context_rows))
     by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(render(c) for c in context_rows))
     assert graph_order != by_text
-    for bundle in make_splits(g, BUILTIN_TASKS["ppi"], [0, 1]):
+    for bundle in make_splits(g, "ppi", [0, 1]):
         for preserve_order, expected in ((False, by_text), (True, graph_order)):
             out = tmp_path / f"{preserve_order}_{bundle.seed}"
             graph_file = GraphFile(tmp_path / f"graph_{preserve_order}.tsv", g, preserve_order)
@@ -261,7 +262,7 @@ def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
 
 
 def test_write_bundle_needs_the_file_of_its_graph(tmp_path):
-    bundle = make_splits(target_graph(20), BUILTIN_TASKS["ppi"], [0])[0]
+    bundle = make_splits(target_graph(20), "ppi", [0])[0]
     other = GraphFile(tmp_path / "graph.tsv", target_graph(20))
     with pytest.raises(ValueError, match="another graph"):
         write_bundle(tmp_path / "out", bundle, other)
@@ -297,22 +298,19 @@ def leak_equivalence() -> Equivalence:
 
 def test_seeds_audited_together_equal_each_seed_alone():
     g, equivalence = leaky_graph(), leak_equivalence()
-    ppi = BUILTIN_TASKS["ppi"]
-    together = [detect_leakage(b, equivalence) for b in make_splits(g, ppi, [0, 1, 2])]
-    alone = [detect_leakage(make_splits(g, ppi, [s])[0], equivalence) for s in (0, 1, 2)]
+    together = [detect_leakage(b, equivalence) for b in make_splits(g, "ppi", [0, 1, 2])]
+    alone = [detect_leakage(make_splits(g, "ppi", [s])[0], equivalence) for s in (0, 1, 2)]
     assert together == alone
-    assert together[0].cells != together[1].cells
-    cells = together[0].cells
-    leaked = [cells[(d, "train_test")].leaked for d in DETECTORS[:3]]
+    assert together[0] != together[1]
+    leaked = [together[0][(d, "train_test")][0] for d in DETECTORS[:3]]
     assert 0 < leaked[0] < leaked[1] < leaked[2]  # every detector adds leaks here
 
 
 def test_task_keys_are_rebuilt_for_another_equivalence():
     g, equivalence = leaky_graph(), leak_equivalence()
-    ppi = BUILTIN_TASKS["ppi"]
-    bundles = make_splits(g, ppi, [0, 1])
+    bundles = make_splits(g, "ppi", [0, 1])
     identity = detect_leakage(bundles[0])
     mapped = detect_leakage(bundles[1], equivalence)
-    assert mapped == detect_leakage(make_splits(g, ppi, [1])[0], equivalence)
+    assert mapped == detect_leakage(make_splits(g, "ppi", [1])[0], equivalence)
     assert detect_leakage(bundles[0]) == identity
-    assert detect_leakage(bundles[1]).cells != mapped.cells
+    assert detect_leakage(bundles[1]) != mapped

@@ -104,11 +104,11 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
     splits = tmp_path / "out" / "splits"
     expected_files = set()
     line_sort_differs = False
-    aggregates = []
+    records = []
     for task_name in TASKS:
         reports = []
         for seed in SEEDS:
-            parts = splits_by_rescan(g.triplets, BUILTIN_TASKS[task_name].endpoint_types, seed)
+            parts = splits_by_rescan(g.triplets, BUILTIN_TASKS[task_name], seed)
             seed_dir = splits / task_name / f"seed_{seed}"
             for name, text in split_file_texts(parts, preserve_order).items():
                 expected_files.add(seed_dir / name)
@@ -118,7 +118,7 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
             train, valid, test, _ = parts
             bundle = bundle_of(task_name, seed, train, valid, test)
             reports.append(detect_leakage(bundle, equivalence, include_inverse=include_inverse))
-        aggregates.append(audit_report(reports))
+        records += audit_report(task_name, list(SEEDS), reports)
     assert {p for p in splits.rglob("*") if p.is_file()} == expected_files
     for task_name in TASKS:
         context = splits / task_name / f"seed_{SEEDS[0]}" / "context.tsv"
@@ -128,8 +128,9 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
         assert line_sort_differs
 
     reference = tmp_path / "reference.json"
-    write_leakage_json(reference, aggregates)
+    write_leakage_json(reference, records)
     assert (tmp_path / "out" / "leakage_report.json").read_bytes() == reference.read_bytes()
-    ppi = aggregates[0]
+    ppi = {r["detector"]: r["leaked"] for r in records
+           if r["task"] == "ppi" and r["split_pair"] == "train_test"}
     for detector in ("duplicate_inverse", "relation_redundancy", "entity_redundancy"):
-        assert sum(ppi.cells[(detector, "train_test")]["leaked"]) > 0, detector
+        assert sum(ppi[detector]) > 0, detector
