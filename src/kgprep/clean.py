@@ -71,10 +71,6 @@ class HarmonizationTable:
         with resources.as_file(ref) as path:
             return cls.from_file(path)
 
-    @classmethod
-    def empty(cls) -> "HarmonizationTable":
-        return cls({}, ENRICHMENT_LABELS)
-
     def lookup(self, relation: RelationRef) -> str | None:
         """The label the table maps the relation's key to, or None."""
         return self.mapping.get(

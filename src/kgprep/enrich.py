@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from itertools import count
+from operator import attrgetter
 
 from .chem.smiles import check_smiles
 from .errors import InputError, ParseError, SmilesError
@@ -20,6 +21,8 @@ log = logging.getLogger(__name__)
 
 GENE_PATHWAY = RelationRef("Reactome", "GENE_PATHWAY", "Gene", "Pathway")
 SIDE_EFFECT = RelationRef("OnSIDES", "SIDE_EFFECT", "Compound", "SideEffect")
+# a relation's endpoint types, which are its rows' (the graph checks them)
+_SIGNATURE = attrgetter("head_type", "tail_type")
 
 TIER_RANK = {"low": 0, "medium": 1, "high": 2}
 
@@ -65,13 +68,13 @@ def merge_reactome(
         if gene not in nodes and gene not in new_nodes:
             details["skipped_endpoint_absent"] += 1
             continue
-        t = Triplet(gene, GENE_PATHWAY, pathway, origin_line=row_no)
+        t = _checked(Triplet(gene, GENE_PATHWAY, pathway, origin_line=row_no), "reactome")
         key = canonical_key(t)
         if key in keys:
             details["skipped_duplicate"] += 1
             continue
         keys.add(key)
-        added.append(_checked(t, "reactome"))
+        added.append(t)
         if pathway not in nodes:
             new_nodes.add(pathway)
     details["edges_added"] = len(added)
@@ -96,11 +99,13 @@ def merge_onsides(
     if min_tier not in TIER_RANK:
         raise ValueError(f"unknown confidence tier {min_tier!r}")
     threshold = TIER_RANK[min_tier]
-    named = _compounds_named(table, threshold, compound_map)
+    # a checked row links a Compound to a SideEffect, so only graph rows
+    # between those types, in either orientation, can carry its pair
+    links = {_SIGNATURE(SIDE_EFFECT), _SIGNATURE(SIDE_EFFECT)[::-1]}
     pairs = {
         frozenset((t.head.text, t.tail.text))
         for t in g.triplets
-        if t.head.text in named or t.tail.text in named
+        if _SIGNATURE(t.relation) in links
     }
     nodes = g.nodes
     new_nodes: set[EntityRef] = set()
@@ -126,38 +131,18 @@ def merge_onsides(
         if compound not in nodes and compound not in new_nodes:
             details["skipped_endpoint_absent"] += 1
             continue
+        t = _checked(Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no), "onsides")
         pair = frozenset((compound.text, side_effect.text))
         if pair in pairs:
             details["skipped_duplicate"] += 1
             continue
         pairs.add(pair)
-        added.append(
-            _checked(Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no), "onsides")
-        )
+        added.append(t)
         if side_effect not in nodes:
             new_nodes.add(side_effect)
     details["edges_added"] = len(added)
     details["side_effect_nodes_added"] = len(new_nodes)
     return g.plus(added), details
-
-
-def _compounds_named(
-    table: list[tuple[str, str, str]], threshold: int, compound_map: IdMapTable | None
-) -> set[str]:
-    """Remapped texts of the compounds named at or above the threshold; rows
-    that fail to parse are left for ``merge_onsides`` to raise on, in order."""
-    named = set()
-    for compound_text, _, tier in table:
-        if TIER_RANK.get(tier, -1) < threshold:
-            continue
-        try:
-            compound = parse_entity(compound_text)
-        except ParseError:
-            continue
-        if compound_map is not None:
-            compound = compound_map.apply(compound)
-        named.add(compound.text)
-    return named
 
 
 def filter_no_smiles(

@@ -67,10 +67,9 @@ class PipelineRunner:
             config.validate_for_stage(stage)
         self.config = config
         self.out_dir = Path(config.out_dir)
-        # the split plan: the graph it was made for, and per task the seeded
-        # bundles the splits stage made and the audit has not yet used
-        self._plan_graph: KnowledgeGraph | None = None
-        self._plan: dict[str, list[split_audit.SplitBundle]] = {}
+        # per task, the splits the splits stage made and the audit has not
+        # yet used
+        self._plan: dict[str, split_audit.TaskSplits] = {}
         # the graph whose file the splits stage wrote to RENDERED_GRAPH
         self._rendered: KnowledgeGraph | None = None
 
@@ -183,20 +182,18 @@ class PipelineRunner:
         features.write_features(self.out_dir / "gene_features.tsv", table)
         return collapsed, details
 
-    def _bundles(
+    def _task_splits(
         self, g: KnowledgeGraph, task_name: str, keep: bool
-    ) -> list[split_audit.SplitBundle]:
-        """One task's seeded bundles on ``g``: the ones an earlier stage kept
+    ) -> split_audit.TaskSplits:
+        """One task's seeded splits of ``g``: the ones an earlier stage kept
         for this very graph, or new ones. ``keep`` leaves them for a later
         stage; otherwise they are released."""
-        if self._plan_graph is not g:
-            self._plan_graph, self._plan = g, {}
-        bundles = self._plan.pop(task_name, None)
-        if bundles is None:
-            bundles = split_audit.make_splits(g, task_name, self.config.split_seeds)
+        split = self._plan.pop(task_name, None)
+        if split is None or split.graph is not g:
+            split = split_audit.make_splits(g, task_name, self.config.split_seeds)
         if keep:
-            self._plan[task_name] = bundles
-        return bundles
+            self._plan[task_name] = split
+        return split
 
     def _splits(self, g: KnowledgeGraph) -> StageResult:
         details: dict[str, int] = {}
@@ -206,36 +203,34 @@ class PipelineRunner:
             self.out_dir / RENDERED_GRAPH, g, preserve_order=self.config.preserve_order
         )
         for task_name in self.config.split_tasks:
-            for bundle in self._bundles(g, task_name, keep):
+            split = self._task_splits(g, task_name, keep)
+            for k, seed in enumerate(split.seeds):
                 split_audit.write_bundle(
-                    self.out_dir / "splits" / task_name / f"seed_{bundle.seed}",
-                    bundle,
-                    graph_file,
+                    self.out_dir / "splits" / task_name / f"seed_{seed}", split, k, graph_file
                 )
             # split sizes depend only on the target size, not on the seed
-            details[f"{task_name}_target"] = n = bundle.target_size()
-            details[f"{task_name}_train"] = bundle.n_train
-            details[f"{task_name}_valid"] = bundle.n_valid
-            details[f"{task_name}_test"] = n - bundle.n_train - bundle.n_valid
+            details[f"{task_name}_target"] = n = len(split.target)
+            details[f"{task_name}_train"] = split.n_train
+            details[f"{task_name}_valid"] = split.n_valid
+            details[f"{task_name}_test"] = n - split.n_train - split.n_valid
         return g, details
 
     def _audit(self, g: KnowledgeGraph) -> StageResult:
-        entity_map: dict = {}
-        for table in self.id_maps.values():
-            entity_map.update(table.mapping)
-        equivalence = split_audit.Equivalence(entity_map, self.harmonization_table)
+        # identifier texts to canonical texts; a later table wins on a shared key
+        entities = {
+            k.text: v.text for table in self.id_maps.values() for k, v in table.mapping.items()
+        }
         records = []
         for task_name in self.config.split_tasks:
-            bundles = self._bundles(g, task_name, keep=False)
+            split = self._task_splits(g, task_name, keep=False)
+            keys = split_audit.leak_keys(split, entities, self.harmonization_table)
             reports = [
                 split_audit.detect_leakage(
-                    bundle,
-                    equivalence,
-                    include_inverse=self.config.audit_include_inverse,
+                    keys, split.parts(k), include_inverse=self.config.audit_include_inverse
                 )
-                for bundle in bundles
+                for k in range(len(split.seeds))
             ]
-            records += split_audit.audit_report(task_name, [b.seed for b in bundles], reports)
+            records += split_audit.audit_report(task_name, split.seeds, reports)
         split_audit.write_leakage_json(self.out_dir / "leakage_report.json", records)
         return g, {
             f"{r['task']}_{r['detector']}_{r['split_pair']}_leaked": sum(r["leaked"])

@@ -3,12 +3,12 @@ leakage audit.
 
 A split shuffles the task's target triplets under a seed and partitions them
 70/10/20 (valid and test sizes floored, remainder to train); every non-target
-triplet stays in the context set. A task's rows are partitioned once and
-shared by all its seeds. Split files are cut from the bytes of the graph file
-the run writes once: a seed marks each written row with its split, and each
-file is the byte runs of its split's rows, so no row is rendered again. The
-audit asks, for each evaluation triplet, whether the training split contains
-an equivalent counterpart:
+triplet stays in the context set. A task's rows are partitioned once, into
+one ``TaskSplits`` that holds every seed's permutation. Split files are cut
+from the bytes of the graph file the run writes once: a seed marks each
+written row with its split, and each file is the byte runs of its split's
+rows, so no row is rendered again. The audit asks, for each evaluation
+triplet, whether the training split contains an equivalent counterpart:
 
 * duplicate_inverse - same origin and label, endpoints equal or swapped;
 * relation_redundancy - endpoints equal or swapped, labels equal after
@@ -19,7 +19,8 @@ an equivalent counterpart:
 
 With empty equivalence tables, standardization is the identity and all
 detectors reduce to duplicate_inverse. Each detector's keys of a task's
-target rows are interned to int ids once, and every seed probes them.
+target rows are interned to int ids once (``leak_keys``), and every seed
+probes them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import random
 import re
 import statistics
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, methodcaller, sub
@@ -52,71 +53,38 @@ BUILTIN_TASKS: dict[str, frozenset[str]] = {
 }
 
 
-class _Memo(dict):
-    """``key -> compute(key)``, computed on first lookup, so a hit is one
-    dict lookup with no Python call."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 @dataclass
-class TaskRows:
-    """One task's partition of a graph: ``target`` lists the positions of the
-    task's target rows in graph order; every other row is context. Every
-    seed's bundle of the task shares it, and with it the leak keys the audit
-    built for the last equivalence it used. Until then it holds one int
-    array, so the splits stage can leave it to the audit at little cost."""
+class TaskSplits:
+    """One task's seeded splits of a graph. ``target`` lists the positions of
+    the task's target rows in graph order; every other row is context.
+    ``orders[k]`` is seed ``seeds[k]``'s permutation of indices into
+    ``target``: its first ``n_train`` indices are train, the next ``n_valid``
+    valid and the rest test."""
 
     task: str
     graph: KnowledgeGraph
     target: array
-    _keys: tuple | None = field(default=None, init=False, repr=False)
-
-    def leak_keys(self, equivalence: Equivalence) -> tuple[tuple[array, array], ...]:
-        """The target rows' interned keys under ``equivalence``, built on
-        first use (see ``_leak_keys``)."""
-        if self._keys is None or self._keys[0] is not equivalence:
-            self._keys = (equivalence, _leak_keys(self, equivalence))
-        return self._keys[1]
-
-
-@dataclass
-class SplitBundle:
-    """One seed's split of a task. ``order`` is the seeded permutation of
-    indices into ``rows.target``: its first ``n_train`` indices are train,
-    the next ``n_valid`` valid and the rest test."""
-
-    rows: TaskRows
-    seed: int
-    order: Sequence[int]
+    seeds: list[int]
+    orders: list[array]
     n_train: int
     n_valid: int
 
-    def parts(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """Train, valid and test: indices into ``rows.target`` in shuffled
-        order."""
+    def parts(self, k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """Seed ``seeds[k]``'s train, valid and test: indices into
+        ``target`` in shuffled order."""
         end_valid = self.n_train + self.n_valid
-        order = self.order
+        order = self.orders[k]
         return order[: self.n_train], order[self.n_train : end_valid], order[end_valid:]
-
-    def target_size(self) -> int:
-        return len(self.order)
 
 
 _SIGNATURE = attrgetter("head_type", "tail_type")
 _RELATION_TEXT = attrgetter("relation.text")
 
 
-def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> list[SplitBundle]:
+def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> TaskSplits:
     """Seeded uniform 70/10/20 partitions of the task's target triplets, one
-    bundle per seed (valid and test sizes floored, remainder to train). A
-    row is a target when its endpoint types are the task's.
+    per seed (valid and test sizes floored, remainder to train). A row is a
+    target when its endpoint types are the task's.
 
     The graph is partitioned once, testing each distinct relation once (a
     row's endpoint types are its relation's); each seed then shuffles
@@ -126,39 +94,21 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> list
     target list would put at k.
     """
     types = BUILTIN_TASKS[task_name]
-    hit = _Memo(lambda text: set(_SIGNATURE(parse_relation(text))) == types)
-    is_target = bytearray(map(hit.__getitem__, map(_RELATION_TEXT, g.triplets)))
+    texts = list(map(_RELATION_TEXT, g.triplets))
+    hit = {text: set(_SIGNATURE(parse_relation(text))) == types for text in set(texts)}
+    is_target = bytearray(map(hit.__getitem__, texts))
     target = array("i", compress(range(len(g)), is_target))
     if not target:
         raise StageError(f"task {task_name}: target triplet set is empty")
-    rows = TaskRows(task_name, g, target)
     n = len(target)
     n_valid = n // 10
-    n_train = n - n_valid - n // 5
-    bundles = []
+    seeds = list(seeds)
+    orders = []
     for seed in seeds:
         order = array("i", range(n))
         random.Random(seed).shuffle(order)
-        bundles.append(SplitBundle(rows, seed, order, n_train, n_valid))
-    return bundles
-
-
-class Equivalence:
-    """The audit's standardization: entity identifiers as a text -> canonical
-    text map (converted once), and ``canon_label`` memoized per relation.
-    Build one per audit and share it across tasks and seeds: each task's
-    leak keys are built once per equivalence."""
-
-    def __init__(
-        self,
-        equiv_entities: dict | None = None,
-        equiv_relations: HarmonizationTable | None = None,
-    ):
-        self.entities: dict[str, str] = {
-            getattr(k, "text", k): getattr(v, "text", v)
-            for k, v in (equiv_entities or {}).items()
-        }
-        self.relations = _Memo((equiv_relations or HarmonizationTable.empty()).canon_label)
+        orders.append(order)
+    return TaskSplits(task_name, g, target, seeds, orders, n - n_valid - n // 5, n_valid)
 
 
 _HEAD_TEXT = attrgetter("head.text")
@@ -174,24 +124,27 @@ def _intern(keys: Iterable, inverse_keys: Iterable, size: int) -> tuple[array, a
     return key_ids, array("i", map(ids.get, inverse_keys, repeat(size)))
 
 
-def _leak_keys(rows: TaskRows, equivalence: Equivalence) -> tuple[tuple[array, array], ...]:
+def leak_keys(
+    split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable
+) -> tuple[tuple[array, array], ...]:
     """(ids, inverse ids) of the task's target rows, in target order, for
     each detector: raw keys ``(head, (origin, label), tail)``, relation keys
     ``(head, canonical label, tail)`` and entity keys, which also map the
-    endpoints. When the entity map leaves every endpoint unmapped, the entity
-    keys are the relation keys, and so are their ids. Each row's relation is
-    held as the place of the first target row with its text, and labels are
-    computed once per such relation."""
-    triplets, target = rows.graph.triplets, rows.target
+    endpoints' texts through ``entities``. When that map leaves every
+    endpoint unmapped, the entity keys are the relation keys, and so are
+    their ids. Each row's relation is held as the place of the first target
+    row with its text, and labels are computed once per such relation.
+    Build them once per task: every seed's ``detect_leakage`` reuses them."""
+    triplets, target = split.graph.triplets, split.target
 
     def column(get):
         return map(get, map(triplets.__getitem__, target))
 
     first: dict[str, int] = {}
     relation_of = array("i", map(first.setdefault, column(_RELATION_TEXT), count()))
-    relations = {i: triplets[target[i]].relation for i in first.values()}
-    raw_label = {i: (r.origin, r.label) for i, r in relations.items()}
-    canon_label = {i: equivalence.relations[r] for i, r in relations.items()}
+    task_relations = {i: triplets[target[i]].relation for i in first.values()}
+    raw_label = {i: (r.origin, r.label) for i, r in task_relations.items()}
+    canon_label = {i: relations.canon_label(r) for i, r in task_relations.items()}
 
     def intern(heads: list, label: dict, tails: list) -> tuple[array, array]:
         labels = label.__getitem__
@@ -204,7 +157,6 @@ def _leak_keys(rows: TaskRows, equivalence: Equivalence) -> tuple[tuple[array, a
     heads, tails = list(column(_HEAD_TEXT)), list(column(_TAIL_TEXT))
     raw = intern(heads, raw_label, tails)
     relation = intern(heads, canon_label, tails)
-    entities = equivalence.entities
     if entities.keys().isdisjoint(heads) and entities.keys().isdisjoint(tails):
         return raw, relation, relation
     canon = entities.get
@@ -231,18 +183,16 @@ def _leaks(
 
 
 def detect_leakage(
-    bundle: SplitBundle,
-    equivalence: Equivalence | None = None,
+    keys: tuple[tuple[array, array], ...],
+    parts: tuple[Sequence[int], Sequence[int], Sequence[int]],
     include_inverse: bool = True,
 ) -> dict[tuple[str, str], tuple[int, int]]:
     """``(detector, split pair) -> (leaked, total)`` for train/valid and
-    train/test under every detector and their union. Without an
-    equivalence, standardization is the identity. A seed marks its train
-    rows' ids and looks up each evaluation row's; the task's ids are built
-    on its first seed audited under ``equivalence``, and its other seeds
-    reuse them."""
-    raw, relation, entity = bundle.rows.leak_keys(equivalence or Equivalence())
-    train, valid, test = bundle.parts()
+    train/test under every detector and their union, from a task's
+    ``leak_keys`` and one seed's ``TaskSplits.parts``. The seed marks its
+    train rows' ids and looks up each evaluation row's."""
+    raw, relation, entity = keys
+    train, valid, test = parts
     evals = (valid, test)
     dup = _leaks(raw, train, evals, include_inverse)
     rel = _leaks(relation, train, evals, include_inverse)
@@ -328,18 +278,17 @@ class GraphFile:
             yield from map(os.pread, repeat(fh.fileno()), map(sub, ends, starts), starts)
 
 
-def write_bundle(out_dir, bundle: SplitBundle, graph: GraphFile) -> None:
-    """train/valid/test/context TSVs in triplet format, cut from the bytes of
-    ``graph``, the graph of ``bundle``. Rows are in the graph's text order
-    unless ``graph`` was written under ``preserve_order``: then the splits
-    keep shuffled order and context keeps graph order. Nothing is rendered
-    or sorted per task or seed."""
-    rows = bundle.rows
-    if rows.graph is not graph.graph:
-        raise ValueError(f"task {rows.task}: a bundle of another graph than {graph.path}")
+def write_bundle(out_dir, split: TaskSplits, k: int, graph: GraphFile) -> None:
+    """Seed ``split.seeds[k]``'s train/valid/test/context TSVs in triplet
+    format, cut from the bytes of ``graph``, the graph of ``split``. Rows are
+    in the graph's text order unless ``graph`` was written under
+    ``preserve_order``: then the splits keep shuffled order and context keeps
+    graph order. Nothing is rendered or sorted per task or seed."""
+    if split.graph is not graph.graph:
+        raise ValueError(f"task {split.task}: splits of another graph than {graph.path}")
     out = Path(out_dir)
-    parts = bundle.parts()
-    place, target = graph.place, rows.target
+    parts = split.parts(k)
+    place, target = graph.place, split.target
     # the split code of each written row
     codes = bytearray(len(place))
     for code, part in enumerate(parts, start=1):

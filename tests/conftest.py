@@ -4,10 +4,11 @@ import pytest
 
 from kgprep.chem.fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, morgan_fingerprint
 from kgprep.chem.smiles import parse_smiles
+from kgprep.clean import HarmonizationTable
 from kgprep.ingest import parse_entity, parse_relation
 from kgprep.model import KnowledgeGraph, Triplet
 from kgprep.pipeline import account
-from kgprep.split_audit import SplitBundle, TaskRows
+from kgprep.split_audit import TaskSplits, detect_leakage, leak_keys
 
 # Shared molecule fixtures: diverse coverage of the supported SMILES subset.
 # The first ten are the oracle-equivalence set.
@@ -57,11 +58,24 @@ def run_stage(name: str, g: KnowledgeGraph, stage):
     return account(name, g, lambda: stage(g))
 
 
-def bundle_of(task: str, seed: int, train, valid, test) -> SplitBundle:
-    """A bundle of given splits, in the given order, with no context."""
+def splits_of(task: str, seed: int, train, valid, test) -> TaskSplits:
+    """One seed's splits of given rows, in the given order, with no context."""
     g = KnowledgeGraph([*train, *valid, *test])
     everything = array("i", range(len(g)))
-    return SplitBundle(TaskRows(task, g, everything), seed, everything, len(train), len(valid))
+    return TaskSplits(task, g, everything, [seed], [everything], len(train), len(valid))
+
+
+def leakage_of(
+    split: TaskSplits,
+    k: int = 0,
+    entities: dict[str, str] | None = None,
+    relations: HarmonizationTable | None = None,
+    include_inverse: bool = True,
+):
+    """``detect_leakage`` of seed ``split.seeds[k]``, with the task's keys
+    built under these tables; an absent table is the identity."""
+    keys = leak_keys(split, entities or {}, relations or HarmonizationTable.from_rows([]))
+    return detect_leakage(keys, split.parts(k), include_inverse=include_inverse)
 
 
 def fingerprint_of(

@@ -256,27 +256,27 @@ def task_matches(endpoint_types, t) -> bool:
     return {t.head.entity_type, t.tail.entity_type} == set(endpoint_types)
 
 
-def _bundle_part(bundle, start: int, stop: int) -> list:
-    rows = bundle.rows
-    return [rows.graph.triplets[rows.target[i]] for i in list(bundle.order)[start:stop]]
+def _split_part(split, k: int, start: int, stop: int) -> list:
+    return [split.graph.triplets[split.target[i]] for i in list(split.orders[k])[start:stop]]
 
 
-def split_train(bundle) -> list:
-    return _bundle_part(bundle, 0, bundle.n_train)
+def split_train(split, k: int) -> list:
+    return _split_part(split, k, 0, split.n_train)
 
 
-def split_valid(bundle) -> list:
-    return _bundle_part(bundle, bundle.n_train, bundle.n_train + bundle.n_valid)
+def split_valid(split, k: int) -> list:
+    return _split_part(split, k, split.n_train, split.n_train + split.n_valid)
 
 
-def split_test(bundle) -> list:
-    return _bundle_part(bundle, bundle.n_train + bundle.n_valid, len(bundle.order))
+def split_test(split, k: int) -> list:
+    return _split_part(split, k, split.n_train + split.n_valid, len(split.target))
 
 
-def split_context(bundle) -> list:
-    """The graph rows outside the task's target, in graph order."""
-    target = set(bundle.rows.target)
-    return [t for p, t in enumerate(bundle.rows.graph.triplets) if p not in target]
+def split_context(split, k: int) -> list:
+    """The graph rows outside the task's target, in graph order; the same
+    for every seed ``k``."""
+    target = set(split.target)
+    return [t for p, t in enumerate(split.graph.triplets) if p not in target]
 
 
 def fingerprint_bits(fp) -> frozenset[int]:

@@ -29,13 +29,13 @@ from kgprep.normalize import IdMapTable, deduplicate, remap_entities, resolve_fi
 from kgprep.pipeline import run_pipeline
 from kgprep.split_audit import (
     DETECTORS,
-    Equivalence,
     audit_report,
     detect_leakage,
+    leak_keys,
     make_splits,
 )
 
-from conftest import FIXTURE_MOLECULES, fingerprint_of, graph_of, run_stage
+from conftest import FIXTURE_MOLECULES, fingerprint_of, graph_of, leakage_of, run_stage
 from molwrite import random_smiles
 from oracles import (
     PLANTED_COUNTERS,
@@ -163,12 +163,12 @@ def test_acceptance_1_property_suite(tmp_path):
         for i in range(233)
     ])
     for seed in range(20):
-        bundle, = make_splits(target, "ppi", [seed])
-        n = bundle.target_size()
+        split = make_splits(target, "ppi", [seed])
+        n = len(split.target)
         assert n == 233
-        assert len(split_valid(bundle)) == 23 and len(split_test(bundle)) == 46
+        assert len(split_valid(split, 0)) == 23 and len(split_test(split, 0)) == 46
         rendered = sorted(
-            render(t) for t in split_train(bundle) + split_valid(bundle) + split_test(bundle)
+            render(t) for t in split_train(split, 0) + split_valid(split, 0) + split_test(split, 0)
         )
         assert rendered == sorted(render(t) for t in target)
 
@@ -177,9 +177,10 @@ def test_acceptance_1_property_suite(tmp_path):
     for _ in range(50):
         size = oracle_rng.randint(30, 500)
         bundle, table2, entity_map, relation_map = random_bundle(oracle_rng, size)
-        engine = detect_leakage(bundle, Equivalence(entity_map, table2))
-        train = to_oracle_form(split_train(bundle))
-        for pair, eval_split in (("train_valid", split_valid(bundle)), ("train_test", split_test(bundle))):
+        engine = leakage_of(bundle, 0, entity_map, table2)
+        train = to_oracle_form(split_train(bundle, 0))
+        for pair, eval_split in (("train_valid", split_valid(bundle, 0)),
+                                 ("train_test", split_test(bundle, 0))):
             eval_rows = to_oracle_form(eval_split)
             for detector in DETECTORS:
                 expected = leaked_count_bruteforce(
@@ -328,14 +329,12 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
         path = data_dir / name
         if path.exists():
             resolved = resolve_fixed_point(IdMapTable.from_file(path, etype))
-            entity_map.update(resolved.mapping)
+            entity_map.update((k.text, v.text) for k, v in resolved.mapping.items())
 
     def any_ratio(task_name: str) -> tuple[float, float]:
-        equivalence = Equivalence(entity_map, table)
-        reports = [
-            detect_leakage(bundle, equivalence)
-            for bundle in make_splits(g, task_name, range(5))
-        ]
+        split = make_splits(g, task_name, range(5))
+        keys = leak_keys(split, entity_map, table)
+        reports = [detect_leakage(keys, split.parts(k)) for k in range(5)]
         cell, = (r for r in audit_report(task_name, list(range(5)), reports)
                  if (r["detector"], r["split_pair"]) == ("any", "train_test"))
         return cell["mean"], cell["std"]
@@ -355,11 +354,9 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
         if t.relation.origin.casefold() in ("sider", "hetionet")
         or {t.head.entity_type, t.tail.entity_type} != {"Compound", "SideEffect"}
     )
-    equivalence = Equivalence(entity_map, table)
-    reports = [
-        detect_leakage(bundle, equivalence)
-        for bundle in make_splits(sider, "side_effect", range(5))
-    ]
+    split = make_splits(sider, "side_effect", range(5))
+    keys = leak_keys(split, entity_map, table)
+    reports = [detect_leakage(keys, split.parts(k)) for k in range(5)]
     means = {(r["detector"], r["split_pair"]): r["mean"]
              for r in audit_report("side_effect", list(range(5)), reports)}
     for detector in ("relation_redundancy", "entity_redundancy"):

@@ -301,6 +301,23 @@ def test_exit_codes(tmp_path):
             "SideEffect::umls:C1 -> SideEffect::umls:C2 does not fit SIDE_EFFECT, "
             "which links Compound to SideEffect",
         ),
+        # a mistyped row is an error even when the graph already has its pair
+        (
+            "onsides",
+            "Compound::drugbank:DB1\tGene::NCBI:1\thigh\n",
+            1,
+            "Compound::drugbank:DB1 -> Gene::NCBI:1 does not fit SIDE_EFFECT, "
+            "which links Compound to SideEffect",
+        ),
+        # ... or an earlier row of the same table added it
+        (
+            "reactome",
+            "Gene::NCBI:1\tPathway::Reactome:P1\n"
+            "Pathway::Reactome:P1\tGene::NCBI:1\n",
+            2,
+            "Pathway::Reactome:P1 -> Gene::NCBI:1 does not fit GENE_PATHWAY, "
+            "which links Gene to Pathway",
+        ),
     ],
 )
 def test_mistyped_enrichment_row_is_input_error(tmp_path, capsys, stage, table, row, message):

@@ -10,15 +10,15 @@ from kgprep.model import KnowledgeGraph
 from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
-    Equivalence,
     GraphFile,
     audit_report,
     detect_leakage,
+    leak_keys,
     make_splits,
     write_bundle,
 )
 
-from conftest import T, bundle_of, graph_of
+from conftest import T, graph_of, leakage_of, splits_of
 from oracles import (
     leaked_count_bruteforce,
     mean_and_population_std,
@@ -53,25 +53,27 @@ def test_builtin_task_targets_are_disjoint(tiny_graph):
 
 
 def test_split_sizes_ten_targets():
-    bundle = make_splits(target_graph(10), "ppi", [0])[0]
-    assert (len(split_train(bundle)), len(split_valid(bundle)), len(split_test(bundle))) == (7, 1, 2)
-    assert len(split_context(bundle)) == 4
+    split = make_splits(target_graph(10), "ppi", [0])
+    sizes = len(split_train(split, 0)), len(split_valid(split, 0)), len(split_test(split, 0))
+    assert sizes == (7, 1, 2)
+    assert len(split_context(split, 0)) == 4
 
 
 def test_split_deterministic_per_seed():
     g = target_graph(50)
-    a = make_splits(g, "ppi", [3])[0]
-    b = make_splits(g, "ppi", [3])[0]
-    assert [render(t) for t in split_train(a)] == [render(t) for t in split_train(b)]
-    assert [render(t) for t in split_test(a)] == [render(t) for t in split_test(b)]
+    a = make_splits(g, "ppi", [3])
+    b = make_splits(g, "ppi", [3])
+    assert [render(t) for t in split_train(a, 0)] == [render(t) for t in split_train(b, 0)]
+    assert [render(t) for t in split_test(a, 0)] == [render(t) for t in split_test(b, 0)]
 
 
 def test_split_seeds_differ_but_sizes_match():
     g = target_graph(1000)
-    a = make_splits(g, "ppi", [0])[0]
-    b = make_splits(g, "ppi", [1])[0]
-    assert len(split_train(a)) == len(split_train(b)) and len(split_test(a)) == len(split_test(b))
-    assert {render(t) for t in split_train(a)} != {render(t) for t in split_train(b)}
+    a = make_splits(g, "ppi", [0])
+    b = make_splits(g, "ppi", [1])
+    assert len(split_train(a, 0)) == len(split_train(b, 0))
+    assert len(split_test(a, 0)) == len(split_test(b, 0))
+    assert {render(t) for t in split_train(a, 0)} != {render(t) for t in split_train(b, 0)}
 
 
 def test_split_empty_target_fatal():
@@ -84,11 +86,11 @@ def test_split_empty_target_fatal():
 @given(n=st.integers(1, 300), seed=st.integers(0, 10_000))
 def test_split_partition_property(n, seed):
     g = target_graph(n, n_context=0)
-    bundle = make_splits(g, "ppi", [seed])[0]
-    assert len(split_valid(bundle)) == n // 10
-    assert len(split_test(bundle)) == n // 5
-    assert len(split_train(bundle)) == n - n // 10 - n // 5
-    whole = [render(t) for t in split_train(bundle) + split_valid(bundle) + split_test(bundle)]
+    split = make_splits(g, "ppi", [seed])
+    assert len(split_valid(split, 0)) == n // 10
+    assert len(split_test(split, 0)) == n // 5
+    assert len(split_train(split, 0)) == n - n // 10 - n // 5
+    whole = [render(t) for t in split_train(split, 0) + split_valid(split, 0) + split_test(split, 0)]
     assert len(whole) == n
     assert sorted(whole) == sorted(render(t) for t in g if task_matches(BUILTIN_TASKS["ppi"], t))
 
@@ -119,7 +121,7 @@ def random_bundle(rng: random.Random, size: int):
     triplets = [random_triplet() for _ in range(size)]
     n_train = int(size * 0.7)
     n_valid = int(size * 0.1)
-    bundle = bundle_of(
+    bundle = splits_of(
         task="ppi",
         seed=0,
         train=triplets[:n_train],
@@ -139,8 +141,8 @@ def to_oracle_form(triplets):
 
 def test_literal_duplicate_leaks_under_all_detectors():
     shared = T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")
-    bundle = bundle_of("ppi", 0, train=[shared], valid=[shared], test=[shared])
-    report = detect_leakage(bundle)
+    bundle = splits_of("ppi", 0, train=[shared], valid=[shared], test=[shared])
+    report = leakage_of(bundle)
     for detector in DETECTORS:
         for pair in ("train_valid", "train_test"):
             leaked, total = report[(detector, pair)]
@@ -150,10 +152,10 @@ def test_literal_duplicate_leaks_under_all_detectors():
 def test_inverse_duplicate_detected():
     train = [T("Gene::NCBI:B", "GNBR::B::Gene:Gene", "Gene::NCBI:A")]
     test = [T("Gene::NCBI:A", "GNBR::B::Gene:Gene", "Gene::NCBI:B")]
-    bundle = bundle_of("ppi", 0, train=train, valid=[], test=test)
-    report = detect_leakage(bundle)
+    bundle = splits_of("ppi", 0, train=train, valid=[], test=test)
+    report = leakage_of(bundle)
     assert report[("duplicate_inverse", "train_test")][0] == 1
-    no_inverse = detect_leakage(bundle, include_inverse=False)
+    no_inverse = leakage_of(bundle, include_inverse=False)
     assert no_inverse[("duplicate_inverse", "train_test")][0] == 0
 
 
@@ -161,7 +163,7 @@ def test_empty_tables_reduce_to_duplicate_inverse():
     rng = random.Random(5)
     for _ in range(10):
         bundle, _, _, _ = random_bundle(rng, 120)
-        report = detect_leakage(bundle, Equivalence(None, None))
+        report = leakage_of(bundle, 0, {}, HarmonizationTable.from_rows([]))
         for pair in ("train_valid", "train_test"):
             dup = report[("duplicate_inverse", pair)]
             assert report[("relation_redundancy", pair)] == dup
@@ -173,7 +175,7 @@ def test_detector_monotonicity():
     rng = random.Random(6)
     for _ in range(10):
         bundle, table, entity_map, _ = random_bundle(rng, 150)
-        report = detect_leakage(bundle, Equivalence(entity_map, table))
+        report = leakage_of(bundle, 0, entity_map, table)
         for pair in ("train_valid", "train_test"):
             dup = report[("duplicate_inverse", pair)][0]
             rel = report[("relation_redundancy", pair)][0]
@@ -188,9 +190,10 @@ def test_detectors_equal_exhaustive_oracle():
     for round_ in range(12):
         size = rng.randint(40, 220)
         bundle, table, entity_map, relation_map = random_bundle(rng, size)
-        report = detect_leakage(bundle, Equivalence(entity_map, table))
-        train = to_oracle_form(split_train(bundle))
-        for pair, eval_split in (("train_valid", split_valid(bundle)), ("train_test", split_test(bundle))):
+        report = leakage_of(bundle, 0, entity_map, table)
+        train = to_oracle_form(split_train(bundle, 0))
+        for pair, eval_split in (("train_valid", split_valid(bundle, 0)),
+                                 ("train_test", split_test(bundle, 0))):
             eval_rows = to_oracle_form(eval_split)
             for detector in DETECTORS:
                 expected = leaked_count_bruteforce(
@@ -202,8 +205,8 @@ def test_detectors_equal_exhaustive_oracle():
 
 
 def test_audit_report_aggregation():
-    single = detect_leakage(
-        bundle_of("ppi", 0,
+    single = leakage_of(
+        splits_of("ppi", 0,
                                train=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
                                valid=[T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2")],
                                test=[T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4")])
@@ -222,7 +225,8 @@ def test_audit_five_seeds_matches_external_recompute():
     # duplicate a third of the target rows so splits leak
     extra = [t for i, t in enumerate(g.triplets) if i % 3 == 0 and task_matches(BUILTIN_TASKS["ppi"], t)]
     g2 = KnowledgeGraph(list(g.triplets) + extra)
-    reports = [detect_leakage(b) for b in make_splits(g2, "ppi", range(5))]
+    split = make_splits(g2, "ppi", range(5))
+    reports = [leakage_of(split, k) for k in range(5)]
     records = audit_report("ppi", [0, 1, 2, 3, 4], reports)
     for cell in records:
         mean, std = mean_and_population_std(cell["ratio"])
@@ -232,8 +236,8 @@ def test_audit_five_seeds_matches_external_recompute():
 
 
 def test_write_bundle_files(tmp_path):
-    bundle = make_splits(target_graph(20), "ppi", [0])[0]
-    write_bundle(tmp_path, bundle, GraphFile(tmp_path / "graph.tsv", bundle.rows.graph))
+    split = make_splits(target_graph(20), "ppi", [0])
+    write_bundle(tmp_path, split, 0, GraphFile(tmp_path / "graph.tsv", split.graph))
     for name in ("train", "valid", "test", "context"):
         path = tmp_path / f"{name}.tsv"
         assert path.exists()
@@ -250,22 +254,23 @@ def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
     graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (render(c) for c in context_rows))
     by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(render(c) for c in context_rows))
     assert graph_order != by_text
-    for bundle in make_splits(g, "ppi", [0, 1]):
+    split = make_splits(g, "ppi", [0, 1])
+    for k, seed in enumerate(split.seeds):
         for preserve_order, expected in ((False, by_text), (True, graph_order)):
-            out = tmp_path / f"{preserve_order}_{bundle.seed}"
+            out = tmp_path / f"{preserve_order}_{seed}"
             graph_file = GraphFile(tmp_path / f"graph_{preserve_order}.tsv", g, preserve_order)
-            write_bundle(out, bundle, graph_file)
+            write_bundle(out, split, k, graph_file)
             assert (out / "context.tsv").read_text() == expected
-    write_bundle(out, bundle, graph_file)  # rewrite in place
+    write_bundle(out, split, k, graph_file)  # rewrite in place
     assert (out / "context.tsv").read_text() == graph_order
 
 
 
 def test_write_bundle_needs_the_file_of_its_graph(tmp_path):
-    bundle = make_splits(target_graph(20), "ppi", [0])[0]
+    split = make_splits(target_graph(20), "ppi", [0])
     other = GraphFile(tmp_path / "graph.tsv", target_graph(20))
     with pytest.raises(ValueError, match="another graph"):
-        write_bundle(tmp_path / "out", bundle, other)
+        write_bundle(tmp_path / "out", split, 0, other)
 
 # --- leak keys, built once per task ------------------------------------------
 
@@ -287,19 +292,20 @@ def leaky_graph() -> KnowledgeGraph:
     return graph_of(*rows)
 
 
-def leak_equivalence() -> Equivalence:
+def leak_equivalence() -> tuple[dict[str, str], HarmonizationTable]:
     table = HarmonizationTable.from_rows([
         ("GNBR", "B", "Gene", "Gene", "GENE_BIND"),
         ("STRING", "Binding", "Gene", "Gene", "GENE_BIND"),
         ("Hetionet", "GiG", "Gene", "Gene", "GENE_BIND"),
     ])
-    return Equivalence({f"Gene::NCBI:{100 + i}": f"Gene::NCBI:{i}" for i in range(4)}, table)
+    return {f"Gene::NCBI:{100 + i}": f"Gene::NCBI:{i}" for i in range(4)}, table
 
 
 def test_seeds_audited_together_equal_each_seed_alone():
     g, equivalence = leaky_graph(), leak_equivalence()
-    together = [detect_leakage(b, equivalence) for b in make_splits(g, "ppi", [0, 1, 2])]
-    alone = [detect_leakage(make_splits(g, "ppi", [s])[0], equivalence) for s in (0, 1, 2)]
+    split = make_splits(g, "ppi", [0, 1, 2])
+    together = [leakage_of(split, k, *equivalence) for k in range(3)]
+    alone = [leakage_of(make_splits(g, "ppi", [s]), 0, *equivalence) for s in (0, 1, 2)]
     assert together == alone
     assert together[0] != together[1]
     leaked = [together[0][(d, "train_test")][0] for d in DETECTORS[:3]]
@@ -308,9 +314,13 @@ def test_seeds_audited_together_equal_each_seed_alone():
 
 def test_task_keys_are_rebuilt_for_another_equivalence():
     g, equivalence = leaky_graph(), leak_equivalence()
-    bundles = make_splits(g, "ppi", [0, 1])
-    identity = detect_leakage(bundles[0])
-    mapped = detect_leakage(bundles[1], equivalence)
-    assert mapped == detect_leakage(make_splits(g, "ppi", [1])[0], equivalence)
-    assert detect_leakage(bundles[0]) == identity
-    assert detect_leakage(bundles[1]) != mapped
+    split = make_splits(g, "ppi", [0, 1])
+    identity_keys = leak_keys(split, {}, HarmonizationTable.from_rows([]))
+    mapped_keys = leak_keys(split, *equivalence)
+    for k, seed in enumerate(split.seeds):
+        fresh = make_splits(g, "ppi", [seed])
+        identity = detect_leakage(identity_keys, split.parts(k))
+        mapped = detect_leakage(mapped_keys, split.parts(k))
+        assert identity == leakage_of(fresh)
+        assert mapped == leakage_of(fresh, 0, *equivalence)
+        assert identity != mapped

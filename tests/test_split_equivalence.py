@@ -11,13 +11,13 @@ from kgprep.ingest import load_triplets
 from kgprep.pipeline import PipelineRunner
 from kgprep.split_audit import (
     BUILTIN_TASKS,
-    Equivalence,
     audit_report,
     detect_leakage,
+    leak_keys,
     write_leakage_json,
 )
 
-from conftest import bundle_of
+from conftest import splits_of
 from oracles import split_file_texts, splits_by_rescan
 
 TASKS = ("ppi", "drug_repurposing", "side_effect")
@@ -100,7 +100,7 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
     entity_map = {}
     for table in runner.id_maps.values():
         entity_map.update(table.mapping)
-    equivalence = Equivalence(entity_map, runner.harmonization_table)
+    entities = {k.text: v.text for k, v in entity_map.items()}
     splits = tmp_path / "out" / "splits"
     expected_files = set()
     line_sort_differs = False
@@ -116,8 +116,9 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
                 lines = text.splitlines(keepends=True)
                 line_sort_differs |= sorted(lines) != lines
             train, valid, test, _ = parts
-            bundle = bundle_of(task_name, seed, train, valid, test)
-            reports.append(detect_leakage(bundle, equivalence, include_inverse=include_inverse))
+            split = splits_of(task_name, seed, train, valid, test)
+            keys = leak_keys(split, entities, runner.harmonization_table)
+            reports.append(detect_leakage(keys, split.parts(0), include_inverse=include_inverse))
         records += audit_report(task_name, list(SEEDS), reports)
     assert {p for p in splits.rglob("*") if p.is_file()} == expected_files
     for task_name in TASKS:

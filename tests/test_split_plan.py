@@ -1,13 +1,14 @@
 """One split plan per run: the graph's one text order serves graph.tsv and
-every sorted split file, each (task, seed) permutation is shuffled once, and
-the audit reuses the splits stage's bundles only for the graph they were made
-for."""
+every sorted split file, each (task, seed) permutation is shuffled once, the
+audit reuses the splits stage's splits only for the graph they were made for,
+and it builds each task's leak keys once."""
 
 import builtins
 import random
 
 import pytest
 
+from kgprep import split_audit
 from kgprep.config import STAGE_NAMES, PipelineConfig
 from kgprep.ingest import load_triplets
 from kgprep.model import KnowledgeGraph
@@ -96,6 +97,28 @@ def test_full_run_sorts_rows_once_and_shuffles_each_seed_once(tmp_path, monkeypa
     assert len(shuffles) == len(TASKS) * len(SEEDS)
 
 
+def test_audit_builds_each_tasks_keys_once(tmp_path, monkeypatch):
+    config = _config(tmp_path, splits=True)
+    keyed, shuffles = [], []
+    real_leak_keys, real_shuffle = split_audit.leak_keys, random.Random.shuffle
+
+    def counting_leak_keys(split, *args):
+        keyed.append(split.task)
+        return real_leak_keys(split, *args)
+
+    def counting_shuffle(self, x):
+        shuffles.append(len(x))
+        return real_shuffle(self, x)
+
+    monkeypatch.setattr(split_audit, "leak_keys", counting_leak_keys)
+    monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
+    PipelineRunner(config).run()
+    monkeypatch.undo()
+
+    assert keyed == TASKS
+    assert len(shuffles) == len(TASKS) * len(SEEDS)
+
+
 def test_audit_of_another_graph_does_not_reuse_splits_bundles(tmp_path):
     def runner(out):
         config = _config(tmp_path, splits=True)
@@ -115,6 +138,15 @@ def test_audit_of_another_graph_does_not_reuse_splits_bundles(tmp_path):
     assert log.details != stale_log.details
     report = (tmp_path / "reused" / "leakage_report.json").read_bytes()
     assert report == (tmp_path / "fresh" / "leakage_report.json").read_bytes()
+
+    # splits kept for g1 give way to the splits of g2 that a later splits
+    # stage made
+    resplit = runner("resplit")
+    resplit.run_stage("splits", g1)
+    resplit.run_stage("splits", g2)
+    _, resplit_log = resplit.run_stage("audit", g2)
+    assert resplit_log.details == fresh_log.details
+    assert (tmp_path / "resplit" / "leakage_report.json").read_bytes() == report
 
 
 def test_audit_keys_are_built_for_each_graph(tmp_path):
