@@ -8,6 +8,7 @@ An output that cannot be written is a config error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -173,6 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.ERROR if args.quiet else logging.INFO,
         format="%(message)s",
     )
+    # every loaded row is an object the collector tracks and none is in a
+    # cycle: collect young objects less often, and restore the caller's policy
+    threshold = gc.get_threshold()
+    gc.set_threshold(100_000, 50, 100)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
@@ -191,6 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         where = exc.filename2 or exc.filename or "output"
         print(f"config error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.set_threshold(*threshold)
 
 
 if __name__ == "__main__":

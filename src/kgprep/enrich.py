@@ -9,20 +9,17 @@ from __future__ import annotations
 
 import logging
 from itertools import count
-from operator import attrgetter
 
 from .chem.smiles import check_smiles
 from .errors import InputError, ParseError, SmilesError
 from .ingest import parse_entity
-from .model import EntityRef, KnowledgeGraph, RelationRef, Triplet
+from .model import _SIGNATURE, EntityRef, KnowledgeGraph, RelationRef, Triplet
 from .normalize import IdMapTable, canonical_key
 
 log = logging.getLogger(__name__)
 
 GENE_PATHWAY = RelationRef("Reactome", "GENE_PATHWAY", "Gene", "Pathway")
 SIDE_EFFECT = RelationRef("OnSIDES", "SIDE_EFFECT", "Compound", "SideEffect")
-# a relation's endpoint types, which are its rows' (the graph checks them)
-_SIGNATURE = attrgetter("head_type", "tail_type")
 
 TIER_RANK = {"low": 0, "medium": 1, "high": 2}
 

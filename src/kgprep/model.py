@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, count, repeat
+from operator import add, attrgetter, mod, mul
 from typing import Callable, Iterable, Iterator, KeysView
 
 from .errors import StageError
@@ -54,7 +54,7 @@ ANNOTATION_TYPES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRef:
     """One fully qualified node identity.
 
@@ -80,7 +80,7 @@ class EntityRef:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationRef:
     """A relation qualified by origin database and endpoint-type signature.
 
@@ -111,7 +111,7 @@ class RelationRef:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triplet:
     """One directed edge. ``origin_line`` is provenance only and never takes
     part in identity; it is dropped at final serialization."""
@@ -128,10 +128,13 @@ class Triplet:
         )
 
 
-# The output sort key: the rendered (head, relation, tail) texts, built in C.
-_TEXT = attrgetter("head.text", "relation.text", "tail.text")
-# A row's endpoints, head first.
+# A row's rendered columns and endpoints, head first, and a relation's
+# endpoint types (its rows', since the graph checks them); built in C.
+_HEAD_TEXT = attrgetter("head.text")
+_RELATION_TEXT = attrgetter("relation.text")
+_TAIL_TEXT = attrgetter("tail.text")
 _ENDPOINTS = attrgetter("head", "tail")
+_SIGNATURE = attrgetter("head_type", "tail_type")
 
 
 # A step of a row-local stage: the row to keep (possibly rewritten), or None to drop it.
@@ -225,10 +228,24 @@ class KnowledgeGraph:
     def text_order(self) -> array:
         """Row positions sorted by the rendered (head, relation, tail) tuple;
         rows that render alike stay in graph order. Every sorted output of
-        the graph walks this one order."""
+        the graph walks this one order.
+
+        Each distinct entity text (heads and tails share one table) and
+        relation text is replaced by its rank, so rank triples compare as
+        text triples do; a row packs into one int, its triple's ranks then
+        its position, and the plain ints are sorted."""
         if self._text_order is None:
-            keys = list(map(_TEXT, self.triplets))
-            self._text_order = array("i", sorted(range(len(keys)), key=keys.__getitem__))
+            rows = self.triplets
+            n = len(rows)
+            heads, tails = list(map(_HEAD_TEXT, rows)), list(map(_TAIL_TEXT, rows))
+            relations = list(map(_RELATION_TEXT, rows))
+            entity, relation = _ranks(chain(heads, tails)), _ranks(relations)
+            rank = entity.__getitem__
+            packed = map(mul, map(rank, heads), repeat(len(relation)))
+            packed = map(add, packed, map(relation.__getitem__, relations))
+            packed = map(add, map(mul, packed, repeat(len(entity))), map(rank, tails))
+            packed = sorted(map(add, map(mul, packed, repeat(n)), range(n)))
+            self._text_order = array("i", map(mod, packed, repeat(n)))
         return self._text_order
 
     def __len__(self) -> int:
@@ -244,6 +261,11 @@ class KnowledgeGraph:
         """The rows ``step`` keeps, as it returns them, in order; the step
         sees every row once."""
         return KnowledgeGraph._from_clean([t for t in map(step, self.triplets) if t is not None])
+
+
+def _ranks(texts: Iterable[str]) -> dict[str, int]:
+    """Each distinct text's place in sorted order."""
+    return dict(zip(sorted(set(texts)), count()))
 
 
 def _endpoints(triplets: list[Triplet]) -> dict[EntityRef, None]:

@@ -33,14 +33,14 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import add, attrgetter, methodcaller, sub
+from operator import add, methodcaller, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
 from .ingest import open_output, parse_relation, write_json, write_triplets
-from .model import KnowledgeGraph
+from .model import _HEAD_TEXT, _RELATION_TEXT, _SIGNATURE, _TAIL_TEXT, KnowledgeGraph
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
@@ -77,10 +77,6 @@ class TaskSplits:
         return order[: self.n_train], order[self.n_train : end_valid], order[end_valid:]
 
 
-_SIGNATURE = attrgetter("head_type", "tail_type")
-_RELATION_TEXT = attrgetter("relation.text")
-
-
 def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> TaskSplits:
     """Seeded uniform 70/10/20 partitions of the task's target triplets, one
     per seed (valid and test sizes floored, remainder to train). A row is a
@@ -109,10 +105,6 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
         random.Random(seed).shuffle(order)
         orders.append(order)
     return TaskSplits(task_name, g, target, seeds, orders, n - n_valid - n // 5, n_valid)
-
-
-_HEAD_TEXT = attrgetter("head.text")
-_TAIL_TEXT = attrgetter("tail.text")
 
 
 def _intern(keys: Iterable, inverse_keys: Iterable, size: int) -> tuple[array, array]:

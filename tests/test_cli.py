@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import kgprep
-from kgprep import split_audit
+from kgprep import cli, split_audit
 from kgprep.cli import main
 from kgprep.config import STAGE_NAMES
 from kgprep.corpus import build_corpus
-from kgprep.errors import StageError
+from kgprep.errors import ConfigError, InputError, StageError
 from kgprep.pipeline import RENDERED_GRAPH
 from kgprep.stats import compute_stats
 
@@ -538,3 +539,47 @@ def test_stage_splits_writes_the_graph_run_writes(tmp_path, preserve_order):
     assert written == (run_out / "graph.tsv").read_bytes()
     assert (written == graph.read_bytes()) == preserve_order
     assert sorted(p.name for p in stage_out.iterdir()) == ["graph.tsv", "splits", "stage_splits.json"]
+
+
+@pytest.fixture
+def odd_gc_threshold():
+    """A threshold no one sets, restored to the interpreter's afterwards."""
+    saved = gc.get_threshold()
+    gc.set_threshold(1234, 11, 12)
+    yield gc.get_threshold()
+    gc.set_threshold(*saved)
+
+
+def test_main_raises_the_gc_threshold_while_a_command_runs(monkeypatch, odd_gc_threshold):
+    seen = []
+    monkeypatch.setitem(
+        cli._COMMANDS, "stats", lambda args: seen.append((gc.get_threshold(), gc.isenabled())) or 0
+    )
+    assert main(["--quiet", "stats", "--graph", "unused.tsv"]) == 0
+    assert seen == [((100_000, 50, 100), True)]
+    assert gc.get_threshold() == odd_gc_threshold
+
+
+def _raises(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("command, code", [
+    (lambda args: 0, 0),
+    (_raises(ConfigError("bad key")), 1),
+    (_raises(OSError(28, "No space left on device", "out/graph.tsv")), 1),
+    (_raises(InputError("bad row")), 2),
+    (_raises(StageError("empty target")), 3),
+])
+def test_main_restores_the_gc_threshold(monkeypatch, capsys, odd_gc_threshold, command, code):
+    monkeypatch.setitem(cli._COMMANDS, "stats", command)
+    assert main(["--quiet", "stats", "--graph", "unused.tsv"]) == code
+    assert gc.get_threshold() == odd_gc_threshold
+
+
+def test_argparse_exit_leaves_the_gc_threshold(capsys, odd_gc_threshold):
+    with pytest.raises(SystemExit):
+        main(["--quiet", "no-such-command"])
+    assert gc.get_threshold() == odd_gc_threshold

@@ -1,7 +1,14 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from kgprep import ingest
+from kgprep.corpus import build_corpus
 from kgprep.errors import StageError
 from kgprep.clean import drop_entity_types
 from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
@@ -111,3 +118,40 @@ def test_text_order_sorts_rendered_tuples_and_insert_drops_it():
     g2 = g.plus([T("Gene::NCBI:0", "GNBR::B::Gene:Gene", "Gene::NCBI:1")])
     assert list(g2.text_order) == [4, 2, 1, 0, 3]
     assert list(g.text_order) == [2, 1, 0, 3]
+
+
+# texts that are prefixes of one another, and non-ASCII and astral code points
+_GENES = ("Gene::NCBI:1", "Gene::NCBI:1\x01", "Gene::NCBI:10", "Gene::NCBI:2",
+          "Gene::NCBI:\xe9", "Gene::NCBI:\U0001f9ec")
+_RELATIONS = ("GNBR::B::Gene:Gene", "GNBR::B::B::Gene:Gene", "GNBR::\xc9::Gene:Gene",
+              "GNBR\U0001f9ec::B::Gene:Gene")
+
+
+@given(rows=st.lists(st.sampled_from(list(product(_GENES, _RELATIONS, _GENES))), max_size=12))
+def test_text_order_equals_the_stable_sort_of_rendered_tuples(rows):
+    g = graph_of(*rows)
+    texts = [(t.head.text, t.relation.text, t.tail.text) for t in g]
+    assert list(g.text_order) == sorted(range(len(g)), key=texts.__getitem__)
+
+
+def test_row_types_are_slotted_and_frozen():
+    t = T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2", line=3)
+    for row, name in ((t, "origin_line"), (t.head, "local_id"), (t.relation, "label")):
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(row, name, getattr(row, name))
+
+
+def test_loaded_rows_stay_cheap(tmp_path):
+    corpus = build_corpus(tmp_path, total_rows=20_000, seed=0)
+    # parse memos shared with earlier tests would hide the refs' cost
+    ingest.parse_entity.cache_clear()
+    ingest.parse_relation.cache_clear()
+    tracemalloc.start()
+    try:
+        g, _ = ingest.load_triplets(corpus.triplets)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured: 167 B/row when each row object has a __dict__, 124 B/row slotted
+    assert held / len(g) <= 145

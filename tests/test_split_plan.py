@@ -92,8 +92,9 @@ def test_full_run_sorts_rows_once_and_shuffles_each_seed_once(tmp_path, monkeypa
     report = PipelineRunner(config).run()
     monkeypatch.undo()
 
-    # every other sort in a run orders a handful of counters or table keys
-    assert [n for n in sorted_sizes if n >= 30] == [report.edge_total]
+    # the final order sorts the distinct entity texts, then one packed int
+    # per row; every other sort orders a handful of counters or table keys
+    assert [n for n in sorted_sizes if n >= 30] == [report.node_total, report.edge_total]
     assert len(shuffles) == len(TASKS) * len(SEEDS)
 
 
