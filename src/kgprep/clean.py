@@ -1,21 +1,23 @@
 """Format-defect filtering, relation harmonization and non-human pruning.
 
 Each operation is an independently toggleable row-local stage: it takes
-the graph and its tables, passes every row once through a step (row in, row
-or None out), and returns the new graph with the per-defect counters the
-step filled.
+the graph and its tables, decides once per distinct entity or relation id,
+applies the decisions to the graph's id columns, and returns the new graph
+with its per-defect counters.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, StageError
 from .ingest import HARMONIZATION_SCHEMA, parse_entity, read_rows
-from .model import ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, Triplet
+from .model import ENTITY_TYPE_ALIASES, KnowledgeGraph, RelationRef, marks
 
 log = logging.getLogger(__name__)
 
@@ -105,19 +107,13 @@ def filter_malformed(g: KnowledgeGraph) -> tuple[KnowledgeGraph, dict[str, int]]
     Only endpoint fields are inspected; such characters mark entities that
     were erroneously merged into a single node upstream.
     """
-    details = {"semicolon_rows": 0, "pipe_rows": 0}
-
-    def step(t: Triplet) -> Triplet | None:
-        endpoint_text = t.head.text + t.tail.text
-        if ";" in endpoint_text:
-            details["semicolon_rows"] += 1
-        elif "|" in endpoint_text:
-            details["pipe_rows"] += 1
-        else:
-            return t
-        return None
-
-    return g.map_rows(step), details
+    # per entity, 2 for a ';' and 1 for a '|'; a row with both counts as ';'
+    marked = bytes(2 * (";" in e.text) | ("|" in e.text) for e in g.vocab.entities)
+    codes = g.flags(entity=marked)
+    return g.where(marks(codes, 0)), {
+        "semicolon_rows": marks(codes, 2, 3).count(1),
+        "pipe_rows": codes.count(1),
+    }
 
 
 def harmonize(
@@ -127,40 +123,30 @@ def harmonize(
 
     Already-canonical labels pass through, which makes the operation
     idempotent. Unknown keys pass through with a warning in lenient mode and
-    are fatal in strict mode.
+    are fatal in strict mode. Each distinct relation is looked up once, in
+    order of first appearance.
     """
     details = {"labels_rewritten": 0, "unmapped_rows": 0}
-    # (replacement or None, counts-as-unmapped) memoized per distinct relation
-    cache: dict[RelationRef, tuple[RelationRef | None, bool]] = {}
-
-    def step(t: Triplet) -> Triplet:
-        rel = t.relation
-        hit = cache.get(rel)
-        if hit is None:
-            label = table.canonical(rel)
-            if label == rel.label:
-                hit = (None, False)
-            elif label is not None:
-                hit = (rel.with_label(label), False)
-            elif strict:
-                raise StageError(
-                    "harmonize: no canonical label for "
-                    f"({rel.origin}, {rel.label}, {rel.head_type}, "
-                    f"{rel.tail_type}) in strict mode"
-                )
-            else:
-                log.warning("harmonize: passing through unmapped relation %s", rel)
-                hit = (None, True)
-            cache[rel] = hit
-        new_rel, is_unmapped = hit
-        if is_unmapped:
-            details["unmapped_rows"] += 1
-        if new_rel is None:
-            return t
-        details["labels_rewritten"] += 1
-        return Triplet(t.head, new_rel, t.tail, t.origin_line)
-
-    return g.map_rows(step), details
+    relations = g.vocab.relations
+    canonical = list(range(len(relations)))
+    for r, rows in Counter(g.relations).items():
+        rel = relations[r]
+        label = table.canonical(rel)
+        if label == rel.label:
+            continue
+        if label is not None:
+            canonical[r] = relations.id_of(rel.with_label(label))
+            details["labels_rewritten"] += rows
+        elif strict:
+            raise StageError(
+                "harmonize: no canonical label for "
+                f"({rel.origin}, {rel.label}, {rel.head_type}, "
+                f"{rel.tail_type}) in strict mode"
+            )
+        else:
+            log.warning("harmonize: passing through unmapped relation %s", rel)
+            details["unmapped_rows"] += rows
+    return g.mapped(relation=canonical if details["labels_rewritten"] else None), details
 
 
 @dataclass(frozen=True)
@@ -189,25 +175,22 @@ def remove_nonhuman(
     """
     spec = spec or NonHumanSpec()
     tags = {parse_entity(text): tag.casefold() for text, tag in (taxonomy or {}).items()}
-    nonhuman = {n for n, tag in tags.items() if n.entity_type == "Gene" and tag not in HUMAN_TAGS}
-    removed: set[EntityRef] = set()
-    details = {"banned_relation_rows": 0, "nonhuman_gene_rows": 0, "nonhuman_genes_removed": 0}
-
-    def step(t: Triplet) -> Triplet | None:
-        if spec.is_banned(t.relation.label):
-            details["banned_relation_rows"] += 1
-            return None
-        if not nonhuman:
-            return t
-        doomed = [n for n in (t.head, t.tail) if n.entity_type == "Gene" and n in nonhuman]
-        if not doomed:
-            return t
-        details["nonhuman_gene_rows"] += 1
-        removed.update(doomed)
-        details["nonhuman_genes_removed"] = len(removed)
-        return None
-
-    return g.map_rows(step), details
+    entities = g.vocab.entities
+    # per entity, 1 for a non-human gene; per relation, 2 for a banned label
+    nonhuman = bytearray(len(entities))
+    for node, tag in tags.items():
+        e = entities.ids.get(node)
+        if e is not None and node.entity_type == "Gene" and tag not in HUMAN_TAGS:
+            nonhuman[e] = 1
+    banned = bytes(2 * spec.is_banned(r.label) for r in g.vocab.relations)
+    codes = g.flags(entity=nonhuman, relation=banned)
+    on_gene_rows = marks(codes, 1)
+    removed = set(compress(g.heads, on_gene_rows)).union(compress(g.tails, on_gene_rows))
+    return g.where(marks(codes, 0)), {
+        "banned_relation_rows": marks(codes, 2, 3).count(1),
+        "nonhuman_gene_rows": on_gene_rows.count(1),
+        "nonhuman_genes_removed": sum(map(nonhuman.__getitem__, removed)),
+    }
 
 
 DEFAULT_DROP_TYPES = ("Tax", "Symptom", "Pathway")
@@ -219,19 +202,13 @@ def drop_entity_types(
     """Remove every node of the listed categories along with incident rows.
     Pathways dropped here are re-integrated by the enrichment stage."""
     doomed = frozenset(types)
-    details = {"nodes_removed": 0}
+    entities = g.vocab.entities
+    dropped = bytes(e.entity_type in doomed for e in entities)
+    rows = g.flags(entity=dropped)
+    # every node of a listed type is on a removed row
+    on_rows = set(compress(g.heads, rows)).union(compress(g.tails, rows))
+    removed = Counter(entities[e].entity_type for e in on_rows if dropped[e])
+    details = {"nodes_removed": sum(removed.values())}
     for etype in sorted(doomed):
-        details[f"nodes_removed_{etype}"] = 0
-    removed: set[EntityRef] = set()
-
-    def step(t: Triplet) -> Triplet | None:
-        if t.head.entity_type not in doomed and t.tail.entity_type not in doomed:
-            return t
-        for node in (t.head, t.tail):
-            if node.entity_type in doomed and node not in removed:
-                removed.add(node)
-                details["nodes_removed"] += 1
-                details[f"nodes_removed_{node.entity_type}"] += 1
-        return None
-
-    return g.map_rows(step), details
+        details[f"nodes_removed_{etype}"] = removed[etype]
+    return g.where(marks(rows, 0)), details

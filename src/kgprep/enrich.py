@@ -8,13 +8,14 @@ orphan subgraphs appear, and they never create a duplicate canonical key.
 from __future__ import annotations
 
 import logging
-from itertools import count
+from array import array
+from itertools import compress, count
 
 from .chem.smiles import check_smiles
 from .errors import InputError, ParseError, SmilesError
 from .ingest import parse_entity
-from .model import _SIGNATURE, EntityRef, KnowledgeGraph, RelationRef, Triplet
-from .normalize import IdMapTable, canonical_key
+from .model import KnowledgeGraph, RelationRef, Triplet, marks
+from .normalize import IdMapTable
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +43,13 @@ def _numbered(table: list[tuple]):
     return zip(getattr(table, "lines", None) or count(1), table)
 
 
+def _pairs(g: KnowledgeGraph, rows: bytes) -> set[tuple[int, int]]:
+    """The unordered endpoint pairs, as (lower id, higher id), of the rows
+    whose byte in ``rows`` is set."""
+    heads, tails = array("i", compress(g.heads, rows)), array("i", compress(g.tails, rows))
+    return set(zip(map(min, heads, tails), map(max, heads, tails)))
+
+
 def merge_reactome(
     g: KnowledgeGraph, table: list[tuple[str, str]]
 ) -> tuple[KnowledgeGraph, dict[str, int]]:
@@ -53,27 +61,32 @@ def merge_reactome(
     absent, or that would duplicate an existing canonical key, are skipped
     and counted.
     """
-    # a merged row's key carries its label, so only GENE_PATHWAY rows can match
-    keys = {canonical_key(t) for t in g.triplets if t.relation.label == GENE_PATHWAY.label}
-    nodes = g.nodes
-    new_nodes: set[EntityRef] = set()
+    entities = g.vocab.entities
+    # a merged row's key is its label and its endpoint pair, so only the
+    # pairs of GENE_PATHWAY rows can match
+    labelled = bytes(r.label == GENE_PATHWAY.label for r in g.vocab.relations)
+    keys = _pairs(g, g.flags(relation=labelled))
+    nodes = g.node_ids
+    new_nodes: set[int] = set()
     added: list[Triplet] = []
     details = {"skipped_endpoint_absent": 0, "skipped_duplicate": 0}
     for row_no, (gene_text, pathway_text) in _numbered(table):
         gene = parse_entity(gene_text)
         pathway = parse_entity(pathway_text)
-        if gene not in nodes and gene not in new_nodes:
+        g_id = entities.ids.get(gene)
+        if g_id not in nodes and g_id not in new_nodes:
             details["skipped_endpoint_absent"] += 1
             continue
         t = _checked(Triplet(gene, GENE_PATHWAY, pathway, origin_line=row_no), "reactome")
-        key = canonical_key(t)
+        p_id = entities.id_of(pathway)
+        key = (min(g_id, p_id), max(g_id, p_id))
         if key in keys:
             details["skipped_duplicate"] += 1
             continue
         keys.add(key)
         added.append(t)
-        if pathway not in nodes:
-            new_nodes.add(pathway)
+        if p_id not in nodes:
+            new_nodes.add(p_id)
     details["edges_added"] = len(added)
     details["pathway_nodes_added"] = len(new_nodes)
     return g.plus(added), details
@@ -96,16 +109,14 @@ def merge_onsides(
     if min_tier not in TIER_RANK:
         raise ValueError(f"unknown confidence tier {min_tier!r}")
     threshold = TIER_RANK[min_tier]
+    entities = g.vocab.entities
     # a checked row links a Compound to a SideEffect, so only graph rows
     # between those types, in either orientation, can carry its pair
-    links = {_SIGNATURE(SIDE_EFFECT), _SIGNATURE(SIDE_EFFECT)[::-1]}
-    pairs = {
-        frozenset((t.head.text, t.tail.text))
-        for t in g.triplets
-        if _SIGNATURE(t.relation) in links
-    }
-    nodes = g.nodes
-    new_nodes: set[EntityRef] = set()
+    links = {("Compound", "SideEffect"), ("SideEffect", "Compound")}
+    linked = bytes((r.head_type, r.tail_type) in links for r in g.vocab.relations)
+    pairs = _pairs(g, g.flags(relation=linked))
+    nodes = g.node_ids
+    new_nodes: set[int] = set()
     added: list[Triplet] = []
     details = {
         "skipped_below_confidence": 0,
@@ -125,18 +136,20 @@ def merge_onsides(
             compound = compound_map.apply(compound)
         if side_effect_map is not None:
             side_effect = side_effect_map.apply(side_effect)
-        if compound not in nodes and compound not in new_nodes:
+        c_id = entities.ids.get(compound)
+        if c_id not in nodes and c_id not in new_nodes:
             details["skipped_endpoint_absent"] += 1
             continue
         t = _checked(Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no), "onsides")
-        pair = frozenset((compound.text, side_effect.text))
+        s_id = entities.id_of(side_effect)
+        pair = (min(c_id, s_id), max(c_id, s_id))
         if pair in pairs:
             details["skipped_duplicate"] += 1
             continue
         pairs.add(pair)
         added.append(t)
-        if side_effect not in nodes:
-            new_nodes.add(side_effect)
+        if s_id not in nodes:
+            new_nodes.add(s_id)
     details["edges_added"] = len(added)
     details["side_effect_nodes_added"] = len(new_nodes)
     return g.plus(added), details
@@ -152,23 +165,27 @@ def filter_no_smiles(
     ``check_smiles``, which accepts exactly what ``parse_smiles`` accepts."""
     missing = 0
     unparseable = 0
-    doomed: set[EntityRef] = set()
-    for node in g.nodes_of_type("Compound"):
+    entities = g.vocab.entities
+    doomed = bytearray(len(entities))
+    for e in g.node_ids:
+        node = entities[e]
+        if node.entity_type != "Compound":
+            continue
         smiles = smiles_dict.get(node.text)
         if smiles is None:
             missing += 1
-            doomed.add(node)
+            doomed[e] = 1
             continue
         try:
             check_smiles(smiles)
         except SmilesError as exc:
             log.debug("unparseable SMILES for %s: %s", node.text, exc)
             unparseable += 1
-            doomed.add(node)
-    kept = [t for t in g.triplets if t.head not in doomed and t.tail not in doomed]
-    return KnowledgeGraph._from_clean(kept), {
+            doomed[e] = 1
+    kept = g.where(marks(g.flags(entity=doomed), 0))
+    return kept, {
         "compounds_missing": missing,
         "compounds_unparseable": unparseable,
-        "compounds_removed": len(doomed),
+        "compounds_removed": missing + unparseable,
         "edges_removed": len(g) - len(kept),
     }

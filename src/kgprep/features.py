@@ -12,9 +12,12 @@ manifest plus the vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import add
+
 from .errors import StageError
 from .ingest import open_output
-from .model import ANNOTATION_TYPES, EntityRef, KnowledgeGraph
+from .model import ANNOTATION_TYPES, EntityRef, KnowledgeGraph, marks
 
 
 @dataclass(frozen=True)
@@ -76,19 +79,24 @@ def collapse_to_features(
     positions = manifest.index_of()
     annotation_types = frozenset(ANNOTATION_TYPES)
     dim = manifest.total_dim
-
-    gene_bits: dict[EntityRef, set[int]] = {
-        n: set() for n in g.nodes if n.entity_type == "Gene"
-    }
-    kept = []
-    for t in g.triplets:
-        head_is_ann = t.head.entity_type in annotation_types
-        tail_is_ann = t.tail.entity_type in annotation_types
-        if not head_is_ann and not tail_is_ann:
-            kept.append(t)
-            continue
-        annotation, other = (t.head, t.tail) if head_is_ann else (t.tail, t.head)
-        if head_is_ann and tail_is_ann:
+    entities = g.vocab.entities
+    # per entity: 0 other, 1 gene, 2 annotation, 3 annotation off the
+    # manifest; a row's code is its head's times 4 plus its tail's
+    kind = [
+        2 + (e not in positions) if e.entity_type in annotation_types
+        else int(e.entity_type == "Gene")
+        for e in entities
+    ]
+    head_kind = [4 * k for k in kind]
+    codes = bytes(map(add, map(head_kind.__getitem__, g.heads), map(kind.__getitem__, g.tails)))
+    # every other code breaks the star shape
+    misfit = marks(codes, 0, 1, 4, 5, 6, 9).find(0)
+    if misfit >= 0:
+        t = g.row(misfit)
+        annotation, other = (t.head, t.tail)
+        if annotation.entity_type not in annotation_types:
+            annotation, other = other, annotation
+        if other.entity_type in annotation_types:
             raise StageError(
                 f"features: annotation-to-annotation edge {t.head.text} -> {t.tail.text}"
             )
@@ -97,19 +105,25 @@ def collapse_to_features(
                 f"features: annotation node {annotation.text} adjacent to "
                 f"non-gene {other.text}"
             )
-        position = positions.get(annotation)
-        if position is None:
-            raise StageError(
-                f"features: {annotation.text} missing from manifest; "
-                "manifest must be built from the same graph"
-            )
-        gene_bits[other].add(position)
+        raise StageError(
+            f"features: {annotation.text} missing from manifest; "
+            "manifest must be built from the same graph"
+        )
+    position = {entities.ids[ref]: i for ref, i in positions.items() if ref in entities.ids}
+    gene_bits: dict[int, set[int]] = {e: set() for e in g.node_ids if kind[e] == 1}
+    # (gene, annotation) on annotation-headed rows, then on gene-headed ones
+    headed, tailed = marks(codes, 9), marks(codes, 6)
+    for gene, annotation in chain(
+        zip(compress(g.tails, headed), compress(g.heads, headed)),
+        zip(compress(g.heads, tailed), compress(g.tails, tailed)),
+    ):
+        gene_bits[gene].add(position[annotation])
 
     table = {
-        gene: SparseFeatureVector(dim, tuple(sorted(bits)))
+        entities[gene]: SparseFeatureVector(dim, tuple(sorted(bits)))
         for gene, bits in gene_bits.items()
     }
-    return KnowledgeGraph._from_clean(kept), table, {
+    return g.where(marks(codes, 0, 1, 4, 5)), table, {
         "annotation_nodes_removed": len(positions),
         "feature_dim": dim,
         "genes_with_features": sum(1 for v in table.values() if v.set_indices),

@@ -14,13 +14,14 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
+from operator import getitem
 from pathlib import Path
 from typing import IO, Iterator
 
 from .errors import InputError, ParseError
 from .model import (
-    ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet,
+    ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Vocabulary,
 )
 
 log = logging.getLogger(__name__)
@@ -156,10 +157,16 @@ def load_triplets(path: str | Path) -> tuple[KnowledgeGraph, StageLog]:
 
     Malformed lines are skipped, never silently: the stage log details count
     every skip by reason and ``loaded + skipped == physical lines - header``.
+    Each distinct entity or relation text is parsed and interned once.
     """
     start = time.perf_counter()
     path = Path(path)
-    triplets: list[Triplet] = []
+    vocab = Vocabulary()
+    entities, relations = vocab.entities, vocab.relations
+    # input text -> vocabulary id; several texts may name one entity
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    columns = heads, rels, tails, lines = tuple(array("i") for _ in range(4))
     skipped = {
         "bad_columns": 0,
         "bad_entity": 0,
@@ -182,30 +189,40 @@ def load_triplets(path: str | Path) -> tuple[KnowledgeGraph, StageLog]:
         if line_no == 1 and _is_header(cols):
             header = 1
             continue
+        head_text, rel_text, tail_text = cols
+        h = entity_ids.get(head_text)
+        t = entity_ids.get(tail_text)
         try:
-            head = parse_entity(cols[0])
-            tail = parse_entity(cols[2])
+            if h is None:
+                h = entity_ids[head_text] = entities.id_of(parse_entity(head_text))
+            if t is None:
+                t = entity_ids[tail_text] = entities.id_of(parse_entity(tail_text))
         except ParseError as exc:
             skipped["bad_entity"] += 1
             log.debug("%s:%d: %s", path, line_no, exc)
             continue
-        try:
-            rel = parse_relation(cols[1])
-        except ParseError as exc:
-            skipped["bad_relation"] += 1
-            log.debug("%s:%d: %s", path, line_no, exc)
-            continue
-        t = Triplet(head, rel, tail, origin_line=line_no)
-        if not t.signature_ok():
+        r = relation_ids.get(rel_text)
+        if r is None:
+            try:
+                r = relation_ids[rel_text] = relations.id_of(parse_relation(rel_text))
+            except ParseError as exc:
+                skipped["bad_relation"] += 1
+                log.debug("%s:%d: %s", path, line_no, exc)
+                continue
+        head, relation, tail = entities[h], relations[r], entities[t]
+        if head.entity_type != relation.head_type or tail.entity_type != relation.tail_type:
             skipped["signature_mismatch"] += 1
             log.debug(
                 "%s:%d: endpoint types (%s, %s) do not match relation %s",
-                path, line_no, head.entity_type, tail.entity_type, rel,
+                path, line_no, head.entity_type, tail.entity_type, relation,
             )
             continue
-        triplets.append(t)
+        heads.append(h)
+        rels.append(r)
+        tails.append(t)
+        lines.append(line_no)
 
-    g = KnowledgeGraph._from_clean(triplets)
+    g = KnowledgeGraph._from_clean(vocab, *columns)
     n_skipped = sum(skipped.values())
     details = {f"skipped_{k}": v for k, v in skipped.items()}
     details["physical_lines"] = physical
@@ -358,8 +375,9 @@ def write_json(path: str | Path, data) -> None:
         fh.write("\n")
 
 
-# rows rendered and written per write call
-_WRITE_CHUNK = 8192
+# rows rendered and written per write call; a chunk's lines are held at
+# once during the final write, where a run's peak RSS is set
+_WRITE_CHUNK = 4096
 
 
 def write_triplets(
@@ -367,16 +385,22 @@ def write_triplets(
 ) -> array:
     """Serialize a graph as triplet TSV: in the graph's text order, or in
     input order if requested. Returns the byte offset at which each written
-    row starts, in the order written, followed by the file size."""
-    rows = g.triplets
-    order = range(len(rows)) if preserve_order else g.text_order
+    row starts, in the order written, followed by the file size.
+
+    Each vocabulary entry is encoded once, up front; a line joins its
+    head's, relation's and tail's bytes and the separators."""
+    entities = [e.text.encode() for e in g.vocab.entities]
+    relations = [r.text.encode() for r in g.vocab.relations]
+    order = range(len(g)) if preserve_order else g.text_order
     offsets = array("q", [0])
     with open_output(path, binary=True) as fh:
         for start in range(0, len(order), _WRITE_CHUNK):
-            lines = [
-                f"{t.head.text}\t{t.relation.text}\t{t.tail.text}\n".encode()
-                for t in map(rows.__getitem__, order[start : start + _WRITE_CHUNK])
-            ]
+            rows = order[start : start + _WRITE_CHUNK]
+            heads = map(entities.__getitem__, map(getitem, repeat(g.heads), rows))
+            rels = map(relations.__getitem__, map(getitem, repeat(g.relations), rows))
+            tails = map(entities.__getitem__, map(getitem, repeat(g.tails), rows))
+            tab, end = repeat(b"\t"), repeat(b"\n")
+            lines = list(map(b"".join, zip(heads, tab, rels, tab, tails, end)))
             offsets.extend(islice(accumulate(map(len, lines), initial=offsets[-1]), 1, None))
             fh.write(b"".join(lines))
     return offsets

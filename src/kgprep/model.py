@@ -3,17 +3,21 @@ and the per-stage provenance log.
 
 Entity identity is fully qualified as ``entity_type::source:local_id`` and
 relations as ``origin::label::HeadType:TailType``. The graph is an ordered
-multiset of triplets: input order is preserved so that first-occurrence
+multiset of triplets, held as int columns of ids into a vocabulary of
+entities and relations: input order is preserved so that first-occurrence
 deduplication and all serialized outputs are reproducible.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
+from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
-from operator import add, attrgetter, mod, mul
-from typing import Callable, Iterable, Iterator, KeysView
+from itertools import accumulate, compress, count, repeat
+from operator import add, attrgetter, floordiv, getitem, methodcaller, mod, mul
+from typing import Iterable, Iterator, KeysView, Sequence
 
 from .errors import StageError
 
@@ -128,17 +132,13 @@ class Triplet:
         )
 
 
-# A row's rendered columns and endpoints, head first, and a relation's
-# endpoint types (its rows', since the graph checks them); built in C.
-_HEAD_TEXT = attrgetter("head.text")
-_RELATION_TEXT = attrgetter("relation.text")
-_TAIL_TEXT = attrgetter("tail.text")
-_ENDPOINTS = attrgetter("head", "tail")
-_SIGNATURE = attrgetter("head_type", "tail_type")
-
-
-# A step of a row-local stage: the row to keep (possibly rewritten), or None to drop it.
-Step = Callable[[Triplet], Triplet | None]
+# a vocabulary entry's rendered text
+_TEXT = attrgetter("text")
+# the runs of kept rows in a graph's keep flags, and a match's bounds
+_KEPT = re.compile(b"\x01+")
+_SPAN = methodcaller("span")
+# rows per bucket of the text order's sort
+_SORT_ROWS = 8192
 
 
 @dataclass
@@ -177,52 +177,176 @@ class StageLog:
         }
 
 
-class KnowledgeGraph:
-    """Ordered multiset of triplets; its rows never change once built.
+class Interned(list):
+    """Distinct values in order of first sight; a value's id is its place
+    here, and ``ids`` maps each value to it."""
 
-    ``nodes`` is derived from the rows on first use, so a chain of row
-    stages that never asks for nodes never builds it. ``text_order`` is
+    __slots__ = ("ids",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: dict = {}
+
+    def id_of(self, value) -> int:
+        """The value's id, given on first sight."""
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self)
+            self.append(value)
+        return i
+
+
+class Vocabulary:
+    """The entities and relations a graph's id columns refer to. A graph
+    derived from another shares its vocabulary, which only ever grows, so
+    the ids of every graph stay valid."""
+
+    __slots__ = ("entities", "relations")
+
+    def __init__(self) -> None:
+        self.entities = Interned()
+        self.relations = Interned()
+
+    def columns(self, triplets: list[Triplet]) -> tuple[array, array, array, array]:
+        """The head, relation, tail and line columns of these rows."""
+        entity, relation = self.entities.id_of, self.relations.id_of
+        return (
+            array("i", [entity(t.head) for t in triplets]),
+            array("i", [relation(t.relation) for t in triplets]),
+            array("i", [entity(t.tail) for t in triplets]),
+            array("i", [t.origin_line for t in triplets]),
+        )
+
+
+class KnowledgeGraph:
+    """Ordered multiset of triplets, held as four int columns: ``heads``,
+    ``relations`` and ``tails`` are ids into ``vocab``, and ``lines`` holds
+    each row's ``origin_line``. Its rows never change once built; a stage
+    decides once per distinct id and applies the decision to the columns.
+
+    ``node_ids``, which ``nodes`` views, is derived from the rows on first
+    use, so a chain of row stages that never asks for nodes never builds it. ``text_order`` is
     likewise computed on first use.
     """
 
-    __slots__ = ("triplets", "_nodes", "_text_order")
+    __slots__ = ("vocab", "heads", "relations", "tails", "lines", "_nodes", "_text_order")
 
     def __init__(self, triplets: Iterable[Triplet] = ()):
-        self.triplets: list[Triplet] = list(triplets)
-        for t in self.triplets:
+        triplets = list(triplets)
+        for t in triplets:
             if not t.signature_ok():
                 raise StageError(
                     f"endpoint/relation type mismatch: ({t.head.entity_type}, "
                     f"{t.relation.head_type}:{t.relation.tail_type}, "
                     f"{t.tail.entity_type}) for relation {t.relation}"
                 )
-        self._nodes: dict[EntityRef, None] | None = None
+        self.vocab = Vocabulary()
+        self.heads, self.relations, self.tails, self.lines = self.vocab.columns(triplets)
+        self._nodes: dict[int, None] | None = None
         self._text_order: array | None = None
 
     @classmethod
-    def _from_clean(cls, triplets: list[Triplet]) -> "KnowledgeGraph":
+    def _from_clean(
+        cls, vocab: Vocabulary, heads: array, relations: array, tails: array, lines: array
+    ) -> "KnowledgeGraph":
         """Bulk constructor for stage outputs whose rows were already validated."""
         g = cls.__new__(cls)
-        g.triplets = triplets
+        g.vocab = vocab
+        g.heads, g.relations, g.tails, g.lines = heads, relations, tails, lines
         g._nodes = None
         g._text_order = None
         return g
+
+    def _columns(self) -> tuple[array, array, array, array]:
+        return self.heads, self.relations, self.tails, self.lines
+
+    def where(self, keep: bytes) -> "KnowledgeGraph":
+        """The rows whose byte in ``keep`` is 1, in order; every byte is 0
+        or 1. When nothing is dropped the columns are shared, not copied.
+        Each run of kept rows is copied as one block, unless the runs number
+        more than an eighth of the rows: a block costs about as much as
+        picking eight rows one by one, so then the rows are picked."""
+        if 0 not in keep:
+            return KnowledgeGraph._from_clean(self.vocab, *self._columns())
+        if 8 * (keep.count(b"\0\1") + keep.startswith(b"\1")) > len(keep):
+            columns = (array("i", compress(column, keep)) for column in self._columns())
+            return KnowledgeGraph._from_clean(self.vocab, *columns)
+        heads, relations, tails, lines = (array("i", [0]) * keep.count(1) for _ in range(4))
+        at = 0
+        for a, b in map(_SPAN, _KEPT.finditer(keep)):
+            end = at + b - a
+            heads[at:end] = self.heads[a:b]
+            relations[at:end] = self.relations[a:b]
+            tails[at:end] = self.tails[a:b]
+            lines[at:end] = self.lines[a:b]
+            at = end
+        return KnowledgeGraph._from_clean(self.vocab, heads, relations, tails, lines)
+
+    def mapped(
+        self, entity: Sequence[int] | None = None, relation: Sequence[int] | None = None
+    ) -> "KnowledgeGraph":
+        """The rows with each endpoint id ``e`` replaced by ``entity[e]`` and
+        each relation id ``r`` by ``relation[r]``. A column no table rewrites
+        is shared with this graph, not copied."""
+
+        def through(table, column):
+            return column if table is None else array("i", map(table.__getitem__, column))
+
+        return KnowledgeGraph._from_clean(
+            self.vocab,
+            through(entity, self.heads),
+            through(relation, self.relations),
+            through(entity, self.tails),
+            self.lines,
+        )
 
     def plus(self, added: list[Triplet]) -> "KnowledgeGraph":
         """A new graph of these rows followed by ``added``, whose rows were
         already validated. A node set already built here is extended by the
         added endpoints, not rebuilt."""
-        g = KnowledgeGraph._from_clean(self.triplets + added)
+        columns = self.vocab.columns(added)
+        g = KnowledgeGraph._from_clean(self.vocab, *map(add, self._columns(), columns))
         if self._nodes is not None:
-            g._nodes = {**self._nodes, **_endpoints(added)}
+            g._nodes = {**self._nodes, **_first_appearance(columns[0], columns[2])}
         return g
 
+    def flags(self, entity: bytes | None = None, relation: bytes | None = None) -> bytes:
+        """Per row, ``entity[head] | entity[tail] | relation[relation]``:
+        decisions taken once per id, applied to the rows. A table left out
+        adds nothing. The rows' bytes are OR-ed as one big int each."""
+        parts = []
+        if entity is not None:
+            at = list(entity).__getitem__
+            parts += (map(at, self.heads), map(at, self.tails))
+        if relation is not None:
+            parts.append(map(list(relation).__getitem__, self.relations))
+        combined = 0
+        for part in parts:
+            combined |= int.from_bytes(bytes(part), "little")
+        return combined.to_bytes(len(self), "little")
+
+    def row(self, p: int) -> Triplet:
+        """Row ``p`` as a triplet."""
+        entities = self.vocab.entities
+        return Triplet(
+            entities[self.heads[p]],
+            self.vocab.relations[self.relations[p]],
+            entities[self.tails[p]],
+            self.lines[p],
+        )
+
     @property
-    def nodes(self) -> KeysView[EntityRef]:
-        """The row endpoints, in order of first appearance."""
+    def node_ids(self) -> KeysView[int]:
+        """The ids of the row endpoints, in order of first appearance."""
         if self._nodes is None:
-            self._nodes = _endpoints(self.triplets)
+            self._nodes = _first_appearance(self.heads, self.tails)
         return self._nodes.keys()
+
+    @property
+    def nodes(self) -> "NodeView":
+        """The row endpoints, in order of first appearance, as a set-like
+        view over ``node_ids``."""
+        return NodeView(self.vocab.entities, self.node_ids)
 
     @property
     def text_order(self) -> array:
@@ -230,43 +354,87 @@ class KnowledgeGraph:
         rows that render alike stay in graph order. Every sorted output of
         the graph walks this one order.
 
-        Each distinct entity text (heads and tails share one table) and
-        relation text is replaced by its rank, so rank triples compare as
-        text triples do; a row packs into one int, its triple's ranks then
-        its position, and the plain ints are sorted."""
+        Each entity id (heads and tails share one table) and relation id is
+        replaced by its text's rank, so rank triples compare as text triples
+        do, and a row's triple packs into one int. Rows are dealt into
+        buckets of consecutive head ranks, about ``_SORT_ROWS`` rows each;
+        within a bucket each row packs its triple then its position into
+        one int, and the plain ints are sorted. Only one bucket's ints exist
+        at a time: one sort of every row's ints holds about 40 B a row at
+        once, at the final write, where a run's peak is set."""
         if self._text_order is None:
-            rows = self.triplets
-            n = len(rows)
-            heads, tails = list(map(_HEAD_TEXT, rows)), list(map(_TAIL_TEXT, rows))
-            relations = list(map(_RELATION_TEXT, rows))
-            entity, relation = _ranks(chain(heads, tails)), _ranks(relations)
+            n = len(self)
+            entity, n_entity = _ranks(self.vocab.entities)
+            relation, n_relation = _ranks(self.vocab.relations)
             rank = entity.__getitem__
-            packed = map(mul, map(rank, heads), repeat(len(relation)))
-            packed = map(add, packed, map(relation.__getitem__, relations))
-            packed = map(add, map(mul, packed, repeat(len(entity))), map(rank, tails))
-            packed = sorted(map(add, map(mul, packed, repeat(n)), range(n)))
-            self._text_order = array("i", map(mod, packed, repeat(n)))
+            heads = array("i", map(rank, self.heads))
+            triples = map(mul, heads, repeat(n_relation))
+            triples = map(add, triples, map(relation.__getitem__, self.relations))
+            triples = map(add, map(mul, triples, repeat(n_entity)), map(rank, self.tails))
+            triples = array("q", triples)
+            # rows before each head rank, hence the bucket of each head rank
+            sizes = Counter(heads)
+            before = accumulate(map(sizes.get, range(n_entity), repeat(0)), initial=0)
+            bucket_of = list(map(floordiv, before, repeat(_SORT_ROWS)))
+            buckets = [array("i") for _ in range(n // _SORT_ROWS + 1)]
+            for p, b in enumerate(map(bucket_of.__getitem__, heads)):
+                buckets[b].append(p)
+            order = array("i")
+            for rows in buckets:
+                packed = map(mul, map(getitem, repeat(triples), rows), repeat(n))
+                order.extend(map(mod, sorted(map(add, packed, rows)), repeat(n)))
+            self._text_order = order
         return self._text_order
 
     def __len__(self) -> int:
-        return len(self.triplets)
+        return len(self.heads)
 
     def __iter__(self) -> Iterator[Triplet]:
-        return iter(self.triplets)
+        return map(self.row, range(len(self)))
 
     def nodes_of_type(self, entity_type: str) -> list[EntityRef]:
         return [n for n in self.nodes if n.entity_type == entity_type]
 
-    def map_rows(self, step: Step) -> "KnowledgeGraph":
-        """The rows ``step`` keeps, as it returns them, in order; the step
-        sees every row once."""
-        return KnowledgeGraph._from_clean([t for t in map(step, self.triplets) if t is not None])
+
+class NodeView(Set):
+    """A graph's row endpoints as ``EntityRef``s, in order of first
+    appearance; membership goes through the vocabulary's ids."""
+
+    __slots__ = ("_entities", "_ids")
+
+    def __init__(self, entities: Interned, ids: KeysView[int]):
+        self._entities = entities
+        self._ids = ids
+
+    def __contains__(self, node: object) -> bool:
+        return self._entities.ids.get(node) in self._ids
+
+    def __iter__(self) -> Iterator[EntityRef]:
+        return map(self._entities.__getitem__, self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
-def _ranks(texts: Iterable[str]) -> dict[str, int]:
-    """Each distinct text's place in sorted order."""
-    return dict(zip(sorted(set(texts)), count()))
+def _ranks(refs: list) -> tuple[list[int], int]:
+    """Each ref's rank among the distinct texts in sorted order, by id, and
+    the number of distinct texts."""
+    texts = list(map(_TEXT, refs))
+    rank = dict(zip(sorted(set(texts)), count()))
+    return list(map(rank.__getitem__, texts)), len(rank)
 
 
-def _endpoints(triplets: list[Triplet]) -> dict[EntityRef, None]:
-    return dict.fromkeys(chain.from_iterable(map(_ENDPOINTS, triplets)))
+def _first_appearance(heads: array, tails: array) -> dict[int, None]:
+    """The ids of these rows' endpoints, head before tail, in order of first
+    appearance."""
+    both = array("i", [0]) * (2 * len(heads))
+    both[::2], both[1::2] = heads, tails
+    return dict.fromkeys(both)
+
+
+def marks(codes: bytes, *values: int) -> bytes:
+    """1 for each code that is one of ``values``, else 0."""
+    table = bytearray(256)
+    for value in values:
+        table[value] = 1
+    return codes.translate(table)

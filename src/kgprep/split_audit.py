@@ -19,28 +19,31 @@ triplet, whether the training split contains an equivalent counterpart:
 
 With empty equivalence tables, standardization is the identity and all
 detectors reduce to duplicate_inverse. Each detector's keys of a task's
-target rows are interned to int ids once (``leak_keys``), and every seed
+target rows are packed into ints once (``leak_keys``), and every seed
 probes them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import re
 import statistics
+import sys
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import add, methodcaller, sub
+from itertools import chain, compress, repeat
+from operator import add, getitem, mul, or_, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
-from .ingest import open_output, parse_relation, write_json, write_triplets
-from .model import _HEAD_TEXT, _RELATION_TEXT, _SIGNATURE, _TAIL_TEXT, KnowledgeGraph
+from .ingest import open_output, write_json, write_triplets
+from .model import _SPAN, KnowledgeGraph
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
@@ -82,18 +85,16 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
     per seed (valid and test sizes floored, remainder to train). A row is a
     target when its endpoint types are the task's.
 
-    The graph is partitioned once, testing each distinct relation once (a
-    row's endpoint types are its relation's); each seed then shuffles
-    indices into the target positions.
+    Each distinct relation id is classified once (a row's endpoint types
+    are its relation's); each seed then shuffles indices into the target
+    positions.
     ``random.Random(seed).shuffle`` draws depend only on the sequence length,
     so index k of a seed's order names the row that shuffling a copy of the
     target list would put at k.
     """
     types = BUILTIN_TASKS[task_name]
-    texts = list(map(_RELATION_TEXT, g.triplets))
-    hit = {text: set(_SIGNATURE(parse_relation(text))) == types for text in set(texts)}
-    is_target = bytearray(map(hit.__getitem__, texts))
-    target = array("i", compress(range(len(g)), is_target))
+    hit = bytes({r.head_type, r.tail_type} == types for r in g.vocab.relations)
+    target = array("i", compress(range(len(g)), g.flags(relation=hit)))
     if not target:
         raise StageError(f"task {task_name}: target triplet set is empty")
     n = len(target)
@@ -107,53 +108,52 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
     return TaskSplits(task_name, g, target, seeds, orders, n - n_valid - n // 5, n_valid)
 
 
-def _intern(keys: Iterable, inverse_keys: Iterable, size: int) -> tuple[array, array]:
-    """Each key's id, the place of its first occurrence among ``keys``, and
-    the id of each inverse key; an inverse that no key equals gets ``size``,
-    an id no row has."""
-    ids: dict = {}
-    key_ids = array("i", map(ids.setdefault, keys, count()))
-    return key_ids, array("i", map(ids.get, inverse_keys, repeat(size)))
-
-
 def leak_keys(
     split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable
 ) -> tuple[tuple[array, array], ...]:
-    """(ids, inverse ids) of the task's target rows, in target order, for
+    """(keys, inverse keys) of the task's target rows, in target order, for
     each detector: raw keys ``(head, (origin, label), tail)``, relation keys
     ``(head, canonical label, tail)`` and entity keys, which also map the
-    endpoints' texts through ``entities``. When that map leaves every
-    endpoint unmapped, the entity keys are the relation keys, and so are
-    their ids. Each row's relation is held as the place of the first target
-    row with its text, and labels are computed once per such relation.
+    endpoints' texts through ``entities``; an inverse key swaps head and
+    tail. Each key packs its endpoint and label ids into one int. When the
+    map leaves every endpoint unmapped, the entity keys are the relation
+    keys. Labels are computed once per relation id.
     Build them once per task: every seed's ``detect_leakage`` reuses them."""
-    triplets, target = split.graph.triplets, split.target
+    g, target = split.graph, split.target
+    vocab = g.vocab
+    heads, rels, tails = (
+        array("i", map(getitem, repeat(column), target))
+        for column in (g.heads, g.relations, g.tails)
+    )
+    # each relation's raw and canonical label as an id: the first relation's
+    # with that label
+    raw_ids: dict = {}
+    canon_ids: dict = {}
+    raw, canon = {}, {}
+    for r in set(rels):
+        rel = vocab.relations[r]
+        raw[r] = raw_ids.setdefault((rel.origin, rel.label), r)
+        canon[r] = canon_ids.setdefault(relations.canon_label(rel), r)
+    n_entity = len(vocab.entities)
+    # a key is its label's id times n_entity**2 plus its endpoint pair's int
 
-    def column(get):
-        return map(get, map(triplets.__getitem__, target))
+    def pairs(first: Sequence[int], last: Sequence[int]) -> array:
+        return array("q", map(add, map(mul, first, repeat(n_entity)), last))
 
-    first: dict[str, int] = {}
-    relation_of = array("i", map(first.setdefault, column(_RELATION_TEXT), count()))
-    task_relations = {i: triplets[target[i]].relation for i in first.values()}
-    raw_label = {i: (r.origin, r.label) for i, r in task_relations.items()}
-    canon_label = {i: relations.canon_label(r) for i, r in task_relations.items()}
+    def packed(label: dict, pair: array, inverse: array) -> tuple[array, array]:
+        offsets = list(map(mul, map(label.__getitem__, rels), repeat(n_entity * n_entity)))
+        return array("q", map(add, offsets, pair)), array("q", map(add, offsets, inverse))
 
-    def intern(heads: list, label: dict, tails: list) -> tuple[array, array]:
-        labels = label.__getitem__
-        return _intern(
-            zip(heads, map(labels, relation_of), tails),
-            zip(tails, map(labels, relation_of), heads),
-            len(target),
-        )
-
-    heads, tails = list(column(_HEAD_TEXT)), list(column(_TAIL_TEXT))
-    raw = intern(heads, raw_label, tails)
-    relation = intern(heads, canon_label, tails)
-    if entities.keys().isdisjoint(heads) and entities.keys().isdisjoint(tails):
-        return raw, relation, relation
-    canon = entities.get
-    heads, tails = list(map(canon, heads, heads)), list(map(canon, tails, tails))
-    return raw, relation, intern(heads, canon_label, tails)
+    pair, inverse = pairs(heads, tails), pairs(tails, heads)
+    raw_keys, relation_keys = packed(raw, pair, inverse), packed(canon, pair, inverse)
+    texts = {e: vocab.entities[e].text for e in set(heads).union(tails)}
+    if entities.keys().isdisjoint(texts.values()):
+        return raw_keys, relation_keys, relation_keys
+    # canonical texts as ids; there are no more of them than entities
+    ids: dict[str, int] = {}
+    canon_of = {e: ids.setdefault(entities.get(text, text), len(ids)) for e, text in texts.items()}
+    heads, tails = list(map(canon_of.__getitem__, heads)), list(map(canon_of.__getitem__, tails))
+    return raw_keys, relation_keys, packed(canon, pairs(heads, tails), pairs(tails, heads))
 
 
 def _leaks(
@@ -162,16 +162,17 @@ def _leaks(
     evals: Iterable[Sequence[int]],
     include_inverse: bool,
 ) -> list[list[int]]:
-    """For each evaluation part, 1 for each row whose key (or, with
-    ``include_inverse``, inverse key) some train row has, else 0."""
-    ids, inverse = keys
-    # one slot per id, plus the id of an inverse that no row has
-    in_train = bytearray(len(ids) + 1)
-    for i in train:
-        in_train[ids[i]] = 1
+    """For each evaluation part, whether each row's key (or, with
+    ``include_inverse``, inverse key) is some train row's key."""
+    keys, inverse = keys
+    in_train = set(map(getitem, repeat(keys), train)).__contains__
+
+    def hits(part: Sequence[int], side: array):
+        return map(in_train, map(getitem, repeat(side), part))
+
     if include_inverse:
-        return [[in_train[ids[i]] | in_train[inverse[i]] for i in part] for part in evals]
-    return [[in_train[ids[i]] for i in part] for part in evals]
+        return [list(map(or_, hits(part, keys), hits(part, inverse))) for part in evals]
+    return [list(hits(part, keys)) for part in evals]
 
 
 def detect_leakage(
@@ -181,8 +182,8 @@ def detect_leakage(
 ) -> dict[tuple[str, str], tuple[int, int]]:
     """``(detector, split pair) -> (leaked, total)`` for train/valid and
     train/test under every detector and their union, from a task's
-    ``leak_keys`` and one seed's ``TaskSplits.parts``. The seed marks its
-    train rows' ids and looks up each evaluation row's."""
+    ``leak_keys`` and one seed's ``TaskSplits.parts``. The seed collects
+    its train rows' keys and looks up each evaluation row's."""
     raw, relation, entity = keys
     train, valid, test = parts
     evals = (valid, test)
@@ -217,17 +218,32 @@ def audit_report(
             "total": total,
             "ratio": ratios,
             "mean": statistics.fmean(ratios),
-            "std": statistics.pstdev(ratios),
+            "std": _pstdev(ratios),
             "seeds": seeds,
         })
     return records
+
+
+def _pstdev(ratios: list[float]) -> float:
+    """The population standard deviation, correctly rounded, as Python
+    3.11's ``statistics.pstdev`` computes it (3.10's rounds twice): the
+    exact variance as a fraction n/m, then the root of n/m times 4**-q,
+    which has 55 or 56 bits before the point, cut to an integer rounded to
+    odd, then rounded once, to a float, and scaled back by 2**q."""
+    exact = list(map(Fraction, ratios))
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / len(exact)
+    n, m = variance.numerator, variance.denominator
+    q = (n.bit_length() - m.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
+    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
+    root = math.isqrt(n // m)
+    return math.ldexp(root | (root * root * m != n), q)
 
 
 # a run of rows of each split code (0 context, 1 train, 2 valid, 3 test), of
 # at most this many rows, so that no read holds much of the file
 _RUN_ROWS = 4096
 _RUNS = tuple(re.compile(b"%c{1,%d}" % (code, _RUN_ROWS)) for code in range(4))
-_SPAN = methodcaller("span")
 
 
 class GraphFile:

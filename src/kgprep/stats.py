@@ -37,10 +37,11 @@ def compute_stats(g: KnowledgeGraph) -> StatsReport:
     """Breakdown tables with deterministic row order (lexicographic keys);
     totals always equal the sums of their breakdowns."""
     node_counter = Counter((n.entity_type, n.source) for n in g.nodes)
-    edge_counter = Counter(
-        (f"{t.relation.head_type}:{t.relation.tail_type}", t.relation.origin)
-        for t in g.triplets
-    )
+    relations = g.vocab.relations
+    edge_counter: Counter = Counter()
+    for r, count in Counter(g.relations).items():
+        rel = relations[r]
+        edge_counter[(f"{rel.head_type}:{rel.tail_type}", rel.origin)] += count
     nodes = [
         {"type": etype, "source": source, "count": count}
         for (etype, source), count in sorted(node_counter.items())
@@ -50,7 +51,7 @@ def compute_stats(g: KnowledgeGraph) -> StatsReport:
         for (signature, origin), count in sorted(edge_counter.items())
     ]
     return StatsReport(
-        node_total=len(g.nodes),
+        node_total=len(g.node_ids),
         edge_total=len(g),
         nodes_by_type_source=nodes,
         edges_by_signature_origin=edges,

@@ -237,7 +237,7 @@ def endpoints(g) -> list:
     """A graph's heads and tails in order of first appearance."""
     seen = set()
     out = []
-    for t in g.triplets:
+    for t in g:
         for node in (t.head, t.tail):
             if node not in seen:
                 seen.add(node)
@@ -257,7 +257,7 @@ def task_matches(endpoint_types, t) -> bool:
 
 
 def _split_part(split, k: int, start: int, stop: int) -> list:
-    return [split.graph.triplets[split.target[i]] for i in list(split.orders[k])[start:stop]]
+    return [split.graph.row(split.target[i]) for i in list(split.orders[k])[start:stop]]
 
 
 def split_train(split, k: int) -> list:
@@ -276,7 +276,7 @@ def split_context(split, k: int) -> list:
     """The graph rows outside the task's target, in graph order; the same
     for every seed ``k``."""
     target = set(split.target)
-    return [t for p, t in enumerate(split.graph.triplets) if p not in target]
+    return [t for p, t in enumerate(split.graph) if p not in target]
 
 
 def fingerprint_bits(fp) -> frozenset[int]:

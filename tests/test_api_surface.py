@@ -91,6 +91,6 @@ def test_scan_sees_definitions_and_references():
     # above passes vacuously
     modules = _modules()
     defined = {q for m, t in modules.items() for q, _, _ in _definitions(m, t)}
-    assert {"clean.harmonize", "model.KnowledgeGraph.map_rows", "model.ENTITY_TYPES"} <= defined
+    assert {"clean.harmonize", "model.KnowledgeGraph.mapped", "model.ENTITY_TYPES"} <= defined
     names, attributes = _references(modules.values())
-    assert "harmonize" in attributes and "map_rows" in attributes and "ENTITY_TYPES" in names
+    assert "harmonize" in attributes and "mapped" in attributes and "ENTITY_TYPES" in names

@@ -94,6 +94,18 @@ def test_harmonize_strict_unknown_fatal(table):
         run_stage("harmonize", g, lambda g: harmonize(g, table, strict=True))
 
 
+def test_harmonize_strict_names_the_first_unmapped_relation_in_row_order(table):
+    g = graph_of(
+        ("Disease::DOID:1", "Hetionet::DpS::Disease:Symptom", "Symptom::MESH:D1"),
+        ("Gene::NCBI:1", "Hetionet::GpBP::Gene:BiologicalProcess", "BiologicalProcess::GO:1"),
+    )
+    # DpS keeps the lower id, but GpBP's row now comes first
+    g = g.where(bytes([0, 1])).plus([g.row(0)])
+    with pytest.raises(StageError, match="GpBP") as failure:
+        run_stage("harmonize", g, lambda g: harmonize(g, table, strict=True))
+    assert "DpS" not in str(failure.value)
+
+
 def test_remove_nonhuman_banned_labels():
     g = graph_of(
         ("Gene::NCBI:8881", "bioarx::VirGenHumGen::Gene:Gene", "Gene::NCBI:1"),
@@ -119,6 +131,22 @@ def test_remove_nonhuman_gene_fixture():
     assert log.details["nonhuman_genes_removed"] == 2
     assert log.details["nonhuman_gene_rows"] == 3
     assert len(g2) == 2
+
+
+def test_nonhuman_genes_only_on_banned_rows_are_not_counted():
+    g = graph_of(
+        ("Gene::NCBI:n1", "bioarx::VirGenHumGen::Gene:Gene", "Gene::NCBI:h1"),
+        ("Gene::NCBI:n2", "GNBR::B::Gene:Gene", "Gene::NCBI:h2"),
+        ("Gene::NCBI:n2", "bioarx::VirGenHumGen::Gene:Gene", "Gene::NCBI:n3"),
+        ("Gene::NCBI:h1", "GNBR::B::Gene:Gene", "Gene::NCBI:n2"),
+    )
+    taxonomy = {"Gene::NCBI:n1": "mouse", "Gene::NCBI:n2": "mouse", "Gene::NCBI:n3": "virus"}
+    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), taxonomy))
+    # n1 and n3 are only on banned rows; n2 is on two rows that survive the ban
+    assert log.details == {
+        "banned_relation_rows": 2, "nonhuman_gene_rows": 2, "nonhuman_genes_removed": 1,
+    }
+    assert len(g2) == 0
 
 
 def test_remove_nonhuman_defaults_absent_genes_to_human():

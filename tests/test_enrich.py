@@ -80,7 +80,7 @@ def test_merged_rows_carry_their_file_lines(tmp_path):
     )
     g = base_graph()
     g2, _ = merge_reactome(g, load_reactome(reactome))
-    assert [t.origin_line for t in g2.triplets[len(g):]] == [3, 6]
+    assert [t.origin_line for t in list(g2)[len(g):]] == [3, 6]
 
     onsides = tmp_path / "onsides.tsv"
     onsides.write_text(
@@ -90,7 +90,7 @@ def test_merged_rows_carry_their_file_lines(tmp_path):
         encoding="utf-8",
     )
     g3, _ = merge_onsides(g, load_onsides(onsides))
-    assert [t.origin_line for t in g3.triplets[len(g):]] == [3]
+    assert [t.origin_line for t in list(g3)[len(g):]] == [3]
 
 
 def test_merge_onsides_tiers_and_duplicates():

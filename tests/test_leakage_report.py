@@ -3,11 +3,16 @@ recomputed from the split files the run wrote, pair by pair."""
 
 import json
 import random
+import statistics
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgprep.cli import main
 from kgprep.config import STAGE_NAMES
+from kgprep.split_audit import _pstdev
 
 from oracles import leakage_records_from_splits
 
@@ -109,3 +114,32 @@ def test_audit_counters_are_the_report_sums(run_out):
     assert audit["details"] == {
         f"{r['task']}_{r['detector']}_{r['split_pair']}_leaked": sum(r["leaked"]) for r in report
     }
+
+
+_RATIOS = st.lists(
+    st.builds(lambda n, d: n / d, st.integers(0, 10**6), st.integers(1, 10**6)) | st.floats(0, 1),
+    min_size=1,
+    max_size=10,
+)
+_EDGE_CASES = (
+    [0.0], [1.0], [0.25] * 10, [0.0, 1.0], [5e-324, 0.0], [1 / 3, 2 / 3], [0.1, 0.2, 0.3],
+    [1e-300, 3e-300], [0.999999, 1.0, 0.999998],
+)
+
+
+# 3.11's statistics rounds the root once; 3.10's rounds twice
+_CORRECTLY_ROUNDED = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="statistics.pstdev rounds twice before 3.11"
+)
+
+
+@_CORRECTLY_ROUNDED
+@given(_RATIOS)
+def test_report_std_is_pstdev_bit_for_bit(ratios):
+    assert _pstdev(ratios) == statistics.pstdev(ratios)
+
+
+@_CORRECTLY_ROUNDED
+@pytest.mark.parametrize("ratios", _EDGE_CASES)
+def test_report_std_is_pstdev_bit_for_bit_on_edge_cases(ratios):
+    assert _pstdev(ratios) == statistics.pstdev(ratios)

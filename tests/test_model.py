@@ -1,17 +1,18 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgprep import ingest
+from kgprep import ingest, model
 from kgprep.corpus import build_corpus
 from kgprep.errors import StageError
 from kgprep.clean import drop_entity_types
 from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
+from kgprep.normalize import deduplicate
 
 from conftest import E, R, T, graph_of, run_stage
 from oracles import endpoints, is_clean, render
@@ -132,6 +133,10 @@ def test_text_order_equals_the_stable_sort_of_rendered_tuples(rows):
     g = graph_of(*rows)
     texts = [(t.head.text, t.relation.text, t.tail.text) for t in g]
     assert list(g.text_order) == sorted(range(len(g)), key=texts.__getitem__)
+    # buckets of at most a few rows: many sorts, one order
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", 2)
+        assert list(graph_of(*rows).text_order) == list(g.text_order)
 
 
 def test_row_types_are_slotted_and_frozen():
@@ -142,16 +147,81 @@ def test_row_types_are_slotted_and_frozen():
             setattr(row, name, getattr(row, name))
 
 
-def test_loaded_rows_stay_cheap(tmp_path):
-    corpus = build_corpus(tmp_path, total_rows=20_000, seed=0)
+@pytest.fixture(scope="module")
+def planted_20k(tmp_path_factory):
+    return build_corpus(tmp_path_factory.mktemp("planted"), total_rows=20_000, seed=0)
+
+
+def test_loaded_rows_stay_cheap(planted_20k):
     # parse memos shared with earlier tests would hide the refs' cost
     ingest.parse_entity.cache_clear()
     ingest.parse_relation.cache_clear()
     tracemalloc.start()
     try:
-        g, _ = ingest.load_triplets(corpus.triplets)
+        g, _ = ingest.load_triplets(planted_20k.triplets)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # measured: 167 B/row when each row object has a __dict__, 124 B/row slotted
-    assert held / len(g) <= 145
+    # measured: 167 B/row when each row object has a __dict__, 124 B/row
+    # slotted, 44 B/row as id columns and a vocabulary
+    assert held / len(g) <= 50
+
+
+def test_dedup_needs_little_memory_beyond_its_output(planted_20k):
+    g, _ = ingest.load_triplets(planted_20k.triplets)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out, _ = deduplicate(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured: 95 B/row keyed on text tuples in one table, 37 B/row keyed
+    # on packed id pairs in one table per label
+    assert (peak - base) / len(g) <= 45
+
+
+# rows drawn from the pools above, with their file lines
+_ROWS = st.lists(
+    st.tuples(st.sampled_from(_GENES), st.sampled_from(_RELATIONS), st.sampled_from(_GENES),
+              st.integers(-1, 10**6)),
+    max_size=40,
+)
+
+
+def _read(rows) -> list:
+    return [(*render(t), t.origin_line) for t in rows]
+
+
+@given(rows=_ROWS, extra=_ROWS, keep=st.lists(st.booleans(), min_size=40, max_size=40),
+       renamed=st.permutations(_GENES))
+def test_column_graph_equals_its_list_definition(rows, extra, keep, renamed):
+    triplets = [T(h, r, t, line) for h, r, t, line in rows]
+    added = [T(h, r, t, line) for h, r, t, line in extra]
+    g = KnowledgeGraph(triplets)
+    fresh = g.plus(added)
+    assert _read(g) == _read(triplets)
+    assert [(*render(g.row(p)), g.lines[p]) for p in range(len(g))] == _read(triplets)
+    assert list(g.nodes) == endpoints(triplets)
+
+    # scattered rows, picked one by one, then long runs of them, copied
+    # block by block
+    for mask in (keep, [keep[i // 10] for i in range(40)], sorted(keep)):
+        kept = list(compress(triplets, mask))
+        masked = g.where(bytes(mask[: len(g)]))
+        assert _read(masked) == _read(kept)
+    assert list(masked.nodes) == endpoints(kept)  # built, so plus extends it
+    assert [e for e in g.vocab.entities if e in masked.nodes] == [
+        e for e in g.vocab.entities if e in endpoints(kept)
+    ]
+    both = masked.plus(added)
+    assert _read(both) == _read([*kept, *added])
+    assert list(both.nodes) == endpoints([*kept, *added])
+    assert fresh._nodes is None and list(fresh.nodes) == endpoints([*triplets, *added])
+
+    rename = dict(zip(_GENES, renamed))
+    table = [g.vocab.entities.id_of(E(rename[e.text])) for e in list(g.vocab.entities)]
+    mapped = g.mapped(entity=table)
+    assert [(rename[h], r, rename[t]) for h, r, t, _ in rows] == [render(t) for t in mapped]
+    assert mapped.lines is g.lines and mapped.relations is g.relations
+    assert {masked.vocab, both.vocab, fresh.vocab, mapped.vocab} == {g.vocab}

@@ -104,7 +104,7 @@ def test_remap_rewrites_and_passes_through():
     heads = [t.head.text for t in g2]
     assert heads == ["Compound::PubChem_Compounds:2244", "Compound::PubChem_Compounds:5"]
     # no gene xref: the drugbank-sourced gene id survives untouched
-    assert g2.triplets[1].tail.text == "Gene::drugbank:BE9"
+    assert g2.row(1).tail.text == "Gene::drugbank:BE9"
     assert log.details["compound_ids_merged"] == 1
     assert log.details["gene_ids_merged"] == 0
 
@@ -159,7 +159,7 @@ def test_dedup_reversed_keeps_first():
     )
     g2, log = run_stage("dedup", g, deduplicate)
     assert len(g2) == 1
-    assert g2.triplets[0].head.text == "Gene::NCBI:A"
+    assert g2.row(0).head.text == "Gene::NCBI:A"
     assert log.details == {"exact_duplicates": 0, "reversed_duplicates": 1}
 
 

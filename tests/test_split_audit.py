@@ -223,8 +223,8 @@ def test_audit_report_aggregation():
 def test_audit_five_seeds_matches_external_recompute():
     g = target_graph(200)
     # duplicate a third of the target rows so splits leak
-    extra = [t for i, t in enumerate(g.triplets) if i % 3 == 0 and task_matches(BUILTIN_TASKS["ppi"], t)]
-    g2 = KnowledgeGraph(list(g.triplets) + extra)
+    extra = [t for i, t in enumerate(g) if i % 3 == 0 and task_matches(BUILTIN_TASKS["ppi"], t)]
+    g2 = KnowledgeGraph([*g, *extra])
     split = make_splits(g2, "ppi", range(5))
     reports = [leakage_of(split, k) for k in range(5)]
     records = audit_report("ppi", [0, 1, 2, 3, 4], reports)
@@ -249,8 +249,8 @@ def test_write_bundle_files(tmp_path):
 def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
     # the context rows form one run longer than the rows read at once
     g = target_graph(20, n_context=4100)
-    g = KnowledgeGraph(list(reversed(g.triplets)))
-    context_rows = [t for t in g.triplets if not task_matches(BUILTIN_TASKS["ppi"], t)]
+    g = KnowledgeGraph(list(reversed(list(g))))
+    context_rows = [t for t in g if not task_matches(BUILTIN_TASKS["ppi"], t)]
     graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (render(c) for c in context_rows))
     by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(render(c) for c in context_rows))
     assert graph_order != by_text
