@@ -14,10 +14,10 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import repeat
 from operator import getitem
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 from .errors import InputError, ParseError
 from .model import (
@@ -375,32 +375,32 @@ def write_json(path: str | Path, data) -> None:
         fh.write("\n")
 
 
-# rows rendered and written per write call; a chunk's lines are held at
-# once during the final write, where a run's peak RSS is set
+# rows rendered per chunk; a chunk's lines are held at once while they are
+# written, at the final write, where a run's peak RSS is set
 _WRITE_CHUNK = 4096
 
 
-def write_triplets(
-    path: str | Path, g: KnowledgeGraph, preserve_order: bool = False
-) -> array:
-    """Serialize a graph as triplet TSV: in the graph's text order, or in
-    input order if requested. Returns the byte offset at which each written
-    row starts, in the order written, followed by the file size.
+def render_chunks(g: KnowledgeGraph, order: Sequence[int]) -> Iterator[list[bytes]]:
+    """The triplet TSV lines of the rows at ``order``'s positions, in that
+    order, ``_WRITE_CHUNK`` rows to a list. Every file of graph rows is
+    rendered here.
 
     Each vocabulary entry is encoded once, up front; a line joins its
     head's, relation's and tail's bytes and the separators."""
     entities = [e.text.encode() for e in g.vocab.entities]
     relations = [r.text.encode() for r in g.vocab.relations]
-    order = range(len(g)) if preserve_order else g.text_order
-    offsets = array("q", [0])
+    tab, end = repeat(b"\t"), repeat(b"\n")
+    for start in range(0, len(order), _WRITE_CHUNK):
+        rows = order[start : start + _WRITE_CHUNK]
+        heads = map(entities.__getitem__, map(getitem, repeat(g.heads), rows))
+        rels = map(relations.__getitem__, map(getitem, repeat(g.relations), rows))
+        tails = map(entities.__getitem__, map(getitem, repeat(g.tails), rows))
+        yield list(map(b"".join, zip(heads, tab, rels, tab, tails, end)))
+
+
+def write_triplets(path: str | Path, g: KnowledgeGraph, preserve_order: bool = False) -> None:
+    """Serialize a graph as triplet TSV: in the graph's text order, or in
+    input order if requested."""
     with open_output(path, binary=True) as fh:
-        for start in range(0, len(order), _WRITE_CHUNK):
-            rows = order[start : start + _WRITE_CHUNK]
-            heads = map(entities.__getitem__, map(getitem, repeat(g.heads), rows))
-            rels = map(relations.__getitem__, map(getitem, repeat(g.relations), rows))
-            tails = map(entities.__getitem__, map(getitem, repeat(g.tails), rows))
-            tab, end = repeat(b"\t"), repeat(b"\n")
-            lines = list(map(b"".join, zip(heads, tab, rels, tab, tails, end)))
-            offsets.extend(islice(accumulate(map(len, lines), initial=offsets[-1]), 1, None))
+        for lines in render_chunks(g, range(len(g)) if preserve_order else g.text_order):
             fh.write(b"".join(lines))
-    return offsets

@@ -198,21 +198,17 @@ class PipelineRunner:
     def _splits(self, g: KnowledgeGraph) -> StageResult:
         details: dict[str, int] = {}
         keep = self.config.enabled("audit")
+        splits = [self._task_splits(g, task_name, keep) for task_name in self.config.split_tasks]
         self._rendered = g
-        graph_file = split_audit.GraphFile(
-            self.out_dir / RENDERED_GRAPH, g, preserve_order=self.config.preserve_order
+        split_audit.write_bundle(
+            self.out_dir, RENDERED_GRAPH, g, splits, preserve_order=self.config.preserve_order
         )
-        for task_name in self.config.split_tasks:
-            split = self._task_splits(g, task_name, keep)
-            for k, seed in enumerate(split.seeds):
-                split_audit.write_bundle(
-                    self.out_dir / "splits" / task_name / f"seed_{seed}", split, k, graph_file
-                )
+        for split in splits:
             # split sizes depend only on the target size, not on the seed
-            details[f"{task_name}_target"] = n = len(split.target)
-            details[f"{task_name}_train"] = split.n_train
-            details[f"{task_name}_valid"] = split.n_valid
-            details[f"{task_name}_test"] = n - split.n_train - split.n_valid
+            details[f"{split.task}_target"] = n = len(split.target)
+            details[f"{split.task}_train"] = split.n_train
+            details[f"{split.task}_valid"] = split.n_valid
+            details[f"{split.task}_test"] = n - split.n_train - split.n_valid
         return g, details
 
     def _audit(self, g: KnowledgeGraph) -> StageResult:

@@ -4,11 +4,11 @@ leakage audit.
 A split shuffles the task's target triplets under a seed and partitions them
 70/10/20 (valid and test sizes floored, remainder to train); every non-target
 triplet stays in the context set. A task's rows are partitioned once, into
-one ``TaskSplits`` that holds every seed's permutation. Split files are cut
-from the bytes of the graph file the run writes once: a seed marks each
-written row with its split, and each file is the byte runs of its split's
-rows, so no row is rendered again. The audit asks, for each evaluation
-triplet, whether the training split contains an equivalent counterpart:
+one ``TaskSplits`` that holds every seed's permutation. The graph file and
+every split file are written from one rendering of each row: a seed marks
+each written row with its split, and each file keeps the rendered lines of
+its split's rows. The audit asks, for each evaluation triplet, whether the
+training split contains an equivalent counterpart:
 
 * duplicate_inverse - same origin and label, endpoints equal or swapped;
 * relation_redundancy - endpoints equal or swapped, labels equal after
@@ -26,24 +26,23 @@ probes them.
 from __future__ import annotations
 
 import math
-import os
 import random
-import re
 import statistics
 import sys
 from array import array
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import add, getitem, mul, or_, sub
+from itertools import compress, repeat
+from operator import add, getitem, mul, or_
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
-from .ingest import open_output, write_json, write_triplets
-from .model import _SPAN, KnowledgeGraph
+from .ingest import open_output, render_chunks, write_json
+from .model import KnowledgeGraph, marks
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
@@ -240,74 +239,76 @@ def _pstdev(ratios: list[float]) -> float:
     return math.ldexp(root | (root * root * m != n), q)
 
 
-# a run of rows of each split code (0 context, 1 train, 2 valid, 3 test), of
-# at most this many rows, so that no read holds much of the file
-_RUN_ROWS = 4096
-_RUNS = tuple(re.compile(b"%c{1,%d}" % (code, _RUN_ROWS)) for code in range(4))
+# the most files a write holds open at once, well under the usual limit of
+# 1,024 descriptors; files past it take another pass over the rows
+_OPEN_FILES = 128
 
 
-class GraphFile:
-    """A graph written once as triplet TSV by ``ingest.write_triplets``: in
-    its text order, or in graph order under ``preserve_order``. The k-th
-    written row starts at byte ``offsets[k]``. Split files are cut from
-    these bytes."""
+def write_bundle(
+    out_dir, graph_name: str, g: KnowledgeGraph, splits: Sequence[TaskSplits],
+    preserve_order: bool = False,
+) -> None:
+    """Write ``g`` as triplet TSV to ``out_dir/graph_name``, and each seed's
+    train/valid/test/context TSVs to ``out_dir/splits/<task>/seed_<n>/``,
+    from one rendering of each row in text order. A seed's codes mark each
+    written row with its split (0 context, 1 train, 2 valid, 3 test); a
+    split file gets the lines whose code is its split's. Context is every
+    seed's alike, so a task's is cut once, with its first seed's codes.
+    Under ``preserve_order`` the graph and context keep graph order, and
+    each seed renders its target rows once more, in its shuffled order."""
+    out, n = Path(out_dir), len(g)
+    order = range(n) if preserve_order else g.text_order
+    place = order  # place[p]: which written row graph row p is
+    if not preserve_order:
+        place = array("i", bytes(4 * n))
+        deque(map(place.__setitem__, order, range(n)), maxlen=0)
 
-    def __init__(self, path, g: KnowledgeGraph, preserve_order: bool = False):
-        self.path = Path(path)
-        self.graph = g
-        self.preserve_order = preserve_order
-        self.offsets = write_triplets(self.path, g, preserve_order)
+    def seed_codes(i: int, k: int) -> bytearray:
+        codes = bytearray(n)
+        for code, part in enumerate(splits[i].parts(k), start=1):
+            rows = map(place.__getitem__, map(splits[i].target.__getitem__, part))
+            deque(map(codes.__setitem__, rows, repeat(code)), maxlen=0)
+        return codes
 
-    @cached_property
-    def place(self) -> Sequence[int]:
-        """``place[p]``: which written row graph row ``p`` is."""
-        if self.preserve_order:
-            return range(len(self.graph))
-        place = array("i", [0]) * len(self.graph)
-        for k, p in enumerate(self.graph.text_order):
-            place[p] = k
-        return place
-
-    def runs(self, codes: bytes, code: int) -> Iterator[bytes]:
-        """The bytes of each run of written rows whose code is ``code``, in
-        file order."""
-        spans = chain.from_iterable(map(_SPAN, _RUNS[code].finditer(codes)))
-        edges = array("q", map(self.offsets.__getitem__, spans))
-        return self._read(edges[::2], edges[1::2])
-
-    def rows_at(self, written: array) -> Iterator[bytes]:
-        """The bytes of these written rows, in the given order."""
-        starts = array("q", map(self.offsets.__getitem__, written))
-        ends = array("q", map(self.offsets.__getitem__, map(add, written, repeat(1))))
-        return self._read(starts, ends)
-
-    def _read(self, starts: array, ends: array) -> Iterator[bytes]:
-        with open(self.path, "rb") as fh:
-            yield from map(os.pread, repeat(fh.fileno()), map(sub, ends, starts), starts)
+    # every file, with the (task, seed) whose codes cut it
+    files, shuffled = [(out / graph_name, None, 0)], []
+    for i, split in enumerate(splits):
+        if split.graph is not g:
+            raise ValueError(f"task {split.task}: splits of another graph than {graph_name}")
+        for k, seed in enumerate(split.seeds):
+            seed_dir = out / "splits" / split.task / f"seed_{seed}"
+            files.append((seed_dir / "context.tsv", (i, 0), 0))
+            parts = [(seed_dir / f"{name}.tsv", (i, k), code)
+                     for code, name in enumerate(("train", "valid", "test"), start=1)]
+            (shuffled if preserve_order else files).extend(parts)
+    for at in range(0, len(files), _OPEN_FILES):
+        batch = files[at : at + _OPEN_FILES]
+        codes = {key: seed_codes(*key) for key in dict.fromkeys(key for _, key, _ in batch) if key}
+        _fan_out(g, order, [(path, codes.get(key), code) for path, key, code in batch])
+    for path, (i, k), code in shuffled:
+        rows = array("i", map(splits[i].target.__getitem__, splits[i].parts(k)[code - 1]))
+        _fan_out(g, rows, [(path, None, 0)])
 
 
-def write_bundle(out_dir, split: TaskSplits, k: int, graph: GraphFile) -> None:
-    """Seed ``split.seeds[k]``'s train/valid/test/context TSVs in triplet
-    format, cut from the bytes of ``graph``, the graph of ``split``. Rows are
-    in the graph's text order unless ``graph`` was written under
-    ``preserve_order``: then the splits keep shuffled order and context keeps
-    graph order. Nothing is rendered or sorted per task or seed."""
-    if split.graph is not graph.graph:
-        raise ValueError(f"task {split.task}: splits of another graph than {graph.path}")
-    out = Path(out_dir)
-    parts = split.parts(k)
-    place, target = graph.place, split.target
-    # the split code of each written row
-    codes = bytearray(len(place))
-    for code, part in enumerate(parts, start=1):
-        for j in part:
-            codes[place[target[j]]] = code
-    for code, name in enumerate(("context", "train", "valid", "test")):
-        with open_output(out / f"{name}.tsv", binary=True) as fh:
-            if code and graph.preserve_order:
-                fh.writelines(graph.rows_at(array("i", map(target.__getitem__, parts[code - 1]))))
-            else:
-                fh.writelines(graph.runs(codes, code))
+def _fan_out(g: KnowledgeGraph, order: Sequence[int], files: list) -> None:
+    """Render the rows at ``order``'s positions once and write them to each
+    ``(path, codes, code)`` of ``files``: every row when ``codes`` is None,
+    else the rows whose code in ``codes`` (one per place in ``order``) is
+    ``code``. Files with the same codes and code get bytes joined once."""
+    with ExitStack() as stack:
+        sinks: dict = {}
+        for path, codes, code in files:
+            fh = stack.enter_context(open_output(path, binary=True))
+            sinks.setdefault((id(codes), code), (codes, code, []))[2].append(fh)
+        start = 0
+        for lines in render_chunks(g, order):
+            end = start + len(lines)
+            for codes, code, handles in sinks.values():
+                kept = lines if codes is None else compress(lines, marks(codes[start:end], code))
+                data = b"".join(kept)
+                for fh in handles:
+                    fh.write(data)
+            start = end
 
 
 def write_leakage_json(path, records: list[dict]) -> None:

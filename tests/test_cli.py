@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import kgprep
-from kgprep import cli, split_audit
+from kgprep import cli, ingest, split_audit
 from kgprep.cli import main
 from kgprep.config import STAGE_NAMES
 from kgprep.corpus import build_corpus
@@ -515,6 +517,47 @@ def test_run_whose_audit_fails_leaves_no_graph_file(corpus, tmp_path, monkeypatc
     assert (out / "splits").is_dir()
     assert not (out / "graph.tsv").exists()
     assert not (out / RENDERED_GRAPH).exists()
+
+
+def test_run_renders_each_graph_row_once(corpus, tmp_path, monkeypatch):
+    """The graph file and every split file come from one rendering of each
+    row, and nothing is read back from the graph file."""
+    rendered = Counter()
+    real = ingest.render_chunks
+
+    def counting(g, order):
+        for lines in real(g, order):
+            rendered.update(lines)
+            yield lines
+
+    def no_read_back(*args):
+        raise AssertionError("a written file was read back")
+
+    monkeypatch.setattr(ingest, "render_chunks", counting)
+    monkeypatch.setattr(split_audit, "render_chunks", counting)
+    monkeypatch.setattr(os, "pread", no_read_back)
+    out = tmp_path / "out"
+    assert main(["--quiet", "--config", str(corpus.config), "--out", str(out), "run"]) == 0
+    assert rendered == Counter((out / "graph.tsv").read_bytes().splitlines(keepends=True))
+    assert (out / "splits" / "side_effect" / "seed_2" / "train.tsv").stat().st_size > 0
+
+
+def test_split_write_failure_leaves_no_graph_file_and_no_open_file(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    blocker = out / "splits" / "drug_repurposing" / "seed_1"
+    blocker.parent.mkdir(parents=True)
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        rc = main(["--quiet", "--config", str(corpus.config), "--out", str(out), "run"])
+        gc.collect()
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot write {blocker}: File exists"
+    ]
+    assert not (out / "graph.tsv").exists()
+    assert not (out / RENDERED_GRAPH).exists()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_split_leaves_only_splits(tmp_path):

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgprep import ingest, split_audit
 from kgprep.clean import HarmonizationTable
 from kgprep.errors import StageError
 from kgprep.model import KnowledgeGraph
 from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
-    GraphFile,
     audit_report,
     detect_leakage,
     leak_keys,
@@ -24,9 +24,11 @@ from oracles import (
     mean_and_population_std,
     render,
     split_context,
+    split_file_texts,
     split_test,
     split_train,
     split_valid,
+    splits_by_rescan,
     task_matches,
 )
 
@@ -235,19 +237,24 @@ def test_audit_five_seeds_matches_external_recompute():
         assert cell["seeds"] == [0, 1, 2, 3, 4]
 
 
+def seed_dir(out, task: str, seed: int):
+    return out / "splits" / task / f"seed_{seed}"
+
+
 def test_write_bundle_files(tmp_path):
     split = make_splits(target_graph(20), "ppi", [0])
-    write_bundle(tmp_path, split, 0, GraphFile(tmp_path / "graph.tsv", split.graph))
+    write_bundle(tmp_path, "graph.tsv", split.graph, [split])
     for name in ("train", "valid", "test", "context"):
-        path = tmp_path / f"{name}.tsv"
+        path = seed_dir(tmp_path, "ppi", 0) / f"{name}.tsv"
         assert path.exists()
         lines = path.read_text().splitlines()
         assert lines == sorted(lines)
-    assert len((tmp_path / "train.tsv").read_text().splitlines()) == 14
+    assert len((seed_dir(tmp_path, "ppi", 0) / "train.tsv").read_text().splitlines()) == 14
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.tsv", "splits"]
 
 
 def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
-    # the context rows form one run longer than the rows read at once
+    # the context rows span more than one rendered chunk
     g = target_graph(20, n_context=4100)
     g = KnowledgeGraph(list(reversed(list(g))))
     context_rows = [t for t in g if not task_matches(BUILTIN_TASKS["ppi"], t)]
@@ -255,22 +262,90 @@ def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
     by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(render(c) for c in context_rows))
     assert graph_order != by_text
     split = make_splits(g, "ppi", [0, 1])
-    for k, seed in enumerate(split.seeds):
-        for preserve_order, expected in ((False, by_text), (True, graph_order)):
-            out = tmp_path / f"{preserve_order}_{seed}"
-            graph_file = GraphFile(tmp_path / f"graph_{preserve_order}.tsv", g, preserve_order)
-            write_bundle(out, split, k, graph_file)
-            assert (out / "context.tsv").read_text() == expected
-    write_bundle(out, split, k, graph_file)  # rewrite in place
-    assert (out / "context.tsv").read_text() == graph_order
-
+    for preserve_order, expected in ((False, by_text), (True, graph_order)):
+        out = tmp_path / str(preserve_order)
+        write_bundle(out, "graph.tsv", g, [split], preserve_order)
+        for seed in split.seeds:
+            assert (seed_dir(out, "ppi", seed) / "context.tsv").read_text() == expected
+    write_bundle(out, "graph.tsv", g, [split])  # rewrite in place
+    assert (seed_dir(out, "ppi", 1) / "context.tsv").read_text() == by_text
 
 
 def test_write_bundle_needs_the_file_of_its_graph(tmp_path):
     split = make_splits(target_graph(20), "ppi", [0])
-    other = GraphFile(tmp_path / "graph.tsv", target_graph(20))
     with pytest.raises(ValueError, match="another graph"):
-        write_bundle(tmp_path / "out", split, 0, other)
+        write_bundle(tmp_path / "out", "graph.tsv", target_graph(20), [split])
+    assert not (tmp_path / "out").exists()
+
+
+def mixed_graph() -> KnowledgeGraph:
+    """Target rows of all three tasks, context rows with multi-byte UTF-8
+    texts, literal duplicates and reversed rows, in an order that is not
+    text order."""
+    rng = random.Random(5)
+    genes = [f"Gene::NCBI:{i}" for i in range(9)] + ["Gene::NCBI:7\u00e9"]
+    compounds = [f"Compound::PubChem_Compounds:{i}" for i in range(5)]
+    diseases = ["Disease::MESH:D1", "Disease::MESH:D\u20ac", "Disease::MESH:D\U0001d50a"]
+    rows = []
+    for _ in range(60):
+        h, t = rng.sample(genes, 2)
+        rows.append((h, "GNBR::B::Gene:Gene", t))
+        rows.append((rng.choice(compounds), "GNBR::A+::Compound:Gene", rng.choice(genes)))
+        rows.append((rng.choice(compounds), "SIDER::causes::Compound:SideEffect",
+                     f"SideEffect::UMLS:C{rng.randrange(6)}"))
+        rows.append((rng.choice(genes), "GNBR::L::Gene:Disease", rng.choice(diseases)))
+    rows += rows[::7] + [(t, r, h) for h, r, t in rows[:40:4] if r.endswith("Gene:Gene")]
+    rng.shuffle(rows)
+    return graph_of(*rows)
+
+
+@pytest.mark.parametrize("preserve_order", [False, True])
+@pytest.mark.parametrize("chunk, open_files", [(4096, 128), (7, 128), (4096, 4), (5, 4)])
+def test_write_bundle_equals_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk,
+                                             open_files):
+    """Every task's and seed's files equal the ones rendered and sorted on
+    their own, also when rows straddle chunks and when the files take several
+    passes; no more files are open at once than the bound."""
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
+    monkeypatch.setattr(split_audit, "_OPEN_FILES", open_files)
+    opened = []
+    most_open = [0]
+
+    def tracked(path, binary=False):
+        opened.append(ingest.open_output(path, binary))
+        most_open[0] = max(most_open[0], sum(not fh.closed for fh in opened))
+        return opened[-1]
+
+    monkeypatch.setattr(split_audit, "open_output", tracked)
+    g = mixed_graph()
+    seeds = [0, 1, 2]
+    splits = [make_splits(g, task, seeds) for task in BUILTIN_TASKS]
+    write_bundle(tmp_path, "graph.tsv", g, splits, preserve_order)
+
+    ingest.write_triplets(tmp_path / "expected.tsv", g, preserve_order)
+    assert (tmp_path / "graph.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+    for task, endpoint_types in BUILTIN_TASKS.items():
+        for seed in seeds:
+            parts = splits_by_rescan(list(g), endpoint_types, seed)
+            for name, text in split_file_texts(parts, preserve_order).items():
+                assert (seed_dir(tmp_path, task, seed) / name).read_text("utf-8") == text, (
+                    task, seed, name)
+    assert len(opened) == 1 + len(splits) * len(seeds) * 4
+    assert all(fh.closed for fh in opened)
+    assert most_open[0] <= open_files
+
+
+@pytest.mark.parametrize("preserve_order", [False, True])
+def test_write_bundle_writes_empty_valid_and_test(tmp_path, preserve_order):
+    split = make_splits(target_graph(4), "ppi", [0, 1])
+    assert split.n_train == len(split.target)
+    write_bundle(tmp_path, "graph.tsv", split.graph, [split], preserve_order)
+    for seed in split.seeds:
+        files = seed_dir(tmp_path, "ppi", seed)
+        assert (files / "valid.tsv").read_bytes() == b""
+        assert (files / "test.tsv").read_bytes() == b""
+        assert len((files / "train.tsv").read_text().splitlines()) == 4
+        assert len((files / "context.tsv").read_text().splitlines()) == 4
 
 # --- leak keys, built once per task ------------------------------------------
 
