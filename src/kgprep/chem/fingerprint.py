@@ -7,26 +7,33 @@ previous identifier together with the sorted (bond order, neighbor previous
 identifier) list. Degree-0 atoms gain no information from iteration and keep
 their level-0 identifier, so an isolated atom yields exactly one identifier.
 
+The input is ``parse_smiles``' flat per-atom columns. Ring flags come from one
+DFS over its adjacency lists; hydrogen counts are worked out only when an
+atom's level-0 key is new to the memo, the one place they are hashed.
+
 Identifiers from all levels are collected as a set and folded onto a
 fixed-length bit vector via ``identifier mod nbits``. Hashing is 64-bit
 FNV-1a over a little-endian byte layout, chosen for cross-platform
 determinism; stereochemistry never participates.
 """
-
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
-from ..errors import StageError
+from ..errors import SmilesError, StageError
 from ..ingest import open_output
 from ..model import KnowledgeGraph
-from .smiles import MoleculeGraph, parse_smiles
+from .smiles import Molecule, implicit_hydrogens, parse_smiles, ring_flags
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# A neighbour code is ``order << 64 | identifier``: 3 order bits over the
+# identifier's 64. A level-k memo key is 1, the centre identifier and each
+# code, as fixed-width fields: the leading 1 fixes the field count.
+_CODE_BITS = 67
+_SENTINEL = 1 << 64
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 2048
@@ -40,59 +47,65 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _atom_seed(atom) -> int:
-    elem = atom.element.encode("utf-8")
+def _atom_seed(atom: tuple, degree: int, valence2: int, in_ring: bool) -> int:
+    element, charge, aromatic, _ = atom
+    elem = element.encode("utf-8")
     return fnv1a64(
         b"A"
         + struct.pack("<B", len(elem))
         + elem
         + struct.pack(
             "<BHhBB",
-            atom.degree,
-            atom.hydrogens,
-            atom.charge,
-            int(atom.aromatic),
-            int(atom.in_ring),
+            degree,
+            implicit_hydrogens(atom, valence2),
+            charge,
+            aromatic,
+            in_ring,
         )
     )
 
 
 def atom_environments(
-    mol: MoleculeGraph, radius: int, memo: dict | None = None
+    mol: Molecule, radius: int, memo: dict | None = None
 ) -> list[list[int]]:
     """Per-level identifier lists: result[k][i] is atom i's identifier at
     radius k. Levels run 0..radius inclusive. ``memo`` maps each hash input
-    (atom invariants, or the centre identifier followed by the sorted bond
-    orders and neighbor identifiers) to its identifier; environments recur
-    across molecules, so a caller fingerprinting many passes one dict."""
+    to its identifier; environments recur across molecules, so a caller
+    fingerprinting many passes one dict. A level-0 key is the atom's
+    invariant tuple, degree, doubled valence and ring flag; hydrogens are
+    counted only on a miss. A level-k key is one int packing the centre
+    identifier and the neighbour codes, sorted as ints."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if memo is None:
         memo = {}
-    adj = mol.neighbors()
+    atoms, neighbours, valence2 = mol
     current = []
-    for atom in mol.atoms:
-        key = (atom.element, atom.degree, atom.hydrogens, atom.charge,
-               atom.aromatic, atom.in_ring)
+    flags = ring_flags(neighbours)
+    for atom, bonds, doubled, ring in zip(atoms, neighbours, valence2, flags):
+        key = (atom, len(bonds), doubled, ring)
         ident = memo.get(key)
         if ident is None:
-            ident = memo[key] = _atom_seed(atom)
+            ident = memo[key] = _atom_seed(*key)
         current.append(ident)
     levels = [current]
     for _ in range(radius):
         nxt = []
-        for centre, incident in zip(current, adj):
-            if not incident:
+        for centre, bonds in zip(current, neighbours):
+            if not bonds:
                 nxt.append(centre)
                 continue
-            pairs = [(order, current[nbr]) for nbr, order in incident]
-            pairs.sort()
-            key = (centre, *chain.from_iterable(pairs))
+            codes = [order << 64 | current[nbr] for nbr, order in bonds]
+            codes.sort()
+            key = centre | _SENTINEL
+            for code in codes:
+                key = key << _CODE_BITS | code
             ident = memo.get(key)
             if ident is None:
-                payload = b"E" + struct.pack("<Q", centre)
-                for order, nbr_id in pairs:
-                    payload += struct.pack("<BQ", order, nbr_id)
+                # sorted codes are in (order, identifier) order
+                payload = b"E" + struct.pack("<Q", centre) + b"".join(
+                    [struct.pack("<BQ", code >> 64, code & _MASK64) for code in codes]
+                )
                 ident = memo[key] = fnv1a64(payload)
             nxt.append(ident)
         levels.append(nxt)
@@ -100,7 +113,7 @@ def atom_environments(
     return levels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fingerprint:
     """Fixed-length binary vector held as one int: bit index b is the
     ``1 << (nbits - 1 - b)`` bit of ``value``, so index 0 is the most
@@ -113,12 +126,6 @@ class Fingerprint:
         if not 0 <= self.value < 1 << self.nbits:
             raise ValueError("value has bits beyond nbits")
 
-    @classmethod
-    def from_bits(cls, nbits: int, bits) -> "Fingerprint":
-        if any(b < 0 or b >= nbits for b in bits):
-            raise ValueError("bit index out of range")
-        return cls(nbits, sum(1 << (nbits - 1 - b) for b in set(bits)))
-
     def to_hex(self) -> str:
         """Lowercase hex, ``nbits / 4`` characters, bit index 0 at the most
         significant position."""
@@ -126,7 +133,7 @@ class Fingerprint:
 
 
 def morgan_fingerprint(
-    mol: MoleculeGraph,
+    mol: Molecule,
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
     memo: dict | None = None,
@@ -136,7 +143,11 @@ def morgan_fingerprint(
     ids = set()
     for level in atom_environments(mol, radius, memo):
         ids.update(level)
-    return Fingerprint.from_bits(nbits, {i % nbits for i in ids})
+    top = nbits - 1
+    value = 0
+    for shift in {top - ident % nbits for ident in ids}:
+        value |= 1 << shift
+    return Fingerprint(nbits, value)
 
 
 def fingerprint_all(
@@ -159,7 +170,7 @@ def fingerprint_all(
             )
         try:
             mol = parse_smiles(smiles)
-        except Exception as exc:
+        except SmilesError as exc:
             raise StageError(
                 f"fingerprints: unparseable SMILES for {node.text}: {exc}"
             ) from exc

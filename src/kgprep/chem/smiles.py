@@ -1,11 +1,20 @@
-"""SMILES parser producing molecular graphs.
+"""SMILES tokenizer producing flat molecular graphs.
 
 Supported subset: organic-subset atoms (B C N O P S F Cl Br I), bracket atoms
 with isotope / charge / explicit H count, bond symbols ``- = # :``, aromatic
 lowercase atoms, branches, ring closures (single digit and %nn), and
 dot-separated components. Stereo markers (``/ \\ @``) are accepted and
-ignored. Implicit hydrogens are assigned to organic-subset atoms by standard
-valence; bracket atoms carry exactly their written H count.
+ignored. Digits are ASCII digits only. Implicit hydrogens are assigned to
+organic-subset atoms by standard valence; bracket atoms carry exactly their
+written H count.
+
+``parse_smiles`` makes one pass over the text and builds, per atom, three
+things: an invariant tuple ``(element, charge, aromatic, hydrogens)``, whose
+``hydrogens`` is a bracket atom's written count or None for an organic-subset
+atom; a list of ``(neighbour, order)`` pairs; and the sum of its bond orders
+doubled, so that an aromatic bond (1.5) stays an int. Ring membership
+(``ring_flags``) and hydrogen counts (``implicit_hydrogens``) are derived from
+these only by the callers that need them.
 
 Errors report the 0-based character position; end-of-input problems (such as
 an unclosed branch) point one past the last character.
@@ -14,7 +23,7 @@ an unclosed branch) point one past the last character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import SmilesError
 
@@ -22,10 +31,16 @@ from ..errors import SmilesError
 AROMATIC = 4
 
 _BOND_ORDER = {"-": 1, "=": 2, "#": 3, ":": AROMATIC, "/": 1, "\\": 1}
+# Twice each order code's contribution to an atom's valence.
+_DOUBLED = (0, 2, 4, 6, 3)
+# The fingerprint identifier packs an atom's degree as u8.
+_MAX_DEGREE = 255
 
-_ORGANIC_TWO = ("Cl", "Br")
-_ORGANIC_ONE = frozenset("BCNOPSFI")
-_ORGANIC_AROMATIC = frozenset("bcnops")
+# Organic-subset symbol -> the invariant tuple every such atom shares.
+_ORGANIC = {
+    **{s: (s, 0, False, None) for s in ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")},
+    **{s: (s.upper(), 0, True, None) for s in "bcnops"},
+}
 
 # Standard valences for implicit-H assignment (organic subset only).
 _VALENCES = {
@@ -52,44 +67,22 @@ _BRACKET = re.compile(
     (?P<charge>\+\d+|-\d+|\++|-+)?
     (?::(?P<cls>\d+))?
     \]""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
-@dataclass
-class Atom:
-    element: str
-    charge: int = 0
-    hydrogens: int = 0
-    aromatic: bool = False
-    in_ring: bool = False
-    degree: int = 0
-    explicit_h: bool = False  # True for bracket atoms; blocks valence filling
+class Molecule(NamedTuple):
+    """Per-atom columns: invariant tuples, ``(neighbour, order)`` lists, and
+    doubled bond-order sums."""
+
+    atoms: list[tuple[str, int, bool, int | None]]
+    neighbours: list[list[tuple[int, int]]]
+    valence2: list[int]
 
 
-@dataclass
-class Bond:
-    a: int
-    b: int
-    order: int  # 1, 2, 3 or AROMATIC
-
-
-@dataclass
-class MoleculeGraph:
-    atoms: list[Atom] = field(default_factory=list)
-    bonds: list[Bond] = field(default_factory=list)
-
-    def neighbors(self) -> list[list[tuple[int, int]]]:
-        """Per-atom list of (neighbor index, bond order)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.a].append((bond.b, bond.order))
-            adj[bond.b].append((bond.a, bond.order))
-        return adj
-
-
-def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
-    """Parse a bracket atom beginning at ``start``; returns atom and end index."""
+def _parse_bracket(text: str, start: int) -> tuple[tuple[str, int, bool, int], int]:
+    """Parse a bracket atom beginning at ``start``; returns its invariant
+    tuple and end index."""
     end = text.find("]", start)
     if end < 0:
         raise SmilesError("unclosed bracket atom", start)
@@ -118,213 +111,194 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
         charge = len(charge_txt) * (1 if charge_txt[0] == "+" else -1)
     else:
         charge = int(charge_txt)
+    # the fingerprint identifier packs these as u16 and i16
+    if hydrogens > 0xFFFF:
+        raise SmilesError(f"hydrogen count {hydrogens} out of range", start)
+    if not -0x8000 <= charge <= 0x7FFF:
+        raise SmilesError(f"charge {charge} out of range", start)
     # isotope, stereo and atom class are accepted and ignored
-    return (
-        Atom(element, charge=charge, hydrogens=hydrogens, aromatic=aromatic,
-             explicit_h=True),
-        end + 1,
-    )
+    return (element, charge, aromatic, hydrogens), end + 1
 
 
-def _mark_rings(mol: MoleculeGraph) -> None:
-    """Set in_ring on atoms via bridge detection: a bond is a ring bond iff it
-    is not a bridge. Iterative DFS keeps long chains safe."""
-    n = len(mol.atoms)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, bond in enumerate(mol.bonds):
-        adj[bond.a].append((bond.b, idx))
-        adj[bond.b].append((bond.a, idx))
+def parse_smiles(text: str) -> Molecule:
+    """Tokenize and validate SMILES text over the supported subset, in one
+    pass. Raises ``SmilesError`` and nothing else on rejected text."""
+    if not text:
+        raise SmilesError("empty SMILES", 0)
+    atoms: list[tuple] = []
+    neighbours: list[list[tuple[int, int]]] = []
+    valence2: list[int] = []
+    anchor = -1  # the atom the next bond starts from; -1 for none
+    order = 0  # pending bond order; 0 for none
+    bond_pos = 0  # position of the pending bond symbol
+    branches: list[int] = []  # anchors to return to at ')'
+    open_rings: dict[int, tuple[int, int, int]] = {}  # marker -> (atom, order, pos)
+    i = 0
+    n = len(text)
+    while i < n:
+        start = i
+        ch = text[i]
+        if ch in _ORGANIC:
+            if text[i : i + 2] in ("Cl", "Br"):
+                atom = _ORGANIC[text[i : i + 2]]
+                i += 2
+            else:
+                atom = _ORGANIC[ch]
+                i += 1
+        elif ch == "[":
+            atom, i = _parse_bracket(text, i)
+        elif "0" <= ch <= "9" or ch == "%":
+            if ch == "%":
+                digits = text[i + 1 : i + 3]
+                if len(digits) < 2 or not ("0" <= digits[0] <= "9" and "0" <= digits[1] <= "9"):
+                    raise SmilesError("'%' ring closure needs two digits", start)
+                marker = int(digits)
+                i += 3
+            else:
+                marker = ord(ch) - 48
+                i += 1
+            if anchor < 0:
+                raise SmilesError("ring closure before any atom", start)
+            opened = open_rings.pop(marker, None)
+            if opened is None:
+                open_rings[marker] = (anchor, order, start)
+                order = 0
+                continue
+            other, other_order, _ = opened
+            if order and other_order and order != other_order:
+                raise SmilesError(f"conflicting bond orders for ring closure {marker}", start)
+            if other == anchor:
+                raise SmilesError("bond between an atom and itself", start)
+            # a chain or branch bond always reaches a new atom, so only a ring
+            # closure can repeat a bond
+            for nbr, _ in neighbours[anchor]:
+                if nbr == other:
+                    raise SmilesError("duplicate bond between the same atoms", start)
+            if _MAX_DEGREE in (len(neighbours[other]), len(neighbours[anchor])):
+                raise SmilesError(f"atom with more than {_MAX_DEGREE} bonds", start)
+            order = order or other_order or (
+                AROMATIC if atoms[other][2] and atoms[anchor][2] else 1
+            )
+            neighbours[other].append((anchor, order))
+            neighbours[anchor].append((other, order))
+            valence2[other] += _DOUBLED[order]
+            valence2[anchor] += _DOUBLED[order]
+            order = 0
+            continue
+        else:
+            if ch in _BOND_ORDER:
+                if order:
+                    raise SmilesError("two consecutive bond symbols", start)
+                order = _BOND_ORDER[ch]
+                bond_pos = start
+            elif ch == "(":
+                if anchor < 0:
+                    raise SmilesError("branch before any atom", start)
+                if order:
+                    raise SmilesError("bond symbol before branch open", bond_pos)
+                branches.append(anchor)
+            elif ch == ")":
+                if not branches:
+                    raise SmilesError("unmatched ')'", start)
+                if order:
+                    raise SmilesError("dangling bond before ')'", bond_pos)
+                anchor = branches.pop()
+            elif ch == ".":
+                if order:
+                    raise SmilesError("dangling bond before '.'", bond_pos)
+                anchor = -1
+            else:
+                raise SmilesError(f"unknown atom symbol {ch!r}", start)
+            i += 1
+            continue
+        # an atom
+        idx = len(atoms)
+        atoms.append(atom)
+        if anchor >= 0:
+            if not order:
+                order = AROMATIC if atom[2] and atoms[anchor][2] else 1
+            bonds = neighbours[anchor]
+            if len(bonds) == _MAX_DEGREE:
+                raise SmilesError(f"atom with more than {_MAX_DEGREE} bonds", start)
+            bonds.append((idx, order))
+            neighbours.append([(anchor, order)])
+            valence2[anchor] += _DOUBLED[order]
+            valence2.append(_DOUBLED[order])
+            order = 0
+        elif order:
+            raise SmilesError("bond symbol without preceding atom", bond_pos)
+        else:
+            neighbours.append([])
+            valence2.append(0)
+        anchor = idx
+
+    if order:
+        raise SmilesError("dangling bond at end of input", n)
+    if branches:
+        raise SmilesError("unclosed branch", n)
+    if open_rings:
+        marker, (_, _, pos) = min(open_rings.items(), key=lambda kv: kv[1][2])
+        raise SmilesError(f"unmatched ring closure {marker}", pos)
+    if not atoms:
+        raise SmilesError("no atoms in SMILES", 0)
+    return Molecule(atoms, neighbours, valence2)
+
+
+def implicit_hydrogens(atom: tuple[str, int, bool, int | None], valence2: int) -> int:
+    """Hydrogen count of an atom from its invariant tuple and doubled
+    bond-order sum: a bracket atom's written count, or standard-valence
+    filling for an organic-subset atom. Aromatic atoms use only their lowest
+    valence; other atoms the lowest valence that covers their bonds, and no
+    hydrogens if none does."""
+    element, _, aromatic, written = atom
+    if written is not None:
+        return written
+    valences = _VALENCES[element]
+    if aromatic:
+        valence = valences[0]
+    else:
+        valence = next((v for v in valences if 2 * v >= valence2), None)
+        if valence is None:
+            return 0
+    return max(0, (2 * valence - valence2) // 2)
+
+
+def ring_flags(neighbours: list[list[tuple[int, int]]]) -> list[bool]:
+    """Per atom, whether it lies on a ring: whether one of its bonds is not a
+    bridge. An iterative DFS keeps long chains safe; it skips the edge back
+    to the tree parent by atom, which is exact because ``parse_smiles``
+    rejects duplicate bonds."""
+    n = len(neighbours)
     disc = [0] * n  # discovery order from 1; 0 is unvisited
     low = [0] * n
-    is_bridge = [False] * len(mol.bonds)
+    in_ring = [False] * n
     counter = 0
     for root in range(n):
         if disc[root]:
             continue
         counter += 1
         disc[root] = low[root] = counter
-        stack = [(root, -1, iter(adj[root]))]  # node, entry edge, unseen edges
+        stack = [(root, -1, iter(neighbours[root]))]  # atom, tree parent, unseen bonds
         while stack:
-            node, in_edge, edges = stack[-1]
-            for nxt, edge_idx in edges:
-                if edge_idx == in_edge:
+            node, parent, bonds = stack[-1]
+            for nxt, _ in bonds:
+                if nxt == parent:
                     continue
                 if disc[nxt]:
-                    low[node] = min(low[node], disc[nxt])
+                    # undirected DFS has no cross edges: this bond closes a cycle
+                    in_ring[node] = in_ring[nxt] = True
+                    if disc[nxt] < low[node]:
+                        low[node] = disc[nxt]
                 else:
                     counter += 1
                     disc[nxt] = low[nxt] = counter
-                    stack.append((nxt, edge_idx, iter(adj[nxt])))
+                    stack.append((nxt, node, iter(neighbours[nxt])))
                     break
             else:
                 stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        is_bridge[in_edge] = True
-    for idx, bond in enumerate(mol.bonds):
-        if not is_bridge[idx]:
-            mol.atoms[bond.a].in_ring = True
-            mol.atoms[bond.b].in_ring = True
-
-
-def _fill_hydrogens(mol: MoleculeGraph) -> None:
-    """Degrees, and standard-valence implicit hydrogens for organic-subset
-    atoms. Aromatic atoms use only their lowest valence; aromatic bonds count
-    1.5."""
-    degree = [0] * len(mol.atoms)
-    bondsum = [0] * len(mol.atoms)
-    for bond in mol.bonds:
-        weight = 1.5 if bond.order == AROMATIC else bond.order
-        degree[bond.a] += 1
-        degree[bond.b] += 1
-        bondsum[bond.a] += weight
-        bondsum[bond.b] += weight
-    for atom, atom_degree, total in zip(mol.atoms, degree, bondsum):
-        atom.degree = atom_degree
-        if atom.explicit_h:
-            continue
-        candidates = _VALENCES.get(atom.element)
-        if candidates is None:
-            continue
-        if atom.aromatic:
-            valence = candidates[0]
-        else:
-            valence = next((v for v in candidates if v >= total), None)
-            if valence is None:
-                atom.hydrogens = 0
-                continue
-        atom.hydrogens = max(0, int(valence - total))
-
-
-def check_smiles(text: str) -> MoleculeGraph:
-    """Tokenize and validate SMILES text over the supported subset.
-
-    Raises ``SmilesError`` exactly where ``parse_smiles`` does. The returned
-    graph holds the written atoms and bonds only: ring flags, degrees and
-    implicit hydrogens are left to the passes in ``parse_smiles``.
-    """
-    if not text:
-        raise SmilesError("empty SMILES", 0)
-    mol = MoleculeGraph()
-    bonded: set[tuple[int, int]] = set()  # (lower, higher) atom index
-    anchor: int | None = None
-    pending: tuple[int, int] | None = None  # (order, position of bond symbol)
-    branch_stack: list[tuple[int | None, int]] = []  # (anchor, '(' position)
-    open_rings: dict[int, tuple[int, int | None, int]] = {}  # marker -> (atom, order, pos)
-
-    def add_atom(atom: Atom, pos: int) -> None:
-        nonlocal anchor, pending
-        mol.atoms.append(atom)
-        idx = len(mol.atoms) - 1
-        if anchor is not None:
-            _add_bond(anchor, idx, pending[0] if pending else None, pos)
-        elif pending is not None:
-            raise SmilesError("bond symbol without preceding atom", pending[1])
-        pending = None
-        anchor = idx
-
-    def _add_bond(a: int, b: int, order: int | None, pos: int) -> None:
-        if a == b:
-            raise SmilesError("bond between an atom and itself", pos)
-        key = (a, b) if a < b else (b, a)
-        if key in bonded:
-            raise SmilesError("duplicate bond between the same atoms", pos)
-        if order is None:
-            order = (
-                AROMATIC
-                if mol.atoms[a].aromatic and mol.atoms[b].aromatic
-                else 1
-            )
-        bonded.add(key)
-        mol.bonds.append(Bond(a, b, order))
-
-    def close_ring(marker: int, pos: int) -> None:
-        nonlocal pending
-        if anchor is None:
-            raise SmilesError("ring closure before any atom", pos)
-        here_order = pending[0] if pending else None
-        pending = None
-        if marker in open_rings:
-            other, other_order, _ = open_rings.pop(marker)
-            if here_order is not None and other_order is not None and here_order != other_order:
-                raise SmilesError(f"conflicting bond orders for ring closure {marker}", pos)
-            order = here_order if here_order is not None else other_order
-            _add_bond(other, anchor, order, pos)
-        else:
-            open_rings[marker] = (anchor, here_order, pos)
-
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "[":
-            atom, end = _parse_bracket(text, i)
-            add_atom(atom, i)
-            i = end
-        elif ch in _ORGANIC_ONE:
-            if text[i : i + 2] in _ORGANIC_TWO:
-                add_atom(Atom(text[i : i + 2]), i)
-                i += 2
-            else:
-                add_atom(Atom(ch), i)
-                i += 1
-        elif ch in _ORGANIC_AROMATIC:
-            add_atom(Atom(ch.upper(), aromatic=True), i)
-            i += 1
-        elif ch in _BOND_ORDER:
-            if pending is not None:
-                raise SmilesError("two consecutive bond symbols", i)
-            pending = (_BOND_ORDER[ch], i)
-            i += 1
-        elif ch == "(":
-            if anchor is None:
-                raise SmilesError("branch before any atom", i)
-            if pending is not None:
-                raise SmilesError("bond symbol before branch open", pending[1])
-            branch_stack.append((anchor, i))
-            i += 1
-        elif ch == ")":
-            if not branch_stack:
-                raise SmilesError("unmatched ')'", i)
-            if pending is not None:
-                raise SmilesError("dangling bond before ')'", pending[1])
-            anchor = branch_stack.pop()[0]
-            i += 1
-        elif ch.isdigit():
-            close_ring(int(ch), i)
-            i += 1
-        elif ch == "%":
-            if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
-                raise SmilesError("'%' ring closure needs two digits", i)
-            close_ring(int(text[i + 1 : i + 3]), i)
-            i += 3
-        elif ch == ".":
-            if pending is not None:
-                raise SmilesError("dangling bond before '.'", pending[1])
-            anchor = None
-            i += 1
-        else:
-            raise SmilesError(f"unknown atom symbol {ch!r}", i)
-
-    if pending is not None:
-        raise SmilesError("dangling bond at end of input", n)
-    if branch_stack:
-        raise SmilesError("unclosed branch", n)
-    if open_rings:
-        marker, (_, _, pos) = min(open_rings.items(), key=lambda kv: kv[1][2])
-        raise SmilesError(f"unmatched ring closure {marker}", pos)
-    if not mol.atoms:
-        raise SmilesError("no atoms in SMILES", 0)
-    return mol
-
-
-def parse_smiles(text: str) -> MoleculeGraph:
-    """Parse SMILES text into a MoleculeGraph over the supported subset: the
-    validated graph of ``check_smiles`` with ring flags, degrees and implicit
-    hydrogens filled in. Only ``check_smiles`` raises."""
-    mol = check_smiles(text)
-    _mark_rings(mol)
-    _fill_hydrogens(mol)
-    return mol
+                if parent >= 0:
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    if low[node] <= disc[parent]:  # the tree bond is not a bridge
+                        in_ring[node] = in_ring[parent] = True
+    return in_ring

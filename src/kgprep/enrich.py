@@ -11,7 +11,7 @@ import logging
 from array import array
 from itertools import compress, count
 
-from .chem.smiles import check_smiles
+from .chem.smiles import parse_smiles
 from .errors import InputError, ParseError, SmilesError
 from .ingest import parse_entity
 from .model import KnowledgeGraph, RelationRef, Triplet, marks
@@ -162,7 +162,7 @@ def filter_no_smiles(
     string fails the SMILES syntax check, together with all incident rows.
     Missing and unparseable removals are counted separately; downstream
     fingerprinting requires a parseable structure either way. The check is
-    ``check_smiles``, which accepts exactly what ``parse_smiles`` accepts."""
+    ``parse_smiles``, the tokenizer fingerprints runs."""
     missing = 0
     unparseable = 0
     entities = g.vocab.entities
@@ -177,7 +177,7 @@ def filter_no_smiles(
             doomed[e] = 1
             continue
         try:
-            check_smiles(smiles)
+            parse_smiles(smiles)
         except SmilesError as exc:
             log.debug("unparseable SMILES for %s: %s", node.text, exc)
             unparseable += 1

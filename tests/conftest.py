@@ -1,6 +1,7 @@
 from array import array
 
 import pytest
+from hypothesis import settings
 
 from kgprep.chem.fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, morgan_fingerprint
 from kgprep.chem.smiles import parse_smiles
@@ -9,6 +10,11 @@ from kgprep.ingest import parse_entity, parse_relation
 from kgprep.model import KnowledgeGraph, Triplet
 from kgprep.pipeline import account
 from kgprep.split_audit import TaskSplits, detect_leakage, leak_keys
+
+# Selected in CI with --hypothesis-profile=ci: no per-example deadline, which
+# a slow runner can miss on drug-sized molecules, and examples that do not
+# change from run to run.
+settings.register_profile("ci", deadline=None, derandomize=True)
 
 # Shared molecule fixtures: diverse coverage of the supported SMILES subset.
 # The first ten are the oracle-equivalence set.
@@ -34,6 +40,17 @@ FIXTURE_MOLECULES = [
     "[13CH4]",
     "C%12CCCCC%12",
 ]
+
+# Drug-sized molecules (20-40 heavy atoms), whose environments recur.
+DRUG_MOLECULES = (
+    "CC(=O)Nc1ccc(O)cc1",
+    "CN1C(=O)CN=C(c2ccccc2)c2cc(Cl)ccc21",
+    "O=C(O)c1cn(C2CC2)c2cc(N3CCNCC3)c(F)cc2c1=O",
+    "CCCc1nn(C)c2c(=O)[nH]c(-c3cc(S(=O)(=O)N4CCN(C)CC4)ccc3OCC)nc12",
+    "Cc1ccc(NC(=O)c2ccc(CN3CCN(C)CC3)cc2)cc1Nc1nccc(-c2cccnc2)n1",
+    "CC(C)c1c(C(=O)Nc2ccccc2)c(-c2ccccc2)c(-c2ccc(F)cc2)n1CC[C@@H](O)C[C@@H](O)CC(=O)O",
+    "CN1CC[C@]23c4c5ccc(O)c4O[C@H]2[C@@H](O)C=C[C@H]3[C@H]1C5",
+)
 
 
 def E(text: str):

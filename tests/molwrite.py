@@ -1,21 +1,65 @@
-"""Randomized SMILES writer for permutation-invariance tests.
+"""Test-side readers and writers of parsed molecules.
 
-Re-serializes a parsed molecule with a random atom order. Every atom is
-written as a bracket atom with its explicit hydrogen count and every bond
-with an explicit symbol, so reparsing reproduces exactly the same labeled
-graph regardless of traversal order.
+``molecule_view`` reads a flat ``Molecule`` as atom and bond records, with
+hydrogen counts and ring flags derived as the fingerprint stage derives
+them. ``random_smiles`` re-serializes a molecule with a random atom order.
+Every atom is written as a bracket atom with its explicit hydrogen count and
+every bond with an explicit symbol, so reparsing reproduces exactly the same
+labeled graph regardless of traversal order.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
-from kgprep.chem.smiles import AROMATIC, MoleculeGraph
+from kgprep.chem.smiles import AROMATIC, Molecule, implicit_hydrogens, ring_flags
 
 _BOND_SYMBOL = {1: "-", 2: "=", 3: "#", AROMATIC: ":"}
 
 
-def _bracket(atom) -> str:
+@dataclass(frozen=True)
+class AtomView:
+    element: str
+    charge: int
+    aromatic: bool
+    hydrogens: int
+    degree: int
+    in_ring: bool
+
+
+@dataclass(frozen=True)
+class BondView:
+    a: int
+    b: int
+    order: int
+
+
+@dataclass(frozen=True)
+class MoleculeView:
+    atoms: list[AtomView]
+    bonds: list[BondView]
+
+
+def molecule_view(mol: Molecule) -> MoleculeView:
+    """Atoms in index order; bonds ordered by their lower endpoint, then in
+    the order that atom's bonds were written."""
+    atoms = [
+        AtomView(atom[0], atom[1], atom[2], implicit_hydrogens(atom, doubled), len(bonds), ring)
+        for atom, bonds, doubled, ring in zip(
+            mol.atoms, mol.neighbours, mol.valence2, ring_flags(mol.neighbours)
+        )
+    ]
+    bonds = [
+        BondView(a, b, order)
+        for a, pairs in enumerate(mol.neighbours)
+        for b, order in pairs
+        if a < b
+    ]
+    return MoleculeView(atoms, bonds)
+
+
+def _bracket(atom: AtomView) -> str:
     symbol = atom.element.lower() if atom.aromatic else atom.element
     h = "" if atom.hydrogens == 0 else ("H" if atom.hydrogens == 1 else f"H{atom.hydrogens}")
     if atom.charge == 0:
@@ -27,8 +71,9 @@ def _bracket(atom) -> str:
     return f"[{symbol}{h}{charge}]"
 
 
-def random_smiles(mol: MoleculeGraph, rng: random.Random) -> str:
+def random_smiles(mol: Molecule, rng: random.Random) -> str:
     """One random-order serialization of ``mol``."""
+    mol = molecule_view(mol)
     n = len(mol.atoms)
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
     for bond in mol.bonds:

@@ -93,6 +93,28 @@ def fingerprint_bits_bruteforce(mol, radius: int, nbits: int) -> set[int]:
     return {ident % nbits for ident in enumerate_environment_ids(mol, radius)}
 
 
+def ring_flags_bruteforce(mol) -> list[bool]:
+    """Per atom, whether it lies on a ring, by definition: removing one of
+    its bonds leaves that bond's endpoints connected."""
+    in_ring = [False] * len(mol.atoms)
+    for removed in mol.bonds:
+        adjacent: dict[int, list[int]] = {}
+        for bond in mol.bonds:
+            if bond is not removed:
+                adjacent.setdefault(bond.a, []).append(bond.b)
+                adjacent.setdefault(bond.b, []).append(bond.a)
+        reached = {removed.a}
+        frontier = [removed.a]
+        while frontier:
+            for nbr in adjacent.get(frontier.pop(), ()):
+                if nbr not in reached:
+                    reached.add(nbr)
+                    frontier.append(nbr)
+        if removed.b in reached:
+            in_ring[removed.a] = in_ring[removed.b] = True
+    return in_ring
+
+
 # --- leakage: exhaustive pairwise comparison --------------------------------
 
 

@@ -461,6 +461,34 @@ def test_onsides_row_below_confidence_is_skipped_unparsed(tmp_path):
     assert stage_log["details"]["edges_added"] == 1
 
 
+def test_non_ascii_digit_in_smiles_is_counted_unparseable(tmp_path):
+    compounds = {
+        "Compound::drugbank:DB1": "CCO",
+        "Compound::drugbank:DB2": "C\u00b2",  # superscript two
+        "Compound::drugbank:DB3": "C%1\u00b2",
+        "Compound::drugbank:DB4": "C1CC\u0661",  # Arabic-Indic one
+    }
+    (tmp_path / "g.tsv").write_text(
+        "".join(f"{c}\tGNBR::B::Compound:Gene\tGene::NCBI:1\n" for c in compounds),
+        encoding="utf-8",
+    )
+    (tmp_path / "smiles.tsv").write_text(
+        "".join(f"{c}\t{s}\n" for c, s in compounds.items()), encoding="utf-8"
+    )
+    cfg = tmp_path / "chem.cfg"
+    cfg.write_text(
+        "inputs.triplets = g.tsv\ninputs.smiles = smiles.tsv\n"
+        "stages.reactome = false\nstages.onsides = false\nstages.features = false\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["--quiet", "--config", str(cfg), "--out", str(out), "run"]) == 0
+    stages = {s["stage"]: s for s in json.loads((out / "stats.json").read_text())["stages"]}
+    assert stages["smiles_filter"]["details"]["compounds_unparseable"] == 3
+    assert stages["fingerprints"]["details"]["fingerprints_generated"] == 1
+    assert (out / "fingerprints.tsv").read_text().startswith("Compound::drugbank:DB1\t")
+
+
 def test_compute_stats_totals_match_breakdowns():
     g = graph_of(
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,14 @@ from kgprep.chem.fingerprint import (
 from kgprep.chem.smiles import parse_smiles
 from kgprep.errors import StageError
 
-from conftest import FIXTURE_MOLECULES, fingerprint_from_hex, fingerprint_of, graph_of
-from molwrite import random_smiles
+from conftest import (
+    DRUG_MOLECULES,
+    FIXTURE_MOLECULES,
+    fingerprint_from_hex,
+    fingerprint_of,
+    graph_of,
+)
+from molwrite import molecule_view, random_smiles
 from oracles import fingerprint_bits, fingerprint_bits_bruteforce, fnv1a64_reference
 
 # Expected bit indices for "CCO" at radius 2 / 2048 bits, frozen from the
@@ -21,18 +28,6 @@ from oracles import fingerprint_bits, fingerprint_bits_bruteforce, fnv1a64_refer
 CCO_RADIUS2_BITS = frozenset({
     103, 161, 184, 331, 639, 1178, 1396, 1738, 1956,
 })
-
-# Drug-sized molecules (20-40 heavy atoms), whose environments recur.
-DRUG_MOLECULES = (
-    "CC(=O)Nc1ccc(O)cc1",
-    "CN1C(=O)CN=C(c2ccccc2)c2cc(Cl)ccc21",
-    "O=C(O)c1cn(C2CC2)c2cc(N3CCNCC3)c(F)cc2c1=O",
-    "CCCc1nn(C)c2c(=O)[nH]c(-c3cc(S(=O)(=O)N4CCN(C)CC4)ccc3OCC)nc12",
-    "Cc1ccc(NC(=O)c2ccc(CN3CCN(C)CC3)cc2)cc1Nc1nccc(-c2cccnc2)n1",
-    "CC(C)c1c(C(=O)Nc2ccccc2)c(-c2ccccc2)c(-c2ccc(F)cc2)n1CC[C@@H](O)C[C@@H](O)CC(=O)O",
-    "CN1CC[C@]23c4c5ccc(O)c4O[C@H]2[C@@H](O)C=C[C@H]3[C@H]1C5",
-)
-
 
 def test_fnv1a_matches_reference_vectors():
     # standard FNV-1a 64-bit test vectors
@@ -57,7 +52,7 @@ def test_engine_equals_bruteforce_enumerator():
     for smiles in FIXTURE_MOLECULES[:10]:
         mol = parse_smiles(smiles)
         engine = set(fingerprint_bits(morgan_fingerprint(mol, radius=2, nbits=2048)))
-        oracle = fingerprint_bits_bruteforce(mol, radius=2, nbits=2048)
+        oracle = fingerprint_bits_bruteforce(molecule_view(mol), radius=2, nbits=2048)
         assert engine == oracle, smiles
 
 
@@ -85,7 +80,7 @@ def test_determinism_across_calls():
 def test_monotone_environment_count():
     for smiles in FIXTURE_MOLECULES:
         mol = parse_smiles(smiles)
-        if len(mol.atoms) < 2 or not mol.bonds:
+        if len(mol.atoms) < 2 or not any(mol.neighbours):
             continue
         levels = atom_environments(mol, radius=3)
         distinct = [len(set(level)) for level in levels]
@@ -110,7 +105,7 @@ def test_radius_zero_is_atom_invariants_only():
 
 
 def test_hex_round_trip_and_layout():
-    fp = Fingerprint.from_bits(2048, frozenset({0, 7, 2047}))
+    fp = Fingerprint(2048, 1 << 2047 | 1 << 2040 | 1)
     text = fp.to_hex()
     assert len(text) == 512 and text == text.lower()
     assert text[0] == "8"  # bit 0 is the most significant of the first nibble
@@ -155,7 +150,7 @@ def test_memoized_environments_equal_bruteforce_on_drug_sized_molecules():
             variant = parse_smiles(text)
             for radius in (0, 1, 2, 3):
                 shared = morgan_fingerprint(variant, radius, 2048, memo)
-                oracle = fingerprint_bits_bruteforce(variant, radius, 2048)
+                oracle = fingerprint_bits_bruteforce(molecule_view(variant), radius, 2048)
                 assert set(fingerprint_bits(shared)) == oracle, (text, radius)
                 assert morgan_fingerprint(variant, radius, 2048) == shared
     assert memo
@@ -172,3 +167,43 @@ def test_fingerprint_all_repeat_calls_agree():
     assert first == second
     for compound, text in smiles.items():
         assert first[compound] == fingerprint_of(text)
+
+
+_RING_PARTS = ("c1ccc(cc1)", "c1ccc(nc1)", "C1CCC(CC1)", "C1CCN(CC1)", "c1csc(n1)", "C1CCOC(C1)")
+_CHAIN_PARTS = ("C", "CC", "C(=O)N", "O", "S(=O)(=O)N", "C(=O)O", "N", "C(F)(F)", "C(Cl)", "C=C")
+
+
+def drug_like_smiles(rng: random.Random) -> str:
+    """A drug-sized SMILES (about 20-40 heavy atoms) of ring and chain parts."""
+    parts = [rng.choice(("C", "CO", "N", "Cl", "O=C"))]
+    for _ in range(rng.randint(5, 9)):
+        parts.append(rng.choice(_RING_PARTS if rng.random() < 0.45 else _CHAIN_PARTS))
+    parts.append(rng.choice(("C", "O", "N", "C#N", "F")))
+    return "".join(parts)
+
+
+# tracemalloc peak of fingerprint_all per molecule on the molecules below
+# (memo, fingerprints and table included), as the implementation that keyed
+# level-k environments by (centre, order, identifier, ...) tuples measured it
+# on Python 3.11. Keys made of fresh ints exceed it.
+TUPLE_KEYED_BYTES_PER_MOLECULE = 1373
+
+
+def test_fingerprint_all_memory_per_molecule():
+    rng = random.Random(29)
+    smiles = {f"Compound::PubChem_Compounds:{i}": drug_like_smiles(rng) for i in range(800)}
+    g = graph_of(*((c, "GNBR::CMP_BIND::Compound:Gene", "Gene::NCBI:1") for c in smiles))
+    g.nodes_of_type("Compound")  # the node set is the graph's, built before the stage
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        table, _ = fingerprint_all(g, smiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(table) == len(smiles)
+    assert (peak - base) / len(table) <= TUPLE_KEYED_BYTES_PER_MOLECULE
