@@ -364,6 +364,7 @@ def open_output(path: str | Path, binary: bool = False) -> IO:
     here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)  # a hard link's other names keep their bytes
     if binary:
         return path.open("wb")
     return path.open("w", encoding="utf-8", newline="\n")

@@ -18,24 +18,25 @@ training split contains an equivalent counterpart:
 * any - the union of the three.
 
 With empty equivalence tables, standardization is the identity and all
-detectors reduce to duplicate_inverse. Each detector's keys of a task's
-target rows are packed into ints once (``leak_keys``), and every seed
-probes them.
+detectors reduce to duplicate_inverse. A match joins two rows with one
+unordered pair of canonical endpoints, so only target rows whose pair recurs
+can leak: ``leak_keys`` finds them once per task, and every seed probes them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import statistics
 import sys
 from array import array
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, getitem, mul, or_
+from itertools import compress, count, repeat
+from operator import add, mod, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -107,94 +108,82 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
     return TaskSplits(task_name, g, target, seeds, orders, n - n_valid - n // 5, n_valid)
 
 
-def leak_keys(
-    split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable
-) -> tuple[tuple[array, array], ...]:
-    """(keys, inverse keys) of the task's target rows, in target order, for
-    each detector: raw keys ``(head, (origin, label), tail)``, relation keys
-    ``(head, canonical label, tail)`` and entity keys, which also map the
-    endpoints' texts through ``entities``; an inverse key swaps head and
-    tail. Each key packs its endpoint and label ids into one int. When the
-    map leaves every endpoint unmapped, the entity keys are the relation
-    keys. Labels are computed once per relation id.
-    Build them once per task: every seed's ``detect_leakage`` reuses them."""
-    g, target = split.graph, split.target
-    vocab = g.vocab
-    heads, rels, tails = (
-        array("i", map(getitem, repeat(column), target))
-        for column in (g.heads, g.relations, g.tails)
-    )
-    # each relation's raw and canonical label as an id: the first relation's
-    # with that label
-    raw_ids: dict = {}
-    canon_ids: dict = {}
-    raw, canon = {}, {}
-    for r in set(rels):
-        rel = vocab.relations[r]
-        raw[r] = raw_ids.setdefault((rel.origin, rel.label), r)
-        canon[r] = canon_ids.setdefault(relations.canon_label(rel), r)
-    n_entity = len(vocab.entities)
-    # a key is its label's id times n_entity**2 plus its endpoint pair's int
+# target rows per residue class when a task's endpoint pairs are counted
+_CLASS_ROWS = 1 << 16
 
-    def pairs(first: Sequence[int], last: Sequence[int]) -> array:
+
+def leak_keys(split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable) -> tuple:
+    """``(candidates, raw, relation, entity)``. A match under any detector
+    joins two rows with the same unordered pair of canonical endpoints (texts
+    mapped through ``entities``), so only target rows whose pair recurs among
+    the task's can leak or be leaked: these are the candidates, as indices
+    into ``target``. Each detector's (keys, inverse keys) of them pack
+    ``(head, (origin, label), tail)``, ``(head, canonical label, tail)`` or
+    the latter on canonical endpoints into ints; an inverse key swaps head
+    and tail. Build them once per task: every seed reuses them."""
+    g, target, vocab = split.graph, split.target, split.graph.vocab
+    n_entity = len(vocab.entities)
+    # each entity's canonical id: the first entity's with its canonical text
+    ids: dict[str, int] = {}
+    canonical = (entities.get(e.text, e.text) for e in vocab.entities)
+    canon = list(map(ids.setdefault, canonical, count()))
+
+    def pairs(first: Iterable[int], last: Iterable[int]) -> array:
         return array("q", map(add, map(mul, first, repeat(n_entity)), last))
 
-    def packed(label: dict, pair: array, inverse: array) -> tuple[array, array]:
-        offsets = list(map(mul, map(label.__getitem__, rels), repeat(n_entity * n_entity)))
-        return array("q", map(add, offsets, pair)), array("q", map(add, offsets, inverse))
+    ends = [array("i", map(canon.__getitem__, map(column.__getitem__, target)))
+            for column in (g.heads, g.tails)]
+    unordered = pairs(map(min, *ends), map(max, *ends))
+    classes = [array("q") for _ in range(len(target) // _CLASS_ROWS + 1)]
+    class_of = map(classes.__getitem__, map(mod, unordered, repeat(len(classes))))
+    deque(map(array.append, class_of, unordered), maxlen=0)
+    recurring = {p for members in classes for p, n in Counter(members).items() if n > 1}
+    candidates = array("i", compress(range(len(target)), map(recurring.__contains__, unordered)))
+    heads, rels, tails = (array("i", map(column.__getitem__, map(target.__getitem__, candidates)))
+                          for column in (g.heads, g.relations, g.tails))
+    # a relation's raw and canonical labels as ids: the first relation's with each
+    raws, canons = {}, {}
+    raw = list(map(raws.setdefault, ((r.origin, r.label) for r in vocab.relations), count()))
+    label = list(map(canons.setdefault, map(relations.canon_label, vocab.relations), count()))
 
-    pair, inverse = pairs(heads, tails), pairs(tails, heads)
-    raw_keys, relation_keys = packed(raw, pair, inverse), packed(canon, pair, inverse)
-    texts = {e: vocab.entities[e].text for e in set(heads).union(tails)}
-    if entities.keys().isdisjoint(texts.values()):
-        return raw_keys, relation_keys, relation_keys
-    # canonical texts as ids; there are no more of them than entities
-    ids: dict[str, int] = {}
-    canon_of = {e: ids.setdefault(entities.get(text, text), len(ids)) for e, text in texts.items()}
-    heads, tails = list(map(canon_of.__getitem__, heads)), list(map(canon_of.__getitem__, tails))
-    return raw_keys, relation_keys, packed(canon, pairs(heads, tails), pairs(tails, heads))
+    # a key is (label id * n_entity + head) * n_entity + tail
+    def packed(labels: list, heads: Sequence[int], tails: Sequence[int]) -> tuple[array, array]:
+        of_rows = list(map(labels.__getitem__, rels))
+        return pairs(pairs(of_rows, heads), tails), pairs(pairs(of_rows, tails), heads)
 
-
-def _leaks(
-    keys: tuple[array, array],
-    train: Sequence[int],
-    evals: Iterable[Sequence[int]],
-    include_inverse: bool,
-) -> list[list[int]]:
-    """For each evaluation part, whether each row's key (or, with
-    ``include_inverse``, inverse key) is some train row's key."""
-    keys, inverse = keys
-    in_train = set(map(getitem, repeat(keys), train)).__contains__
-
-    def hits(part: Sequence[int], side: array):
-        return map(in_train, map(getitem, repeat(side), part))
-
-    if include_inverse:
-        return [list(map(or_, hits(part, keys), hits(part, inverse))) for part in evals]
-    return [list(hits(part, keys)) for part in evals]
+    relation_keys = packed(label, heads, tails)
+    ends = [array("i", map(canon.__getitem__, column)) for column in (heads, tails)]
+    # no candidate endpoint shares its canonical text: entity keys are relation keys
+    entity_keys = relation_keys if ends == [heads, tails] else packed(label, *ends)
+    return candidates, packed(raw, heads, tails), relation_keys, entity_keys
 
 
 def detect_leakage(
-    keys: tuple[tuple[array, array], ...],
-    parts: tuple[Sequence[int], Sequence[int], Sequence[int]],
-    include_inverse: bool = True,
+    keys: tuple, parts: tuple[Sequence[int], ...], include_inverse: bool = True
 ) -> dict[tuple[str, str], tuple[int, int]]:
     """``(detector, split pair) -> (leaked, total)`` for train/valid and
     train/test under every detector and their union, from a task's
-    ``leak_keys`` and one seed's ``TaskSplits.parts``. The seed collects
-    its train rows' keys and looks up each evaluation row's."""
-    raw, relation, entity = keys
-    train, valid, test = parts
-    evals = (valid, test)
-    dup = _leaks(raw, train, evals, include_inverse)
-    rel = _leaks(relation, train, evals, include_inverse)
-    ent = rel if entity is relation else _leaks(entity, train, evals, include_inverse)
-    counts = {}
-    for pair_name, part, *hits in zip(("train_valid", "train_test"), evals, dup, rel, ent):
-        leaked = [*map(sum, hits), sum(map(max, *hits))]
-        for detector, n in zip(DETECTORS, leaked):
-            counts[(detector, pair_name)] = (n, len(part))
-    return counts
+    ``leak_keys`` and one seed's ``TaskSplits.parts``. Only candidates can
+    leak: the seed marks each target row's part in a byte and probes each
+    detector's train candidates' keys with its evaluation candidates'."""
+    candidates, *detectors = keys
+    codes = bytearray(b"\x01") * sum(map(len, parts))  # 1 train, 2 valid, 3 test
+    for code, part in enumerate(parts[1:], start=2):
+        deque(map(codes.__setitem__, part, repeat(code)), maxlen=0)
+    codes = bytes(map(codes.__getitem__, candidates))
+    evals = [array("i", compress(range(len(codes)), marks(codes, code))) for code in (2, 3)]
+
+    def leaks(keys: array, inverse: array) -> list[set[int]]:
+        in_train = set(compress(keys, marks(codes, 1))).__contains__
+        sides = (keys, inverse)[: 1 + include_inverse]
+        return [set().union(*(compress(rows, map(in_train, map(side.__getitem__, rows)))
+                              for side in sides)) for rows in evals]
+
+    dup, rel = leaks(*detectors[0]), leaks(*detectors[1])
+    ent = rel if detectors[2] is detectors[1] else leaks(*detectors[2])
+    return {(detector, name): (n, len(part))
+            for name, part, *hits in zip(("train_valid", "train_test"), parts[1:], dup, rel, ent)
+            for detector, n in zip(DETECTORS, [*map(len, hits), len(set().union(*hits))])}
 
 
 def audit_report(
@@ -253,9 +242,10 @@ def write_bundle(
     from one rendering of each row in text order. A seed's codes mark each
     written row with its split (0 context, 1 train, 2 valid, 3 test); a
     split file gets the lines whose code is its split's. Context is every
-    seed's alike, so a task's is cut once, with its first seed's codes.
-    Under ``preserve_order`` the graph and context keep graph order, and
-    each seed renders its target rows once more, in its shuffled order."""
+    seed's alike: a task's first seed's is cut with its codes, and the other
+    seeds' are hard links to it, or cut alike where linking fails. Under
+    ``preserve_order`` the graph and context keep graph order, and each seed
+    renders its target rows once more, in its shuffled order."""
     out, n = Path(out_dir), len(g)
     order = range(n) if preserve_order else g.text_order
     place = order  # place[p]: which written row graph row p is
@@ -277,17 +267,39 @@ def write_bundle(
             raise ValueError(f"task {split.task}: splits of another graph than {graph_name}")
         for k, seed in enumerate(split.seeds):
             seed_dir = out / "splits" / split.task / f"seed_{seed}"
-            files.append((seed_dir / "context.tsv", (i, 0), 0))
+            if k == 0:
+                files.append((seed_dir / "context.tsv", (i, 0), 0))
             parts = [(seed_dir / f"{name}.tsv", (i, k), code)
                      for code, name in enumerate(("train", "valid", "test"), start=1)]
             (shuffled if preserve_order else files).extend(parts)
-    for at in range(0, len(files), _OPEN_FILES):
-        batch = files[at : at + _OPEN_FILES]
-        codes = {key: seed_codes(*key) for key in dict.fromkeys(key for _, key, _ in batch) if key}
-        _fan_out(g, order, [(path, codes.get(key), code) for path, key, code in batch])
+
+    def cut(files: list) -> None:
+        for at in range(0, len(files), _OPEN_FILES):
+            batch = files[at : at + _OPEN_FILES]
+            keys = dict.fromkeys(key for _, key, _ in batch)
+            codes = {key: seed_codes(*key) for key in keys if key}
+            _fan_out(g, order, [(path, codes.get(key), code) for path, key, code in batch])
+
+    cut(files)
     for path, (i, k), code in shuffled:
         rows = array("i", map(splits[i].target.__getitem__, splits[i].parts(k)[code - 1]))
         _fan_out(g, rows, [(path, None, 0)])
+    contexts = [[out / "splits" / s.task / f"seed_{seed}" / "context.tsv" for seed in s.seeds]
+                for s in splits]
+    cut([(path, (i, 0), 0) for i, (first, *others) in enumerate(contexts)
+         for path in others if not _linked(first, path)])
+
+
+def _linked(source: Path, path: Path) -> bool:
+    """Hard-link ``source`` to ``path`` via a temporary name; False if refused."""
+    partial = path.with_name(path.name + ".link")
+    partial.unlink(missing_ok=True)
+    try:
+        os.link(source, partial)
+    except OSError:
+        return False
+    os.replace(partial, path)
+    return True
 
 
 def _fan_out(g: KnowledgeGraph, order: Sequence[int], files: list) -> None:

@@ -7,10 +7,12 @@ with the production code paths.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import struct
 import sys
+from pathlib import Path
 
 # --- circular-fingerprint environment enumerator ---------------------------
 #
@@ -116,56 +118,68 @@ def ring_flags_bruteforce(mol) -> list[bool]:
 
 
 # --- leakage: exhaustive pairwise comparison --------------------------------
+#
+# A triplet is its (head, relation, tail) texts, as a split file holds them;
+# a relation text is origin::label::HeadType:TailType. ``relation_map`` keys
+# are (origin, label, head type, tail type), as in the harmonization table:
+# origin and label match case-insensitively, endpoint types exactly.
+
+
+@functools.cache
+def _relation_fields(relation: str) -> tuple[str, str, str, str]:
+    """(origin, label, head type, tail type) of a relation text."""
+    parts = relation.split("::")
+    head_type, tail_type = parts[-1].split(":")
+    return parts[0], "::".join(parts[1:-1]), head_type, tail_type
 
 
 def _canon_entity(text: str, entity_map: dict[str, str]) -> str:
     return entity_map.get(text, text)
 
 
-def _canon_relation(
-    origin: str,
-    label: str,
-    relation_map: dict[tuple[str, str], str],
-    canonical_labels: set[str],
-):
+def _casefolded(relation_map: dict) -> dict:
+    return {(o.casefold(), l.casefold(), h, t): c for (o, l, h, t), c in relation_map.items()}
+
+
+def _canon_relation(relation: str, folded_map: dict, canonical_labels: set[str]):
     """Already-canonical labels are fixed points; mapped keys compare by
     canonical label; everything else compares as the raw (origin, label)."""
+    origin, label, head_type, tail_type = _relation_fields(relation)
     if label in canonical_labels:
         return ("label", label)
-    if (origin, label) in relation_map:
-        return ("label", relation_map[(origin, label)])
+    key = (origin.casefold(), label.casefold(), head_type, tail_type)
+    if key in folded_map:
+        return ("label", folded_map[key])
     return ("raw", origin, label)
 
 
 def leaked_count_bruteforce(
-    train: list[tuple[str, str, str, str]],
-    eval_split: list[tuple[str, str, str, str]],
+    train: list[tuple[str, str, str]],
+    eval_split: list[tuple[str, str, str]],
     entity_map: dict[str, str],
-    relation_map: dict[tuple[str, str], str],
+    relation_map: dict[tuple[str, str, str, str], str],
     detector: str,
     include_inverse: bool = True,
     canonical_labels: set[str] | None = None,
 ) -> int:
     """Count eval triplets with a matching train triplet, comparing every pair.
 
-    Triplets are (head_text, origin, label, tail_text). ``relation_map`` keys
-    are (origin, label) pairs mapping to canonical labels; entity and relation
-    texts absent from the maps canonicalize to themselves.
+    Entity and relation texts absent from the maps canonicalize to
+    themselves; ``canonical_labels`` defaults to the map's values.
     """
     canon_set = (
         set(relation_map.values()) if canonical_labels is None else canonical_labels
     )
+    folded = _casefolded(relation_map)
 
     def pair_leaks(ev, tr) -> bool:
-        h, o, l, t = ev
-        h2, o2, l2, t2 = tr
+        h, r, t = ev
+        h2, r2, t2 = tr
         straight = (h2 == h and t2 == t)
         inverted = include_inverse and (h2 == t and t2 == h)
         if detector == "duplicate_inverse":
-            return (o2, l2) == (o, l) and (straight or inverted)
-        canon_eq = _canon_relation(o2, l2, relation_map, canon_set) == _canon_relation(
-            o, l, relation_map, canon_set
-        )
+            return _relation_fields(r2)[:2] == _relation_fields(r)[:2] and (straight or inverted)
+        canon_eq = _canon_relation(r2, folded, canon_set) == _canon_relation(r, folded, canon_set)
         if detector == "relation_redundancy":
             return canon_eq and (straight or inverted)
         if detector == "entity_redundancy":
@@ -189,6 +203,48 @@ def leaked_count_bruteforce(
             )
         )
     return sum(1 for ev in eval_split if any(pair_leaks(ev, tr) for tr in train))
+
+
+def leaked_count_hashed(
+    train: list[tuple[str, str, str]],
+    eval_split: list[tuple[str, str, str]],
+    entity_map: dict[str, str],
+    relation_map: dict[tuple[str, str, str, str], str],
+    detector: str,
+    include_inverse: bool = True,
+    canonical_labels: set[str] | None = None,
+) -> int:
+    """``leaked_count_bruteforce`` through one set of canonical text keys per
+    detector: a key is (head, relation, tail) after the detector's
+    canonicalization, and an eval triplet leaks when its key, or with
+    ``include_inverse`` its key with head and tail swapped, is a train
+    triplet's key. Linear in the rows, so it runs at sizes the pairwise
+    count cannot."""
+    canon_set = (
+        set(relation_map.values()) if canonical_labels is None else canonical_labels
+    )
+    folded = _casefolded(relation_map)
+
+    def key(triplet, det: str) -> tuple:
+        h, r, t = triplet
+        if det == "duplicate_inverse":
+            return h, _relation_fields(r)[:2], t
+        if det == "relation_redundancy":
+            return h, _canon_relation(r, folded, canon_set), t
+        return (_canon_entity(h, entity_map), _canon_relation(r, folded, canon_set),
+                _canon_entity(t, entity_map))
+
+    dets = LEAK_DETECTORS[:3] if detector == "any" else (detector,)
+    seen = {det: {key(tr, det) for tr in train} for det in dets}
+
+    def leaks(ev) -> bool:
+        for det in dets:
+            h, r, t = key(ev, det)
+            if (h, r, t) in seen[det] or include_inverse and (t, r, h) in seen[det]:
+                return True
+        return False
+
+    return sum(map(leaks, eval_split))
 
 
 # --- id-map fixed point by repeated substitution ----------------------------
@@ -336,15 +392,10 @@ def mean_and_population_std(values: list[float]) -> tuple[float, float]:
 LEAK_DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
 
-def _read_split_file(path) -> list[tuple[str, str, str, str]]:
-    """A split file's rows as (head, origin, label, tail) texts."""
-    rows = []
+def _read_split_file(path) -> list[tuple[str, str, str]]:
+    """A split file's rows as (head, relation, tail) texts."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            head, relation, tail = line.rstrip("\n").split("\t")
-            parts = relation.split("::")
-            rows.append((head, parts[0], "::".join(parts[1:-1]), tail))
-    return rows
+        return [tuple(line.rstrip("\n").split("\t")) for line in fh]
 
 
 def leakage_records_from_splits(
@@ -352,14 +403,17 @@ def leakage_records_from_splits(
     tasks,
     seeds,
     entity_map: dict[str, str],
-    relation_map: dict[tuple[str, str], str],
+    relation_map: dict[tuple[str, str, str, str], str],
     include_inverse: bool = True,
+    canonical_labels: set[str] | None = None,
+    count=leaked_count_bruteforce,
 ) -> list[dict]:
     """The records ``leakage_report.json`` should hold for a run, per task in
     (detector, split pair) order: each seed's train, valid and test files
-    read back from ``splits_dir/<task>/seed_<seed>``, every evaluation row
-    compared with every train row, and the ratios, mean and population std
-    computed by hand."""
+    read back from ``splits_dir/<task>/seed_<seed>``, each evaluation file's
+    leaks counted by ``count`` (by default every evaluation row compared
+    with every train row; ``leaked_count_hashed`` for large runs), and the
+    ratios, mean and population std computed by hand."""
     records = []
     for task in tasks:
         counts = {}  # (detector, split pair) -> [(leaked, total) per seed]
@@ -369,9 +423,8 @@ def leakage_records_from_splits(
             for pair, name in (("train_valid", "valid"), ("train_test", "test")):
                 evaluated = _read_split_file(f"{seed_dir}/{name}.tsv")
                 for detector in LEAK_DETECTORS:
-                    leaked = leaked_count_bruteforce(
-                        train, evaluated, entity_map, relation_map, detector, include_inverse
-                    )
+                    leaked = count(train, evaluated, entity_map, relation_map, detector,
+                                   include_inverse, canonical_labels)
                     counts.setdefault((detector, pair), []).append((leaked, len(evaluated)))
         for detector, pair in sorted(counts):
             leaked, total, ratios = [], [], []
@@ -392,6 +445,80 @@ def leakage_records_from_splits(
                 "seeds": list(seeds),
             })
     return records
+
+
+# --- a run's audit inputs, read from its config file -------------------------
+#
+# Written from the README's config reference, not from the package: relative
+# paths are the config file's, an xref file maps its first column to its
+# second (the last row of a key wins, and a compound pair points at the better
+# source), chains resolve to their end, and the packaged harmonization table
+# applies when the config names none.
+
+COMPOUND_SOURCES = ("PubChem_Compounds", "CHEMBL", "CHEBI", "drugbank", "molport", "zinc")
+ENRICHMENT_LABELS = {"GENE_PATHWAY", "SIDE_EFFECT"}
+PACKAGED_HARMONIZATION = Path(__file__).parent.parent / "src" / "kgprep" / "data" / "harmonization.tsv"
+
+
+def _table_rows(path, header: list[str]) -> list[list[str]]:
+    """A TSV's rows, without blank and ``#`` lines or a leading header."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh
+                if line.strip() and not line.startswith("#")]
+    return rows[1:] if rows and rows[0] == header else rows
+
+
+def _source_rank(text: str) -> int:
+    source = text.split("::", 1)[1].split(":", 1)[0]
+    return COMPOUND_SOURCES.index(source) if source in COMPOUND_SOURCES else len(COMPOUND_SOURCES)
+
+
+def audit_inputs(config_path) -> dict:
+    """``leakage_records_from_splits``' keyword arguments for a run of the
+    config file at ``config_path``, apart from the split directory."""
+    base = Path(config_path).parent
+    cfg = {}
+    with open(config_path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip() and not line.lstrip().startswith("#"):
+                name, _, value = line.partition("=")
+                cfg[name.strip()] = value.strip()
+    entity_map = {}
+    for kind in ("compound", "disease", "gene", "sideeffect"):
+        if f"inputs.{kind}_xref" not in cfg:
+            continue
+        mapping = {}
+        rows = dict(_table_rows(base / cfg[f"inputs.{kind}_xref"], ["from_id", "to_id"]))
+        for old, new in rows.items():
+            if kind == "compound" and _source_rank(new) > _source_rank(old):
+                old, new = new, old
+            if old != new:
+                mapping[old] = new
+        entity_map.update(resolve_by_substitution(mapping))
+    table = base / cfg["inputs.harmonization"] if "inputs.harmonization" in cfg else (
+        PACKAGED_HARMONIZATION)
+    header = ["origin", "label", "head_type", "tail_type", "canonical_label"]
+    relation_map = {tuple(row[:4]): row[4] for row in _table_rows(table, header)}
+    return {
+        "tasks": cfg.get("split.tasks", "ppi,drug_repurposing,side_effect").split(","),
+        "seeds": [int(s) for s in cfg.get("split.seeds", "0,1,2,3,4").split(",")],
+        "entity_map": entity_map,
+        "relation_map": relation_map,
+        "include_inverse": cfg.get("audit.include_inverse", "true") == "true",
+        "canonical_labels": set(relation_map.values()) | ENRICHMENT_LABELS,
+    }
+
+
+def leakage_mismatches(report: list[dict], expected: list[dict]) -> list[str]:
+    """One line per (task, detector, split pair) whose leaked or total
+    counts differ between a run's report and a recomputed one."""
+    def cells(records):
+        return {(r["task"], r["detector"], r["split_pair"]): (r["leaked"], r["total"])
+                for r in records}
+
+    got, want = cells(report), cells(expected)
+    return [f"{cell}: got {got.get(cell)}, want {want.get(cell)}"
+            for cell in sorted(got.keys() | want.keys()) if got.get(cell) != want.get(cell)]
 
 
 # --- planted-defect corpus counters ------------------------------------------
@@ -450,8 +577,25 @@ def planted_mismatches(stats: dict, expected: dict) -> list[str]:
     return mismatches
 
 
+def _check_leakage(config_path, out_dir) -> int:
+    """Compare ``out_dir/leakage_report.json`` with the hashed recompute of
+    the split files under ``out_dir/splits``."""
+    with open(Path(out_dir) / "leakage_report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    inputs = audit_inputs(config_path)
+    expected = leakage_records_from_splits(
+        Path(out_dir) / "splits", **inputs, count=leaked_count_hashed
+    )
+    problems = leakage_mismatches(report, expected)
+    print("\n".join(problems) or f"all {len(expected)} leakage records match")
+    return 1 if problems else 0
+
+
 if __name__ == "__main__":
     # python tests/oracles.py STATS_JSON EXPECTED_COUNTS_JSON
+    # python tests/oracles.py leakage CONFIG OUT_DIR
+    if sys.argv[1] == "leakage":
+        sys.exit(_check_leakage(*sys.argv[2:]))
     stats_path, expected_path = sys.argv[1:]
     with open(stats_path, encoding="utf-8") as fh:
         run_stats = json.load(fh)

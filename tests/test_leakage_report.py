@@ -14,7 +14,13 @@ from kgprep.cli import main
 from kgprep.config import STAGE_NAMES
 from kgprep.split_audit import _pstdev
 
-from oracles import leakage_records_from_splits
+from oracles import (
+    _check_leakage,
+    audit_inputs,
+    leaked_count_bruteforce,
+    leaked_count_hashed,
+    leakage_records_from_splits,
+)
 
 TASKS = ("ppi", "drug_repurposing", "side_effect")
 SEEDS = (0, 1, 2)
@@ -84,7 +90,7 @@ def run_out(tmp_path_factory):
 
 def test_report_equals_pairwise_recount_of_split_files(run_out):
     report = json.loads((run_out / "leakage_report.json").read_text(encoding="utf-8"))
-    relation_map = {(origin, label): canon for origin, label, _, _, canon in HARMONIZATION}
+    relation_map = {tuple(row[:4]): row[4] for row in HARMONIZATION}
     expected = leakage_records_from_splits(
         run_out / "splits", TASKS, SEEDS, GENE_XREF, relation_map
     )
@@ -105,6 +111,28 @@ def test_report_equals_pairwise_recount_of_split_files(run_out):
     ppi = {r["detector"]: sum(r["leaked"]) for r in report
            if r["task"] == "ppi" and r["split_pair"] == "train_test"}
     assert 0 < ppi["duplicate_inverse"] < ppi["relation_redundancy"] < ppi["entity_redundancy"]
+
+
+@pytest.mark.parametrize("include_inverse", [True, False])
+def test_hashed_recount_equals_pairwise_recount(run_out, include_inverse):
+    relation_map = {tuple(row[:4]): row[4] for row in HARMONIZATION}
+    pairwise, hashed = (
+        leakage_records_from_splits(run_out / "splits", TASKS, SEEDS, GENE_XREF, relation_map,
+                                    include_inverse, count=count)
+        for count in (leaked_count_bruteforce, leaked_count_hashed)
+    )
+    assert hashed == pairwise
+    assert any(sum(r["leaked"]) for r in hashed)
+
+
+def test_recount_from_the_config_matches_the_report(run_out, capsys):
+    config = run_out.parent / "pipeline.cfg"
+    inputs = audit_inputs(config)
+    assert inputs["entity_map"] == GENE_XREF
+    assert inputs["relation_map"] == {tuple(row[:4]): row[4] for row in HARMONIZATION}
+    assert (inputs["tasks"], inputs["seeds"]) == (list(TASKS), list(SEEDS))
+    assert _check_leakage(config, run_out) == 0
+    assert capsys.readouterr().out == f"all {len(TASKS) * 8} leakage records match\n"
 
 
 def test_audit_counters_are_the_report_sums(run_out):

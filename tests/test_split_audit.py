@@ -1,4 +1,7 @@
+import errno
+import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from kgprep.split_audit import (
 from conftest import T, graph_of, leakage_of, splits_of
 from oracles import (
     leaked_count_bruteforce,
+    leaked_count_hashed,
     mean_and_population_std,
     render,
     split_context,
@@ -131,14 +135,12 @@ def random_bundle(rng: random.Random, size: int):
         test=triplets[n_train + n_valid :],
     )
     oracle_entity_map = dict(dup_entities)
-    oracle_relation_map = {
-        (origin, label): canon for origin, label, _, _, canon in relation_rows
-    }
+    oracle_relation_map = {tuple(row[:4]): row[4] for row in relation_rows}
     return bundle, table, oracle_entity_map, oracle_relation_map
 
 
 def to_oracle_form(triplets):
-    return [(t.head.text, t.relation.origin, t.relation.label, t.tail.text) for t in triplets]
+    return [render(t) for t in triplets]
 
 
 def test_literal_duplicate_leaks_under_all_detectors():
@@ -204,6 +206,98 @@ def test_detectors_equal_exhaustive_oracle():
                 )
                 got = report[(detector, pair)][0]
                 assert got == expected, (round_, detector, pair)
+
+
+# (origin, label, head type, tail type, canonical label): the drug labels are
+# harmonized in the Compound:Gene signature only, and one ppi key is spelled
+# in another case than the rows'
+MIXED_HARMONIZATION = (
+    ("DGIdb", "Agonist", "Compound", "Gene", "AGONIST"),
+    ("GNBR", "A+", "Compound", "Gene", "AGONIST"),
+    ("GNBR", "B", "Gene", "Gene", "GENE_BIND"),
+    ("string", "binding", "Gene", "Gene", "GENE_BIND"),
+)
+MIXED_RELATIONS = {
+    "ppi": ("GNBR::B::Gene:Gene", "STRING::Binding::Gene:Gene", "GNBR::Q::Gene:Gene"),
+    "drug_repurposing": ("DGIdb::Agonist::Compound:Gene", "DGIdb::Agonist::Gene:Compound",
+                         "GNBR::A+::Compound:Gene", "GNBR::A+::Gene:Compound"),
+}
+# xref merges: two genes onto a gene of the graph, two onto a gene absent
+# from it, and a compound onto another
+MIXED_ENTITIES = {
+    "Gene::NCBI:10": "Gene::NCBI:0", "Gene::NCBI:11": "Gene::NCBI:0",
+    "Gene::NCBI:12": "Gene::NCBI:99", "Gene::NCBI:13": "Gene::NCBI:99",
+    "Compound::drugbank:DB1": "Compound::PubChem_Compounds:0",
+}
+MIXED_POOLS = {
+    "Gene": [f"Gene::NCBI:{i}" for i in (0, 1, 2, 10, 11, 12, 13)],
+    "Compound": ["Compound::PubChem_Compounds:0", "Compound::PubChem_Compounds:1",
+                 "Compound::drugbank:DB1"],
+}
+
+
+@settings(max_examples=80)
+@given(
+    task=st.sampled_from(sorted(MIXED_RELATIONS)),
+    seed=st.integers(0, 99),
+    include_inverse=st.booleans(),
+    data=st.data(),
+)
+def test_detectors_equal_exhaustive_oracle_on_mixed_signatures(task, seed, include_inverse, data):
+    """Type-aware harmonization, both orientations of one drug label, self
+    loops (ppi rows may join a gene to itself), merges that make two pairs
+    equal only after canonicalization, and audits without inverse keys."""
+    drawn = data.draw(st.lists(
+        st.tuples(st.sampled_from(MIXED_RELATIONS[task]), st.integers(0, 6), st.integers(0, 6)),
+        min_size=1, max_size=60,
+    ))
+    rows = []
+    for relation, h, t in drawn:
+        head_type, tail_type = relation.rsplit("::", 1)[1].split(":")
+        head_pool, tail_pool = MIXED_POOLS[head_type], MIXED_POOLS[tail_type]
+        rows.append((head_pool[h % len(head_pool)], relation, tail_pool[t % len(tail_pool)]))
+    split = make_splits(graph_of(*rows), task, [seed])
+    table = HarmonizationTable.from_rows(list(MIXED_HARMONIZATION))
+    relation_map = {tuple(row[:4]): row[4] for row in MIXED_HARMONIZATION}
+    report = leakage_of(split, 0, MIXED_ENTITIES, table, include_inverse)
+    train = to_oracle_form(split_train(split, 0))
+    for pair, part in (("train_valid", split_valid(split, 0)), ("train_test", split_test(split, 0))):
+        evaluated = to_oracle_form(part)
+        for detector in DETECTORS:
+            args = (train, evaluated, MIXED_ENTITIES, relation_map, detector, include_inverse,
+                    set(table.canonical_labels))
+            expected = leaked_count_bruteforce(*args)
+            assert leaked_count_hashed(*args) == expected
+            assert report[(detector, pair)] == (expected, len(evaluated)), (detector, pair)
+
+
+# tracemalloc peak of one seed's detect_leakage per target row, on a task
+# whose endpoint pairs are all distinct: the byte that marks each target
+# row's part, and room for what does not grow with the rows. Collecting the
+# train rows' keys in a set, as an audit that probes every target row does,
+# takes tens of bytes a row.
+AUDIT_BYTES_PER_TARGET_ROW = 2
+
+
+def test_seed_audit_memory_scales_with_candidates_not_targets():
+    n = 20_000
+    g = graph_of(*((f"Gene::NCBI:{i}", "GNBR::B::Gene:Gene", f"Gene::NCBI:{n + i}")
+                   for i in range(n)))
+    split = make_splits(g, "ppi", [0])
+    keys, parts = leak_keys(split, {}, HarmonizationTable.from_rows([])), split.parts(0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = detect_leakage(keys, parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report[("any", "train_test")] == (0, n // 5)
+    assert (peak - base) / n <= AUDIT_BYTES_PER_TARGET_ROW
 
 
 def test_audit_report_aggregation():
@@ -299,13 +393,36 @@ def mixed_graph() -> KnowledgeGraph:
     return graph_of(*rows)
 
 
+def refuse_links(monkeypatch):
+    def refused(source, target):
+        raise OSError(errno.EPERM, "Operation not permitted", source, None, target)
+
+    monkeypatch.setattr(os, "link", refused)
+
+
 @pytest.mark.parametrize("preserve_order", [False, True])
 @pytest.mark.parametrize("chunk, open_files", [(4096, 128), (7, 128), (4096, 4), (5, 4)])
 def test_write_bundle_equals_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk,
                                              open_files):
     """Every task's and seed's files equal the ones rendered and sorted on
     their own, also when rows straddle chunks and when the files take several
-    passes; no more files are open at once than the bound."""
+    passes; no more files are open at once than the bound. A task's context
+    files are one file, hard linked."""
+    check_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk, open_files, links=True)
+
+
+@pytest.mark.parametrize("preserve_order", [False, True])
+@pytest.mark.parametrize("chunk, open_files", [(4096, 128), (5, 4)])
+def test_write_bundle_without_hard_links_equals_per_seed_recipe(
+    tmp_path, monkeypatch, preserve_order, chunk, open_files
+):
+    """Where the file system refuses hard links, every seed's context file
+    is written, with the same bytes."""
+    refuse_links(monkeypatch)
+    check_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk, open_files, links=False)
+
+
+def check_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk, open_files, links):
     monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
     monkeypatch.setattr(split_audit, "_OPEN_FILES", open_files)
     opened = []
@@ -330,9 +447,30 @@ def test_write_bundle_equals_per_seed_recipe(tmp_path, monkeypatch, preserve_ord
             for name, text in split_file_texts(parts, preserve_order).items():
                 assert (seed_dir(tmp_path, task, seed) / name).read_text("utf-8") == text, (
                     task, seed, name)
-    assert len(opened) == 1 + len(splits) * len(seeds) * 4
+    written_contexts = 1 if links else len(seeds)
+    assert len(opened) == 1 + len(splits) * (len(seeds) * 3 + written_contexts)
     assert all(fh.closed for fh in opened)
     assert most_open[0] <= open_files
+    for task in BUILTIN_TASKS:
+        inodes = {(seed_dir(tmp_path, task, seed) / "context.tsv").stat().st_ino for seed in seeds}
+        assert len(inodes) == written_contexts
+    assert not list(tmp_path.rglob("*.link"))
+
+
+def test_rewriting_a_bundle_leaves_other_names_of_its_old_files_alone(tmp_path):
+    """A rewrite replaces each file rather than writing into it: a name that
+    shares an old context file's inode keeps the old bytes."""
+    out, kept = tmp_path / "out", tmp_path / "kept.tsv"
+    old = make_splits(target_graph(10, n_context=3), "ppi", [0, 1])
+    write_bundle(out, "graph.tsv", old.graph, [old])
+    os.link(seed_dir(out, "ppi", 0) / "context.tsv", kept)
+    before = kept.read_bytes()
+    new = make_splits(target_graph(10, n_context=5), "ppi", [0, 1])
+    write_bundle(out, "graph.tsv", new.graph, [new])
+    assert kept.read_bytes() == before
+    for seed in (0, 1):
+        context = (seed_dir(out, "ppi", seed) / "context.tsv").read_bytes()
+        assert context != before and context.count(b"\n") == 5
 
 
 @pytest.mark.parametrize("preserve_order", [False, True])
