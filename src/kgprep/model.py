@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, repeat
-from operator import add, attrgetter, floordiv, getitem, methodcaller, mod, mul
+from operator import add, attrgetter, floordiv, getitem, methodcaller, mod, mul, sub
 from typing import Iterable, Iterator, KeysView, Sequence
 
 from .errors import StageError
@@ -137,7 +137,7 @@ _TEXT = attrgetter("text")
 # the runs of kept rows in a graph's keep flags, and a match's bounds
 _KEPT = re.compile(b"\x01+")
 _SPAN = methodcaller("span")
-# rows per bucket of the text order's sort
+# rows per bucket of a sort or hash table built one bucket at a time
 _SORT_ROWS = 8192
 
 
@@ -357,11 +357,10 @@ class KnowledgeGraph:
         Each entity id (heads and tails share one table) and relation id is
         replaced by its text's rank, so rank triples compare as text triples
         do, and a row's triple packs into one int. Rows are dealt into
-        buckets of consecutive head ranks, about ``_SORT_ROWS`` rows each;
-        within a bucket each row packs its triple then its position into
-        one int, and the plain ints are sorted. Only one bucket's ints exist
-        at a time: one sort of every row's ints holds about 40 B a row at
-        once, at the final write, where a run's peak is set."""
+        buckets of consecutive head ranks, about ``_SORT_ROWS`` rows each,
+        and each bucket's rows are sorted as plain ints that pack the triple
+        then the position: one sort of every row's ints would hold about
+        40 B a row at once, at the final write, where a run's peak is set."""
         if self._text_order is None:
             n = len(self)
             entity, n_entity = _ranks(self.vocab.entities)
@@ -376,11 +375,9 @@ class KnowledgeGraph:
             sizes = Counter(heads)
             before = accumulate(map(sizes.get, range(n_entity), repeat(0)), initial=0)
             bucket_of = list(map(floordiv, before, repeat(_SORT_ROWS)))
-            buckets = [array("i") for _ in range(n // _SORT_ROWS + 1)]
-            for p, b in enumerate(map(bucket_of.__getitem__, heads)):
-                buckets[b].append(p)
             order = array("i")
-            for rows in buckets:
+            # a bucket number is below the bucket count: it is its own residue
+            for rows in deal(range(n), map(bucket_of.__getitem__, heads)):
                 packed = map(mul, map(getitem, repeat(triples), rows), repeat(n))
                 order.extend(map(mod, sorted(map(add, packed, rows)), repeat(n)))
             self._text_order = order
@@ -430,6 +427,26 @@ def _first_appearance(heads: array, tails: array) -> dict[int, None]:
     both = array("i", [0]) * (2 * len(heads))
     both[::2], both[1::2] = heads, tails
     return dict.fromkeys(both)
+
+
+def pair_keys(heads: Sequence[int], tails: Sequence[int], n: int) -> Iterator[int]:
+    """Each unordered pair of ids below ``n`` as ``|h - t| * 2n + h + t``,
+    below ``2n²``: the sum, which varies most, is the part residues read."""
+    return map(add, map(mul, map(abs, map(sub, heads, tails)), repeat(2 * n)), map(add, heads, tails))
+
+
+def deal(items: Sequence[int], keys: Iterable[int], groups: int = 1) -> list[array]:
+    """``items`` dealt into an odd number ``n`` of buckets, one per
+    ``_SORT_ROWS`` items plus one for each of ``groups``: item ``i`` goes to
+    bucket ``keys[i] % n``, each bucket in the items' order, so equal keys
+    share a bucket and the first of them comes first in it. Keys all even,
+    say, still spread; with one bucket the keys are not read."""
+    n = (len(items) // _SORT_ROWS + groups) | 1
+    if n == 1:
+        return [array("i", items)]
+    buckets = [array("i") for _ in range(n)]
+    deque(map(array.append, map(buckets.__getitem__, map(mod, keys, repeat(n))), items), maxlen=0)
+    return buckets
 
 
 def marks(codes: bytes, *values: int) -> bytes:

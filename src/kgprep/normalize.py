@@ -13,11 +13,11 @@ import logging
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, and_, getitem, gt, mul, ne, sub
+from operator import add, and_, getitem, gt, mul, ne
 
 from .errors import InputError, StageError
 from .ingest import load_xref, parse_entity
-from .model import EntityRef, KnowledgeGraph, marks
+from .model import EntityRef, KnowledgeGraph, deal, marks, pair_keys
 
 log = logging.getLogger(__name__)
 
@@ -194,16 +194,15 @@ def _duplicates(g: KnowledgeGraph, same_type_only: bool) -> bytearray:
     """Per row, 1 for an exact duplicate of an earlier row (a self-loop
     always is one), 2 for a reversed one, else 0.
 
-    A row's key is its relation's label and its endpoint pair, unordered
+    A row's key packs its relation's label and its endpoint pair, unordered
     (ordered, with ``same_type_only``, when the endpoints' types differ, for
-    sensitivity analysis). Keys of different labels never meet, so the rows
-    are taken one label at a time, each label's keys in a table of its own.
+    sensitivity analysis). The rows are dealt by key into buckets, one per
+    label and one per ``model._SORT_ROWS`` rows, each with a table of its
+    own; a bucket keeps row order, so a key's first row in it is its first.
     """
     heads, tails = g.heads, g.tails
     n_entity = len(g.vocab.entities)
-    # {h, t} as one int: h + t and |h - t| tell the pair apart
-    pairs = map(mul, map(add, heads, tails), repeat(n_entity))
-    pairs = map(add, pairs, map(abs, map(sub, heads, tails)))
+    pairs = pair_keys(heads, tails, n_entity)
     if same_type_only:
         # a pair of different types keeps its orientation: keys above every
         # unordered pair's for rows whose head has the higher id
@@ -211,17 +210,15 @@ def _duplicates(g: KnowledgeGraph, same_type_only: bool) -> bytearray:
         at = types.__getitem__
         flipped = map(and_, map(gt, heads, tails), map(ne, map(at, heads), map(at, tails)))
         pairs = map(add, pairs, map(mul, flipped, repeat(2 * n_entity * n_entity)))
-    pairs = array("q", pairs)
+    # each relation's label as an offset above every pair of another label
     labels: dict[str, int] = {}
-    label_of = [labels.setdefault(r.label, len(labels)) for r in g.vocab.relations]
-    groups = [array("i") for _ in labels]
-    for p, r in enumerate(g.relations):
-        groups[label_of[r]].append(p)
+    offset = [labels.setdefault(r.label, 4 * n_entity * n_entity * len(labels))
+              for r in g.vocab.relations]
+    keys = array("q", map(add, pairs, map(offset.__getitem__, g.relations)))
     duplicate = bytearray(len(g))
-    for rows in groups:
+    for rows in deal(range(len(g)), keys, len(labels)):
         first: dict[int, int] = {}
-        firsts = array("i", map(first.setdefault, map(getitem, repeat(pairs), rows), rows))
-        later = bytes(map(ne, firsts, rows))
-        for p, f in zip(compress(rows, later), compress(firsts, later)):
-            duplicate[p] = 1 if heads[p] == heads[f] else 2
+        later = bytes(map(ne, map(first.setdefault, map(getitem, repeat(keys), rows), rows), rows))
+        for p in compress(rows, later):
+            duplicate[p] = 1 if heads[p] == heads[first[keys[p]]] else 2
     return duplicate

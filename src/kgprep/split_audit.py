@@ -36,14 +36,14 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from operator import add, mod, mul
+from operator import add, getitem, gt, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
 from .ingest import open_output, render_chunks, write_json
-from .model import KnowledgeGraph, marks
+from .model import KnowledgeGraph, deal, marks, pair_keys
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
@@ -108,82 +108,86 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
     return TaskSplits(task_name, g, target, seeds, orders, n - n_valid - n // 5, n_valid)
 
 
-# target rows per residue class when a task's endpoint pairs are counted
-_CLASS_ROWS = 1 << 16
-
-
-def leak_keys(split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable) -> tuple:
-    """``(candidates, raw, relation, entity)``. A match under any detector
-    joins two rows with the same unordered pair of canonical endpoints (texts
-    mapped through ``entities``), so only target rows whose pair recurs among
-    the task's can leak or be leaked: these are the candidates, as indices
-    into ``target``. Each detector's (keys, inverse keys) of them pack
-    ``(head, (origin, label), tail)``, ``(head, canonical label, tail)`` or
-    the latter on canonical endpoints into ints; an inverse key swaps head
-    and tail. Build them once per task: every seed reuses them."""
+def leak_keys(split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable) -> list:
+    """One ``(candidates, raw, relation, entity)`` per class. A match under
+    any detector joins two rows with the same unordered pair of canonical
+    endpoints (texts mapped through ``entities``), so only target rows whose
+    pair recurs among the task's can leak or be leaked. Target rows are
+    dealt into classes by pair (``model.deal``); a class's candidates are
+    its rows whose pair recurs, as indices into ``target``. Each detector's
+    (keys, inverse keys) of them pack ``(head, (origin, label), tail)``,
+    ``(head, canonical label, tail)`` or the latter on canonical endpoints
+    into ints; an inverse key swaps head and tail. Build them once per task:
+    every seed reuses them."""
     g, target, vocab = split.graph, split.target, split.graph.vocab
     n_entity = len(vocab.entities)
     # each entity's canonical id: the first entity's with its canonical text
     ids: dict[str, int] = {}
     canonical = (entities.get(e.text, e.text) for e in vocab.entities)
     canon = list(map(ids.setdefault, canonical, count()))
-
-    def pairs(first: Iterable[int], last: Iterable[int]) -> array:
-        return array("q", map(add, map(mul, first, repeat(n_entity)), last))
-
-    ends = [array("i", map(canon.__getitem__, map(column.__getitem__, target)))
-            for column in (g.heads, g.tails)]
-    unordered = pairs(map(min, *ends), map(max, *ends))
-    classes = [array("q") for _ in range(len(target) // _CLASS_ROWS + 1)]
-    class_of = map(classes.__getitem__, map(mod, unordered, repeat(len(classes))))
-    deque(map(array.append, class_of, unordered), maxlen=0)
-    recurring = {p for members in classes for p, n in Counter(members).items() if n > 1}
-    candidates = array("i", compress(range(len(target)), map(recurring.__contains__, unordered)))
-    heads, rels, tails = (array("i", map(column.__getitem__, map(target.__getitem__, candidates)))
-                          for column in (g.heads, g.relations, g.tails))
+    ends = (array("i", map(canon.__getitem__, map(getitem, repeat(column), target)))
+            for column in (g.heads, g.tails))
+    unordered = array("q", pair_keys(*ends, n_entity))
     # a relation's raw and canonical labels as ids: the first relation's with each
     raws, canons = {}, {}
     raw = list(map(raws.setdefault, ((r.origin, r.label) for r in vocab.relations), count()))
     label = list(map(canons.setdefault, map(relations.canon_label, vocab.relations), count()))
 
+    def pairs(first: Iterable[int], last: Iterable[int]) -> Iterable[int]:
+        return map(add, map(mul, first, repeat(n_entity)), last)
+
     # a key is (label id * n_entity + head) * n_entity + tail
     def packed(labels: list, heads: Sequence[int], tails: Sequence[int]) -> tuple[array, array]:
-        of_rows = list(map(labels.__getitem__, rels))
-        return pairs(pairs(of_rows, heads), tails), pairs(pairs(of_rows, tails), heads)
+        of_rows = array("i", map(labels.__getitem__, rels))
+        return (array("q", pairs(pairs(of_rows, heads), tails)),
+                array("q", pairs(pairs(of_rows, tails), heads)))
 
-    relation_keys = packed(label, heads, tails)
-    ends = [array("i", map(canon.__getitem__, column)) for column in (heads, tails)]
-    # no candidate endpoint shares its canonical text: entity keys are relation keys
-    entity_keys = relation_keys if ends == [heads, tails] else packed(label, *ends)
-    return candidates, packed(raw, heads, tails), relation_keys, entity_keys
+    classes = []
+    for rows in deal(range(len(target)), unordered):
+        seen = Counter(map(getitem, repeat(unordered), rows))
+        recurs = map(gt, map(seen.__getitem__, map(getitem, repeat(unordered), rows)), repeat(1))
+        candidates = array("i", compress(rows, recurs))
+        positions = array("i", map(getitem, repeat(target), candidates))
+        heads, rels, tails = (array("i", map(getitem, repeat(column), positions))
+                              for column in (g.heads, g.relations, g.tails))
+        relation_keys = packed(label, heads, tails)
+        ends = [array("i", map(canon.__getitem__, column)) for column in (heads, tails)]
+        # no candidate endpoint shares its canonical text: entity keys are relation keys
+        entity_keys = relation_keys if ends == [heads, tails] else packed(label, *ends)
+        classes.append((candidates, packed(raw, heads, tails), relation_keys, entity_keys))
+    return classes
 
 
 def detect_leakage(
-    keys: tuple, parts: tuple[Sequence[int], ...], include_inverse: bool = True
+    keys: list, parts: tuple[Sequence[int], ...], include_inverse: bool = True
 ) -> dict[tuple[str, str], tuple[int, int]]:
     """``(detector, split pair) -> (leaked, total)`` for train/valid and
     train/test under every detector and their union, from a task's
     ``leak_keys`` and one seed's ``TaskSplits.parts``. Only candidates can
-    leak: the seed marks each target row's part in a byte and probes each
-    detector's train candidates' keys with its evaluation candidates'."""
-    candidates, *detectors = keys
+    leak: the seed marks each target row's part in a byte and, one class at
+    a time, probes each detector's train candidates' keys with its
+    evaluation candidates'."""
     codes = bytearray(b"\x01") * sum(map(len, parts))  # 1 train, 2 valid, 3 test
     for code, part in enumerate(parts[1:], start=2):
         deque(map(codes.__setitem__, part, repeat(code)), maxlen=0)
-    codes = bytes(map(codes.__getitem__, candidates))
-    evals = [array("i", compress(range(len(codes)), marks(codes, code))) for code in (2, 3)]
+    names, leaked = ("train_valid", "train_test"), Counter()
+    for candidates, *detectors in keys:
+        in_class = bytes(map(codes.__getitem__, candidates))
+        evals = [array("i", compress(range(len(in_class)), marks(in_class, code))) for code in (2, 3)]
 
-    def leaks(keys: array, inverse: array) -> list[set[int]]:
-        in_train = set(compress(keys, marks(codes, 1))).__contains__
-        sides = (keys, inverse)[: 1 + include_inverse]
-        return [set().union(*(compress(rows, map(in_train, map(side.__getitem__, rows)))
-                              for side in sides)) for rows in evals]
+        def leaks(keys: array, inverse: array) -> list[set[int]]:
+            in_train = set(compress(keys, marks(in_class, 1))).__contains__
+            sides = (keys, inverse)[: 1 + include_inverse]
+            return [set().union(*(compress(rows, map(in_train, map(side.__getitem__, rows)))
+                                  for side in sides)) for rows in evals]
 
-    dup, rel = leaks(*detectors[0]), leaks(*detectors[1])
-    ent = rel if detectors[2] is detectors[1] else leaks(*detectors[2])
-    return {(detector, name): (n, len(part))
-            for name, part, *hits in zip(("train_valid", "train_test"), parts[1:], dup, rel, ent)
-            for detector, n in zip(DETECTORS, [*map(len, hits), len(set().union(*hits))])}
+        dup, rel = leaks(*detectors[0]), leaks(*detectors[1])
+        ent = rel if detectors[2] is detectors[1] else leaks(*detectors[2])
+        for name, *hits in zip(names, dup, rel, ent):
+            counts = [*map(len, hits), len(set().union(*hits))]
+            leaked.update(dict(zip(zip(DETECTORS, repeat(name)), counts)))
+    return {(detector, name): (leaked[detector, name], len(part))
+            for name, part in zip(names, parts[1:]) for detector in DETECTORS}
 
 
 def audit_report(

@@ -7,7 +7,7 @@ from kgprep.chem.fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, 
 from kgprep.chem.smiles import parse_smiles
 from kgprep.clean import HarmonizationTable
 from kgprep.ingest import parse_entity, parse_relation
-from kgprep.model import KnowledgeGraph, Triplet
+from kgprep.model import _SORT_ROWS, KnowledgeGraph, Triplet
 from kgprep.pipeline import account
 from kgprep.split_audit import TaskSplits, detect_leakage, leak_keys
 
@@ -15,6 +15,11 @@ from kgprep.split_audit import TaskSplits, detect_leakage, leak_keys
 # a slow runner can miss on drug-sized molecules, and examples that do not
 # change from run to run.
 settings.register_profile("ci", deadline=None, derandomize=True)
+
+# The most one bucket's hash table may take: a bucket's rows at 256 B each,
+# room for a slot, an int key and an int value. A table of every row takes
+# more once the rows number a few buckets' worth.
+BUCKET_TABLE_BYTES = _SORT_ROWS * 256
 
 # Shared molecule fixtures: diverse coverage of the supported SMILES subset.
 # The first ten are the oracle-equivalence set.

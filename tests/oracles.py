@@ -266,6 +266,33 @@ def resolve_by_substitution(mapping: dict, max_rounds: int = 10_000) -> dict:
     raise ValueError("no fixed point: mapping contains a cycle")
 
 
+# --- dedup: first occurrence by scanning every kept row ----------------------
+
+
+def dedup_by_scan(rows: list[tuple[str, str, str]], same_type_only: bool = False):
+    """``(kept rows, exact, reversed)`` for rows given as (head, relation,
+    tail) texts: each row is compared with every row kept before it, and is
+    dropped at the first kept row with its relation label and its endpoints,
+    in the same order (exact) or swapped (reversed). With
+    ``same_type_only`` a swapped match counts only when the row's two
+    endpoints have one type."""
+    kept, exact, reversed_ = [], 0, 0
+    for h, r, t in rows:
+        label = _relation_fields(r)[1]
+        for h2, r2, t2 in kept:
+            if _relation_fields(r2)[1] != label:
+                continue
+            if (h2, t2) == (h, t):
+                exact += 1
+                break
+            if (h2, t2) == (t, h) and (not same_type_only or h.split("::")[0] == t.split("::")[0]):
+                reversed_ += 1
+                break
+        else:
+            kept.append((h, r, t))
+    return kept, exact, reversed_
+
+
 # --- splits: the per-seed recipe --------------------------------------------
 
 
@@ -449,9 +476,10 @@ def leakage_records_from_splits(
 
 # --- a run's audit inputs, read from its config file -------------------------
 #
-# Written from the README's config reference, not from the package: relative
-# paths are the config file's, an xref file maps its first column to its
-# second (the last row of a key wins, and a compound pair points at the better
+# Written from the README's config reference and entity id grammar, not from
+# the package: relative paths are the config file's, an xref file maps its
+# first column to its second, both rendered as the split files write them
+# (the last row of a key wins, and a compound pair points at the better
 # source), chains resolve to their end, and the packaged harmonization table
 # applies when the config names none.
 
@@ -466,6 +494,55 @@ def _table_rows(path, header: list[str]) -> list[list[str]]:
         rows = [line.rstrip("\n").split("\t") for line in fh
                 if line.strip() and not line.startswith("#")]
     return rows[1:] if rows and rows[0] == header else rows
+
+
+# the README's entity id grammar: category spellings with spaces, and the
+# source an id that names none gets
+TYPE_SPELLINGS = {
+    "Biological Process": "BiologicalProcess",
+    "Cellular Component": "CellularComponent",
+    "Molecular Function": "MolecularFunction",
+    "Side Effect": "SideEffect",
+    "Pharmacologic Class": "PharmacologicClass",
+}
+ONE_SOURCE = {
+    "Anatomy": "UBERON", "Atc": "drugbank", "BiologicalProcess": "GO", "CellularComponent": "GO",
+    "Gene": "NCBI", "MolecularFunction": "GO", "Pathway": "Reactome",
+    "PharmacologicClass": "ndfrt", "SideEffect": "umls", "Symptom": "MESH", "Tax": "NCBI",
+}
+COMPOUND_PREFIXES = (("CHEMBL", "CHEMBL"), ("CHEBI", "CHEBI"), ("ZINC", "zinc"), ("MOLPORT", "molport"))
+
+
+def _inferred_source(category: str, local: str) -> str:
+    if category == "Compound":
+        if local.startswith("DB") and local[2:3].isdecimal():
+            return "drugbank"
+        if local.isdecimal():
+            return "PubChem_Compounds"
+        for prefix, source in COMPOUND_PREFIXES:
+            if local.upper().startswith(prefix):
+                return source
+        return "unknown"
+    if category == "Disease":
+        if local.upper().startswith("DOID"):
+            return "DOID"
+        if local.isdecimal():
+            return "OMIM"
+        if local[:1] in ("C", "D") and local[1:].isdecimal():
+            return "MESH"
+        return "unknown"
+    return ONE_SOURCE.get(category, "unknown")
+
+
+def rendered_id(text: str) -> str:
+    """An entity id as the outputs write it: ``type::source:local_id``, the
+    category spaceless and, where the id names no source, the inferred one."""
+    category, _, rest = text.partition("::")
+    category = TYPE_SPELLINGS.get(category.strip(), category.strip())
+    source, sep, local = rest.partition(":")
+    if not sep:
+        source, local = _inferred_source(category, rest), rest
+    return f"{category}::{source}:{local}"
 
 
 def _source_rank(text: str) -> int:
@@ -490,6 +567,7 @@ def audit_inputs(config_path) -> dict:
         mapping = {}
         rows = dict(_table_rows(base / cfg[f"inputs.{kind}_xref"], ["from_id", "to_id"]))
         for old, new in rows.items():
+            old, new = rendered_id(old), rendered_id(new)
             if kind == "compound" and _source_rank(new) > _source_rank(old):
                 old, new = new, old
             if old != new:
@@ -498,7 +576,8 @@ def audit_inputs(config_path) -> dict:
     table = base / cfg["inputs.harmonization"] if "inputs.harmonization" in cfg else (
         PACKAGED_HARMONIZATION)
     header = ["origin", "label", "head_type", "tail_type", "canonical_label"]
-    relation_map = {tuple(row[:4]): row[4] for row in _table_rows(table, header)}
+    relation_map = {(origin, label, *(TYPE_SPELLINGS.get(t, t) for t in types)): canonical
+                    for origin, label, *types, canonical in _table_rows(table, header)}
     return {
         "tasks": cfg.get("split.tasks", "ppi,drug_repurposing,side_effect").split(","),
         "seeds": [int(s) for s in cfg.get("split.seeds", "0,1,2,3,4").split(",")],

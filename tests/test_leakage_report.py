@@ -10,8 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgprep import model
 from kgprep.cli import main
 from kgprep.config import STAGE_NAMES
+from kgprep.errors import ParseError
+from kgprep.ingest import parse_entity
+from kgprep.model import ENTITY_TYPE_ALIASES
 from kgprep.split_audit import _pstdev
 
 from oracles import (
@@ -20,6 +24,7 @@ from oracles import (
     leaked_count_bruteforce,
     leaked_count_hashed,
     leakage_records_from_splits,
+    rendered_id,
 )
 
 TASKS = ("ppi", "drug_repurposing", "side_effect")
@@ -133,6 +138,65 @@ def test_recount_from_the_config_matches_the_report(run_out, capsys):
     assert (inputs["tasks"], inputs["seeds"]) == (list(TASKS), list(SEEDS))
     assert _check_leakage(config, run_out) == 0
     assert capsys.readouterr().out == f"all {len(TASKS) * 8} leakage records match\n"
+
+
+@pytest.mark.parametrize("include_inverse", [True, False])
+def test_report_of_classes_of_two_rows_equals_pairwise_recount(run_out, include_inverse):
+    """The run's audit with buckets of two rows: its endpoint pairs collide,
+    so pairs are counted and probed across many classes."""
+    config = run_out.parent / f"inverse_{include_inverse}.cfg"
+    config.write_text((run_out.parent / "pipeline.cfg").read_text(encoding="utf-8")
+                      + f"audit.include_inverse = {str(include_inverse).lower()}\n",
+                      encoding="utf-8")
+    out = run_out.parent / f"tiny_buckets_{include_inverse}"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", 2)
+        assert main(["--quiet", "--config", str(config), "--out", str(out), "run"]) == 0
+    report = json.loads((out / "leakage_report.json").read_text(encoding="utf-8"))
+    relation_map = {tuple(row[:4]): row[4] for row in HARMONIZATION}
+    expected = leakage_records_from_splits(
+        out / "splits", TASKS, SEEDS, GENE_XREF, relation_map, include_inverse
+    )
+    assert [(r["leaked"], r["total"]) for r in report] == [
+        (r["leaked"], r["total"]) for r in expected]
+    assert any(sum(r["leaked"]) for r in report)
+
+
+# ids on each side of the README's source-inference rules
+_LOCAL_IDS = ("DB00002", "DB", "DBX", "db00002", "2026", "\u0663\u0664", "CHEMBL25", "chembl25",
+              "ChEBI:15377", "ZINC0001", "MolPort-001", "DOID:9352", "doid9352", "D012345",
+              "C0018681", "c0018681", "D", "X9", "C1:2")
+
+
+@given(category=st.sampled_from(sorted(ENTITY_TYPE_ALIASES)), pad=st.sampled_from(["", " "]),
+       source=st.sampled_from(["", "NCBI:", "drugbank:", "MESH:"]),
+       local=st.sampled_from(_LOCAL_IDS) | st.text("CDBHEMLZINOP0123456789:-", min_size=1, max_size=6))
+def test_oracle_renders_ids_as_the_package_writes_them(category, pad, source, local):
+    text = f"{pad}{category}{pad}::{source}{local}"
+    try:
+        written = parse_entity(text).text
+    except ParseError:
+        return
+    assert rendered_id(text) == written
+
+
+def test_recount_inputs_key_ids_as_the_split_files_write_them(tmp_path):
+    (tmp_path / "compound_xref.tsv").write_text("Compound::DB00002\tCompound::2026\n",
+                                               encoding="utf-8")
+    (tmp_path / "sideeffect_xref.tsv").write_text("Side Effect::C0001\tSideEffect::C0002\n",
+                                                 encoding="utf-8")
+    (tmp_path / "harmonization.tsv").write_text(
+        "SIDER\tcauses\tCompound\tSide Effect\tSIDE_EFFECT_OF\n", encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(
+        "inputs.triplets = graph.tsv\ninputs.compound_xref = compound_xref.tsv\n"
+        "inputs.sideeffect_xref = sideeffect_xref.tsv\ninputs.harmonization = harmonization.tsv\n",
+        encoding="utf-8")
+    inputs = audit_inputs(tmp_path / "run.cfg")
+    assert inputs["entity_map"] == {
+        "Compound::drugbank:DB00002": "Compound::PubChem_Compounds:2026",
+        "SideEffect::umls:C0001": "SideEffect::umls:C0002",
+    }
+    assert inputs["relation_map"] == {("SIDER", "causes", "Compound", "SideEffect"): "SIDE_EFFECT_OF"}
 
 
 def test_audit_counters_are_the_report_sums(run_out):

@@ -1,7 +1,7 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from itertools import compress, product
+from itertools import combinations, compress, islice, product
 
 import pytest
 from hypothesis import given
@@ -14,7 +14,7 @@ from kgprep.clean import drop_entity_types
 from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
 from kgprep.normalize import deduplicate
 
-from conftest import E, R, T, graph_of, run_stage
+from conftest import BUCKET_TABLE_BYTES, E, R, T, graph_of, run_stage
 from oracles import endpoints, is_clean, render
 
 
@@ -179,6 +179,28 @@ def test_dedup_needs_little_memory_beyond_its_output(planted_20k):
     # measured: 95 B/row keyed on text tuples in one table, 37 B/row keyed
     # on packed id pairs in one table per label
     assert (peak - base) / len(g) <= 45
+
+
+# per row, dedup's arrays: 8 B of packed keys, 4 of positions dealt into
+# buckets, a flag byte, the mark kept or dropped, and their growth slack
+DEDUP_ARRAY_BYTES = 20
+
+
+def test_dedup_tables_hold_one_bucket_of_a_one_label_graph():
+    # every pair is new, so one table of the label's keys holds every row:
+    # measured 151 B/row that way, 21 B/row with a table per bucket
+    genes = [f"Gene::NCBI:{i}" for i in range(450)]
+    n = 100_000
+    g = graph_of(*((h, "GNBR::B::Gene:Gene", t) for h, t in islice(combinations(genes, 2), n)))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out, details = deduplicate(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n and details == {"exact_duplicates": 0, "reversed_duplicates": 0}
+    assert peak - base <= DEDUP_ARRAY_BYTES * n + BUCKET_TABLE_BYTES
 
 
 # rows drawn from the pools above, with their file lines

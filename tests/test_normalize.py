@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgprep import model
 from kgprep.errors import InputError
 from kgprep.ingest import parse_entity
 from kgprep.model import KnowledgeGraph
@@ -14,7 +15,7 @@ from kgprep.normalize import (
 )
 
 from conftest import E, T, graph_of, run_stage
-from oracles import render, resolve_by_substitution
+from oracles import dedup_by_scan, render, resolve_by_substitution
 
 
 def _compound_table(pairs):
@@ -236,3 +237,33 @@ def test_dedup_idempotent_and_keyset_unique(data):
         for t in once
     ]
     assert len(keys) == len(set(keys))
+
+
+# few ids and labels, so keys collide: exact and reversed repeats, self
+# loops, one label under two origins, and pairs of two types
+_DEDUP_ENDS = ("Gene::NCBI:1", "Gene::NCBI:2", "Gene::NCBI:3", "Compound::PubChem_Compounds:1")
+_DEDUP_RELATIONS = ("GNBR::B::Gene:Gene", "STRING::B::Gene:Gene", "GNBR::Q::Gene:Gene",
+                    "GNBR::T::Compound:Gene", "DGIdb::T::Gene:Compound")
+
+
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(_DEDUP_RELATIONS), st.integers(0, 2), st.integers(0, 2)),
+                  max_size=40),
+    same_type_only=st.booleans(),
+    bucket_rows=st.sampled_from([2, 3, model._SORT_ROWS]),
+)
+def test_dedup_equals_first_occurrence_by_scan(rows, same_type_only, bucket_rows):
+    """Rows dealt into buckets of a few rows each, by key, give the counts
+    and survivors of scanning every kept row."""
+    texts = []
+    for relation, h, t in rows:
+        head_type, tail_type = relation.rsplit("::", 1)[1].split(":")
+        pick = {"Gene": _DEDUP_ENDS[:3], "Compound": _DEDUP_ENDS[3:]}
+        texts.append((pick[head_type][h % len(pick[head_type])], relation,
+                      pick[tail_type][t % len(pick[tail_type])]))
+    kept, exact, reversed_ = dedup_by_scan(texts, same_type_only)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", bucket_rows)
+        out, details = deduplicate(graph_of(*texts), same_type_only)
+    assert [render(t) for t in out] == kept
+    assert details == {"exact_duplicates": exact, "reversed_duplicates": reversed_}

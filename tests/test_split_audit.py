@@ -2,12 +2,13 @@ import errno
 import os
 import random
 import tracemalloc
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgprep import ingest, split_audit
+from kgprep import ingest, model, split_audit
 from kgprep.clean import HarmonizationTable
 from kgprep.errors import StageError
 from kgprep.model import KnowledgeGraph
@@ -21,7 +22,7 @@ from kgprep.split_audit import (
     write_bundle,
 )
 
-from conftest import T, graph_of, leakage_of, splits_of
+from conftest import BUCKET_TABLE_BYTES, T, graph_of, leakage_of, splits_of
 from oracles import (
     leaked_count_bruteforce,
     leaked_count_hashed,
@@ -260,6 +261,10 @@ def test_detectors_equal_exhaustive_oracle_on_mixed_signatures(task, seed, inclu
     table = HarmonizationTable.from_rows(list(MIXED_HARMONIZATION))
     relation_map = {tuple(row[:4]): row[4] for row in MIXED_HARMONIZATION}
     report = leakage_of(split, 0, MIXED_ENTITIES, table, include_inverse)
+    # classes of a few rows each: pairs counted and probed bucket by bucket
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", 2)
+        assert leakage_of(split, 0, MIXED_ENTITIES, table, include_inverse) == report
     train = to_oracle_form(split_train(split, 0))
     for pair, part in (("train_valid", split_valid(split, 0)), ("train_test", split_test(split, 0))):
         evaluated = to_oracle_form(part)
@@ -298,6 +303,42 @@ def test_seed_audit_memory_scales_with_candidates_not_targets():
             tracemalloc.stop()
     assert report[("any", "train_test")] == (0, n // 5)
     assert (peak - base) / n <= AUDIT_BYTES_PER_TARGET_ROW
+
+
+# per target row, the arrays leak_keys builds and drops: the canonical ends
+# and the packed pairs made from them
+LEAK_KEYS_ARRAY_BYTES = 16
+
+
+def test_audit_tables_hold_one_class_when_every_pair_recurs():
+    # each pair once in each orientation, so every target row is a
+    # candidate and most evaluation rows leak: measured, with one count of
+    # every pair and one set of every train key, 105 B/row in leak_keys
+    # beyond what it returns and 99 B/row in a seed's audit; 21 and 17 B/row
+    # with tables of one class each
+    genes = [f"Gene::NCBI:{i}" for i in range(250)]
+    n = 60_000
+    rows = []
+    for h, t in islice(combinations(genes, 2), n // 2):
+        rows += [(h, "GNBR::B::Gene:Gene", t), (t, "GNBR::B::Gene:Gene", h)]
+    split = make_splits(graph_of(*rows), "ppi", [0])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        keys = leak_keys(split, {}, HarmonizationTable.from_rows([]))
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report = detect_leakage(keys, split.parts(0))
+        seed_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sum(len(candidates) for candidates, *_ in keys) == n
+    assert 0 < report[("any", "train_test")][0] < n // 5
+    assert peak - held <= LEAK_KEYS_ARRAY_BYTES * n + BUCKET_TABLE_BYTES
+    assert seed_peak - held <= AUDIT_BYTES_PER_TARGET_ROW * n + BUCKET_TABLE_BYTES
 
 
 def test_audit_report_aggregation():
