@@ -97,6 +97,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_stage(args) -> int:
     config = _load_effective_config(args)
+    if args.name != "splits":  # a checkpoint keeps graph order, which dedup reads
+        config.preserve_order = True
     runner = PipelineRunner(config, stage=args.name)
     g = _load_graph(args.graph)
     try:

@@ -378,7 +378,7 @@ def write_json(path: str | Path, data) -> None:
 
 # rows rendered per chunk; a chunk's lines are held at once while they are
 # written, at the final write, where a run's peak RSS is set
-_WRITE_CHUNK = 4096
+_WRITE_CHUNK = 1024
 
 
 def render_chunks(g: KnowledgeGraph, order: Sequence[int]) -> Iterator[list[bytes]]:

@@ -15,8 +15,8 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, repeat
-from operator import add, attrgetter, floordiv, getitem, methodcaller, mod, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import add, attrgetter, floordiv, getitem, methodcaller, mod, mul, ne, sub
 from typing import Iterable, Iterator, KeysView, Sequence
 
 from .errors import StageError
@@ -357,29 +357,35 @@ class KnowledgeGraph:
         Each entity id (heads and tails share one table) and relation id is
         replaced by its text's rank, so rank triples compare as text triples
         do, and a row's triple packs into one int. Rows are dealt into
-        buckets of consecutive head ranks, about ``_SORT_ROWS`` rows each,
-        and each bucket's rows are sorted as plain ints that pack the triple
-        then the position: one sort of every row's ints would hold about
-        40 B a row at once, at the final write, where a run's peak is set."""
+        buckets of consecutive head ranks, about ``_SORT_ROWS`` rows each;
+        each bucket's rows are packed, triple then position, into plain
+        ints, sorted, and copied into their place in the order. Nothing but
+        the buckets and the order holds every row: this runs at the final
+        write, where a run's peak is set."""
         if self._text_order is None:
             n = len(self)
             entity, n_entity = _ranks(self.vocab.entities)
             relation, n_relation = _ranks(self.vocab.relations)
-            rank = entity.__getitem__
-            heads = array("i", map(rank, self.heads))
-            triples = map(mul, heads, repeat(n_relation))
-            triples = map(add, triples, map(relation.__getitem__, self.relations))
-            triples = map(add, map(mul, triples, repeat(n_entity)), map(rank, self.tails))
-            triples = array("q", triples)
-            # rows before each head rank, hence the bucket of each head rank
-            sizes = Counter(heads)
+            # rows before each head rank, hence the bucket of each head id
+            sizes = Counter(map(entity.__getitem__, self.heads))
             before = accumulate(map(sizes.get, range(n_entity), repeat(0)), initial=0)
             bucket_of = list(map(floordiv, before, repeat(_SORT_ROWS)))
-            order = array("i")
+            bucket_of = list(map(bucket_of.__getitem__, entity))
+            del sizes, before  # a count per head rank: freed before the buckets are dealt
+            # a row packs into ((head * n_relation + relation) * n_entity + tail) * n
+            # + position: scale each id's rank once, not each row's
+            entity = list(map(mul, entity, repeat(n)))
+            relation = list(map(mul, relation, repeat(n_entity * n)))
+            order, at = array("i", [0]) * n, 0
             # a bucket number is below the bucket count: it is its own residue
-            for rows in deal(range(n), map(bucket_of.__getitem__, heads)):
-                packed = map(mul, map(getitem, repeat(triples), rows), repeat(n))
-                order.extend(map(mod, sorted(map(add, packed, rows)), repeat(n)))
+            for rows in deal(range(n), map(bucket_of.__getitem__, self.heads)):
+                heads = map(entity.__getitem__, map(getitem, repeat(self.heads), rows))
+                heads = map(mul, heads, repeat(n_relation * n_entity))
+                relations = map(relation.__getitem__, map(getitem, repeat(self.relations), rows))
+                tails = map(entity.__getitem__, map(getitem, repeat(self.tails), rows))
+                packed = map(add, map(add, map(add, heads, relations), tails), rows)
+                order[at : at + len(rows)] = array("i", map(mod, sorted(packed), repeat(n)))
+                at += len(rows)
             self._text_order = order
         return self._text_order
 
@@ -415,18 +421,24 @@ class NodeView(Set):
 
 def _ranks(refs: list) -> tuple[list[int], int]:
     """Each ref's rank among the distinct texts in sorted order, by id, and
-    the number of distinct texts."""
+    the number of distinct texts: the ids are sorted by text, and a rank
+    grows where the text changes."""
     texts = list(map(_TEXT, refs))
-    rank = dict(zip(sorted(set(texts)), count()))
-    return list(map(rank.__getitem__, texts)), len(rank)
+    ids = sorted(range(len(texts)), key=texts.__getitem__)
+    texts, rank = list(map(texts.__getitem__, ids)), [0] * len(ids)
+    deque(map(rank.__setitem__, ids, accumulate(map(ne, texts[1:], texts), initial=0)), maxlen=0)
+    return rank, len(ids) and rank[ids[-1]] + 1
 
 
 def _first_appearance(heads: array, tails: array) -> dict[int, None]:
     """The ids of these rows' endpoints, head before tail, in order of first
-    appearance."""
-    both = array("i", [0]) * (2 * len(heads))
-    both[::2], both[1::2] = heads, tails
-    return dict.fromkeys(both)
+    appearance, gathered ``_SORT_ROWS`` rows at a time."""
+    nodes: dict[int, None] = {}
+    for at in range(0, len(heads), _SORT_ROWS):
+        both = heads[at : at + _SORT_ROWS] * 2
+        both[::2], both[1::2] = heads[at : at + _SORT_ROWS], tails[at : at + _SORT_ROWS]
+        deque(map(nodes.setdefault, both), maxlen=0)
+    return nodes
 
 
 def pair_keys(heads: Sequence[int], tails: Sequence[int], n: int) -> Iterator[int]:

@@ -5,10 +5,11 @@ A split shuffles the task's target triplets under a seed and partitions them
 70/10/20 (valid and test sizes floored, remainder to train); every non-target
 triplet stays in the context set. A task's rows are partitioned once, into
 one ``TaskSplits`` that holds every seed's permutation. The graph file and
-every split file are written from one rendering of each row: a seed marks
-each written row with its split, and each file keeps the rendered lines of
-its split's rows. The audit asks, for each evaluation triplet, whether the
-training split contains an equivalent counterpart:
+every split file are written from one rendering of each row: a byte per
+row names the task it is a target of, a byte per target row names a seed's
+split of it, and each file keeps the rendered lines of its rows. The audit
+asks, for each evaluation triplet, whether the training split contains an
+equivalent counterpart:
 
 * duplicate_inverse - same origin and label, endpoints equal or swapped;
 * relation_redundancy - endpoints equal or swapped, labels equal after
@@ -35,8 +36,8 @@ from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import add, getitem, gt, mul
+from itertools import compress, count, groupby, repeat
+from operator import add, getitem, gt, itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -243,54 +244,62 @@ def write_bundle(
 ) -> None:
     """Write ``g`` as triplet TSV to ``out_dir/graph_name``, and each seed's
     train/valid/test/context TSVs to ``out_dir/splits/<task>/seed_<n>/``,
-    from one rendering of each row in text order. A seed's codes mark each
-    written row with its split (0 context, 1 train, 2 valid, 3 test); a
-    split file gets the lines whose code is its split's. Context is every
-    seed's alike: a task's first seed's is cut with its codes, and the other
-    seeds' are hard links to it, or cut alike where linking fails. Under
-    ``preserve_order`` the graph and context keep graph order, and each seed
-    renders its target rows once more, in its shuffled order."""
+    from one rendering of each row in text order. A byte per written row
+    names the task it is a target of (1 + its index in ``splits``, or 0 for
+    none), and a byte per target row of a task, in written order, names the
+    seed's split of it (1 train, 2 valid, 3 test). A split file gets the
+    task's target lines whose byte is its split's; context gets every other
+    line. Context is every seed's alike: a task's first seed's is cut, and
+    the other seeds' are hard links to it, or cut alike where linking fails.
+    Under ``preserve_order`` the graph and context keep graph order, and each
+    seed renders its target rows once more, in its shuffled order. The
+    splits must be of ``g``, and no two may share a target row."""
     out, n = Path(out_dir), len(g)
     order = range(n) if preserve_order else g.text_order
-    place = order  # place[p]: which written row graph row p is
-    if not preserve_order:
-        place = array("i", bytes(4 * n))
-        deque(map(place.__setitem__, order, range(n)), maxlen=0)
-
-    def seed_codes(i: int, k: int) -> bytearray:
-        codes = bytearray(n)
-        for code, part in enumerate(splits[i].parts(k), start=1):
-            rows = map(place.__getitem__, map(splits[i].target.__getitem__, part))
-            deque(map(codes.__setitem__, rows, repeat(code)), maxlen=0)
-        return codes
-
-    # every file, with the (task, seed) whose codes cut it
-    files, shuffled = [(out / graph_name, None, 0)], []
+    by_row = bytearray(n)  # per graph row: its task byte, then a seed's split
     for i, split in enumerate(splits):
         if split.graph is not g:
             raise ValueError(f"task {split.task}: splits of another graph than {graph_name}")
+        deque(map(by_row.__setitem__, split.target, repeat(i + 1)), maxlen=0)
+    if n - by_row.count(0) != sum(len(split.target) for split in splits):
+        raise ValueError(f"splits of {graph_name} share target rows")
+    tasks = bytes(by_row if preserve_order else map(getitem, repeat(by_row), order))
+
+    # every file, with its task and seed (None for the graph and contexts)
+    files, shuffled = [(out / graph_name, None, None, 0)], []
+    for i, split in enumerate(splits):
         for k, seed in enumerate(split.seeds):
             seed_dir = out / "splits" / split.task / f"seed_{seed}"
             if k == 0:
-                files.append((seed_dir / "context.tsv", (i, 0), 0))
-            parts = [(seed_dir / f"{name}.tsv", (i, k), code)
+                files.append((seed_dir / "context.tsv", i, None, 0))
+            parts = [(seed_dir / f"{name}.tsv", i, k, code)
                      for code, name in enumerate(("train", "valid", "test"), start=1)]
             (shuffled if preserve_order else files).extend(parts)
 
     def cut(files: list) -> None:
         for at in range(0, len(files), _OPEN_FILES):
-            batch = files[at : at + _OPEN_FILES]
-            keys = dict.fromkeys(key for _, key, _ in batch)
-            codes = {key: seed_codes(*key) for key in keys if key}
-            _fan_out(g, order, [(path, codes.get(key), code) for path, key, code in batch])
+            batch, codes = files[at : at + _OPEN_FILES], {}
+            # a task's files are consecutive: list its target rows once a batch
+            seeds = dict.fromkeys((i, k) for _, i, k, _ in batch if k is not None)
+            for i, same_task in groupby(seeds, itemgetter(0)):
+                target = splits[i].target
+                written = array("i", compress(order, marks(tasks, i + 1)))
+                for _, k in same_task:
+                    for code, part in enumerate(splits[i].parts(k), start=1):
+                        rows = map(getitem, repeat(target), part)
+                        deque(map(by_row.__setitem__, rows, repeat(code)), maxlen=0)
+                    codes[i, k] = bytes(map(getitem, repeat(by_row), written))
+                del written  # freed before the next task's target rows are listed
+            _fan_out(g, order, tasks,
+                     [(path, i, codes.get((i, k)), code) for path, i, k, code in batch])
 
     cut(files)
-    for path, (i, k), code in shuffled:
+    for path, i, k, code in shuffled:
         rows = array("i", map(splits[i].target.__getitem__, splits[i].parts(k)[code - 1]))
-        _fan_out(g, rows, [(path, None, 0)])
+        _fan_out(g, rows, None, [(path, None, None, 0)])
     contexts = [[out / "splits" / s.task / f"seed_{seed}" / "context.tsv" for seed in s.seeds]
                 for s in splits]
-    cut([(path, (i, 0), 0) for i, (first, *others) in enumerate(contexts)
+    cut([(path, i, None, 0) for i, (first, *others) in enumerate(contexts)
          for path in others if not _linked(first, path)])
 
 
@@ -306,24 +315,37 @@ def _linked(source: Path, path: Path) -> bool:
     return True
 
 
-def _fan_out(g: KnowledgeGraph, order: Sequence[int], files: list) -> None:
+def _fan_out(g: KnowledgeGraph, order: Sequence[int], tasks: bytes | None, files: list) -> None:
     """Render the rows at ``order``'s positions once and write them to each
-    ``(path, codes, code)`` of ``files``: every row when ``codes`` is None,
-    else the rows whose code in ``codes`` (one per place in ``order``) is
-    ``code``. Files with the same codes and code get bytes joined once."""
+    ``(path, task, codes, code)`` of ``files``: every row when ``task`` is
+    None; else, when ``codes`` is None, the rows that are not the task's
+    targets (``tasks`` holds each row's task byte, as ``write_bundle``
+    makes it); else the task's target rows whose byte in ``codes`` (one per
+    target row, in order) is ``code``. Files that get the same rows get
+    bytes joined once."""
     with ExitStack() as stack:
         sinks: dict = {}
-        for path, codes, code in files:
+        for path, task, codes, code in files:
             fh = stack.enter_context(open_output(path, binary=True))
-            sinks.setdefault((id(codes), code), (codes, code, []))[2].append(fh)
-        start = 0
+            sinks.setdefault((task, id(codes), code), (task, codes, code, []))[3].append(fh)
+        picked = {task for task, *_ in sinks.values() if task is not None}
+        start, taken = 0, Counter()
         for lines in render_chunks(g, order):
             end = start + len(lines)
-            for codes, code, handles in sinks.values():
-                kept = lines if codes is None else compress(lines, marks(codes[start:end], code))
+            hits = {task: marks(tasks[start:end], task + 1) for task in picked}
+            targets = {task: list(compress(lines, hit)) for task, hit in hits.items()}
+            for task, codes, code, handles in sinks.values():
+                if task is None:
+                    kept = lines
+                elif codes is None:
+                    kept = compress(lines, marks(hits[task], 0))
+                else:
+                    at = taken[task]
+                    kept = compress(targets[task], marks(codes[at : at + len(targets[task])], code))
                 data = b"".join(kept)
                 for fh in handles:
                     fh.write(data)
+            taken.update({task: len(rows) for task, rows in targets.items()})
             start = end
 
 

@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -100,6 +102,28 @@ def leakage_of(
     return detect_leakage(keys, split.parts(k), include_inverse=include_inverse)
 
 
+def traced(call) -> tuple[int, int]:
+    """What ``call()`` leaves allocated and its tracemalloc peak, both
+    counted from the allocations before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return held - base, peak - base
+
+
+def fresh(g: KnowledgeGraph) -> KnowledgeGraph:
+    """``g``'s rows, sharing its columns, with nothing derived yet."""
+    return KnowledgeGraph._from_clean(g.vocab, g.heads, g.relations, g.tails, g.lines)
+
+
 def fingerprint_of(
     smiles: str, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
 ) -> Fingerprint:
@@ -108,6 +132,24 @@ def fingerprint_of(
 
 def fingerprint_from_hex(text: str, nbits: int = DEFAULT_NBITS) -> Fingerprint:
     return Fingerprint(nbits, int(text, 16))
+
+
+@pytest.fixture(scope="session")
+def many_rows_few_entities() -> KnowledgeGraph:
+    """100,000 rows over 470 entities, in random order: a quarter each are
+    targets of ppi, drug_repurposing and side_effect, and a quarter context.
+    Take ``fresh`` copies: text order and nodes are built once per graph."""
+    rng = random.Random(0)
+    genes = [f"Gene::NCBI:{i}" for i in range(300)]
+    compounds = [f"Compound::DrugBank:DB{i:05d}" for i in range(100)]
+    effects = [f"SideEffect::UMLS:C{i}" for i in range(50)]
+    diseases = [f"Disease::MESH:D{i}" for i in range(20)]
+    kinds = ((genes, "GNBR::B::Gene:Gene", genes),
+             (compounds, "GNBR::A+::Compound:Gene", genes),
+             (compounds, "SIDER::causes::Compound:SideEffect", effects),
+             (genes, "GNBR::L::Gene:Disease", diseases))
+    return graph_of(*((rng.choice(heads), relation, rng.choice(tails))
+                      for heads, relation, tails in (kinds[i % 4] for i in range(100_000))))
 
 
 @pytest.fixture

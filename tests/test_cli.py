@@ -108,6 +108,26 @@ def test_stage_subcommand_checkpoint(corpus, tmp_path):
     assert log[0]["details"] == {"exact_duplicates": 1, "reversed_duplicates": 1}
 
 
+def test_stage_chain_equals_run(tmp_path):
+    """A checkpoint keeps graph order, so chaining ``stage`` through every
+    stage before splits gives run's graph, once sorted, and its side files:
+    dedup keeps a pair's first occurrence in graph order."""
+    corpus = build_corpus(tmp_path / "corpus", total_rows=5000, seed=0)
+    cfg, run_out = str(corpus.config), tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(run_out), "run"]) == 0
+    graph = corpus.triplets
+    for name in STAGE_NAMES[: STAGE_NAMES.index("splits")]:
+        out = tmp_path / "chain" / name
+        assert main(["--quiet", "--config", cfg, "--out", str(out),
+                     "stage", name, "--graph", str(graph)]) == 0
+        graph = out / "graph.tsv"
+    written = graph.read_bytes().splitlines(keepends=True)
+    assert b"".join(sorted(written)) == (run_out / "graph.tsv").read_bytes()
+    for name, stage in (("fingerprints.tsv", "fingerprints"), ("gene_features.tsv", "features")):
+        side = (tmp_path / "chain" / stage / name).read_bytes()
+        assert side == (run_out / name).read_bytes(), name
+
+
 def test_stats_subcommand(tmp_path, capsys):
     graph = tmp_path / "g.tsv"
     graph.write_text(

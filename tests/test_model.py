@@ -14,7 +14,7 @@ from kgprep.clean import drop_entity_types
 from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
 from kgprep.normalize import deduplicate
 
-from conftest import BUCKET_TABLE_BYTES, E, R, T, graph_of, run_stage
+from conftest import BUCKET_TABLE_BYTES, E, R, T, fresh, graph_of, run_stage, traced
 from oracles import endpoints, is_clean, render
 
 
@@ -137,6 +137,53 @@ def test_text_order_equals_the_stable_sort_of_rendered_tuples(rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_SORT_ROWS", 2)
         assert list(graph_of(*rows).text_order) == list(g.text_order)
+
+
+def test_text_order_ranks_refs_that_render_alike_as_one():
+    # two refs, one text: their rows sort by relation and tail, then position
+    a, b = EntityRef("Gene", "NCBI:1", "2"), EntityRef("Gene", "NCBI", "1:2")
+    assert a != b and a.text == b.text
+    bind, assoc = R("GNBR::B::Gene:Gene"), R("GNBR::A::Gene:Gene")
+    g = KnowledgeGraph([Triplet(a, bind, a), Triplet(b, assoc, a), Triplet(b, bind, b),
+                        Triplet(a, assoc, b), Triplet(E("Gene::NCBI:0"), bind, a)])
+    assert list(g.text_order) == [4, 1, 3, 0, 2]
+
+
+# text_order's own memory beyond its 4 B/row result: every row's position
+# dealt into buckets (4 B a row, with the arrays' growth slack) and one
+# bucket's packed ints, a list slot and an int each
+SORT_BUCKET_BYTES = model._SORT_ROWS * 64
+
+
+def test_text_order_holds_its_buckets_and_one_sort(many_rows_few_entities):
+    g = fresh(many_rows_few_entities)
+    held, peak = traced(lambda: g.text_order)
+    # measured: 20.4 B/row beyond the result with a rank array and a packed
+    # triple of every row, 8.6 B/row packing one bucket at a time
+    assert held < 5 * len(g)
+    assert peak - held <= 5 * len(g) + SORT_BUCKET_BYTES
+
+
+def test_node_ids_hold_one_slice_of_endpoints_beyond_the_dict(many_rows_few_entities):
+    g = fresh(many_rows_few_entities)
+    held, peak = traced(lambda: g.node_ids)
+    # measured: 8.1 B/row interleaving every row's endpoints, 164 KB for
+    # slices of 8,192 rows: a slice's head, tail and interleaved ids take
+    # 16 B a row, twice over while the next slice is cut
+    assert len(g.node_ids) == 470
+    assert peak - held <= 32 * model._SORT_ROWS
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from(_GENES), st.sampled_from(_GENES)), max_size=12),
+       added=st.lists(st.tuples(st.sampled_from(_GENES), st.sampled_from(_GENES)), max_size=5))
+def test_nodes_gathered_a_few_rows_at_a_time_keep_first_appearance(rows, added):
+    triplets = [T(h, "GNBR::B::Gene:Gene", t) for h, t in rows]
+    extra = [T(h, "GNBR::B::Gene:Gene", t) for h, t in added]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", 2)
+        g = KnowledgeGraph(triplets)
+        assert list(g.nodes) == endpoints(triplets)
+        assert list(g.plus(extra).nodes) == endpoints([*triplets, *extra])
 
 
 def test_row_types_are_slotted_and_frozen():

@@ -22,7 +22,7 @@ from kgprep.split_audit import (
     write_bundle,
 )
 
-from conftest import BUCKET_TABLE_BYTES, T, graph_of, leakage_of, splits_of
+from conftest import BUCKET_TABLE_BYTES, T, fresh, graph_of, leakage_of, splits_of, traced
 from oracles import (
     leaked_count_bruteforce,
     leaked_count_hashed,
@@ -413,6 +413,33 @@ def test_write_bundle_needs_the_file_of_its_graph(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_write_bundle_refuses_splits_that_share_a_target_row(tmp_path):
+    g = target_graph(20)
+    splits = [make_splits(g, "ppi", [0]), make_splits(g, "ppi", [1])]
+    with pytest.raises(ValueError, match="share target rows"):
+        write_bundle(tmp_path / "out", "graph.tsv", g, splits)
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_bundle_holds_bytes_per_row_not_ints(tmp_path, many_rows_few_entities):
+    g = fresh(many_rows_few_entities)
+    splits = [make_splits(g, task, range(5)) for task in BUILTIN_TASKS]
+    g.text_order
+    _, peak = traced(lambda: write_bundle(tmp_path, "graph.tsv", g, splits))
+    targets = [len(split.target) for split in splits]
+    assert min(targets) >= len(g) // 5
+    # per written row, its task byte, a graph-order scratch byte and a byte
+    # of the mask that lists one task's target rows; per target row, a byte
+    # for each seed's split, and 4 B of written position for the task whose
+    # codes are being read
+    own = 3 * len(g) + 5 * sum(targets) + 4 * max(targets)
+    # beyond those, the open files' buffers and a couple of chunks of
+    # rendered lines; measured: 36.9 B/row with a 4 B place and a split byte
+    # per seed for every row, 12.9 B/row with bytes per target row
+    files = 1 + len(splits) * (1 + 3 * 5)
+    assert peak <= own + files * os.stat(tmp_path).st_blksize + 512 * ingest._WRITE_CHUNK
+
+
 def mixed_graph() -> KnowledgeGraph:
     """Target rows of all three tasks, context rows with multi-byte UTF-8
     texts, literal duplicates and reversed rows, in an order that is not
@@ -442,7 +469,8 @@ def refuse_links(monkeypatch):
 
 
 @pytest.mark.parametrize("preserve_order", [False, True])
-@pytest.mark.parametrize("chunk, open_files", [(4096, 128), (7, 128), (4096, 4), (5, 4)])
+@pytest.mark.parametrize("chunk, open_files",
+                         [(4096, 128), (7, 128), (4096, 4), (5, 4), (4096, 3), (5, 2)])
 def test_write_bundle_equals_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk,
                                              open_files):
     """Every task's and seed's files equal the ones rendered and sorted on
