@@ -122,11 +122,12 @@ def harmonize(
     """Replace each relation label with its canonical label.
 
     Already-canonical labels pass through, which makes the operation
-    idempotent. Unknown keys pass through with a warning in lenient mode and
-    are fatal in strict mode. Each distinct relation is looked up once, in
-    order of first appearance.
+    idempotent. Unknown keys pass through in lenient mode, each logged at
+    DEBUG and all counted in one INFO line, and are fatal in strict mode.
+    Each distinct relation is looked up once, in order of first appearance.
     """
     details = {"labels_rewritten": 0, "unmapped_rows": 0}
+    unmapped = 0
     relations = g.vocab.relations
     canonical = list(range(len(relations)))
     for r, rows in Counter(g.relations).items():
@@ -144,8 +145,14 @@ def harmonize(
                 f"{rel.tail_type}) in strict mode"
             )
         else:
-            log.warning("harmonize: passing through unmapped relation %s", rel)
+            log.debug("harmonize: passing through unmapped relation %s", rel)
             details["unmapped_rows"] += rows
+            unmapped += 1
+    if unmapped:
+        log.info(
+            "harmonize: passed through %d unmapped relations on %d rows",
+            unmapped, details["unmapped_rows"],
+        )
     return g.mapped(relation=canonical if details["labels_rewritten"] else None), details
 
 

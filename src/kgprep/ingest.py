@@ -1,8 +1,8 @@
 """Streaming parsers for triplet TSVs and the auxiliary data files, and the
 one way outputs are opened.
 
-All parsers are pure; entity and relation parsing is memoized per input text,
-which matters when the same identifiers repeat across millions of rows.
+All parsers are pure, and nothing is memoized across calls: a triplet load
+parses each distinct entity and relation text once.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import re
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from operator import getitem
 from pathlib import Path
@@ -76,9 +75,9 @@ def infer_source(entity_type: str, local_id: str) -> str:
     return SOURCE_DEFAULTS.get(entity_type, UNKNOWN_SOURCE)
 
 
-@lru_cache(maxsize=None)
 def parse_entity(text: str) -> EntityRef:
     """Parse ``entity_type::source:local_id`` (source inferred when absent).
+    A text already in that canonical form becomes the ref's text itself.
 
     Identifiers containing ';' or '|' are accepted here; removing them is the
     format-filter stage's job.
@@ -100,10 +99,11 @@ def parse_entity(text: str) -> EntityRef:
         raise ParseError(f"entity {text!r}: empty identifier")
     if not source:
         raise ParseError(f"entity {text!r}: empty source segment")
-    return EntityRef(entity_type, source, local_id)
+    if not sep or head != entity_type:
+        text = f"{entity_type}::{source}:{local_id}"
+    return EntityRef.rendered(entity_type, text)
 
 
-@lru_cache(maxsize=None)
 def parse_relation(text: str) -> RelationRef:
     """Parse ``origin::label::HeadType:TailType`` into a RelationRef."""
     parts = text.split("::")

@@ -58,27 +58,48 @@ ANNOTATION_TYPES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class EntityRef:
-    """One fully qualified node identity.
+    """One node identity, held as its rendered ``entity_type::source:local_id``
+    text and its type. ``source`` and ``local_id`` are read back from the
+    text, exactly, as a source holds no ':'. The type starts the text, so refs
+    are equal exactly when their texts are; the hash is the text's, cached."""
 
-    ``text`` caches the rendered ``entity_type::source:local_id`` form; it is
-    derived and excluded from equality. Equal refs render alike, so the hash
-    is the text's, which Python caches.
-    """
-
+    # slots named here: under ``slots=True`` assigning ``source`` or
+    # ``local_id`` raises TypeError, not FrozenInstanceError
+    __slots__ = ("entity_type", "text")
     entity_type: str
-    source: str
-    local_id: str
-    text: str = field(init=False, compare=False, repr=False)
+    text: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "text", f"{self.entity_type}::{self.source}:{self.local_id}"
-        )
+    def __init__(self, entity_type: str, source: str, local_id: str) -> None:
+        if ":" in source:
+            raise ValueError(f"entity source {source!r} contains ':'")
+        object.__setattr__(self, "entity_type", entity_type)
+        object.__setattr__(self, "text", f"{entity_type}::{source}:{local_id}")
+
+    @classmethod
+    def rendered(cls, entity_type: str, text: str) -> "EntityRef":
+        """The ref whose text is ``text``, already known to be
+        ``entity_type::source:local_id`` with no ':' in the source."""
+        ref = cls.__new__(cls)
+        object.__setattr__(ref, "entity_type", entity_type)
+        object.__setattr__(ref, "text", text)
+        return ref
+
+    @property
+    def source(self) -> str:
+        return self.text[len(self.entity_type) + 2 :].partition(":")[0]
+
+    @property
+    def local_id(self) -> str:
+        return self.text[len(self.entity_type) + 2 :].partition(":")[2]
 
     def __hash__(self) -> int:
         return hash(self.text)
+
+    def __reduce__(self):
+        # through the constructor: frozen slots refuse the default state restore
+        return EntityRef, (self.entity_type, self.source, self.local_id)
 
     def __str__(self) -> str:
         return self.text

@@ -88,6 +88,27 @@ def test_harmonize_canonical_label_set_property(table):
     assert log.details["unmapped_rows"] == 1
 
 
+def test_harmonize_logs_pass_throughs_at_debug_and_counts_them_in_one_info_line(
+    table, caplog
+):
+    g = graph_of(
+        ("Gene::NCBI:1", "Hetionet::GpBP::Gene:BiologicalProcess", "BiologicalProcess::GO:1"),
+        ("Compound::PubChem_Compounds:1", "GNBR::B::Compound:Gene", "Gene::NCBI:1"),
+        ("Disease::DOID:1", "Hetionet::DpS::Disease:Symptom", "Symptom::MESH:D1"),
+        ("Gene::NCBI:2", "Hetionet::GpBP::Gene:BiologicalProcess", "BiologicalProcess::GO:1"),
+    )
+    with caplog.at_level("DEBUG", logger="kgprep.clean"):
+        _, log = run_stage("harmonize", g, lambda g: harmonize(g, table))
+    records = [(r.levelname, r.getMessage()) for r in caplog.records]
+    assert sorted(records) == [
+        ("DEBUG", "harmonize: passing through unmapped relation Hetionet::DpS::Disease:Symptom"),
+        ("DEBUG", "harmonize: passing through unmapped relation "
+                  "Hetionet::GpBP::Gene:BiologicalProcess"),
+        ("INFO", "harmonize: passed through 2 unmapped relations on 3 rows"),
+    ]
+    assert log.details["unmapped_rows"] == 3
+
+
 def test_harmonize_strict_unknown_fatal(table):
     g = graph_of(("Gene::NCBI:1", "Hetionet::GpBP::Gene:BiologicalProcess", "Biological Process::GO:1"))
     with pytest.raises(StageError, match="GpBP"):
