@@ -100,7 +100,7 @@ def _cmd_stage(args) -> int:
     if args.name != "splits":  # a checkpoint keeps graph order, which dedup reads
         config.preserve_order = True
     runner = PipelineRunner(config, stage=args.name)
-    g = _load_graph(args.graph)
+    g = _load_graph(args.graph).owned()
     try:
         g, stage_log = runner.run_stage(args.name, g)
         runner.write_graph(g)

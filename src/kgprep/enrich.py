@@ -182,10 +182,11 @@ def filter_no_smiles(
             log.debug("unparseable SMILES for %s: %s", node.text, exc)
             unparseable += 1
             doomed[e] = 1
+    rows_in = len(g)
     kept = g.where(marks(g.flags(entity=doomed), 0))
     return kept, {
         "compounds_missing": missing,
         "compounds_unparseable": unparseable,
         "compounds_removed": missing + unparseable,
-        "edges_removed": len(g) - len(kept),
+        "edges_removed": rows_in - len(kept),
     }

@@ -105,7 +105,7 @@ class EntityRef:
         return self.text
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RelationRef:
     """A relation qualified by origin database and endpoint-type signature.
 
@@ -113,11 +113,14 @@ class RelationRef:
     ``text`` renders it, so like ``EntityRef`` the hash is the text's.
     """
 
+    # slots named here, as for every row type: under ``slots=True`` assigning
+    # a name that is not a field raises TypeError, not FrozenInstanceError;
+    # ``text`` is a slot but not a field, so it takes no part in equality
+    __slots__ = ("origin", "label", "head_type", "tail_type", "text")
     origin: str
     label: str
     head_type: str
     tail_type: str
-    text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -129,6 +132,9 @@ class RelationRef:
     def __hash__(self) -> int:
         return hash(self.text)
 
+    def __reduce__(self):
+        return RelationRef, (self.origin, self.label, self.head_type, self.tail_type)
+
     def with_label(self, label: str) -> "RelationRef":
         return RelationRef(self.origin, label, self.head_type, self.tail_type)
 
@@ -136,15 +142,27 @@ class RelationRef:
         return self.text
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class Triplet:
     """One directed edge. ``origin_line`` is provenance only and never takes
-    part in identity; it is dropped at final serialization."""
+    part in identity, so it is a slot but not a field; it is dropped at final
+    serialization."""
 
+    __slots__ = ("head", "relation", "tail", "origin_line")
     head: EntityRef
     relation: RelationRef
     tail: EntityRef
-    origin_line: int = field(default=-1, compare=False)
+
+    def __init__(
+        self, head: EntityRef, relation: RelationRef, tail: EntityRef, origin_line: int = -1
+    ) -> None:
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "origin_line", origin_line)
+
+    def __reduce__(self):
+        return Triplet, (self.head, self.relation, self.tail, self.origin_line)
 
     def signature_ok(self) -> bool:
         return (
@@ -242,15 +260,26 @@ class Vocabulary:
 class KnowledgeGraph:
     """Ordered multiset of triplets, held as four int columns: ``heads``,
     ``relations`` and ``tails`` are ids into ``vocab``, and ``lines`` holds
-    each row's ``origin_line``. Its rows never change once built; a stage
-    decides once per distinct id and applies the decision to the columns.
+    each row's ``origin_line``. A stage decides once per distinct id and
+    applies the decision to the columns.
+
+    A graph is owned when its holder keeps no other reference to it, as the
+    pipeline runner does with the graph it loads (``owned``). ``where``,
+    ``mapped`` and ``plus`` compact, rewrite or extend an owned graph's
+    columns in place and hand them to the graph they return, which is owned
+    in turn; the graph they were called on is consumed, and any later use of
+    it raises TypeError. On any other graph they run the same code on copies
+    of the columns they change, so a graph a library caller holds never
+    changes once built.
 
     ``node_ids``, which ``nodes`` views, is derived from the rows on first
-    use, so a chain of row stages that never asks for nodes never builds it. ``text_order`` is
-    likewise computed on first use.
+    use, so a chain of row stages that never asks for nodes never builds it.
+    ``text_order`` is likewise computed on first use.
     """
 
-    __slots__ = ("vocab", "heads", "relations", "tails", "lines", "_nodes", "_text_order")
+    __slots__ = (
+        "vocab", "heads", "relations", "tails", "lines", "_nodes", "_text_order", "_owned"
+    )
 
     def __init__(self, triplets: Iterable[Triplet] = ()):
         triplets = list(triplets)
@@ -265,6 +294,7 @@ class KnowledgeGraph:
         self.heads, self.relations, self.tails, self.lines = self.vocab.columns(triplets)
         self._nodes: dict[int, None] | None = None
         self._text_order: array | None = None
+        self._owned = False
 
     @classmethod
     def _from_clean(
@@ -276,59 +306,97 @@ class KnowledgeGraph:
         g.heads, g.relations, g.tails, g.lines = heads, relations, tails, lines
         g._nodes = None
         g._text_order = None
+        g._owned = False
         return g
 
     def _columns(self) -> tuple[array, array, array, array]:
         return self.heads, self.relations, self.tails, self.lines
 
+    def owned(self) -> "KnowledgeGraph":
+        """These rows as an owned graph, for a holder with no other
+        reference to them; this graph is consumed."""
+        self._owned = True
+        return self._successor((False,) * 4, nodes=True)
+
+    def _successor(self, changed: Sequence[bool], nodes: bool = False) -> "KnowledgeGraph":
+        """A graph of these rows whose columns flagged in ``changed`` the
+        caller may change in place. An owned graph hands its columns over
+        and is consumed: its class becomes one whose every use raises. Any
+        other stays as it is, as those columns are copied and the rest
+        shared. ``nodes`` carries a built node set over, for the caller to
+        extend."""
+        owned, vocab, columns = self._owned, self.vocab, self._columns()
+        node_set = self._nodes if nodes else None
+        if owned:
+            for name in KnowledgeGraph.__slots__:
+                setattr(self, name, None)
+            self.__class__ = _Consumed
+        else:
+            columns = [column[:] if c else column for column, c in zip(columns, changed)]
+            node_set = None if node_set is None else dict(node_set)
+        g = KnowledgeGraph._from_clean(vocab, *columns)
+        g._nodes, g._owned = node_set, owned
+        return g
+
     def where(self, keep: bytes) -> "KnowledgeGraph":
         """The rows whose byte in ``keep`` is 1, in order; every byte is 0
-        or 1. When nothing is dropped the columns are shared, not copied.
-        Each run of kept rows is copied as one block, unless the runs number
-        more than an eighth of the rows: a block costs about as much as
-        picking eight rows one by one, so then the rows are picked."""
+        or 1. The kept rows move down the columns, which are then truncated:
+        an owned graph's own columns, and it is consumed, or copies of
+        another's. When nothing is dropped, nothing moves and nothing is
+        copied. Each run of kept rows moves as one block, unless the runs
+        number more than an eighth of the rows: a block costs about as much
+        as picking eight rows one by one, so then the rows are picked
+        ``_SORT_ROWS`` at a time and each slice's picks written back at the
+        cursor, below the rows not yet read."""
         if 0 not in keep:
-            return KnowledgeGraph._from_clean(self.vocab, *self._columns())
+            return self._successor((False,) * 4)
+        g = self._successor((True,) * 4)
+        columns, at = g._columns(), 0
         if 8 * (keep.count(b"\0\1") + keep.startswith(b"\1")) > len(keep):
-            columns = (array("i", compress(column, keep)) for column in self._columns())
-            return KnowledgeGraph._from_clean(self.vocab, *columns)
-        heads, relations, tails, lines = (array("i", [0]) * keep.count(1) for _ in range(4))
-        at = 0
-        for a, b in map(_SPAN, _KEPT.finditer(keep)):
-            end = at + b - a
-            heads[at:end] = self.heads[a:b]
-            relations[at:end] = self.relations[a:b]
-            tails[at:end] = self.tails[a:b]
-            lines[at:end] = self.lines[a:b]
-            at = end
-        return KnowledgeGraph._from_clean(self.vocab, heads, relations, tails, lines)
+            for start in range(0, len(keep), _SORT_ROWS):
+                kept = keep[start : start + _SORT_ROWS]
+                end = at + kept.count(1)
+                for column in columns:
+                    column[at:end] = array("i", compress(column[start : start + _SORT_ROWS], kept))
+                at = end
+        else:
+            views = list(map(memoryview, columns))
+            for a, b in map(_SPAN, _KEPT.finditer(keep)):
+                if a != at:
+                    for view in views:
+                        view[at : at + b - a] = view[a:b]
+                at += b - a
+            deque(map(memoryview.release, views), maxlen=0)
+        for column in columns:
+            del column[at:]
+        return g
 
     def mapped(
         self, entity: Sequence[int] | None = None, relation: Sequence[int] | None = None
     ) -> "KnowledgeGraph":
         """The rows with each endpoint id ``e`` replaced by ``entity[e]`` and
-        each relation id ``r`` by ``relation[r]``. A column no table rewrites
-        is shared with this graph, not copied."""
-
-        def through(table, column):
-            return column if table is None else array("i", map(table.__getitem__, column))
-
-        return KnowledgeGraph._from_clean(
-            self.vocab,
-            through(entity, self.heads),
-            through(relation, self.relations),
-            through(entity, self.tails),
-            self.lines,
-        )
+        each relation id ``r`` by ``relation[r]``, rewritten ``_SORT_ROWS``
+        rows at a time: an owned graph's own columns, and it is consumed, or
+        copies of another's. A column no table rewrites is not copied."""
+        tables = (entity, relation, entity, None)
+        g = self._successor([table is not None for table in tables])
+        for table, column in zip(tables, g._columns()):
+            if table is not None:
+                for at in range(0, len(column), _SORT_ROWS):
+                    rows = column[at : at + _SORT_ROWS]
+                    column[at : at + _SORT_ROWS] = array("i", map(table.__getitem__, rows))
+        return g
 
     def plus(self, added: list[Triplet]) -> "KnowledgeGraph":
-        """A new graph of these rows followed by ``added``, whose rows were
-        already validated. A node set already built here is extended by the
-        added endpoints, not rebuilt."""
-        columns = self.vocab.columns(added)
-        g = KnowledgeGraph._from_clean(self.vocab, *map(add, self._columns(), columns))
-        if self._nodes is not None:
-            g._nodes = {**self._nodes, **_first_appearance(columns[0], columns[2])}
+        """These rows followed by ``added``, whose rows were already
+        validated: an owned graph's own columns are extended, and it is
+        consumed, or copies of another's are. A node set already built here
+        is extended by the added endpoints, not rebuilt."""
+        g = self._successor((True,) * 4, nodes=True)
+        columns = g.vocab.columns(added)
+        deque(map(array.extend, g._columns(), columns), maxlen=0)
+        if g._nodes is not None:
+            g._nodes.update(_first_appearance(columns[0], columns[2]))
         return g
 
     def flags(self, entity: bytes | None = None, relation: bytes | None = None) -> bytes:
@@ -438,6 +506,19 @@ class NodeView(Set):
 
     def __len__(self) -> int:
         return len(self._ids)
+
+
+class _Consumed(KnowledgeGraph):
+    """A graph whose columns ``where``, ``mapped``, ``plus`` or ``owned``
+    handed over to the graph it returned."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name: str):
+        raise TypeError(
+            f"graph read (.{name}) after it was consumed: its rows belong to the "
+            "graph the consuming call returned"
+        )
 
 
 def _ranks(refs: list) -> tuple[list[int], int]:

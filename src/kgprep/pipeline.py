@@ -35,16 +35,17 @@ def account(
     body: Callable[[], StageResult],
 ) -> tuple[KnowledgeGraph, StageLog]:
     """Time ``body`` and build stage ``name``'s log from the graph it returns.
+    ``g``'s rows are counted first, as the body may consume it.
 
     No stage both removes and adds rows, so the row-count change is the
     removed or the added count.
     """
-    start = time.perf_counter()
+    rows_in, start = len(g), time.perf_counter()
     out, details = body()
-    change = len(out) - len(g)
+    change = len(out) - rows_in
     return out, StageLog(
         stage_name=name,
-        rows_in=len(g),
+        rows_in=rows_in,
         rows_removed=max(-change, 0),
         rows_added=max(change, 0),
         rows_out=len(out),
@@ -115,7 +116,9 @@ class PipelineRunner:
 
     def run_stage(self, name: str, g: KnowledgeGraph) -> tuple[KnowledgeGraph, StageLog]:
         """Run one named stage, writing any stage-specific outputs. The stage's
-        clock covers loading the auxiliary tables it needs."""
+        clock covers loading the auxiliary tables it needs. An owned ``g``
+        is consumed by a stage that changes its rows; any other is left as
+        it is."""
         body = self._stages().get(name)
         if body is None:
             raise ConfigError(f"unknown stage {name!r}")
@@ -259,6 +262,7 @@ class PipelineRunner:
         if cfg.triplets is None:
             raise ConfigError("inputs.triplets is required to run the pipeline")
         g, ingest_log = ingest.load_triplets(cfg.triplets)
+        g = g.owned()  # each stage consumes the graph the one before it returned
         log.info(
             "ingest: %d rows loaded, %d skipped",
             ingest_log.rows_out,

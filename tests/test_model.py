@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -193,6 +195,18 @@ def test_row_types_are_slotted_and_frozen():
         assert not hasattr(row, "__dict__")
         with pytest.raises(FrozenInstanceError):
             setattr(row, name, getattr(row, name))
+
+
+def test_row_types_refuse_any_assignment_and_round_trip():
+    t = T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2", line=3)
+    for row in (t, t.head, t.relation):
+        for name in ("text", "origin_line", "head", "label", "source", "weight"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(row, name, 1)
+        assert pickle.loads(pickle.dumps(row)) == row and copy.copy(row) == row
+    assert copy.copy(t).origin_line == 3 and pickle.loads(pickle.dumps(t)).origin_line == 3
+    assert t.relation.text == "GNBR::B::Gene:Gene"
+    assert t == T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2", line=4)
 
 
 @pytest.fixture(scope="module")
