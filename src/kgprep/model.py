@@ -449,22 +449,26 @@ class KnowledgeGraph:
         buckets of consecutive head ranks, about ``_SORT_ROWS`` rows each;
         each bucket's rows are packed, triple then position, into plain
         ints, sorted, and copied into their place in the order. Nothing but
-        the buckets and the order holds every row: this runs at the final
-        write, where a run's peak is set."""
+        the buckets and the order holds every row, and the tables by id
+        are arrays, not lists of int objects: this runs at the final write,
+        where a run's peak is set."""
         if self._text_order is None:
             n = len(self)
             entity, n_entity = _ranks(self.vocab.entities)
             relation, n_relation = _ranks(self.vocab.relations)
-            # rows before each head rank, hence the bucket of each head id
-            sizes = Counter(map(entity.__getitem__, self.heads))
-            before = accumulate(map(sizes.get, range(n_entity), repeat(0)), initial=0)
-            bucket_of = list(map(floordiv, before, repeat(_SORT_ROWS)))
-            bucket_of = list(map(bucket_of.__getitem__, entity))
+            # rows before each head rank, hence the bucket of each head id; the
+            # rows are counted by head id, so no rank is read per row
+            sizes = array("i", [0]) * n_entity
+            for head, size in Counter(self.heads).items():
+                sizes[entity[head]] += size
+            before = accumulate(sizes, initial=0)
+            bucket_of = array("i", map(floordiv, before, repeat(_SORT_ROWS)))
+            bucket_of = array("i", map(bucket_of.__getitem__, entity))
             del sizes, before  # a count per head rank: freed before the buckets are dealt
             # a row packs into ((head * n_relation + relation) * n_entity + tail) * n
             # + position: scale each id's rank once, not each row's
-            entity = list(map(mul, entity, repeat(n)))
-            relation = list(map(mul, relation, repeat(n_entity * n)))
+            entity = array("q", map(mul, entity, repeat(n)))
+            relation = array("q", map(mul, relation, repeat(n_entity * n)))
             order, at = array("i", [0]) * n, 0
             # a bucket number is below the bucket count: it is its own residue
             for rows in deal(range(n), map(bucket_of.__getitem__, self.heads)):
@@ -521,13 +525,13 @@ class _Consumed(KnowledgeGraph):
         )
 
 
-def _ranks(refs: list) -> tuple[list[int], int]:
+def _ranks(refs: list) -> tuple[array, int]:
     """Each ref's rank among the distinct texts in sorted order, by id, and
     the number of distinct texts: the ids are sorted by text, and a rank
     grows where the text changes."""
     texts = list(map(_TEXT, refs))
-    ids = sorted(range(len(texts)), key=texts.__getitem__)
-    texts, rank = list(map(texts.__getitem__, ids)), [0] * len(ids)
+    ids = array("i", sorted(range(len(texts)), key=texts.__getitem__))
+    texts, rank = list(map(texts.__getitem__, ids)), array("i", [0]) * len(ids)
     deque(map(rank.__setitem__, ids, accumulate(map(ne, texts[1:], texts), initial=0)), maxlen=0)
     return rank, len(ids) and rank[ids[-1]] + 1
 

@@ -223,12 +223,9 @@ class PipelineRunner:
         for task_name in self.config.split_tasks:
             split = self._task_splits(g, task_name, keep=False)
             keys = split_audit.leak_keys(split, entities, self.harmonization_table)
-            reports = [
-                split_audit.detect_leakage(
-                    keys, split.parts(k), include_inverse=self.config.audit_include_inverse
-                )
-                for k in range(len(split.seeds))
-            ]
+            reports = split_audit.detect_leakage(
+                keys, split, include_inverse=self.config.audit_include_inverse
+            )
             records += split_audit.audit_report(task_name, split.seeds, reports)
         split_audit.write_leakage_json(self.out_dir / "leakage_report.json", records)
         return g, {

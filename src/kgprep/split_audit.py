@@ -4,12 +4,12 @@ leakage audit.
 A split shuffles the task's target triplets under a seed and partitions them
 70/10/20 (valid and test sizes floored, remainder to train); every non-target
 triplet stays in the context set. A task's rows are partitioned once, into
-one ``TaskSplits`` that holds every seed's permutation. The graph file and
-every split file are written from one rendering of each row: a byte per
-row names the task it is a target of, a byte per target row names a seed's
-split of it, and each file keeps the rendered lines of its rows. The audit
-asks, for each evaluation triplet, whether the training split contains an
-equivalent counterpart:
+one ``TaskSplits`` that holds a byte per target row and seed naming its
+split. The graph file and every split file are written from one rendering
+of each row: a byte per row names the task it is a target of, a byte per
+target row names a seed's split of it, and each file keeps the rendered
+lines of its rows. The audit asks, for each evaluation triplet, whether the
+training split contains an equivalent counterpart:
 
 * duplicate_inverse - same origin and label, endpoints equal or swapped;
 * relation_redundancy - endpoints equal or swapped, labels equal after
@@ -21,7 +21,8 @@ equivalent counterpart:
 With empty equivalence tables, standardization is the identity and all
 detectors reduce to duplicate_inverse. A match joins two rows with one
 unordered pair of canonical endpoints, so only target rows whose pair recurs
-can leak: ``leak_keys`` finds them once per task, and every seed probes them.
+can leak: ``leak_keys`` finds them one class of rows at a time, and every
+seed probes a class before the next is built.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from itertools import compress, count, groupby, repeat
 from operator import add, getitem, gt, itemgetter, mul
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
@@ -61,24 +62,34 @@ BUILTIN_TASKS: dict[str, frozenset[str]] = {
 class TaskSplits:
     """One task's seeded splits of a graph. ``target`` lists the positions of
     the task's target rows in graph order; every other row is context.
-    ``orders[k]`` is seed ``seeds[k]``'s permutation of indices into
-    ``target``: its first ``n_train`` indices are train, the next ``n_valid``
-    valid and the rest test."""
+    ``codes[k]`` names seed ``seeds[k]``'s split of each target row, one
+    byte per row in ``target``'s order: 1 train, 2 valid, 3 test. The seed's
+    first ``n_train`` shuffled rows are train, the next ``n_valid`` valid and
+    the rest test."""
 
     task: str
     graph: KnowledgeGraph
     target: array
     seeds: list[int]
-    orders: list[array]
+    codes: list[bytearray]
     n_train: int
     n_valid: int
 
-    def parts(self, k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    def parts(self, k: int) -> tuple[array, array, array]:
         """Seed ``seeds[k]``'s train, valid and test: indices into
-        ``target`` in shuffled order."""
-        end_valid = self.n_train + self.n_valid
-        order = self.orders[k]
+        ``target`` in shuffled order, from the seed's permutation shuffled
+        again."""
+        order, end_valid = _shuffled(self.seeds[k], len(self.target)), self.n_train + self.n_valid
         return order[: self.n_train], order[self.n_train : end_valid], order[end_valid:]
+
+
+def _shuffled(seed: int, n: int) -> array:
+    """``random.Random(seed).shuffle`` of the indices below ``n``. Its draws
+    depend only on ``n``, so index k names the row that shuffling a copy of
+    the target list would put at k."""
+    order = array("i", range(n))
+    random.Random(seed).shuffle(order)
+    return order
 
 
 def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> TaskSplits:
@@ -88,10 +99,8 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
 
     Each distinct relation id is classified once (a row's endpoint types
     are its relation's); each seed then shuffles indices into the target
-    positions.
-    ``random.Random(seed).shuffle`` draws depend only on the sequence length,
-    so index k of a seed's order names the row that shuffling a copy of the
-    target list would put at k.
+    positions, marks its valid and test indices in its bytes and drops the
+    permutation before the next seed shuffles.
     """
     types = BUILTIN_TASKS[task_name]
     hit = bytes({r.head_type, r.tail_type} == types for r in g.vocab.relations)
@@ -100,39 +109,56 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
         raise StageError(f"task {task_name}: target triplet set is empty")
     n = len(target)
     n_valid = n // 10
+    n_train = n - n_valid - n // 5
     seeds = list(seeds)
-    orders = []
-    for seed in seeds:
-        order = array("i", range(n))
-        random.Random(seed).shuffle(order)
-        orders.append(order)
-    return TaskSplits(task_name, g, target, seeds, orders, n - n_valid - n // 5, n_valid)
+    codes = [_codes(_shuffled(seed, n), n_train, n_valid) for seed in seeds]
+    return TaskSplits(task_name, g, target, seeds, codes, n_train, n_valid)
 
 
-def leak_keys(split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable) -> list:
-    """One ``(candidates, raw, relation, entity)`` per class. A match under
-    any detector joins two rows with the same unordered pair of canonical
-    endpoints (texts mapped through ``entities``), so only target rows whose
-    pair recurs among the task's can leak or be leaked. Target rows are
-    dealt into classes by pair (``model.deal``); a class's candidates are
-    its rows whose pair recurs, as indices into ``target``. Each detector's
-    (keys, inverse keys) of them pack ``(head, (origin, label), tail)``,
-    ``(head, canonical label, tail)`` or the latter on canonical endpoints
-    into ints; an inverse key swaps head and tail. Build them once per task:
-    every seed reuses them."""
+def _codes(order: array, n_train: int, n_valid: int) -> bytearray:
+    """A byte per index below ``len(order)``: 1 for the first ``n_train``
+    indices of the permutation ``order``, 2 for the next ``n_valid`` and 3
+    for the rest."""
+    codes = bytearray(b"\x01") * len(order)
+    deque(map(codes.__setitem__, order[n_train : n_train + n_valid], repeat(2)), maxlen=0)
+    deque(map(codes.__setitem__, order[n_train + n_valid :], repeat(3)), maxlen=0)
+    return codes
+
+
+def leak_keys(
+    split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable
+) -> Iterator[tuple]:
+    """One ``(candidates, raw, relation, entity)`` per class, each built
+    when it is asked for. A match under any detector joins two rows with the
+    same unordered pair of canonical endpoints (texts mapped through
+    ``entities``), so only target rows whose pair recurs among the task's can
+    leak or be leaked. Target rows are dealt into classes by the sum of
+    their canonical endpoint ids (``model.deal``), so the rows of a pair
+    share a class; a class's candidates are its rows whose pair recurs, as
+    indices into ``target``. Each detector's (keys, inverse keys) of them
+    pack ``(head, (origin, label), tail)``, ``(head, canonical label, tail)``
+    or the latter on canonical endpoints into ints; an inverse key swaps
+    head and tail. Nothing per target row outlives the dealing but the
+    classes' row indices."""
     g, target, vocab = split.graph, split.target, split.graph.vocab
     n_entity = len(vocab.entities)
-    # each entity's canonical id: the first entity's with its canonical text
-    ids: dict[str, int] = {}
-    canonical = (entities.get(e.text, e.text) for e in vocab.entities)
-    canon = list(map(ids.setdefault, canonical, count()))
-    ends = (array("i", map(canon.__getitem__, map(getitem, repeat(column), target)))
-            for column in (g.heads, g.tails))
-    unordered = array("q", pair_keys(*ends, n_entity))
+    # each entity's canonical id: the first entity's with its canonical text;
+    # only an xref key, or the canonical text of one, can share it
+    canon = array("i", range(n_entity))
+    shared = {entities[e.text] for e in vocab.entities if e.text in entities}
+    first_of: dict[str, int] = {}
+    for i, e in enumerate(vocab.entities):
+        text = entities.get(e.text, e.text)
+        if text in shared:
+            canon[i] = first_of.setdefault(text, i)
     # a relation's raw and canonical labels as ids: the first relation's with each
     raws, canons = {}, {}
     raw = list(map(raws.setdefault, ((r.origin, r.label) for r in vocab.relations), count()))
     label = list(map(canons.setdefault, map(relations.canon_label, vocab.relations), count()))
+
+    def canonical(positions: Iterable[int]) -> list[Iterator[int]]:
+        return [map(canon.__getitem__, map(getitem, repeat(column), positions))
+                for column in (g.heads, g.tails)]
 
     def pairs(first: Iterable[int], last: Iterable[int]) -> Iterable[int]:
         return map(add, map(mul, first, repeat(n_entity)), last)
@@ -143,52 +169,59 @@ def leak_keys(split: TaskSplits, entities: dict[str, str], relations: Harmonizat
         return (array("q", pairs(pairs(of_rows, heads), tails)),
                 array("q", pairs(pairs(of_rows, tails), heads)))
 
-    classes = []
-    for rows in deal(range(len(target)), unordered):
-        seen = Counter(map(getitem, repeat(unordered), rows))
-        recurs = map(gt, map(seen.__getitem__, map(getitem, repeat(unordered), rows)), repeat(1))
+    for rows in deal(range(len(target)), map(add, *canonical(target))):
+        positions = array("i", map(getitem, repeat(target), rows))
+        ends = [array("i", column) for column in canonical(positions)]
+        unordered = array("q", pair_keys(*ends, n_entity))
+        seen = Counter(unordered)
+        recurs = bytes(map(gt, map(seen.__getitem__, unordered), repeat(1)))
+        del seen, unordered
         candidates = array("i", compress(rows, recurs))
-        positions = array("i", map(getitem, repeat(target), candidates))
+        positions = array("i", compress(positions, recurs))
         heads, rels, tails = (array("i", map(getitem, repeat(column), positions))
                               for column in (g.heads, g.relations, g.tails))
+        ends = [array("i", compress(column, recurs)) for column in ends]
         relation_keys = packed(label, heads, tails)
-        ends = [array("i", map(canon.__getitem__, column)) for column in (heads, tails)]
         # no candidate endpoint shares its canonical text: entity keys are relation keys
         entity_keys = relation_keys if ends == [heads, tails] else packed(label, *ends)
-        classes.append((candidates, packed(raw, heads, tails), relation_keys, entity_keys))
-    return classes
+        yield candidates, packed(raw, heads, tails), relation_keys, entity_keys
 
 
 def detect_leakage(
-    keys: list, parts: tuple[Sequence[int], ...], include_inverse: bool = True
-) -> dict[tuple[str, str], tuple[int, int]]:
-    """``(detector, split pair) -> (leaked, total)`` for train/valid and
-    train/test under every detector and their union, from a task's
-    ``leak_keys`` and one seed's ``TaskSplits.parts``. Only candidates can
-    leak: the seed marks each target row's part in a byte and, one class at
-    a time, probes each detector's train candidates' keys with its
-    evaluation candidates'."""
-    codes = bytearray(b"\x01") * sum(map(len, parts))  # 1 train, 2 valid, 3 test
-    for code, part in enumerate(parts[1:], start=2):
-        deque(map(codes.__setitem__, part, repeat(code)), maxlen=0)
-    names, leaked = ("train_valid", "train_test"), Counter()
+    keys: Iterable, split: TaskSplits, include_inverse: bool = True
+) -> list[dict[tuple[str, str], tuple[int, int]]]:
+    """Per seed of ``split``, ``(detector, split pair) -> (leaked, total)``
+    for train/valid and train/test under every detector and their union,
+    from the task's ``leak_keys``. Only candidates can leak: one class at a
+    time, each seed reads its candidates' split bytes and probes each
+    detector's train candidates' keys with its evaluation candidates'; the
+    class is dropped before the next is built."""
+    names, leaked = ("train_valid", "train_test"), [Counter() for _ in split.codes]
     for candidates, *detectors in keys:
-        in_class = bytes(map(codes.__getitem__, candidates))
-        evals = [array("i", compress(range(len(in_class)), marks(in_class, code))) for code in (2, 3)]
+        sides = [both[: 1 + include_inverse] for both in detectors]
+        for codes, counts in zip(split.codes, leaked):
+            in_class = bytes(map(codes.__getitem__, candidates))
+            train = marks(in_class, 1)
+            evals = [array("i", compress(range(len(in_class)), marks(in_class, code)))
+                     for code in (2, 3)]
+            dup, rel = _leaks(train, evals, sides[0]), _leaks(train, evals, sides[1])
+            ent = rel if detectors[2] is detectors[1] else _leaks(train, evals, sides[2])
+            for name, *hits in zip(names, dup, rel, ent):
+                found = [*map(len, hits), len(set().union(*hits))]
+                counts.update(dict(zip(zip(DETECTORS, repeat(name)), found)))
+    totals = (split.n_valid, len(split.target) - split.n_train - split.n_valid)
+    return [{(detector, name): (counts[detector, name], total)
+             for name, total in zip(names, totals) for detector in DETECTORS}
+            for counts in leaked]
 
-        def leaks(keys: array, inverse: array) -> list[set[int]]:
-            in_train = set(compress(keys, marks(in_class, 1))).__contains__
-            sides = (keys, inverse)[: 1 + include_inverse]
-            return [set().union(*(compress(rows, map(in_train, map(side.__getitem__, rows)))
-                                  for side in sides)) for rows in evals]
 
-        dup, rel = leaks(*detectors[0]), leaks(*detectors[1])
-        ent = rel if detectors[2] is detectors[1] else leaks(*detectors[2])
-        for name, *hits in zip(names, dup, rel, ent):
-            counts = [*map(len, hits), len(set().union(*hits))]
-            leaked.update(dict(zip(zip(DETECTORS, repeat(name)), counts)))
-    return {(detector, name): (leaked[detector, name], len(part))
-            for name, part in zip(names, parts[1:]) for detector in DETECTORS}
+def _leaks(train: bytes, evals: list[array], sides: tuple[array, ...]) -> list[set[int]]:
+    """The rows of each of ``evals`` (indices into a class's candidates)
+    whose key on any of ``sides`` (keys, then inverse keys) is the key of a
+    candidate marked in ``train``."""
+    in_train = set(compress(sides[0], train)).__contains__
+    return [set().union(*(compress(rows, map(in_train, map(side.__getitem__, rows)))
+                          for side in sides)) for rows in evals]
 
 
 def audit_report(
@@ -249,11 +282,13 @@ def write_bundle(
     none), and a byte per target row of a task, in written order, names the
     seed's split of it (1 train, 2 valid, 3 test). A split file gets the
     task's target lines whose byte is its split's; context gets every other
-    line. Context is every seed's alike: a task's first seed's is cut, and
-    the other seeds' are hard links to it, or cut alike where linking fails.
-    Under ``preserve_order`` the graph and context keep graph order, and each
-    seed renders its target rows once more, in its shuffled order. The
-    splits must be of ``g``, and no two may share a target row."""
+    line. A seed's bytes are its ``TaskSplits.codes`` scattered onto the
+    graph rows and read back in written order. Context is every seed's
+    alike: a task's first seed's is cut, and the other seeds' are hard links
+    to it, or cut alike where linking fails. Under ``preserve_order`` the
+    graph and context keep graph order, and each seed shuffles its
+    permutation again and renders its target rows once more, in that order.
+    The splits must be of ``g``, and no two may share a target row."""
     out, n = Path(out_dir), len(g)
     order = range(n) if preserve_order else g.text_order
     by_row = bytearray(n)  # per graph row: its task byte, then a seed's split
@@ -282,21 +317,20 @@ def write_bundle(
             # a task's files are consecutive: list its target rows once a batch
             seeds = dict.fromkeys((i, k) for _, i, k, _ in batch if k is not None)
             for i, same_task in groupby(seeds, itemgetter(0)):
-                target = splits[i].target
+                split = splits[i]
                 written = array("i", compress(order, marks(tasks, i + 1)))
                 for _, k in same_task:
-                    for code, part in enumerate(splits[i].parts(k), start=1):
-                        rows = map(getitem, repeat(target), part)
-                        deque(map(by_row.__setitem__, rows, repeat(code)), maxlen=0)
+                    deque(map(by_row.__setitem__, split.target, split.codes[k]), maxlen=0)
                     codes[i, k] = bytes(map(getitem, repeat(by_row), written))
                 del written  # freed before the next task's target rows are listed
             _fan_out(g, order, tasks,
                      [(path, i, codes.get((i, k)), code) for path, i, k, code in batch])
 
     cut(files)
-    for path, i, k, code in shuffled:
-        rows = array("i", map(splits[i].target.__getitem__, splits[i].parts(k)[code - 1]))
-        _fan_out(g, rows, None, [(path, None, None, 0)])
+    for (i, k), same_seed in groupby(shuffled, itemgetter(1, 2)):
+        for (path, *_), part in zip(same_seed, splits[i].parts(k)):
+            rows = array("i", map(splits[i].target.__getitem__, part))
+            _fan_out(g, rows, None, [(path, None, None, 0)])
     contexts = [[out / "splits" / s.task / f"seed_{seed}" / "context.tsv" for seed in s.seeds]
                 for s in splits]
     cut([(path, i, None, 0) for i, (first, *others) in enumerate(contexts)

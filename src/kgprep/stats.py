@@ -3,8 +3,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 from .model import KnowledgeGraph, StageLog
 
@@ -36,7 +37,11 @@ class StatsReport:
 def compute_stats(g: KnowledgeGraph) -> StatsReport:
     """Breakdown tables with deterministic row order (lexicographic keys);
     totals always equal the sums of their breakdowns."""
-    node_counter = Counter((n.entity_type, n.source) for n in g.nodes)
+    # 1 for each entity id that is a row endpoint: no node-id set is built to count
+    endpoint = bytearray(len(g.vocab.entities))
+    for column in (g.heads, g.tails):
+        deque(map(endpoint.__setitem__, column, repeat(1)), maxlen=0)
+    node_counter = Counter((n.entity_type, n.source) for n in compress(g.vocab.entities, endpoint))
     relations = g.vocab.relations
     edge_counter: Counter = Counter()
     for r, count in Counter(g.relations).items():
@@ -51,7 +56,7 @@ def compute_stats(g: KnowledgeGraph) -> StatsReport:
         for (signature, origin), count in sorted(edge_counter.items())
     ]
     return StatsReport(
-        node_total=len(g.node_ids),
+        node_total=endpoint.count(1),
         edge_total=len(g),
         nodes_by_type_source=nodes,
         edges_by_signature_origin=edges,

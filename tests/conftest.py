@@ -83,10 +83,18 @@ def run_stage(name: str, g: KnowledgeGraph, stage):
 
 
 def splits_of(task: str, seed: int, train, valid, test) -> TaskSplits:
-    """One seed's splits of given rows, in the given order, with no context."""
-    g = KnowledgeGraph([*train, *valid, *test])
-    everything = array("i", range(len(g)))
-    return TaskSplits(task, g, everything, [seed], [everything], len(train), len(valid))
+    """One seed's splits of given rows, with no context and parts of the
+    given sizes: the graph holds the rows where the seed's shuffle deals
+    them out as train, valid and test, in the given order."""
+    rows, codes = [*train, *valid, *test], b"\x01" * len(train) + b"\x02" * len(valid)
+    codes += b"\x03" * len(test)
+    order = list(range(len(rows)))
+    random.Random(seed).shuffle(order)
+    placed, split = [None] * len(rows), bytearray(len(rows))
+    for row, code, p in zip(rows, codes, order):
+        placed[p], split[p] = row, code
+    g = KnowledgeGraph(placed)
+    return TaskSplits(task, g, array("i", range(len(g))), [seed], [split], len(train), len(valid))
 
 
 def leakage_of(
@@ -96,10 +104,10 @@ def leakage_of(
     relations: HarmonizationTable | None = None,
     include_inverse: bool = True,
 ):
-    """``detect_leakage`` of seed ``split.seeds[k]``, with the task's keys
-    built under these tables; an absent table is the identity."""
+    """``detect_leakage``'s counts for seed ``split.seeds[k]``, with the
+    task's keys built under these tables; an absent table is the identity."""
     keys = leak_keys(split, entities or {}, relations or HarmonizationTable.from_rows([]))
-    return detect_leakage(keys, split.parts(k), include_inverse=include_inverse)
+    return detect_leakage(keys, split, include_inverse=include_inverse)[k]
 
 
 def traced(call) -> tuple[int, int]:

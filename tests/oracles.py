@@ -13,6 +13,7 @@ import random
 import struct
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 # --- circular-fingerprint environment enumerator ---------------------------
 #
@@ -362,7 +363,11 @@ def task_matches(endpoint_types, t) -> bool:
 
 
 def _split_part(split, k: int, start: int, stop: int) -> list:
-    return [split.graph.row(split.target[i]) for i in list(split.orders[k])[start:stop]]
+    """Rows ``start:stop`` of the task's target rows shuffled under seed
+    ``split.seeds[k]``, shuffled here rather than read from the plan."""
+    order = list(range(len(split.target)))
+    random.Random(split.seeds[k]).shuffle(order)
+    return [split.graph.row(split.target[i]) for i in order[start:stop]]
 
 
 def split_train(split, k: int) -> list:
@@ -656,6 +661,57 @@ def planted_mismatches(stats: dict, expected: dict) -> list[str]:
     return mismatches
 
 
+# --- a run's split files recomputed from its graph file -----------------------
+#
+# Each task's target: the README's endpoint type set of its rows.
+
+TASK_ENDPOINT_TYPES = {
+    "ppi": {"Gene"},
+    "drug_repurposing": {"Compound", "Gene"},
+    "side_effect": {"Compound", "SideEffect"},
+}
+
+
+class _Text(NamedTuple):
+    """What ``splits_by_rescan`` and ``split_file_texts`` read of an entity
+    or relation: its text and, for an entity, its type."""
+
+    text: str
+    entity_type: str | None = None
+
+
+class _Row(NamedTuple):
+    head: _Text
+    relation: _Text
+    tail: _Text
+
+
+def _graph_rows(path) -> list[_Row]:
+    """A graph file's rows in file order; an entity's type is its text
+    before ``::``."""
+    return [_Row(_Text(h, h.partition("::")[0]), _Text(r), _Text(t, t.partition("::")[0]))
+            for h, r, t in _read_split_file(path)]
+
+
+def _check_splits(config_path, out_dir) -> int:
+    """Compare every split file under ``out_dir/splits`` with the per-seed
+    recipe run on ``out_dir/graph.tsv``, byte for byte. The run must have
+    kept input order (``--preserve-order``), so that the graph file lists
+    the rows in the order the splits shuffled them from."""
+    inputs, rows = audit_inputs(config_path), _graph_rows(Path(out_dir) / "graph.tsv")
+    problems, checked = [], 0
+    for task in inputs["tasks"]:
+        for seed in inputs["seeds"]:
+            parts = splits_by_rescan(rows, TASK_ENDPOINT_TYPES[task], seed)
+            seed_dir = Path(out_dir) / "splits" / task / f"seed_{seed}"
+            for name, text in split_file_texts(parts, preserve_order=True).items():
+                checked += 1
+                if (seed_dir / name).read_bytes() != text.encode("utf-8"):
+                    problems.append(f"{task} seed {seed} {name}: differs from the recipe")
+    print("\n".join(problems) or f"all {checked} split files match")
+    return 1 if problems else 0
+
+
 def _check_leakage(config_path, out_dir) -> int:
     """Compare ``out_dir/leakage_report.json`` with the hashed recompute of
     the split files under ``out_dir/splits``."""
@@ -673,8 +729,11 @@ def _check_leakage(config_path, out_dir) -> int:
 if __name__ == "__main__":
     # python tests/oracles.py STATS_JSON EXPECTED_COUNTS_JSON
     # python tests/oracles.py leakage CONFIG OUT_DIR
+    # python tests/oracles.py splits CONFIG OUT_DIR  (a --preserve-order run)
     if sys.argv[1] == "leakage":
         sys.exit(_check_leakage(*sys.argv[2:]))
+    if sys.argv[1] == "splits":
+        sys.exit(_check_splits(*sys.argv[2:]))
     stats_path, expected_path = sys.argv[1:]
     with open(stats_path, encoding="utf-8") as fh:
         run_stats = json.load(fh)

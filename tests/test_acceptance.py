@@ -333,8 +333,7 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
 
     def any_ratio(task_name: str) -> tuple[float, float]:
         split = make_splits(g, task_name, range(5))
-        keys = leak_keys(split, entity_map, table)
-        reports = [detect_leakage(keys, split.parts(k)) for k in range(5)]
+        reports = detect_leakage(leak_keys(split, entity_map, table), split)
         cell, = (r for r in audit_report(task_name, list(range(5)), reports)
                  if (r["detector"], r["split_pair"]) == ("any", "train_test"))
         return cell["mean"], cell["std"]
@@ -355,8 +354,7 @@ def test_acceptance_4_leakage_reproduction(tmp_path):
         or {t.head.entity_type, t.tail.entity_type} != {"Compound", "SideEffect"}
     )
     split = make_splits(sider, "side_effect", range(5))
-    keys = leak_keys(split, entity_map, table)
-    reports = [detect_leakage(keys, split.parts(k)) for k in range(5)]
+    reports = detect_leakage(leak_keys(split, entity_map, table), split)
     means = {(r["detector"], r["split_pair"]): r["mean"]
              for r in audit_report("side_effect", list(range(5)), reports)}
     for detector in ("relation_redundancy", "entity_redundancy"):

@@ -522,6 +522,20 @@ def test_compute_stats_totals_match_breakdowns():
     assert rows == sorted(rows, key=lambda r: (r["type"], r["source"]))
 
 
+def test_compute_stats_counts_row_endpoints_not_the_vocabulary():
+    g = graph_of(
+        ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
+        ("Compound::drugbank:DB1", "Hetionet::CbG::Compound:Gene", "Gene::ENSEMBL:9"),
+        ("Compound::PubChem_Compounds:1", "Hetionet::CbG::Compound:Gene", "Gene::NCBI:1"),
+        ("Gene::NCBI:2", "STRING::Binding::Gene:Gene", "Gene::NCBI:1"),
+    )
+    kept = g.where(b"\x01\x00\x01\x01")
+    report = compute_stats(kept)
+    assert report.node_total == len(kept.nodes) == len(kept.vocab.entities) - 2
+    counts = {(r["type"], r["source"]): r["count"] for r in report.nodes_by_type_source}
+    assert counts == Counter((n.entity_type, n.source) for n in kept.nodes)
+
+
 # --- the output tree of each command ------------------------------------------
 
 

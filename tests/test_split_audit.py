@@ -1,7 +1,7 @@
 import errno
 import os
 import random
-import tracemalloc
+import sys
 from itertools import combinations, islice
 
 import pytest
@@ -15,6 +15,7 @@ from kgprep.model import KnowledgeGraph
 from kgprep.split_audit import (
     BUILTIN_TASKS,
     DETECTORS,
+    TaskSplits,
     audit_report,
     detect_leakage,
     leak_keys,
@@ -99,6 +100,12 @@ def test_split_partition_property(n, seed):
     assert len(split_train(split, 0)) == n - n // 10 - n // 5
     whole = [render(t) for t in split_train(split, 0) + split_valid(split, 0) + split_test(split, 0)]
     assert len(whole) == n
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    codes = bytearray(n)
+    for at, i in enumerate(order):
+        codes[i] = 1 + (at >= n - n // 10 - n // 5) + (at >= n - n // 5)
+    assert split.codes[0] == codes
     assert sorted(whole) == sorted(render(t) for t in g if task_matches(BUILTIN_TASKS["ppi"], t))
 
 
@@ -276,69 +283,78 @@ def test_detectors_equal_exhaustive_oracle_on_mixed_signatures(task, seed, inclu
             assert report[(detector, pair)] == (expected, len(evaluated)), (detector, pair)
 
 
-# tracemalloc peak of one seed's detect_leakage per target row, on a task
-# whose endpoint pairs are all distinct: the byte that marks each target
-# row's part, and room for what does not grow with the rows. Collecting the
-# train rows' keys in a set, as an audit that probes every target row does,
-# takes tens of bytes a row.
+def test_plan_holds_one_byte_per_target_row_and_seed():
+    n, seeds = 20_000, range(5)
+    g = target_graph(n, n_context=3)
+    plans = []
+    held, peak = traced(lambda: plans.append(make_splits(g, "ppi", seeds)))
+    split, = plans
+    assert len(split.target) == n
+    assert [(len(codes), memoryview(codes).itemsize) for codes in split.codes] == [(n, 1)] * 5
+    assert set().union(*map(set, split.codes)) == {1, 2, 3}
+    # beyond the target positions, a byte per target row and seed and a
+    # few small objects
+    assert held - sys.getsizeof(split.target) - len(seeds) * n <= 2048
+    # one seed's 4-byte permutation, and a slice of it, at a time; measured
+    # 5.1 B/row for 1, 2 and 5 seeds
+    assert peak - held <= 6 * n
+
+
+# What one more seed may add to the audit's peak, per target row; measured
+# 0.13 B/row. The audit reads each seed's split bytes from the plan, so it
+# marks no part per seed, and holds nothing per seed but one class's marks.
 AUDIT_BYTES_PER_TARGET_ROW = 2
 
-
-def test_seed_audit_memory_scales_with_candidates_not_targets():
-    n = 20_000
-    g = graph_of(*((f"Gene::NCBI:{i}", "GNBR::B::Gene:Gene", f"Gene::NCBI:{n + i}")
-                   for i in range(n)))
-    split = make_splits(g, "ppi", [0])
-    keys, parts = leak_keys(split, {}, HarmonizationTable.from_rows([])), split.parts(0)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        report = detect_leakage(keys, parts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert report[("any", "train_test")] == (0, n // 5)
-    assert (peak - base) / n <= AUDIT_BYTES_PER_TARGET_ROW
-
-
-# per target row, the arrays leak_keys builds and drops: the canonical ends
-# and the packed pairs made from them
+# per target row, the arrays the audit holds beside one class's tables: the
+# dealt row indices (4 B and growth), and an entity's canonical id per row
+# endpoint when no two rows share one
 LEAK_KEYS_ARRAY_BYTES = 16
 
 
-def test_audit_tables_hold_one_class_when_every_pair_recurs():
+def class_audit_peak(split: TaskSplits) -> tuple[int, list]:
+    """The tracemalloc peak of the audit of every seed of ``split``, and
+    its counts per seed."""
+    def audit():
+        report[:] = detect_leakage(leak_keys(split, {}, HarmonizationTable.from_rows([])), split)
+
+    report = []
+    return traced(audit)[1], report
+
+
+def test_seed_audit_memory_scales_with_candidates_not_targets(monkeypatch):
+    # classes of 1,024 rows, so that one class's tables are small beside
+    # every target row's: measured 18.3 B/row in all, 8 of them canonical
+    # ids; keys built with a dict over every entity text peaked at 190 B/row
+    # with classes of 8,192 rows
+    monkeypatch.setattr(model, "_SORT_ROWS", model._SORT_ROWS // 8)
+    n = 20_000
+    g = graph_of(*((f"Gene::NCBI:{i}", "GNBR::B::Gene:Gene", f"Gene::NCBI:{n + i}")
+                   for i in range(n)))
+    peaks = {}
+    for seeds in (1, 5):
+        split = make_splits(g, "ppi", range(seeds))
+        peaks[seeds], reports = class_audit_peak(split)
+        assert [report[("any", "train_test")] for report in reports] == [(0, n // 5)] * seeds
+    assert peaks[1] <= LEAK_KEYS_ARRAY_BYTES * n + BUCKET_TABLE_BYTES // 8
+    assert peaks[5] - peaks[1] <= AUDIT_BYTES_PER_TARGET_ROW * (5 - 1) * n
+
+
+def test_audit_tables_hold_one_class_when_every_pair_recurs(monkeypatch):
     # each pair once in each orientation, so every target row is a
-    # candidate and most evaluation rows leak: measured, with one count of
-    # every pair and one set of every train key, 105 B/row in leak_keys
-    # beyond what it returns and 99 B/row in a seed's audit; 21 and 17 B/row
-    # with tables of one class each
+    # candidate and most evaluation rows leak: measured, with every class's
+    # keys built before the seeds are audited, 37.8 B/row held and 58.5
+    # B/row at the peak (classes of 8,192 rows); 8.9 B/row with one class
+    # of 1,024 rows at a time, for every seed
+    monkeypatch.setattr(model, "_SORT_ROWS", model._SORT_ROWS // 8)
     genes = [f"Gene::NCBI:{i}" for i in range(250)]
     n = 60_000
     rows = []
     for h, t in islice(combinations(genes, 2), n // 2):
         rows += [(h, "GNBR::B::Gene:Gene", t), (t, "GNBR::B::Gene:Gene", h)]
-    split = make_splits(graph_of(*rows), "ppi", [0])
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        keys = leak_keys(split, {}, HarmonizationTable.from_rows([]))
-        held, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        report = detect_leakage(keys, split.parts(0))
-        seed_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert sum(len(candidates) for candidates, *_ in keys) == n
-    assert 0 < report[("any", "train_test")][0] < n // 5
-    assert peak - held <= LEAK_KEYS_ARRAY_BYTES * n + BUCKET_TABLE_BYTES
-    assert seed_peak - held <= AUDIT_BYTES_PER_TARGET_ROW * n + BUCKET_TABLE_BYTES
+    split = make_splits(graph_of(*rows), "ppi", range(5))
+    peak, reports = class_audit_peak(split)
+    assert all(0 < report[("any", "train_test")][0] < n // 5 for report in reports)
+    assert peak <= LEAK_KEYS_ARRAY_BYTES * n + BUCKET_TABLE_BYTES // 8
 
 
 def test_audit_report_aggregation():
@@ -554,7 +570,7 @@ def test_write_bundle_writes_empty_valid_and_test(tmp_path, preserve_order):
         assert len((files / "train.tsv").read_text().splitlines()) == 4
         assert len((files / "context.tsv").read_text().splitlines()) == 4
 
-# --- leak keys, built once per task ------------------------------------------
+# --- leak keys, one class at a time for every seed ---------------------------
 
 
 def leaky_graph() -> KnowledgeGraph:
@@ -586,23 +602,25 @@ def leak_equivalence() -> tuple[dict[str, str], HarmonizationTable]:
 def test_seeds_audited_together_equal_each_seed_alone():
     g, equivalence = leaky_graph(), leak_equivalence()
     split = make_splits(g, "ppi", [0, 1, 2])
-    together = [leakage_of(split, k, *equivalence) for k in range(3)]
+    together = detect_leakage(leak_keys(split, *equivalence), split)
     alone = [leakage_of(make_splits(g, "ppi", [s]), 0, *equivalence) for s in (0, 1, 2)]
     assert together == alone
     assert together[0] != together[1]
     leaked = [together[0][(d, "train_test")][0] for d in DETECTORS[:3]]
     assert 0 < leaked[0] < leaked[1] < leaked[2]  # every detector adds leaks here
+    # classes of a few rows each: every class probed for every seed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", 2)
+        assert detect_leakage(leak_keys(split, *equivalence), split) == alone
 
 
 def test_task_keys_are_rebuilt_for_another_equivalence():
     g, equivalence = leaky_graph(), leak_equivalence()
     split = make_splits(g, "ppi", [0, 1])
-    identity_keys = leak_keys(split, {}, HarmonizationTable.from_rows([]))
-    mapped_keys = leak_keys(split, *equivalence)
+    identity = detect_leakage(leak_keys(split, {}, HarmonizationTable.from_rows([])), split)
+    mapped = detect_leakage(leak_keys(split, *equivalence), split)
     for k, seed in enumerate(split.seeds):
         fresh = make_splits(g, "ppi", [seed])
-        identity = detect_leakage(identity_keys, split.parts(k))
-        mapped = detect_leakage(mapped_keys, split.parts(k))
-        assert identity == leakage_of(fresh)
-        assert mapped == leakage_of(fresh, 0, *equivalence)
-        assert identity != mapped
+        assert identity[k] == leakage_of(fresh)
+        assert mapped[k] == leakage_of(fresh, 0, *equivalence)
+        assert identity[k] != mapped[k]

@@ -118,7 +118,7 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
             train, valid, test, _ = parts
             split = splits_of(task_name, seed, train, valid, test)
             keys = leak_keys(split, entities, runner.harmonization_table)
-            reports.append(detect_leakage(keys, split.parts(0), include_inverse=include_inverse))
+            reports += detect_leakage(keys, split, include_inverse=include_inverse)
         records += audit_report(task_name, list(SEEDS), reports)
     assert {p for p in splits.rglob("*") if p.is_file()} == expected_files
     for task_name in TASKS:

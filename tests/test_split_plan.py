@@ -1,7 +1,10 @@
 """One split plan per run: the graph's one text order serves graph.tsv and
-every sorted split file, each (task, seed) permutation is shuffled once, the
-audit reuses the splits stage's splits only for the graph they were made for,
-and it builds each task's leak keys once."""
+every sorted split file; each (task, seed) permutation is shuffled once, and
+the plan keeps only its byte per target row, so under --preserve-order the
+writer shuffles each seed once more to write its files in shuffled order;
+the audit reuses the splits stage's splits only for the graph they were made
+for, and it builds each task's leak keys once, one class at a time, each
+class probed for every seed."""
 
 import builtins
 import random
@@ -96,6 +99,23 @@ def test_full_run_sorts_rows_once_and_shuffles_each_seed_once(tmp_path, monkeypa
     # per row; every other sort orders a handful of counters or table keys
     assert [n for n in sorted_sizes if n >= 30] == [report.node_total, report.edge_total]
     assert len(shuffles) == len(TASKS) * len(SEEDS)
+
+
+def test_preserve_order_run_shuffles_each_seed_once_more(tmp_path, monkeypatch):
+    config = _config(tmp_path, splits=True)
+    config.preserve_order = True
+    shuffles = []
+    real_shuffle = random.Random.shuffle
+
+    def counting_shuffle(self, x):
+        shuffles.append(len(x))
+        return real_shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
+    PipelineRunner(config).run()
+    monkeypatch.undo()
+
+    assert len(shuffles) == 2 * len(TASKS) * len(SEEDS)
 
 
 def test_audit_builds_each_tasks_keys_once(tmp_path, monkeypatch):
