@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import SmilesError, StageError
 from ..ingest import open_output
@@ -155,13 +156,20 @@ def fingerprint_all(
     smiles_dict: dict[str, str],
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
+    known: dict[str, Fingerprint] | None = None,
 ) -> tuple[dict[str, Fingerprint], dict[str, int]]:
     """One fingerprint per Compound node in the graph, keyed and ordered by the
     rendered compound id. The SMILES-less filter must already have run: any
-    missing or unparseable entry here is a pipeline-order bug and is fatal."""
+    missing or unparseable entry here is a pipeline-order bug and is fatal.
+    ``known`` maps compound ids to fingerprints already made of their
+    ``smiles_dict`` entries at this radius and width; those are reused."""
     table: dict[str, Fingerprint] = {}
     memo: dict = {}
+    known = known or {}
     for node in sorted(g.nodes_of_type("Compound"), key=lambda n: n.text):
+        if node.text in known:
+            table[node.text] = known[node.text]
+            continue
         smiles = smiles_dict.get(node.text)
         if smiles is None:
             raise StageError(
@@ -176,6 +184,18 @@ def fingerprint_all(
             ) from exc
         table[node.text] = morgan_fingerprint(mol, radius, nbits, memo)
     return table, {"fingerprints_generated": len(table)}
+
+
+def fingerprinter(table: dict, radius: int, nbits: int) -> Callable[[str, Molecule], None]:
+    """A callback that puts the fingerprint of each ``(compound id,
+    molecule)`` it is called with into ``table``; its calls share one memo,
+    freed with the callback."""
+    memo: dict = {}
+
+    def fingerprint(compound: str, mol: Molecule) -> None:
+        table[compound] = morgan_fingerprint(mol, radius, nbits, memo)
+
+    return fingerprint
 
 
 def write_fingerprints(path, table: dict[str, Fingerprint]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from array import array
 from itertools import compress, count
+from typing import Callable
 
 from .chem.smiles import parse_smiles
 from .errors import InputError, ParseError, SmilesError
@@ -156,13 +157,14 @@ def merge_onsides(
 
 
 def filter_no_smiles(
-    g: KnowledgeGraph, smiles_dict: dict[str, str]
+    g: KnowledgeGraph, smiles_dict: dict[str, str], parsed: Callable = lambda text, mol: None
 ) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Remove every compound lacking a dictionary entry or whose structure
     string fails the SMILES syntax check, together with all incident rows.
     Missing and unparseable removals are counted separately; downstream
     fingerprinting requires a parseable structure either way. The check is
-    ``parse_smiles``, the tokenizer fingerprints runs."""
+    ``parse_smiles``, the tokenizer fingerprints runs; ``parsed`` is called
+    with the text and molecule of each compound that passes."""
     missing = 0
     unparseable = 0
     entities = g.vocab.entities
@@ -177,11 +179,14 @@ def filter_no_smiles(
             doomed[e] = 1
             continue
         try:
-            parse_smiles(smiles)
+            mol = parse_smiles(smiles)
         except SmilesError as exc:
             log.debug("unparseable SMILES for %s: %s", node.text, exc)
             unparseable += 1
             doomed[e] = 1
+            continue
+        parsed(node.text, mol)
+    del parsed  # with whatever it holds, before the rows are compacted
     rows_in = len(g)
     kept = g.where(marks(g.flags(entity=doomed), 0))
     return kept, {

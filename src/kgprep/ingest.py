@@ -381,15 +381,20 @@ def write_json(path: str | Path, data) -> None:
 _WRITE_CHUNK = 1024
 
 
-def render_chunks(g: KnowledgeGraph, order: Sequence[int]) -> Iterator[list[bytes]]:
+def encoded(vocab: Vocabulary) -> tuple[list[bytes], list[bytes]]:
+    """Each entity's and each relation's text in ``vocab``, as bytes."""
+    return [e.text.encode() for e in vocab.entities], [r.text.encode() for r in vocab.relations]
+
+
+def render_chunks(g: KnowledgeGraph, order: Sequence[int], texts=None) -> Iterator[list[bytes]]:
     """The triplet TSV lines of the rows at ``order``'s positions, in that
     order, ``_WRITE_CHUNK`` rows to a list. Every file of graph rows is
     rendered here.
 
-    Each vocabulary entry is encoded once, up front; a line joins its
-    head's, relation's and tail's bytes and the separators."""
-    entities = [e.text.encode() for e in g.vocab.entities]
-    relations = [r.text.encode() for r in g.vocab.relations]
+    Each vocabulary entry is encoded once: ``texts`` is ``encoded(g.vocab)``,
+    made here unless a writer of several files of ``g`` passes it. A line
+    joins its head's, relation's and tail's bytes and the separators."""
+    entities, relations = texts or encoded(g.vocab)
     tab, end = repeat(b"\t"), repeat(b"\n")
     for start in range(0, len(order), _WRITE_CHUNK):
         rows = order[start : start + _WRITE_CHUNK]

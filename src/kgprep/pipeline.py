@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import clean, enrich, features, ingest, normalize, split_audit
-from .chem.fingerprint import fingerprint_all, write_fingerprints
+from .chem.fingerprint import fingerprint_all, fingerprinter, write_fingerprints
 from .config import STAGE_NAMES, PipelineConfig
 from .errors import ConfigError
 from .model import KnowledgeGraph, StageLog
@@ -73,6 +73,10 @@ class PipelineRunner:
         self._plan: dict[str, split_audit.TaskSplits] = {}
         # the graph whose file the splits stage wrote to RENDERED_GRAPH
         self._rendered: KnowledgeGraph | None = None
+        # in a run that fingerprints, the graph the SMILES filter returned and
+        # the fingerprints it made of what it parsed, until that stage runs
+        self._fingerprint_early = stage is None and config.enabled("fingerprints")
+        self._fingerprinted: tuple[KnowledgeGraph, dict] | None = None
 
     # --- auxiliary inputs, each read on first use -------------------------
 
@@ -163,17 +167,32 @@ class PipelineRunner:
                 compound_map=self.id_maps["Compound"],
                 side_effect_map=self.id_maps["SideEffect"],
             ),
-            "smiles_filter": lambda g: enrich.filter_no_smiles(g, self.smiles_dict),
+            "smiles_filter": self._smiles_filter,
             "fingerprints": self._fingerprints,
             "features": self._features,
             "splits": self._splits,
             "audit": self._audit,
         }
 
+    def _smiles_filter(self, g: KnowledgeGraph) -> StageResult:
+        if not self._fingerprint_early:
+            return enrich.filter_no_smiles(g, self.smiles_dict)
+        cfg, table = self.config, {}
+        # only the filter holds the callback: it drops it, and its memo, once it has parsed
+        kept, details = enrich.filter_no_smiles(
+            g, self.smiles_dict, fingerprinter(table, cfg.fingerprint_radius, cfg.fingerprint_nbits)
+        )
+        self._fingerprinted = kept, table
+        return kept, details
+
     def _fingerprints(self, g: KnowledgeGraph) -> StageResult:
-        cfg = self.config
+        """Fingerprint ``g``, reusing the SMILES filter's table only if it
+        returned this very graph; the table is dropped either way."""
+        cfg, (filtered, known) = self.config, self._fingerprinted or (None, None)
+        self._fingerprinted = None
         table, details = fingerprint_all(
-            g, self.smiles_dict, radius=cfg.fingerprint_radius, nbits=cfg.fingerprint_nbits
+            g, self.smiles_dict, radius=cfg.fingerprint_radius, nbits=cfg.fingerprint_nbits,
+            known=known if filtered is g else None,
         )
         write_fingerprints(self.out_dir / "fingerprints.tsv", table)
         return g, details

@@ -5,11 +5,13 @@ A split shuffles the task's target triplets under a seed and partitions them
 70/10/20 (valid and test sizes floored, remainder to train); every non-target
 triplet stays in the context set. A task's rows are partitioned once, into
 one ``TaskSplits`` that holds a byte per target row and seed naming its
-split. The graph file and every split file are written from one rendering
-of each row: a byte per row names the task it is a target of, a byte per
-target row names a seed's split of it, and each file keeps the rendered
-lines of its rows. The audit asks, for each evaluation triplet, whether the
-training split contains an equivalent counterpart:
+split, from the steps of ``random.Random(seed).shuffle`` that fix its valid
+and test positions: the rest only reorder train. The graph file and every
+split file are written from one rendering of each row: a byte per row names
+the task it is a target of, a byte per target row names a seed's split of
+it, and each file keeps the rendered lines of its rows. The audit asks, for
+each evaluation triplet, whether the training split contains an equivalent
+counterpart:
 
 * duplicate_inverse - same origin and label, endpoints equal or swapped;
 * relation_redundancy - endpoints equal or swapped, labels equal after
@@ -37,6 +39,7 @@ from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import compress, count, groupby, repeat
 from operator import add, getitem, gt, itemgetter, mul
 from pathlib import Path
@@ -44,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
-from .ingest import open_output, render_chunks, write_json
+from .ingest import encoded, open_output, render_chunks, write_json
 from .model import KnowledgeGraph, deal, marks, pair_keys
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
@@ -83,12 +86,17 @@ class TaskSplits:
         return order[: self.n_train], order[self.n_train : end_valid], order[end_valid:]
 
 
-def _shuffled(seed: int, n: int) -> array:
-    """``random.Random(seed).shuffle`` of the indices below ``n``. Its draws
-    depend only on ``n``, so index k names the row that shuffling a copy of
-    the target list would put at k."""
-    order = array("i", range(n))
-    random.Random(seed).shuffle(order)
+def _shuffled(seed: int, n: int, stop: int = 1) -> array:
+    """The indices below ``n`` after the steps ``i = n - 1 ... stop`` of
+    ``random.Random(seed).shuffle``, each a swap of ``i`` with ``j`` drawn as
+    its ``_randbelow(i + 1)`` draws. Step ``i`` fixes position ``i``, so from
+    ``stop`` on, position k names the row the whole shuffle puts at k."""
+    order, getrandbits = array("i", range(n)), random.Random(seed).getrandbits
+    for i in range(n - 1, stop - 1, -1):
+        k, j = (i + 1).bit_length(), i + 1
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return order
 
 
@@ -98,9 +106,9 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
     target when its endpoint types are the task's.
 
     Each distinct relation id is classified once (a row's endpoint types
-    are its relation's); each seed then shuffles indices into the target
-    positions, marks its valid and test indices in its bytes and drops the
-    permutation before the next seed shuffles.
+    are its relation's); each seed then draws only the shuffle steps that
+    fix its valid and test positions (the rest only reorder train), marks
+    the indices there in its bytes and drops them before the next draws.
     """
     types = BUILTIN_TASKS[task_name]
     hit = bytes({r.head_type, r.tail_type} == types for r in g.vocab.relations)
@@ -111,14 +119,14 @@ def make_splits(g: KnowledgeGraph, task_name: str, seeds: Iterable[int]) -> Task
     n_valid = n // 10
     n_train = n - n_valid - n // 5
     seeds = list(seeds)
-    codes = [_codes(_shuffled(seed, n), n_train, n_valid) for seed in seeds]
+    codes = [_codes(_shuffled(seed, n, n_train), n_train, n_valid) for seed in seeds]
     return TaskSplits(task_name, g, target, seeds, codes, n_train, n_valid)
 
 
 def _codes(order: array, n_train: int, n_valid: int) -> bytearray:
-    """A byte per index below ``len(order)``: 1 for the first ``n_train``
-    indices of the permutation ``order``, 2 for the next ``n_valid`` and 3
-    for the rest."""
+    """A byte per index below ``len(order)``: 2 for the ``n_valid``
+    indices from position ``n_train`` on of the permutation ``order``, 3 for
+    those after them and 1 for the rest."""
     codes = bytearray(b"\x01") * len(order)
     deque(map(codes.__setitem__, order[n_train : n_train + n_valid], repeat(2)), maxlen=0)
     deque(map(codes.__setitem__, order[n_train + n_valid :], repeat(3)), maxlen=0)
@@ -290,6 +298,9 @@ def write_bundle(
     permutation again and renders its target rows once more, in that order.
     The splits must be of ``g``, and no two may share a target row."""
     out, n = Path(out_dir), len(g)
+    # one encoding of the vocabulary serves every rendering; it is made when
+    # rows are first rendered, after the first batch's bytes are cut
+    texts = cache(partial(encoded, g.vocab))
     order = range(n) if preserve_order else g.text_order
     by_row = bytearray(n)  # per graph row: its task byte, then a seed's split
     for i, split in enumerate(splits):
@@ -323,14 +334,14 @@ def write_bundle(
                     deque(map(by_row.__setitem__, split.target, split.codes[k]), maxlen=0)
                     codes[i, k] = bytes(map(getitem, repeat(by_row), written))
                 del written  # freed before the next task's target rows are listed
-            _fan_out(g, order, tasks,
+            _fan_out(render_chunks(g, order, texts()), tasks,
                      [(path, i, codes.get((i, k)), code) for path, i, k, code in batch])
 
     cut(files)
     for (i, k), same_seed in groupby(shuffled, itemgetter(1, 2)):
         for (path, *_), part in zip(same_seed, splits[i].parts(k)):
             rows = array("i", map(splits[i].target.__getitem__, part))
-            _fan_out(g, rows, None, [(path, None, None, 0)])
+            _fan_out(render_chunks(g, rows, texts()), None, [(path, None, None, 0)])
     contexts = [[out / "splits" / s.task / f"seed_{seed}" / "context.tsv" for seed in s.seeds]
                 for s in splits]
     cut([(path, i, None, 0) for i, (first, *others) in enumerate(contexts)
@@ -349,14 +360,14 @@ def _linked(source: Path, path: Path) -> bool:
     return True
 
 
-def _fan_out(g: KnowledgeGraph, order: Sequence[int], tasks: bytes | None, files: list) -> None:
-    """Render the rows at ``order``'s positions once and write them to each
-    ``(path, task, codes, code)`` of ``files``: every row when ``task`` is
-    None; else, when ``codes`` is None, the rows that are not the task's
-    targets (``tasks`` holds each row's task byte, as ``write_bundle``
-    makes it); else the task's target rows whose byte in ``codes`` (one per
-    target row, in order) is ``code``. Files that get the same rows get
-    bytes joined once."""
+def _fan_out(chunks: Iterable[list[bytes]], tasks: bytes | None, files: list) -> None:
+    """Write the lines ``render_chunks`` yields as ``chunks``, each rendered
+    once, to each ``(path, task, codes, code)`` of ``files``: every row when
+    ``task`` is None; else, when ``codes`` is None, the rows that are not
+    the task's targets (``tasks`` holds each row's task byte, as
+    ``write_bundle`` makes it); else the task's target rows whose byte in
+    ``codes`` (one per target row, in order) is ``code``. Files that get the
+    same rows get bytes joined once."""
     with ExitStack() as stack:
         sinks: dict = {}
         for path, task, codes, code in files:
@@ -364,7 +375,7 @@ def _fan_out(g: KnowledgeGraph, order: Sequence[int], tasks: bytes | None, files
             sinks.setdefault((task, id(codes), code), (task, codes, code, []))[3].append(fh)
         picked = {task for task, *_ in sinks.values() if task is not None}
         start, taken = 0, Counter()
-        for lines in render_chunks(g, order):
+        for lines in chunks:
             end = start + len(lines)
             hits = {task: marks(tasks[start:end], task + 1) for task in picked}
             targets = {task: list(compress(lines, hit)) for task, hit in hits.items()}

@@ -587,8 +587,8 @@ def test_run_renders_each_graph_row_once(corpus, tmp_path, monkeypatch):
     rendered = Counter()
     real = ingest.render_chunks
 
-    def counting(g, order):
-        for lines in real(g, order):
+    def counting(g, order, *texts):
+        for lines in real(g, order, *texts):
             rendered.update(lines)
             yield lines
 

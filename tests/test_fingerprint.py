@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 
+from kgprep import enrich
+from kgprep.chem import fingerprint
 from kgprep.chem.fingerprint import (
     Fingerprint,
     atom_environments,
@@ -11,7 +13,10 @@ from kgprep.chem.fingerprint import (
     morgan_fingerprint,
 )
 from kgprep.chem.smiles import parse_smiles
+from kgprep.config import STAGE_NAMES, PipelineConfig
 from kgprep.errors import StageError
+from kgprep.ingest import load_triplets
+from kgprep.pipeline import PipelineRunner
 
 from conftest import (
     DRUG_MOLECULES,
@@ -207,3 +212,41 @@ def test_fingerprint_all_memory_per_molecule():
             tracemalloc.stop()
     assert len(table) == len(smiles)
     assert (peak - base) / len(table) <= TUPLE_KEYED_BYTES_PER_MOLECULE
+
+
+def test_run_parses_each_smiles_once(tmp_path, monkeypatch):
+    """In a run the SMILES filter fingerprints what it parses, and the
+    fingerprints stage takes those for the graph the filter returned, only
+    for the compounds still in it; the stage alone, on that graph's file,
+    parses them again and writes the same table."""
+    c1, c2, c3, c4, c5 = (f"Compound::PubChem_Compounds:{i}" for i in range(1, 6))
+    bind = "GNBR::CMP_BIND::Compound:Gene"
+    rows = [(c1, bind, "Gene::NCBI:1"),
+            # c3 has no SMILES, so c2 leaves the graph with its one row
+            (c2, "DRUGBANK::ddi-interactor-in::Compound:Compound", c3),
+            (c4, bind, "Gene::NCBI:2"), (c5, bind, "Gene::NCBI:3")]
+    (tmp_path / "graph.tsv").write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
+    smiles = {c1: "CCO", c2: "c1ccccc1", c4: "C(", c5: "CC(=O)O"}
+    (tmp_path / "smiles.tsv").write_text("".join(f"{c}\t{s}\n" for c, s in smiles.items()))
+    config = PipelineConfig(triplets=str(tmp_path / "graph.tsv"), out_dir=str(tmp_path / "run"),
+                            smiles=str(tmp_path / "smiles.tsv"))
+    config.stages = {name: name in ("smiles_filter", "fingerprints") for name in STAGE_NAMES}
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_smiles(text)
+
+    monkeypatch.setattr(enrich, "parse_smiles", counting)
+    monkeypatch.setattr(fingerprint, "parse_smiles", counting)
+    PipelineRunner(config).run()
+    assert sorted(parsed) == sorted(smiles.values())
+    table = (tmp_path / "run" / "fingerprints.tsv").read_text()
+    assert [line.split("\t")[0] for line in table.splitlines()] == [c1, c5]
+
+    parsed.clear()
+    config.out_dir = str(tmp_path / "stage")
+    g, _ = load_triplets(tmp_path / "run" / "graph.tsv")
+    PipelineRunner(config, stage="fingerprints").run_stage("fingerprints", g)
+    assert sorted(parsed) == sorted([smiles[c1], smiles[c5]])
+    assert (tmp_path / "stage" / "fingerprints.tsv").read_text() == table

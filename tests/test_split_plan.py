@@ -1,7 +1,8 @@
 """One split plan per run: the graph's one text order serves graph.tsv and
-every sorted split file; each (task, seed) permutation is shuffled once, and
-the plan keeps only its byte per target row, so under --preserve-order the
-writer shuffles each seed once more to write its files in shuffled order;
+every sorted split file; each (task, seed) draws once, only the shuffle
+steps that fix its valid and test positions, and the plan keeps only its
+byte per target row, so under --preserve-order the writer shuffles each
+seed once more, in full, to write its files in shuffled order;
 the audit reuses the splits stage's splits only for the graph they were made
 for, and it builds each task's leak keys once, one class at a time, each
 class probed for every seed."""
@@ -75,69 +76,96 @@ def test_graph_tsv_equals_render_and_sort(tmp_path, splits):
     assert (tmp_path / "out" / "splits").exists() == splits
 
 
+def _counting_shuffles(monkeypatch) -> list[tuple[int, int, int]]:
+    """``(seed, n, stop)`` of each ``split_audit._shuffled`` call from now
+    on; a call of the library's full shuffle fails the test."""
+    calls, real = [], split_audit._shuffled
+
+    def counting(seed, n, stop=1):
+        calls.append((seed, n, stop))
+        return real(seed, n, stop)
+
+    def no_library_shuffle(self, x):
+        raise AssertionError("random.Random.shuffle called")
+
+    monkeypatch.setattr(split_audit, "_shuffled", counting)
+    monkeypatch.setattr(random.Random, "shuffle", no_library_shuffle)
+    return calls
+
+
+def _draws(report, stop_at_train: bool = True) -> list[tuple[int, int, int]]:
+    """One ``(seed, n, stop)`` per task and seed, in plan order: the plan's
+    draws stop at the task's train size, a whole shuffle's at 1."""
+    splits = next(s.details for s in report.stages if s.stage_name == "splits")
+    return [(seed, splits[f"{task}_target"], splits[f"{task}_train"] if stop_at_train else 1)
+            for task in TASKS for seed in SEEDS]
+
+
 def test_full_run_sorts_rows_once_and_shuffles_each_seed_once(tmp_path, monkeypatch):
     config = _config(tmp_path, splits=True)
     sorted_sizes = []
-    shuffles = []
-    real_sorted, real_shuffle = builtins.sorted, random.Random.shuffle
+    real_sorted = builtins.sorted
 
     def counting_sorted(iterable, *args, **kwargs):
         result = real_sorted(iterable, *args, **kwargs)
         sorted_sizes.append(len(result))
         return result
 
-    def counting_shuffle(self, x):
-        shuffles.append(len(x))
-        return real_shuffle(self, x)
-
     monkeypatch.setattr(builtins, "sorted", counting_sorted)
-    monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
+    shuffles = _counting_shuffles(monkeypatch)
     report = PipelineRunner(config).run()
     monkeypatch.undo()
 
     # the final order sorts the distinct entity texts, then one packed int
     # per row; every other sort orders a handful of counters or table keys
     assert [n for n in sorted_sizes if n >= 30] == [report.node_total, report.edge_total]
-    assert len(shuffles) == len(TASKS) * len(SEEDS)
+    # each (task, seed) draws once, only the steps that fix valid and test
+    assert shuffles == _draws(report)
+    assert all(0 < stop < n for _, n, stop in shuffles)
 
 
 def test_preserve_order_run_shuffles_each_seed_once_more(tmp_path, monkeypatch):
     config = _config(tmp_path, splits=True)
     config.preserve_order = True
-    shuffles = []
-    real_shuffle = random.Random.shuffle
-
-    def counting_shuffle(self, x):
-        shuffles.append(len(x))
-        return real_shuffle(self, x)
-
-    monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
-    PipelineRunner(config).run()
+    shuffles = _counting_shuffles(monkeypatch)
+    report = PipelineRunner(config).run()
     monkeypatch.undo()
 
-    assert len(shuffles) == 2 * len(TASKS) * len(SEEDS)
+    # the plan's draws, then the writer's one whole shuffle per (task, seed)
+    assert shuffles == _draws(report) + _draws(report, stop_at_train=False)
 
 
 def test_audit_builds_each_tasks_keys_once(tmp_path, monkeypatch):
     config = _config(tmp_path, splits=True)
-    keyed, shuffles = [], []
-    real_leak_keys, real_shuffle = split_audit.leak_keys, random.Random.shuffle
+    keyed = []
+    real_leak_keys = split_audit.leak_keys
 
     def counting_leak_keys(split, *args):
         keyed.append(split.task)
         return real_leak_keys(split, *args)
 
-    def counting_shuffle(self, x):
-        shuffles.append(len(x))
-        return real_shuffle(self, x)
-
     monkeypatch.setattr(split_audit, "leak_keys", counting_leak_keys)
-    monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
-    PipelineRunner(config).run()
+    shuffles = _counting_shuffles(monkeypatch)
+    report = PipelineRunner(config).run()
     monkeypatch.undo()
 
     assert keyed == TASKS
-    assert len(shuffles) == len(TASKS) * len(SEEDS)
+    # the audit reuses the plan and draws nothing
+    assert shuffles == _draws(report)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 100, 4116])
+def test_truncated_shuffle_places_what_the_library_shuffle_places(n):
+    """From ``stop`` on, the truncated shuffle's positions are those of
+    ``random.Random(seed).shuffle``, whose steps it redraws; a change to
+    the library's shuffle or to its draws fails here."""
+    n_train = n - n // 10 - n // 5
+    for seed in range(10):
+        expected = list(range(n))
+        random.Random(seed).shuffle(expected)
+        for stop in (1, n_train, n):
+            assert split_audit._shuffled(seed, n, stop)[stop:].tolist() == expected[stop:]
+        assert split_audit._shuffled(seed, n, 1).tolist() == expected
 
 
 def test_audit_of_another_graph_does_not_reuse_splits_bundles(tmp_path):
