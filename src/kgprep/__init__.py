@@ -3,13 +3,12 @@ heterogeneous biomedical knowledge graphs."""
 
 __version__ = "0.1.0"
 
-from .model import EntityRef, KnowledgeGraph, RelationRef, StageLog, Triplet
+from .model import EntityRef, KnowledgeGraph, RelationRef, StageLog
 
 __all__ = [
     "EntityRef",
     "KnowledgeGraph",
     "RelationRef",
     "StageLog",
-    "Triplet",
     "__version__",
 ]

@@ -10,12 +10,12 @@ from __future__ import annotations
 import logging
 from array import array
 from itertools import compress, count
-from typing import Callable
+from typing import Callable, Iterable
 
 from .chem.smiles import parse_smiles
 from .errors import InputError, ParseError, SmilesError
 from .ingest import parse_entity
-from .model import KnowledgeGraph, RelationRef, Triplet, marks
+from .model import KnowledgeGraph, RelationRef, marks
 from .normalize import IdMapTable
 
 log = logging.getLogger(__name__)
@@ -24,18 +24,6 @@ GENE_PATHWAY = RelationRef("Reactome", "GENE_PATHWAY", "Gene", "Pathway")
 SIDE_EFFECT = RelationRef("OnSIDES", "SIDE_EFFECT", "Compound", "SideEffect")
 
 TIER_RANK = {"low": 0, "medium": 1, "high": 2}
-
-
-def _checked(t: Triplet, table: str) -> Triplet:
-    """A merged row, rejected as an input defect when its endpoint types do
-    not fit the merge's relation."""
-    if not t.signature_ok():
-        rel = t.relation
-        raise InputError(
-            f"{table} table, row {t.origin_line}: {t.head.text} -> {t.tail.text} does not "
-            f"fit {rel.label}, which links {rel.head_type} to {rel.tail_type}"
-        )
-    return t
 
 
 def _numbered(table: list[tuple]):
@@ -51,6 +39,46 @@ def _pairs(g: KnowledgeGraph, rows: bytes) -> set[tuple[int, int]]:
     return set(zip(map(min, heads, tails), map(max, heads, tails)))
 
 
+def _attach(
+    g: KnowledgeGraph, rows: Iterable, relation: RelationRef, pairs: set, details: dict, table: str
+) -> tuple[KnowledgeGraph, int]:
+    """``g`` with a ``relation`` row for each (row number, head, tail) of
+    ``rows`` whose head is present and whose endpoint pair is not in
+    ``pairs``, and the number of tail nodes those rows add. A node is present
+    when it is in ``g`` or an earlier row added it. Absent heads and
+    duplicate pairs are counted into ``details``; a present head whose
+    endpoint types do not fit ``relation`` is an input defect of ``table``."""
+    entities, nodes = g.vocab.entities, g.node_ids
+    new_nodes: set[int] = set()
+    heads, tails, lines = array("i"), array("i"), array("i")
+    details.update(skipped_endpoint_absent=0, skipped_duplicate=0)
+    for row_no, head, tail in rows:
+        h = entities.ids.get(head)
+        if h not in nodes and h not in new_nodes:
+            details["skipped_endpoint_absent"] += 1
+            continue
+        if (head.entity_type, tail.entity_type) != (relation.head_type, relation.tail_type):
+            raise InputError(
+                f"{table} table, row {row_no}: {head.text} -> {tail.text} does not fit "
+                f"{relation.label}, which links {relation.head_type} to {relation.tail_type}"
+            )
+        t = entities.id_of(tail)
+        pair = (min(h, t), max(h, t))
+        if pair in pairs:
+            details["skipped_duplicate"] += 1
+            continue
+        pairs.add(pair)
+        heads.append(h)
+        tails.append(t)
+        lines.append(row_no)
+        if t not in nodes:
+            new_nodes.add(t)
+    details["edges_added"] = len(heads)
+    # the relation is interned only once a row carries it
+    relations = array("i", [g.vocab.relations.id_of(relation)] if heads else [])
+    return g.plus(heads, relations * len(heads), tails, lines), len(new_nodes)
+
+
 def merge_reactome(
     g: KnowledgeGraph, table: list[tuple[str, str]]
 ) -> tuple[KnowledgeGraph, dict[str, int]]:
@@ -62,35 +90,16 @@ def merge_reactome(
     absent, or that would duplicate an existing canonical key, are skipped
     and counted.
     """
-    entities = g.vocab.entities
     # a merged row's key is its label and its endpoint pair, so only the
     # pairs of GENE_PATHWAY rows can match
     labelled = bytes(r.label == GENE_PATHWAY.label for r in g.vocab.relations)
-    keys = _pairs(g, g.flags(relation=labelled))
-    nodes = g.node_ids
-    new_nodes: set[int] = set()
-    added: list[Triplet] = []
-    details = {"skipped_endpoint_absent": 0, "skipped_duplicate": 0}
-    for row_no, (gene_text, pathway_text) in _numbered(table):
-        gene = parse_entity(gene_text)
-        pathway = parse_entity(pathway_text)
-        g_id = entities.ids.get(gene)
-        if g_id not in nodes and g_id not in new_nodes:
-            details["skipped_endpoint_absent"] += 1
-            continue
-        t = _checked(Triplet(gene, GENE_PATHWAY, pathway, origin_line=row_no), "reactome")
-        p_id = entities.id_of(pathway)
-        key = (min(g_id, p_id), max(g_id, p_id))
-        if key in keys:
-            details["skipped_duplicate"] += 1
-            continue
-        keys.add(key)
-        added.append(t)
-        if p_id not in nodes:
-            new_nodes.add(p_id)
-    details["edges_added"] = len(added)
-    details["pathway_nodes_added"] = len(new_nodes)
-    return g.plus(added), details
+    rows = ((row_no, parse_entity(gene), parse_entity(pathway))
+            for row_no, (gene, pathway) in _numbered(table))
+    details: dict[str, int] = {}
+    g, details["pathway_nodes_added"] = _attach(
+        g, rows, GENE_PATHWAY, _pairs(g, g.flags(relation=labelled)), details, "reactome"
+    )
+    return g, details
 
 
 def merge_onsides(
@@ -110,50 +119,31 @@ def merge_onsides(
     if min_tier not in TIER_RANK:
         raise ValueError(f"unknown confidence tier {min_tier!r}")
     threshold = TIER_RANK[min_tier]
-    entities = g.vocab.entities
-    # a checked row links a Compound to a SideEffect, so only graph rows
+    # a merged row links a Compound to a SideEffect, so only graph rows
     # between those types, in either orientation, can carry its pair
     links = {("Compound", "SideEffect"), ("SideEffect", "Compound")}
     linked = bytes((r.head_type, r.tail_type) in links for r in g.vocab.relations)
-    pairs = _pairs(g, g.flags(relation=linked))
-    nodes = g.node_ids
-    new_nodes: set[int] = set()
-    added: list[Triplet] = []
-    details = {
-        "skipped_below_confidence": 0,
-        "skipped_endpoint_absent": 0,
-        "skipped_duplicate": 0,
-    }
-    for row_no, (compound_text, se_text, tier) in _numbered(table):
-        if TIER_RANK[tier] < threshold:
-            details["skipped_below_confidence"] += 1
-            continue
-        try:
-            compound = parse_entity(compound_text)
-            side_effect = parse_entity(se_text)
-        except ParseError as exc:
-            raise ParseError(f"onsides table, row {row_no}: {exc}") from exc
-        if compound_map is not None:
-            compound = compound_map.apply(compound)
-        if side_effect_map is not None:
-            side_effect = side_effect_map.apply(side_effect)
-        c_id = entities.ids.get(compound)
-        if c_id not in nodes and c_id not in new_nodes:
-            details["skipped_endpoint_absent"] += 1
-            continue
-        t = _checked(Triplet(compound, SIDE_EFFECT, side_effect, origin_line=row_no), "onsides")
-        s_id = entities.id_of(side_effect)
-        pair = (min(c_id, s_id), max(c_id, s_id))
-        if pair in pairs:
-            details["skipped_duplicate"] += 1
-            continue
-        pairs.add(pair)
-        added.append(t)
-        if s_id not in nodes:
-            new_nodes.add(s_id)
-    details["edges_added"] = len(added)
-    details["side_effect_nodes_added"] = len(new_nodes)
-    return g.plus(added), details
+    details = {"skipped_below_confidence": 0}
+
+    def rows():
+        for row_no, (compound_text, se_text, tier) in _numbered(table):
+            if TIER_RANK[tier] < threshold:
+                details["skipped_below_confidence"] += 1
+                continue
+            try:
+                compound, side_effect = parse_entity(compound_text), parse_entity(se_text)
+            except ParseError as exc:
+                raise ParseError(f"onsides table, row {row_no}: {exc}") from exc
+            if compound_map is not None:
+                compound = compound_map.apply(compound)
+            if side_effect_map is not None:
+                side_effect = side_effect_map.apply(side_effect)
+            yield row_no, compound, side_effect
+
+    g, details["side_effect_nodes_added"] = _attach(
+        g, rows(), SIDE_EFFECT, _pairs(g, g.flags(relation=linked)), details, "onsides"
+    )
+    return g, details
 
 
 def filter_no_smiles(

@@ -11,7 +11,6 @@ manifest plus the vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import add
 
@@ -20,65 +19,35 @@ from .ingest import open_output
 from .model import ANNOTATION_TYPES, EntityRef, KnowledgeGraph, marks
 
 
-@dataclass(frozen=True)
-class FeatureManifest:
-    """Ordered dimension layout: one block per annotation category."""
-
-    blocks: tuple[tuple[str, tuple[EntityRef, ...]], ...]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(len(ids) for _, ids in self.blocks)
-
-    def index_of(self) -> dict[EntityRef, int]:
-        table: dict[EntityRef, int] = {}
-        offset = 0
-        for _, ids in self.blocks:
-            for i, ref in enumerate(ids):
-                table[ref] = offset + i
-            offset += len(ids)
-        return table
+# the manifest: one (category, refs) block per annotation category, in order;
+# a ref's dimension is its place in the blocks read in turn
+Manifest = tuple[tuple[str, tuple[EntityRef, ...]], ...]
 
 
-@dataclass(frozen=True)
-class SparseFeatureVector:
-    """Strictly increasing set-bit indices over a fixed dimension."""
-
-    dim: int
-    set_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = -1
-        for idx in self.set_indices:
-            if idx <= prev or idx >= self.dim:
-                raise ValueError("indices must be strictly increasing and < dim")
-            prev = idx
-
-
-def build_manifest(g: KnowledgeGraph) -> FeatureManifest:
+def build_manifest(g: KnowledgeGraph) -> Manifest:
     """Enumerate every annotation node by category, deterministically:
     category blocks in fixed order, lexicographic ids within each."""
-    blocks = []
-    for category in ANNOTATION_TYPES:
-        ids = tuple(sorted(g.nodes_of_type(category), key=lambda n: n.text))
-        blocks.append((category, ids))
-    return FeatureManifest(tuple(blocks))
+    return tuple(
+        (category, tuple(sorted(g.nodes_of_type(category), key=lambda n: n.text)))
+        for category in ANNOTATION_TYPES
+    )
 
 
 def collapse_to_features(
-    g: KnowledgeGraph, manifest: FeatureManifest
-) -> tuple[KnowledgeGraph, dict[EntityRef, SparseFeatureVector], dict[str, int]]:
-    """Turn gene/annotation adjacency into per-gene vectors and strip the
-    annotation nodes and their edges from the graph.
+    g: KnowledgeGraph, manifest: Manifest
+) -> tuple[KnowledgeGraph, dict[EntityRef, tuple[int, ...]], dict[str, int]]:
+    """Turn gene/annotation adjacency into per-gene vectors, each the sorted
+    tuple of its set dimensions, and strip the annotation nodes and their
+    edges from the graph.
 
     Every gene present before the collapse gets a vector; genes with no
-    annotations get the zero vector. An annotation node adjacent to a
+    annotations get the zero vector, ``()``. An annotation node adjacent to a
     non-gene violates the star-shape premise and is fatal. Parallel edges to
     the same annotation node collapse onto a single bit.
     """
-    positions = manifest.index_of()
+    refs = [ref for _, ids in manifest for ref in ids]
+    positions = {ref: i for i, ref in enumerate(refs)}
     annotation_types = frozenset(ANNOTATION_TYPES)
-    dim = manifest.total_dim
     entities = g.vocab.entities
     # per entity: 0 other, 1 gene, 2 annotation, 3 annotation off the
     # manifest; a row's code is its head's times 4 plus its tail's
@@ -92,14 +61,12 @@ def collapse_to_features(
     # every other code breaks the star shape
     misfit = marks(codes, 0, 1, 4, 5, 6, 9).find(0)
     if misfit >= 0:
-        t = g.row(misfit)
-        annotation, other = (t.head, t.tail)
+        head, tail = entities[g.heads[misfit]], entities[g.tails[misfit]]
+        annotation, other = head, tail
         if annotation.entity_type not in annotation_types:
             annotation, other = other, annotation
         if other.entity_type in annotation_types:
-            raise StageError(
-                f"features: annotation-to-annotation edge {t.head.text} -> {t.tail.text}"
-            )
+            raise StageError(f"features: annotation-to-annotation edge {head.text} -> {tail.text}")
         if other.entity_type != "Gene":
             raise StageError(
                 f"features: annotation node {annotation.text} adjacent to "
@@ -119,32 +86,27 @@ def collapse_to_features(
     ):
         gene_bits[gene].add(position[annotation])
 
-    table = {
-        entities[gene]: SparseFeatureVector(dim, tuple(sorted(bits)))
-        for gene, bits in gene_bits.items()
-    }
+    table = {entities[gene]: tuple(sorted(bits)) for gene, bits in gene_bits.items()}
     return g.where(marks(codes, 0, 1, 4, 5)), table, {
         "annotation_nodes_removed": len(positions),
-        "feature_dim": dim,
-        "genes_with_features": sum(1 for v in table.values() if v.set_indices),
+        "feature_dim": len(refs),
+        "genes_with_features": sum(1 for v in table.values() if v),
         "genes_total": len(table),
     }
 
 
-def write_manifest(path, manifest: FeatureManifest) -> None:
+def write_manifest(path, manifest: Manifest) -> None:
     """TSV: index, category, entity_id."""
     with open_output(path) as fh:
-        idx = 0
-        for category, ids in manifest.blocks:
-            for ref in ids:
-                fh.write(f"{idx}\t{category}\t{ref.text}\n")
-                idx += 1
+        entries = ((category, ref) for category, ids in manifest for ref in ids)
+        for idx, (category, ref) in enumerate(entries):
+            fh.write(f"{idx}\t{category}\t{ref.text}\n")
 
 
-def write_features(path, table: dict[EntityRef, SparseFeatureVector]) -> None:
+def write_features(path, table: dict[EntityRef, tuple[int, ...]]) -> None:
     """TSV: gene_id, comma-separated set indices (empty column for the zero
     vector). Rows sorted by gene id."""
     with open_output(path) as fh:
         for gene in sorted(table, key=lambda n: n.text):
-            indices = ",".join(str(i) for i in table[gene].set_indices)
+            indices = ",".join(map(str, table[gene]))
             fh.write(f"{gene.text}\t{indices}\n")

@@ -14,13 +14,12 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import getitem
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 from .errors import InputError, ParseError
 from .model import (
-    ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Vocabulary,
+    ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Vocabulary, gather,
 )
 
 log = logging.getLogger(__name__)
@@ -398,9 +397,9 @@ def render_chunks(g: KnowledgeGraph, order: Sequence[int], texts=None) -> Iterat
     tab, end = repeat(b"\t"), repeat(b"\n")
     for start in range(0, len(order), _WRITE_CHUNK):
         rows = order[start : start + _WRITE_CHUNK]
-        heads = map(entities.__getitem__, map(getitem, repeat(g.heads), rows))
-        rels = map(relations.__getitem__, map(getitem, repeat(g.relations), rows))
-        tails = map(entities.__getitem__, map(getitem, repeat(g.tails), rows))
+        heads = map(entities.__getitem__, gather(g.heads, rows))
+        rels = map(relations.__getitem__, gather(g.relations, rows))
+        tails = map(entities.__getitem__, gather(g.tails, rows))
         yield list(map(b"".join, zip(heads, tab, rels, tab, tails, end)))
 
 

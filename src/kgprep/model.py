@@ -1,11 +1,11 @@
-"""Core domain types: entities, relations, triplets, the in-memory graph store,
-and the per-stage provenance log.
+"""Core domain types: entities, relations, the in-memory graph store, and
+the per-stage provenance log.
 
 Entity identity is fully qualified as ``entity_type::source:local_id`` and
 relations as ``origin::label::HeadType:TailType``. The graph is an ordered
-multiset of triplets, held as int columns of ids into a vocabulary of
-entities and relations: input order is preserved so that first-occurrence
-deduplication and all serialized outputs are reproducible.
+multiset of (head, relation, tail) rows, held as int columns of ids into a
+vocabulary of entities and relations: input order is preserved so that
+first-occurrence deduplication and all serialized outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -142,35 +142,6 @@ class RelationRef:
         return self.text
 
 
-@dataclass(frozen=True, init=False)
-class Triplet:
-    """One directed edge. ``origin_line`` is provenance only and never takes
-    part in identity, so it is a slot but not a field; it is dropped at final
-    serialization."""
-
-    __slots__ = ("head", "relation", "tail", "origin_line")
-    head: EntityRef
-    relation: RelationRef
-    tail: EntityRef
-
-    def __init__(
-        self, head: EntityRef, relation: RelationRef, tail: EntityRef, origin_line: int = -1
-    ) -> None:
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "origin_line", origin_line)
-
-    def __reduce__(self):
-        return Triplet, (self.head, self.relation, self.tail, self.origin_line)
-
-    def signature_ok(self) -> bool:
-        return (
-            self.head.entity_type == self.relation.head_type
-            and self.tail.entity_type == self.relation.tail_type
-        )
-
-
 # a vocabulary entry's rendered text
 _TEXT = attrgetter("text")
 # the runs of kept rows in a graph's keep flags, and a match's bounds
@@ -246,21 +217,11 @@ class Vocabulary:
         self.entities = Interned()
         self.relations = Interned()
 
-    def columns(self, triplets: list[Triplet]) -> tuple[array, array, array, array]:
-        """The head, relation, tail and line columns of these rows."""
-        entity, relation = self.entities.id_of, self.relations.id_of
-        return (
-            array("i", [entity(t.head) for t in triplets]),
-            array("i", [relation(t.relation) for t in triplets]),
-            array("i", [entity(t.tail) for t in triplets]),
-            array("i", [t.origin_line for t in triplets]),
-        )
-
 
 class KnowledgeGraph:
-    """Ordered multiset of triplets, held as four int columns: ``heads``,
+    """Ordered multiset of rows, held as four int columns: ``heads``,
     ``relations`` and ``tails`` are ids into ``vocab``, and ``lines`` holds
-    each row's ``origin_line``. A stage decides once per distinct id and
+    each row's origin line. A stage decides once per distinct id and
     applies the decision to the columns.
 
     A graph is owned when its holder keeps no other reference to it, as the
@@ -281,17 +242,22 @@ class KnowledgeGraph:
         "vocab", "heads", "relations", "tails", "lines", "_nodes", "_text_order", "_owned"
     )
 
-    def __init__(self, triplets: Iterable[Triplet] = ()):
-        triplets = list(triplets)
-        for t in triplets:
-            if not t.signature_ok():
+    def __init__(self, rows: Iterable[tuple[EntityRef, RelationRef, EntityRef, int]] = ()):
+        """A graph of ``(head, relation, tail, line)`` rows, each checked
+        against its relation's endpoint types."""
+        rows = list(rows)
+        for head, rel, tail, _ in rows:
+            if (head.entity_type, tail.entity_type) != (rel.head_type, rel.tail_type):
                 raise StageError(
-                    f"endpoint/relation type mismatch: ({t.head.entity_type}, "
-                    f"{t.relation.head_type}:{t.relation.tail_type}, "
-                    f"{t.tail.entity_type}) for relation {t.relation}"
+                    f"endpoint/relation type mismatch: ({head.entity_type}, "
+                    f"{rel.head_type}:{rel.tail_type}, {tail.entity_type}) for relation {rel}"
                 )
         self.vocab = Vocabulary()
-        self.heads, self.relations, self.tails, self.lines = self.vocab.columns(triplets)
+        entity, relation = self.vocab.entities.id_of, self.vocab.relations.id_of
+        heads, relations, tails, lines = zip(*rows) if rows else ((),) * 4
+        self.heads = array("i", map(entity, heads))
+        self.relations = array("i", map(relation, relations))
+        self.tails, self.lines = array("i", map(entity, tails)), array("i", lines)
         self._nodes: dict[int, None] | None = None
         self._text_order: array | None = None
         self._owned = False
@@ -387,16 +353,15 @@ class KnowledgeGraph:
                     column[at : at + _SORT_ROWS] = array("i", map(table.__getitem__, rows))
         return g
 
-    def plus(self, added: list[Triplet]) -> "KnowledgeGraph":
-        """These rows followed by ``added``, whose rows were already
+    def plus(self, heads: array, relations: array, tails: array, lines: array) -> "KnowledgeGraph":
+        """These rows followed by rows of these id columns, already
         validated: an owned graph's own columns are extended, and it is
         consumed, or copies of another's are. A node set already built here
         is extended by the added endpoints, not rebuilt."""
         g = self._successor((True,) * 4, nodes=True)
-        columns = g.vocab.columns(added)
-        deque(map(array.extend, g._columns(), columns), maxlen=0)
+        deque(map(array.extend, g._columns(), (heads, relations, tails, lines)), maxlen=0)
         if g._nodes is not None:
-            g._nodes.update(_first_appearance(columns[0], columns[2]))
+            g._nodes.update(_first_appearance(heads, tails))
         return g
 
     def flags(self, entity: bytes | None = None, relation: bytes | None = None) -> bytes:
@@ -413,16 +378,6 @@ class KnowledgeGraph:
         for part in parts:
             combined |= int.from_bytes(bytes(part), "little")
         return combined.to_bytes(len(self), "little")
-
-    def row(self, p: int) -> Triplet:
-        """Row ``p`` as a triplet."""
-        entities = self.vocab.entities
-        return Triplet(
-            entities[self.heads[p]],
-            self.vocab.relations[self.relations[p]],
-            entities[self.tails[p]],
-            self.lines[p],
-        )
 
     @property
     def node_ids(self) -> KeysView[int]:
@@ -472,10 +427,10 @@ class KnowledgeGraph:
             order, at = array("i", [0]) * n, 0
             # a bucket number is below the bucket count: it is its own residue
             for rows in deal(range(n), map(bucket_of.__getitem__, self.heads)):
-                heads = map(entity.__getitem__, map(getitem, repeat(self.heads), rows))
+                heads = map(entity.__getitem__, gather(self.heads, rows))
                 heads = map(mul, heads, repeat(n_relation * n_entity))
-                relations = map(relation.__getitem__, map(getitem, repeat(self.relations), rows))
-                tails = map(entity.__getitem__, map(getitem, repeat(self.tails), rows))
+                relations = map(relation.__getitem__, gather(self.relations, rows))
+                tails = map(entity.__getitem__, gather(self.tails, rows))
                 packed = map(add, map(add, map(add, heads, relations), tails), rows)
                 order[at : at + len(rows)] = array("i", map(mod, sorted(packed), repeat(n)))
                 at += len(rows)
@@ -484,9 +439,6 @@ class KnowledgeGraph:
 
     def __len__(self) -> int:
         return len(self.heads)
-
-    def __iter__(self) -> Iterator[Triplet]:
-        return map(self.row, range(len(self)))
 
     def nodes_of_type(self, entity_type: str) -> list[EntityRef]:
         return [n for n in self.nodes if n.entity_type == entity_type]
@@ -532,7 +484,7 @@ def _ranks(refs: list) -> tuple[array, int]:
     texts = list(map(_TEXT, refs))
     ids = array("i", sorted(range(len(texts)), key=texts.__getitem__))
     texts, rank = list(map(texts.__getitem__, ids)), array("i", [0]) * len(ids)
-    deque(map(rank.__setitem__, ids, accumulate(map(ne, texts[1:], texts), initial=0)), maxlen=0)
+    scatter(rank, ids, accumulate(map(ne, texts[1:], texts), initial=0))
     return rank, len(ids) and rank[ids[-1]] + 1
 
 
@@ -545,6 +497,18 @@ def _first_appearance(heads: array, tails: array) -> dict[int, None]:
         both[::2], both[1::2] = heads[at : at + _SORT_ROWS], tails[at : at + _SORT_ROWS]
         deque(map(nodes.setdefault, both), maxlen=0)
     return nodes
+
+
+def gather(column: Sequence, rows: Iterable[int]) -> Iterator:
+    """``column[p]`` for each position ``p`` of ``rows``, lazily; the
+    lookups run in C, with no Python frame per row."""
+    return map(getitem, repeat(column), rows)
+
+
+def scatter(target, rows: Iterable[int], values: Iterable) -> None:
+    """``target[p] = v`` for each position ``p`` of ``rows`` and value ``v``
+    of ``values`` in step, with no Python frame per row."""
+    deque(map(target.__setitem__, rows, values), maxlen=0)
 
 
 def pair_keys(heads: Sequence[int], tails: Sequence[int], n: int) -> Iterator[int]:

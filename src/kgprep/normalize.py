@@ -13,11 +13,11 @@ import logging
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, and_, getitem, gt, mul, ne
+from operator import add, and_, gt, mul, ne
 
 from .errors import InputError, StageError
 from .ingest import load_xref, parse_entity
-from .model import EntityRef, KnowledgeGraph, deal, marks, pair_keys
+from .model import EntityRef, KnowledgeGraph, deal, gather, marks, pair_keys
 
 log = logging.getLogger(__name__)
 
@@ -218,7 +218,7 @@ def _duplicates(g: KnowledgeGraph, same_type_only: bool) -> bytearray:
     duplicate = bytearray(len(g))
     for rows in deal(range(len(g)), keys, len(labels)):
         first: dict[int, int] = {}
-        later = bytes(map(ne, map(first.setdefault, map(getitem, repeat(keys), rows), rows), rows))
+        later = bytes(map(ne, map(first.setdefault, gather(keys, rows), rows), rows))
         for p in compress(rows, later):
             duplicate[p] = 1 if heads[p] == heads[first[keys[p]]] else 2
     return duplicate

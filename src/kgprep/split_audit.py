@@ -35,20 +35,20 @@ import random
 import statistics
 import sys
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import compress, count, groupby, repeat
-from operator import add, getitem, gt, itemgetter, mul
+from operator import add, gt, itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .clean import HarmonizationTable
 from .errors import StageError
 from .ingest import encoded, open_output, render_chunks, write_json
-from .model import KnowledgeGraph, deal, marks, pair_keys
+from .model import KnowledgeGraph, deal, gather, marks, pair_keys, scatter
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
@@ -128,8 +128,8 @@ def _codes(order: array, n_train: int, n_valid: int) -> bytearray:
     indices from position ``n_train`` on of the permutation ``order``, 3 for
     those after them and 1 for the rest."""
     codes = bytearray(b"\x01") * len(order)
-    deque(map(codes.__setitem__, order[n_train : n_train + n_valid], repeat(2)), maxlen=0)
-    deque(map(codes.__setitem__, order[n_train + n_valid :], repeat(3)), maxlen=0)
+    scatter(codes, order[n_train : n_train + n_valid], repeat(2))
+    scatter(codes, order[n_train + n_valid :], repeat(3))
     return codes
 
 
@@ -165,8 +165,7 @@ def leak_keys(
     label = list(map(canons.setdefault, map(relations.canon_label, vocab.relations), count()))
 
     def canonical(positions: Iterable[int]) -> list[Iterator[int]]:
-        return [map(canon.__getitem__, map(getitem, repeat(column), positions))
-                for column in (g.heads, g.tails)]
+        return [map(canon.__getitem__, gather(column, positions)) for column in (g.heads, g.tails)]
 
     def pairs(first: Iterable[int], last: Iterable[int]) -> Iterable[int]:
         return map(add, map(mul, first, repeat(n_entity)), last)
@@ -178,7 +177,7 @@ def leak_keys(
                 array("q", pairs(pairs(of_rows, tails), heads)))
 
     for rows in deal(range(len(target)), map(add, *canonical(target))):
-        positions = array("i", map(getitem, repeat(target), rows))
+        positions = array("i", gather(target, rows))
         ends = [array("i", column) for column in canonical(positions)]
         unordered = array("q", pair_keys(*ends, n_entity))
         seen = Counter(unordered)
@@ -186,7 +185,7 @@ def leak_keys(
         del seen, unordered
         candidates = array("i", compress(rows, recurs))
         positions = array("i", compress(positions, recurs))
-        heads, rels, tails = (array("i", map(getitem, repeat(column), positions))
+        heads, rels, tails = (array("i", gather(column, positions))
                               for column in (g.heads, g.relations, g.tails))
         ends = [array("i", compress(column, recurs)) for column in ends]
         relation_keys = packed(label, heads, tails)
@@ -306,10 +305,10 @@ def write_bundle(
     for i, split in enumerate(splits):
         if split.graph is not g:
             raise ValueError(f"task {split.task}: splits of another graph than {graph_name}")
-        deque(map(by_row.__setitem__, split.target, repeat(i + 1)), maxlen=0)
+        scatter(by_row, split.target, repeat(i + 1))
     if n - by_row.count(0) != sum(len(split.target) for split in splits):
         raise ValueError(f"splits of {graph_name} share target rows")
-    tasks = bytes(by_row if preserve_order else map(getitem, repeat(by_row), order))
+    tasks = bytes(by_row if preserve_order else gather(by_row, order))
 
     # every file, with its task and seed (None for the graph and contexts)
     files, shuffled = [(out / graph_name, None, None, 0)], []
@@ -331,8 +330,8 @@ def write_bundle(
                 split = splits[i]
                 written = array("i", compress(order, marks(tasks, i + 1)))
                 for _, k in same_task:
-                    deque(map(by_row.__setitem__, split.target, split.codes[k]), maxlen=0)
-                    codes[i, k] = bytes(map(getitem, repeat(by_row), written))
+                    scatter(by_row, split.target, split.codes[k])
+                    codes[i, k] = bytes(gather(by_row, written))
                 del written  # freed before the next task's target rows are listed
             _fan_out(render_chunks(g, order, texts()), tasks,
                      [(path, i, codes.get((i, k)), code) for path, i, k, code in batch])

@@ -3,11 +3,11 @@
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 
-from .model import KnowledgeGraph, StageLog
+from .model import KnowledgeGraph, StageLog, scatter
 
 
 @dataclass
@@ -40,7 +40,7 @@ def compute_stats(g: KnowledgeGraph) -> StatsReport:
     # 1 for each entity id that is a row endpoint: no node-id set is built to count
     endpoint = bytearray(len(g.vocab.entities))
     for column in (g.heads, g.tails):
-        deque(map(endpoint.__setitem__, column, repeat(1)), maxlen=0)
+        scatter(endpoint, column, repeat(1))
     node_counter = Counter((n.entity_type, n.source) for n in compress(g.vocab.entities, endpoint))
     relations = g.vocab.relations
     edge_counter: Counter = Counter()

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from array import array
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -9,7 +10,7 @@ from kgprep.chem.fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, 
 from kgprep.chem.smiles import parse_smiles
 from kgprep.clean import HarmonizationTable
 from kgprep.ingest import parse_entity, parse_relation
-from kgprep.model import _SORT_ROWS, KnowledgeGraph, Triplet
+from kgprep.model import _SORT_ROWS, EntityRef, KnowledgeGraph, RelationRef
 from kgprep.pipeline import account
 from kgprep.split_audit import TaskSplits, detect_leakage, leak_keys
 
@@ -68,8 +69,33 @@ def R(text: str):
     return parse_relation(text)
 
 
-def T(head: str, relation: str, tail: str, line: int = 0) -> Triplet:
-    return Triplet(E(head), R(relation), E(tail), origin_line=line)
+class Row(NamedTuple):
+    """One graph row as refs, as ``KnowledgeGraph(rows)`` takes it."""
+
+    head: EntityRef
+    relation: RelationRef
+    tail: EntityRef
+    line: int
+
+
+def T(head: str, relation: str, tail: str, line: int = 0) -> Row:
+    return Row(E(head), R(relation), E(tail), line)
+
+
+def rows_of(g: KnowledgeGraph) -> list[Row]:
+    """``g``'s rows, in order, read from its columns through its vocabulary."""
+    entities, relations = g.vocab.entities, g.vocab.relations
+    return [Row(entities[h], relations[r], entities[t], line)
+            for h, r, t, line in zip(g.heads, g.relations, g.tails, g.lines)]
+
+
+def plus(g: KnowledgeGraph, added: list[Row]) -> KnowledgeGraph:
+    """``g.plus`` of these rows, their refs interned into ``g``'s vocabulary
+    heads first, then relations, then tails, as ``KnowledgeGraph`` does."""
+    heads, relations, tails, lines = zip(*added) if added else ((),) * 4
+    entity, relation = g.vocab.entities.id_of, g.vocab.relations.id_of
+    return g.plus(array("i", map(entity, heads)), array("i", map(relation, relations)),
+                  array("i", map(entity, tails)), array("i", lines))
 
 
 def graph_of(*rows) -> KnowledgeGraph:

@@ -294,6 +294,66 @@ def dedup_by_scan(rows: list[tuple[str, str, str]], same_type_only: bool = False
     return kept, exact, reversed_
 
 
+# --- merges: every table row checked against every row so far ---------------
+
+
+def merge_by_scan(graph, table, kind: str, min_tier: str = "high",
+                  compound_map=None, side_effect_map=None):
+    """A reactome or OnSIDES merge recomputed on texts: ``(counters, added
+    rows as (head, relation, tail, row number), every row endpoint in order
+    of first appearance, the number of the first mistyped row or None)``.
+    ``graph`` holds (head, relation, tail) texts; ``table`` holds (gene,
+    pathway) or (compound, side effect, tier) texts, numbered from 1. An
+    OnSIDES row below ``min_tier`` is skipped; its ids go through the maps.
+    A row whose head is no endpoint of a graph row or of a row added before
+    it is skipped; a present row whose endpoint types are not the merge's
+    stops the merge; a row whose pair of endpoints a graph row or added row
+    already joins is skipped, where for reactome only GENE_PATHWAY rows
+    count."""
+    reactome = kind == "reactome"
+    if reactome:
+        relation, types = "Reactome::GENE_PATHWAY::Gene:Pathway", ("Gene", "Pathway")
+        counts = {}
+    else:
+        relation, types = "OnSIDES::SIDE_EFFECT::Compound:SideEffect", ("Compound", "SideEffect")
+        counts = {"skipped_below_confidence": 0}
+    counts.update(skipped_endpoint_absent=0, skipped_duplicate=0)
+    tiers = ["low", "medium", "high"]
+    added = []
+    for row_no, row in enumerate(table, start=1):
+        if reactome:
+            head, tail = row
+        else:
+            head, tail, tier = row
+            if tiers.index(tier) < tiers.index(min_tier):
+                counts["skipped_below_confidence"] += 1
+                continue
+            head = (compound_map or {}).get(head, head)
+            tail = (side_effect_map or {}).get(tail, tail)
+        rows = list(graph) + [(h, r, t) for h, r, t, _ in added]
+        if not any(head in (h, t) for h, _, t in rows):
+            counts["skipped_endpoint_absent"] += 1
+            continue
+        if (head.split("::")[0], tail.split("::")[0]) != types:
+            return None, None, None, row_no
+        if any({h, t} == {head, tail} and (not reactome or r.split("::")[1] == "GENE_PATHWAY")
+               for h, r, t in rows):
+            counts["skipped_duplicate"] += 1
+            continue
+        added.append((head, relation, tail, row_no))
+    before = {e for h, _, t in graph for e in (h, t)}
+    counts["edges_added"] = len(added)
+    counts["pathway_nodes_added" if reactome else "side_effect_nodes_added"] = len(
+        {t for _, _, t, _ in added} - before
+    )
+    nodes = []
+    for h, _, t, *_ in [*graph, *added]:
+        for node in (h, t):
+            if node not in nodes:
+                nodes.append(node)
+    return counts, added, nodes, None
+
+
 # --- splits: the per-seed recipe --------------------------------------------
 
 
@@ -339,11 +399,11 @@ def render(t) -> tuple[str, str, str]:
     return (t.head.text, t.relation.text, t.tail.text)
 
 
-def endpoints(g) -> list:
-    """A graph's heads and tails in order of first appearance."""
+def endpoints(rows) -> list:
+    """The rows' heads and tails in order of first appearance."""
     seen = set()
     out = []
-    for t in g:
+    for t in rows:
         for node in (t.head, t.tail):
             if node not in seen:
                 seen.add(node)
@@ -365,9 +425,13 @@ def task_matches(endpoint_types, t) -> bool:
 def _split_part(split, k: int, start: int, stop: int) -> list:
     """Rows ``start:stop`` of the task's target rows shuffled under seed
     ``split.seeds[k]``, shuffled here rather than read from the plan."""
+    # conftest imports the package, which the command-line recounts below run without
+    from conftest import rows_of
+
     order = list(range(len(split.target)))
     random.Random(split.seeds[k]).shuffle(order)
-    return [split.graph.row(split.target[i]) for i in order[start:stop]]
+    rows = rows_of(split.graph)
+    return [rows[split.target[i]] for i in order[start:stop]]
 
 
 def split_train(split, k: int) -> list:
@@ -385,8 +449,10 @@ def split_test(split, k: int) -> list:
 def split_context(split, k: int) -> list:
     """The graph rows outside the task's target, in graph order; the same
     for every seed ``k``."""
+    from conftest import rows_of
+
     target = set(split.target)
-    return [t for p, t in enumerate(split.graph) if p not in target]
+    return [t for p, t in enumerate(rows_of(split.graph)) if p not in target]
 
 
 def fingerprint_bits(fp) -> frozenset[int]:
@@ -395,18 +461,19 @@ def fingerprint_bits(fp) -> frozenset[int]:
 
 
 def block_sizes(manifest) -> dict[str, int]:
-    return {category: len(ids) for category, ids in manifest.blocks}
+    return {category: len(ids) for category, ids in manifest}
+
+
+def manifest_entities(manifest) -> list:
+    """The manifest's entities, block after block: dimension k is the k-th."""
+    return [ref for _, ids in manifest for ref in ids]
 
 
 def reconstruct_edges(manifest, table) -> set[tuple[str, str]]:
     """Invert the feature collapse: the (gene, annotation) pair set the
     vectors encode, reading dimension k as the k-th manifest entity."""
-    entities = [ref for _, ids in manifest.blocks for ref in ids]
-    return {
-        (gene.text, entities[idx].text)
-        for gene, vector in table.items()
-        for idx in vector.set_indices
-    }
+    entities = manifest_entities(manifest)
+    return {(gene.text, entities[idx].text) for gene, vector in table.items() for idx in vector}
 
 
 # --- split aggregation -------------------------------------------------------

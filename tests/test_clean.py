@@ -10,7 +10,7 @@ from kgprep.clean import (
 )
 from kgprep.errors import StageError
 
-from conftest import graph_of, run_stage
+from conftest import graph_of, plus, rows_of, run_stage
 from oracles import render
 
 
@@ -28,7 +28,7 @@ def test_filter_malformed_counts_by_class():
     g2, log = run_stage("filter_malformed", g, filter_malformed)
     assert len(g2) == 1
     assert log.details == {"semicolon_rows": 1, "pipe_rows": 1}
-    for t in g2:
+    for t in rows_of(g2):
         assert ";" not in t.head.text + t.tail.text
         assert "|" not in t.head.text + t.tail.text
 
@@ -47,11 +47,11 @@ def test_harmonize_table_fixtures(table):
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
     )
     g2, log = run_stage("harmonize", g, lambda g: harmonize(g, table))
-    labels = [t.relation.label for t in g2]
+    labels = [t.relation.label for t in rows_of(g2)]
     assert labels == ["Activator", "CMP_BIND", "GENE_BIND"]
     assert log.details["labels_rewritten"] == 3
     # origin survives as provenance
-    assert [t.relation.origin for t in g2] == ["DGIdb", "GNBR", "GNBR"]
+    assert [t.relation.origin for t in rows_of(g2)] == ["DGIdb", "GNBR", "GNBR"]
 
 
 def test_harmonize_case_insensitive_origin_and_label(table):
@@ -60,7 +60,7 @@ def test_harmonize_case_insensitive_origin_and_label(table):
         ("Compound::PubChem_Compounds:2", "DRUGBANK::Target::Compound:Gene", "Gene::NCBI:1"),
     )
     g2, _ = run_stage("harmonize", g, lambda g: harmonize(g, table))
-    assert [t.relation.label for t in g2] == ["Activator", "CMP_BIND"]
+    assert [t.relation.label for t in rows_of(g2)] == ["Activator", "CMP_BIND"]
 
 
 def test_harmonize_idempotent(table):
@@ -71,7 +71,7 @@ def test_harmonize_idempotent(table):
     )
     once, _ = run_stage("harmonize", g, lambda g: harmonize(g, table))
     twice, log = run_stage("harmonize", once, lambda g: harmonize(g, table))
-    assert [t.relation for t in twice] == [t.relation for t in once]
+    assert [t.relation for t in rows_of(twice)] == [t.relation for t in rows_of(once)]
     assert log.details["labels_rewritten"] == 0
 
 
@@ -82,7 +82,7 @@ def test_harmonize_canonical_label_set_property(table):
     )
     g2, log = run_stage("harmonize", g, lambda g: harmonize(g, table))
     passthroughs = {
-        t.relation.label for t in g2 if t.relation.label not in table.canonical_labels
+        t.relation.label for t in rows_of(g2) if t.relation.label not in table.canonical_labels
     }
     assert passthroughs == {"GpBP"}
     assert log.details["unmapped_rows"] == 1
@@ -121,7 +121,7 @@ def test_harmonize_strict_names_the_first_unmapped_relation_in_row_order(table):
         ("Gene::NCBI:1", "Hetionet::GpBP::Gene:BiologicalProcess", "BiologicalProcess::GO:1"),
     )
     # DpS keeps the lower id, but GpBP's row now comes first
-    g = g.where(bytes([0, 1])).plus([g.row(0)])
+    g = plus(g.where(bytes([0, 1])), rows_of(g)[:1])
     with pytest.raises(StageError, match="GpBP") as failure:
         run_stage("harmonize", g, lambda g: harmonize(g, table, strict=True))
     assert "DpS" not in str(failure.value)
@@ -183,7 +183,7 @@ def test_remove_nonhuman_retain_config_is_identity():
     )
     spec = NonHumanSpec(banned_labels=frozenset(), ban_vir_prefix=False)
     g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, spec, {}))
-    assert [render(t) for t in g2] == [render(t) for t in g]
+    assert [render(t) for t in rows_of(g2)] == [render(t) for t in rows_of(g)]
     assert log.rows_removed == 0
 
 

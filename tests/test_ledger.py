@@ -21,7 +21,7 @@ from kgprep.ingest import parse_entity
 from kgprep.model import KnowledgeGraph
 from kgprep.normalize import IdMapTable, deduplicate, remap_entities
 
-from conftest import T, run_stage
+from conftest import T, rows_of, run_stage
 from oracles import endpoints
 
 ENTITIES = (
@@ -106,11 +106,11 @@ def test_row_stage_ledgers(rows, taxonomy):
         assert log.rows_added == 0
         if reasons is not None:
             assert log.rows_removed == sum(log.details[key] for key in reasons), name
-        assert list(out.nodes) == endpoints(out)
+        assert list(out.nodes) == endpoints(rows_of(out))
     _, log = run_stage("drop_types", g, lambda g: drop_entity_types(g, DROP_TYPES))
     by_type = {t: log.details[f"nodes_removed_{t}"] for t in DROP_TYPES}
     assert log.details["nodes_removed"] == sum(by_type.values())
     assert by_type == {t: len(g.nodes_of_type(t)) for t in DROP_TYPES}
     assert log.rows_removed == sum(
-        1 for t in g if t.head.entity_type in DROP_TYPES or t.tail.entity_type in DROP_TYPES
+        1 for t in rows_of(g) if t.head.entity_type in DROP_TYPES or t.tail.entity_type in DROP_TYPES
     )

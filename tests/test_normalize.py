@@ -14,7 +14,7 @@ from kgprep.normalize import (
     resolve_fixed_point,
 )
 
-from conftest import E, T, graph_of, run_stage
+from conftest import E, T, graph_of, rows_of, run_stage
 from oracles import dedup_by_scan, render, resolve_by_substitution
 
 
@@ -102,10 +102,10 @@ def test_remap_rewrites_and_passes_through():
     g2, log = run_stage("remap", g, lambda g: remap_entities(
         g, compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
     ))
-    heads = [t.head.text for t in g2]
+    heads = [t.head.text for t in rows_of(g2)]
     assert heads == ["Compound::PubChem_Compounds:2244", "Compound::PubChem_Compounds:5"]
     # no gene xref: the drugbank-sourced gene id survives untouched
-    assert g2.row(1).tail.text == "Gene::drugbank:BE9"
+    assert rows_of(g2)[1].tail.text == "Gene::drugbank:BE9"
     assert log.details["compound_ids_merged"] == 1
     assert log.details["gene_ids_merged"] == 0
 
@@ -120,7 +120,7 @@ def test_remap_idempotent_at_fixed_point():
     empty_d, empty_g = IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
     once, _ = run_stage("remap", g, lambda g: remap_entities(g, compounds, empty_d, empty_g))
     twice, log = run_stage("remap", once, lambda g: remap_entities(g, compounds, empty_d, empty_g))
-    assert [render(t) for t in twice] == [render(t) for t in once]
+    assert [render(t) for t in rows_of(twice)] == [render(t) for t in rows_of(once)]
     assert log.details["endpoints_rewritten"] == 0
 
 
@@ -160,7 +160,7 @@ def test_dedup_reversed_keeps_first():
     )
     g2, log = run_stage("dedup", g, deduplicate)
     assert len(g2) == 1
-    assert g2.row(0).head.text == "Gene::NCBI:A"
+    assert rows_of(g2)[0].head.text == "Gene::NCBI:A"
     assert log.details == {"exact_duplicates": 0, "reversed_duplicates": 1}
 
 
@@ -175,7 +175,7 @@ def test_dedup_self_loop_duplicates_are_exact():
     for same_type_only in (False, True):
         g2, log = run_stage("dedup", graph_of(*rows), lambda g: deduplicate(g, same_type_only))
         assert log.details == {"exact_duplicates": 2, "reversed_duplicates": 1}
-        assert [render(t) for t in g2] == [rows[0], rows[2]]
+        assert [render(t) for t in rows_of(g2)] == [rows[0], rows[2]]
 
 
 def test_dedup_distinct_relations_kept():
@@ -229,12 +229,12 @@ def test_dedup_idempotent_and_keyset_unique(data):
     g = KnowledgeGraph(triplets)
     once, _ = run_stage("dedup", g, deduplicate)
     twice, log2 = run_stage("dedup", once, deduplicate)
-    assert [render(t) for t in twice] == [render(t) for t in once]
+    assert [render(t) for t in rows_of(twice)] == [render(t) for t in rows_of(once)]
     assert log2.rows_removed == 0
     # brute-force check: no two survivors share a canonical key
     keys = [
         tuple(sorted((t.head.text, t.tail.text))) + (t.relation.label,)
-        for t in once
+        for t in rows_of(once)
     ]
     assert len(keys) == len(set(keys))
 
@@ -265,5 +265,5 @@ def test_dedup_equals_first_occurrence_by_scan(rows, same_type_only, bucket_rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_SORT_ROWS", bucket_rows)
         out, details = deduplicate(graph_of(*texts), same_type_only)
-    assert [render(t) for t in out] == kept
+    assert [render(t) for t in rows_of(out)] == kept
     assert details == {"exact_duplicates": exact, "reversed_duplicates": reversed_}

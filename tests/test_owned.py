@@ -26,7 +26,7 @@ from kgprep.ingest import parse_entity
 from kgprep.model import _SORT_ROWS, KnowledgeGraph, Vocabulary
 from kgprep.pipeline import PipelineRunner
 
-from conftest import BUCKET_TABLE_BYTES, T, traced
+from conftest import BUCKET_TABLE_BYTES, T, plus, rows_of, traced
 
 ROW_STAGES = STAGE_NAMES[: STAGE_NAMES.index("splits")]
 
@@ -240,22 +240,22 @@ def test_where_in_place_equals_its_definition(sort_rows):
 
 
 def test_a_consumed_graph_raises(tiny_graph):
-    g = KnowledgeGraph(list(tiny_graph))
+    g = KnowledgeGraph(rows_of(tiny_graph))
     owned = g.owned()
     with pytest.raises(TypeError, match="consumed"):
         len(g)
     kept = owned.where(b"\1\0\1")
-    for use in (len, list, lambda g: g.heads, lambda g: g.nodes, lambda g: g.where(b"\1")):
+    for use in (len, rows_of, lambda g: g.heads, lambda g: g.nodes, lambda g: g.where(b"\1")):
         with pytest.raises(TypeError, match="consumed"):
             use(owned)
-    grown = kept.plus([T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:7")])
+    grown = plus(kept, [T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:7")])
     renamed = grown.mapped(relation=[0, 0, 0])
     for used in (kept, grown):
         with pytest.raises(TypeError, match="consumed"):
             used.flags()
     assert len(renamed) == 3 and renamed._owned
     # a graph nobody owns is never consumed
-    assert tiny_graph.where(b"\1\0\1").plus([]).mapped() is not tiny_graph
+    assert plus(tiny_graph.where(b"\1\0\1"), []).mapped() is not tiny_graph
     assert len(tiny_graph) == 3
 
 

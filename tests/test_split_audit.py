@@ -23,7 +23,9 @@ from kgprep.split_audit import (
     write_bundle,
 )
 
-from conftest import BUCKET_TABLE_BYTES, T, fresh, graph_of, leakage_of, splits_of, traced
+from conftest import (
+    BUCKET_TABLE_BYTES, T, fresh, graph_of, leakage_of, rows_of, splits_of, traced,
+)
 from oracles import (
     leaked_count_bruteforce,
     leaked_count_hashed,
@@ -56,7 +58,7 @@ def test_builtin_task_targets_are_disjoint(tiny_graph):
         for name_b, b in BUILTIN_TASKS.items():
             if name_a == name_b:
                 continue
-            for t in tiny_graph:
+            for t in rows_of(tiny_graph):
                 assert not (task_matches(a, t) and task_matches(b, t))
 
 
@@ -106,7 +108,7 @@ def test_split_partition_property(n, seed):
     for at, i in enumerate(order):
         codes[i] = 1 + (at >= n - n // 10 - n // 5) + (at >= n - n // 5)
     assert split.codes[0] == codes
-    assert sorted(whole) == sorted(render(t) for t in g if task_matches(BUILTIN_TASKS["ppi"], t))
+    assert sorted(whole) == sorted(render(t) for t in rows_of(g) if task_matches(BUILTIN_TASKS["ppi"], t))
 
 
 # --- leakage ---------------------------------------------------------------
@@ -376,8 +378,9 @@ def test_audit_report_aggregation():
 def test_audit_five_seeds_matches_external_recompute():
     g = target_graph(200)
     # duplicate a third of the target rows so splits leak
-    extra = [t for i, t in enumerate(g) if i % 3 == 0 and task_matches(BUILTIN_TASKS["ppi"], t)]
-    g2 = KnowledgeGraph([*g, *extra])
+    rows = rows_of(g)
+    extra = [t for i, t in enumerate(rows) if i % 3 == 0 and task_matches(BUILTIN_TASKS["ppi"], t)]
+    g2 = KnowledgeGraph([*rows, *extra])
     split = make_splits(g2, "ppi", range(5))
     reports = [leakage_of(split, k) for k in range(5)]
     records = audit_report("ppi", [0, 1, 2, 3, 4], reports)
@@ -407,8 +410,8 @@ def test_write_bundle_files(tmp_path):
 def test_write_bundle_context_same_bytes_per_seed_and_ordering(tmp_path):
     # the context rows span more than one rendered chunk
     g = target_graph(20, n_context=4100)
-    g = KnowledgeGraph(list(reversed(list(g))))
-    context_rows = [t for t in g if not task_matches(BUILTIN_TASKS["ppi"], t)]
+    g = KnowledgeGraph(list(reversed(rows_of(g))))
+    context_rows = [t for t in rows_of(g) if not task_matches(BUILTIN_TASKS["ppi"], t)]
     graph_order = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in (render(c) for c in context_rows))
     by_text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(render(c) for c in context_rows))
     assert graph_order != by_text
@@ -528,7 +531,7 @@ def check_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk, open_fil
     assert (tmp_path / "graph.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
     for task, endpoint_types in BUILTIN_TASKS.items():
         for seed in seeds:
-            parts = splits_by_rescan(list(g), endpoint_types, seed)
+            parts = splits_by_rescan(rows_of(g), endpoint_types, seed)
             for name, text in split_file_texts(parts, preserve_order).items():
                 assert (seed_dir(tmp_path, task, seed) / name).read_text("utf-8") == text, (
                     task, seed, name)

@@ -17,7 +17,7 @@ from kgprep.split_audit import (
     write_leakage_json,
 )
 
-from conftest import splits_of
+from conftest import rows_of, splits_of
 from oracles import split_file_texts, splits_by_rescan
 
 TASKS = ("ppi", "drug_repurposing", "side_effect")
@@ -108,7 +108,7 @@ def test_splits_and_report_equal_per_seed_recipe(inputs, tmp_path, preserve_orde
     for task_name in TASKS:
         reports = []
         for seed in SEEDS:
-            parts = splits_by_rescan(list(g), BUILTIN_TASKS[task_name], seed)
+            parts = splits_by_rescan(rows_of(g), BUILTIN_TASKS[task_name], seed)
             seed_dir = splits / task_name / f"seed_{seed}"
             for name, text in split_file_texts(parts, preserve_order).items():
                 expected_files.add(seed_dir / name)

@@ -18,7 +18,7 @@ from kgprep.ingest import load_triplets
 from kgprep.model import KnowledgeGraph
 from kgprep.pipeline import PipelineRunner
 
-from conftest import graph_of
+from conftest import graph_of, rows_of
 from oracles import render
 
 TASKS = ["ppi", "drug_repurposing", "side_effect"]
@@ -59,7 +59,7 @@ def _config(tmp_path, splits: bool) -> PipelineConfig:
 
 
 def _rendered_and_sorted(g: KnowledgeGraph) -> bytes:
-    rendered = sorted(render(t) for t in g)
+    rendered = sorted(render(t) for t in rows_of(g))
     return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rendered).encode("utf-8")
 
 
@@ -176,7 +176,7 @@ def test_audit_of_another_graph_does_not_reuse_splits_bundles(tmp_path):
 
     g1 = graph_of(*_rows(1))
     g2 = graph_of(*_rows(2))
-    assert len(g1) == len(g2) and list(g1) != list(g2)
+    assert len(g1) == len(g2) and rows_of(g1) != rows_of(g2)
 
     reused = runner("reused")
     reused.run_stage("splits", g1)
