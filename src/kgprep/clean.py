@@ -15,6 +15,7 @@ from itertools import compress
 from importlib import resources
 from pathlib import Path
 
+from .config import DEFAULT_BANNED_LABELS, DEFAULT_DROP_TYPES
 from .errors import ParseError, StageError
 from .ingest import HARMONIZATION_SCHEMA, parse_entity, read_rows
 from .model import ENTITY_TYPE_ALIASES, KnowledgeGraph, RelationRef, marks
@@ -24,9 +25,6 @@ log = logging.getLogger(__name__)
 # Canonical labels introduced by the enrichment stages; harmonization must
 # leave them untouched when re-run on an enriched graph.
 ENRICHMENT_LABELS = frozenset({"GENE_PATHWAY", "SIDE_EFFECT"})
-
-# Relation labels dropped by the non-human filter when no override is given.
-DEFAULT_BANNED_LABELS = frozenset({"VirGenHumGen", "DrugVirGen"})
 
 HUMAN_TAGS = frozenset({"human", "9606", "homo sapiens"})
 
@@ -161,7 +159,7 @@ class NonHumanSpec:
     """What the non-human filter removes: a closed, configurable list of
     banned relation labels, plus any Vir-prefixed label when enabled."""
 
-    banned_labels: frozenset[str] = DEFAULT_BANNED_LABELS
+    banned_labels: frozenset[str] = frozenset(DEFAULT_BANNED_LABELS)
     ban_vir_prefix: bool = True
 
     def is_banned(self, label: str) -> bool:
@@ -198,9 +196,6 @@ def remove_nonhuman(
         "nonhuman_gene_rows": on_gene_rows.count(1),
         "nonhuman_genes_removed": sum(map(nonhuman.__getitem__, removed)),
     }
-
-
-DEFAULT_DROP_TYPES = ("Tax", "Symptom", "Pathway")
 
 
 def drop_entity_types(

@@ -100,12 +100,8 @@ def _cmd_stage(args) -> int:
     if args.name != "splits":  # a checkpoint keeps graph order, which dedup reads
         config.preserve_order = True
     runner = PipelineRunner(config, stage=args.name)
-    g = _load_graph(args.graph).owned()
-    try:
-        g, stage_log = runner.run_stage(args.name, g)
-        runner.write_graph(g)
-    finally:
-        runner.discard_graph()
+    g, stage_log = runner.run_stage(args.name, _load_graph(args.graph).owned())
+    runner.write(g)
     ingest.write_json(Path(config.out_dir) / f"stage_{args.name}.json", [stage_log.to_dict()])
     return 0
 
@@ -130,10 +126,8 @@ def _run_task_stage(args, stage: str):
     if args.task:
         config.split_tasks = args.task
     runner = PipelineRunner(config, stage=stage)
-    try:
-        _, stage_log = runner.run_stage(stage, _load_graph(args.graph))
-    finally:
-        runner.discard_graph()  # split writes no graph.tsv
+    g, stage_log = runner.run_stage(stage, _load_graph(args.graph))
+    runner.write(g, graph=None)  # the splits alone; the audit plans none
     return config, stage_log
 
 

@@ -46,7 +46,10 @@ STAGE_INPUTS = {
     "fingerprints": "smiles",
 }
 
-VALID_TIERS = ("high", "medium", "low")
+VALID_TIERS = ("high", "medium", "low")  # OnSIDES confidence tiers, most confident first
+# the relation labels the non-human filter bans and the types drop_types removes, by default
+DEFAULT_BANNED_LABELS = ("VirGenHumGen", "DrugVirGen")
+DEFAULT_DROP_TYPES = ("Tax", "Symptom", "Pathway")
 
 
 @dataclass
@@ -79,10 +82,8 @@ class PipelineConfig:
     )
     harmonize_strict: bool = False
     dedup_same_type_only: bool = False
-    drop_types: list[str] = field(default_factory=lambda: ["Tax", "Symptom", "Pathway"])
-    nonhuman_banned_labels: list[str] = field(
-        default_factory=lambda: ["VirGenHumGen", "DrugVirGen"]
-    )
+    drop_types: list[str] = field(default_factory=lambda: list(DEFAULT_DROP_TYPES))
+    nonhuman_banned_labels: list[str] = field(default_factory=lambda: list(DEFAULT_BANNED_LABELS))
     nonhuman_ban_vir_prefix: bool = True
     audit_include_inverse: bool = True
     preserve_order: bool = False

@@ -13,6 +13,7 @@ from itertools import compress, count
 from typing import Callable, Iterable
 
 from .chem.smiles import parse_smiles
+from .config import VALID_TIERS
 from .errors import InputError, ParseError, SmilesError
 from .ingest import parse_entity
 from .model import KnowledgeGraph, RelationRef, marks
@@ -22,8 +23,6 @@ log = logging.getLogger(__name__)
 
 GENE_PATHWAY = RelationRef("Reactome", "GENE_PATHWAY", "Gene", "Pathway")
 SIDE_EFFECT = RelationRef("OnSIDES", "SIDE_EFFECT", "Compound", "SideEffect")
-
-TIER_RANK = {"low": 0, "medium": 1, "high": 2}
 
 
 def _numbered(table: list[tuple]):
@@ -116,9 +115,9 @@ def merge_onsides(
     and rows whose endpoint pair already carries any edge (whatever its label
     or orientation) are suppressed as duplicates.
     """
-    if min_tier not in TIER_RANK:
+    if min_tier not in VALID_TIERS:
         raise ValueError(f"unknown confidence tier {min_tier!r}")
-    threshold = TIER_RANK[min_tier]
+    kept_tiers = VALID_TIERS[: VALID_TIERS.index(min_tier) + 1]
     # a merged row links a Compound to a SideEffect, so only graph rows
     # between those types, in either orientation, can carry its pair
     links = {("Compound", "SideEffect"), ("SideEffect", "Compound")}
@@ -127,7 +126,7 @@ def merge_onsides(
 
     def rows():
         for row_no, (compound_text, se_text, tier) in _numbered(table):
-            if TIER_RANK[tier] < threshold:
+            if tier not in kept_tiers:
                 details["skipped_below_confidence"] += 1
                 continue
             try:

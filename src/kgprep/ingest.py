@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import time
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
+from .config import VALID_TIERS
 from .errors import InputError, ParseError
 from .model import (
     ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, StageLog, Vocabulary, gather,
@@ -259,7 +262,7 @@ HARMONIZATION_SCHEMA = TableSchema(
 ONSIDES_SCHEMA = TableSchema(
     "onsides",
     ("compound_id", "side_effect_id", "confidence_tier"),
-    allowed={2: frozenset({"high", "medium", "low"})},
+    allowed={2: frozenset(VALID_TIERS)},
 )
 
 
@@ -357,16 +360,24 @@ def load_onsides(path: str | Path) -> Rows:
     return read_rows(path, ONSIDES_SCHEMA)
 
 
-def open_output(path: str | Path, binary: bool = False) -> IO:
+@contextmanager
+def open_output(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open an output file for writing as UTF-8 with LF line ends, or for
-    bytes, creating its directory first. Every output of a run is opened
-    here."""
+    bytes, creating its directory first. Every output is opened here and
+    appears whole: it is written as ``<name>.partial``, which replaces the
+    file once closed cleanly (the old file's other hard-linked names keep
+    their bytes) and is deleted on error."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.unlink(missing_ok=True)  # a hard link's other names keep their bytes
-    if binary:
-        return path.open("wb")
-    return path.open("w", encoding="utf-8", newline="\n")
+    partial = path.with_name(path.name + ".partial")
+    fh = partial.open("wb") if binary else partial.open("w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: str | Path, data) -> None:

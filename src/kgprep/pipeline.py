@@ -2,13 +2,14 @@
 
 Stages always execute in dependency order; a toggle only decides whether a
 stage runs, never when. Intermediate and final graphs use the same triplet
-TSV format, so any stage can be resumed from a checkpoint file.
+TSV format, so any stage can be resumed from a checkpoint file. The splits
+stage only plans: after its stages a command writes the final graph and every
+split file in one call (``PipelineRunner.write``), outside every stage clock.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from functools import cached_property
 from pathlib import Path
@@ -24,9 +25,6 @@ from .stats import StatsReport, compute_stats
 log = logging.getLogger(__name__)
 
 StageResult = tuple[KnowledgeGraph, dict[str, int]]
-
-# the graph file the splits stage writes, until it is moved to graph.tsv
-RENDERED_GRAPH = "graph.tsv.partial"
 
 
 def account(
@@ -68,11 +66,8 @@ class PipelineRunner:
             config.validate_for_stage(stage)
         self.config = config
         self.out_dir = Path(config.out_dir)
-        # per task, the splits the splits stage made and the audit has not
-        # yet used
+        # per task, the splits the splits stage made, until they are written
         self._plan: dict[str, split_audit.TaskSplits] = {}
-        # the graph whose file the splits stage wrote to RENDERED_GRAPH
-        self._rendered: KnowledgeGraph | None = None
         # in a run that fingerprints, the graph the SMILES filter returned and
         # the fingerprints it made of what it parsed, until that stage runs
         self._fingerprint_early = stage is None and config.enabled("fingerprints")
@@ -204,28 +199,11 @@ class PipelineRunner:
         features.write_features(self.out_dir / "gene_features.tsv", table)
         return collapsed, details
 
-    def _task_splits(
-        self, g: KnowledgeGraph, task_name: str, keep: bool
-    ) -> split_audit.TaskSplits:
-        """One task's seeded splits of ``g``: the ones an earlier stage kept
-        for this very graph, or new ones. ``keep`` leaves them for a later
-        stage; otherwise they are released."""
-        split = self._plan.pop(task_name, None)
-        if split is None or split.graph is not g:
-            split = split_audit.make_splits(g, task_name, self.config.split_seeds)
-        if keep:
-            self._plan[task_name] = split
-        return split
-
     def _splits(self, g: KnowledgeGraph) -> StageResult:
         details: dict[str, int] = {}
-        keep = self.config.enabled("audit")
-        splits = [self._task_splits(g, task_name, keep) for task_name in self.config.split_tasks]
-        self._rendered = g
-        split_audit.write_bundle(
-            self.out_dir, RENDERED_GRAPH, g, splits, preserve_order=self.config.preserve_order
-        )
-        for split in splits:
+        self._plan = {task_name: split_audit.make_splits(g, task_name, self.config.split_seeds)
+                      for task_name in self.config.split_tasks}
+        for split in self._plan.values():
             # split sizes depend only on the target size, not on the seed
             details[f"{split.task}_target"] = n = len(split.target)
             details[f"{split.task}_train"] = split.n_train
@@ -240,7 +218,9 @@ class PipelineRunner:
         }
         records = []
         for task_name in self.config.split_tasks:
-            split = self._task_splits(g, task_name, keep=False)
+            split = self._plan.get(task_name)
+            if split is None or split.graph is not g:  # no plan of g: new splits, not kept
+                split = split_audit.make_splits(g, task_name, self.config.split_seeds)
             keys = split_audit.leak_keys(split, entities, self.harmonization_table)
             reports = split_audit.detect_leakage(
                 keys, split, include_inverse=self.config.audit_include_inverse
@@ -252,23 +232,17 @@ class PipelineRunner:
             for r in records
         }
 
-    # --- graph.tsv --------------------------------------------------------
+    # --- outputs ----------------------------------------------------------
 
-    def write_graph(self, g: KnowledgeGraph) -> None:
-        """Write graph.tsv: move into place the file the splits stage wrote
-        of ``g``, or write ``g`` now."""
-        path = self.out_dir / "graph.tsv"
-        if self._rendered is g:
-            os.replace(self.out_dir / RENDERED_GRAPH, path)
-        else:
-            ingest.write_triplets(path, g, preserve_order=self.config.preserve_order)
-
-    def discard_graph(self) -> None:
-        """Delete the file the splits stage wrote, unless it was moved into
-        place. Every command calls this on its way out, so that no run,
-        failed or not, leaves it behind."""
-        if self._rendered is not None:
-            (self.out_dir / RENDERED_GRAPH).unlink(missing_ok=True)
+    def write(self, g: KnowledgeGraph, graph: str | None = "graph.tsv") -> None:
+        """Write a command's results of ``g``: the graph file ``graph``
+        (none if None) and every split file the splits stage planned, in one
+        pass over the rows when there are plans."""
+        preserve = self.config.preserve_order
+        if self._plan:
+            split_audit.write_bundle(self.out_dir, graph, g, list(self._plan.values()), preserve)
+        elif graph is not None:
+            ingest.write_triplets(self.out_dir / graph, g, preserve_order=preserve)
 
     # --- full run ---------------------------------------------------------
 
@@ -285,15 +259,12 @@ class PipelineRunner:
             ingest_log.rows_removed,
         )
         logs = [ingest_log]
-        try:
-            for name in STAGE_NAMES:
-                if not cfg.enabled(name):
-                    continue
-                g, stage_log = self.run_stage(name, g)
-                logs.append(stage_log)
-            self.write_graph(g)
-        finally:
-            self.discard_graph()
+        for name in STAGE_NAMES:
+            if not cfg.enabled(name):
+                continue
+            g, stage_log = self.run_stage(name, g)
+            logs.append(stage_log)
+        self.write(g)
         report = compute_stats(g)
         report.stages = logs
         report.wall_time_seconds = time.perf_counter() - start

@@ -279,23 +279,24 @@ _OPEN_FILES = 128
 
 
 def write_bundle(
-    out_dir, graph_name: str, g: KnowledgeGraph, splits: Sequence[TaskSplits],
+    out_dir, graph_name: str | None, g: KnowledgeGraph, splits: Sequence[TaskSplits],
     preserve_order: bool = False,
 ) -> None:
-    """Write ``g`` as triplet TSV to ``out_dir/graph_name``, and each seed's
-    train/valid/test/context TSVs to ``out_dir/splits/<task>/seed_<n>/``,
-    from one rendering of each row in text order. A byte per written row
-    names the task it is a target of (1 + its index in ``splits``, or 0 for
-    none), and a byte per target row of a task, in written order, names the
-    seed's split of it (1 train, 2 valid, 3 test). A split file gets the
-    task's target lines whose byte is its split's; context gets every other
-    line. A seed's bytes are its ``TaskSplits.codes`` scattered onto the
-    graph rows and read back in written order. Context is every seed's
-    alike: a task's first seed's is cut, and the other seeds' are hard links
-    to it, or cut alike where linking fails. Under ``preserve_order`` the
-    graph and context keep graph order, and each seed shuffles its
-    permutation again and renders its target rows once more, in that order.
-    The splits must be of ``g``, and no two may share a target row."""
+    """Write ``g`` as triplet TSV to ``out_dir/graph_name`` (no graph file
+    if it is None), and each seed's train/valid/test/context TSVs to
+    ``out_dir/splits/<task>/seed_<n>/``, from one rendering of each row in
+    text order. A byte per written row names the task it is a target of
+    (1 + its index in ``splits``, or 0 for none), and a byte per target row
+    of a task, in written order, names the seed's split of it (1 train, 2
+    valid, 3 test). A split file gets the task's target lines whose byte is
+    its split's; context gets every other line. A seed's bytes are its
+    ``TaskSplits.codes`` scattered onto the graph rows and read back in
+    written order. Context is every seed's alike: a task's first seed's is
+    cut, and the other seeds' are hard links to it, or cut alike where
+    linking fails. Under ``preserve_order`` the graph and context keep graph
+    order, and each seed shuffles its permutation again and renders its
+    target rows once more, in that order. The splits must be of ``g``, and
+    no two may share a target row."""
     out, n = Path(out_dir), len(g)
     # one encoding of the vocabulary serves every rendering; it is made when
     # rows are first rendered, after the first batch's bytes are cut
@@ -304,14 +305,15 @@ def write_bundle(
     by_row = bytearray(n)  # per graph row: its task byte, then a seed's split
     for i, split in enumerate(splits):
         if split.graph is not g:
-            raise ValueError(f"task {split.task}: splits of another graph than {graph_name}")
+            raise ValueError(f"task {split.task}: splits of another graph")
         scatter(by_row, split.target, repeat(i + 1))
     if n - by_row.count(0) != sum(len(split.target) for split in splits):
-        raise ValueError(f"splits of {graph_name} share target rows")
+        raise ValueError("splits share target rows")
     tasks = bytes(by_row if preserve_order else gather(by_row, order))
 
     # every file, with its task and seed (None for the graph and contexts)
-    files, shuffled = [(out / graph_name, None, None, 0)], []
+    files = [(out / graph_name, None, None, 0)] if graph_name is not None else []
+    shuffled = []
     for i, split in enumerate(splits):
         for k, seed in enumerate(split.seeds):
             seed_dir = out / "splits" / split.task / f"seed_{seed}"

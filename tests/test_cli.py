@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -15,7 +16,6 @@ from kgprep.cli import main
 from kgprep.config import STAGE_NAMES
 from kgprep.corpus import build_corpus
 from kgprep.errors import ConfigError, InputError, StageError
-from kgprep.pipeline import RENDERED_GRAPH
 from kgprep.stats import compute_stats
 
 from conftest import graph_of
@@ -576,9 +576,9 @@ def test_run_whose_audit_fails_leaves_no_graph_file(corpus, tmp_path, monkeypatc
     rc = main(["--quiet", "--config", str(corpus.config), "--out", str(out), "run"])
     assert rc == 3
     assert capsys.readouterr().err.splitlines() == ["stage failure: audit failed"]
-    assert (out / "splits").is_dir()
+    assert not (out / "splits").exists()
     assert not (out / "graph.tsv").exists()
-    assert not (out / RENDERED_GRAPH).exists()
+    assert not list(out.rglob("*.partial"))
 
 
 def test_run_renders_each_graph_row_once(corpus, tmp_path, monkeypatch):
@@ -618,8 +618,73 @@ def test_split_write_failure_leaves_no_graph_file_and_no_open_file(corpus, tmp_p
         f"config error: cannot write {blocker}: File exists"
     ]
     assert not (out / "graph.tsv").exists()
-    assert not (out / RENDERED_GRAPH).exists()
+    assert not list(out.rglob("*.partial"))
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _fail_rendering_after_one_chunk(monkeypatch):
+    """Every rendering of graph rows raises OSError after its first chunk of
+    64 rows, as a full disk would."""
+    real = ingest.render_chunks
+
+    def failing(g, order, *texts):
+        yield next(real(g, order, *texts))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 64)
+    monkeypatch.setattr(ingest, "render_chunks", failing)
+    monkeypatch.setattr(split_audit, "render_chunks", failing)
+
+
+@pytest.mark.parametrize("command", [["run"], ["stage", "dedup"]])
+def test_graph_write_failure_leaves_no_graph_file(corpus, tmp_path, monkeypatch, capsys,
+                                                  command):
+    """A run with the default stages, or a stage, whose graph write fails
+    leaves no graph.tsv, whole or cut, and no temporary file."""
+    cfg = corpus.config.with_name("default_stages.cfg")
+    text = corpus.config.read_text(encoding="utf-8")
+    cfg.write_text(text.replace("stages.splits = true\nstages.audit = true\n", ""),
+                   encoding="utf-8")
+    graph = ["--graph", str(corpus.triplets)] if command[0] == "stage" else []
+    out = tmp_path / "out"
+    _fail_rendering_after_one_chunk(monkeypatch)
+    rc = main(["--quiet", "--config", str(cfg), "--out", str(out), *command, *graph])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: cannot write output: No space left on device"
+    ]
+    assert not (out / "graph.tsv").exists()
+    assert not list(out.rglob("*.partial"))
+
+
+def test_failed_rewrite_leaves_the_old_outputs(corpus, tmp_path, monkeypatch):
+    """A run into an old output directory whose final write fails leaves
+    every old file's bytes as they were."""
+    out = tmp_path / "out"
+    argv = ["--quiet", "--config", str(corpus.config), "--out", str(out), "run"]
+    assert main(argv) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "graph.tsv" in before
+    _fail_rendering_after_one_chunk(monkeypatch)
+    assert main(argv) == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_split_opens_no_graph_file(tmp_path, monkeypatch):
+    opened = []
+    real = ingest.open_output
+
+    def tracked(path, binary=False):
+        opened.append(Path(path))
+        return real(path, binary)
+
+    monkeypatch.setattr(ingest, "open_output", tracked)
+    monkeypatch.setattr(split_audit, "open_output", tracked)
+    graph, out = _graph_file(tmp_path), tmp_path / "out"
+    assert main(["--quiet", "--config", str(_splits_config(tmp_path, graph)),
+                 "--out", str(out), "split", "--graph", str(graph)]) == 0
+    assert opened
+    assert all(out / "splits" in path.parents for path in opened), opened
 
 
 def test_split_leaves_only_splits(tmp_path):

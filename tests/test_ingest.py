@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from kgprep.ingest import (
     load_table,
     load_triplets,
     load_xref,
+    open_output,
     parse_entity,
     parse_relation,
 )
@@ -321,3 +323,25 @@ def test_header_accepted_on_first_line_after_comments(tmp_path):
         "Compound::PubChem_Compounds:702": "CCO",
         "compound_id": "smiles",
     }
+
+
+def test_open_output_replaces_a_file_only_once_it_is_whole(tmp_path):
+    """A file is written under a temporary name and moved to its name once
+    closed: a failed write leaves the old bytes and no temporary file, and
+    a rewrite leaves the old file's other hard-linked names alone."""
+    path, other = tmp_path / "out.tsv", tmp_path / "other.tsv"
+    path.write_bytes(b"old\n")
+    os.link(path, other)
+    with pytest.raises(OSError, match="disk full"):
+        with open_output(path, binary=True) as fh:
+            fh.write(b"new\n")
+            raise OSError("disk full")
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.tsv", "out.tsv"]
+    with open_output(path) as fh:
+        fh.write("new\n")
+        fh.flush()
+        assert path.read_bytes() == b"old\n"
+    assert path.read_bytes() == b"new\n"
+    assert other.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.tsv", "out.tsv"]

@@ -2,6 +2,7 @@ import errno
 import os
 import random
 import sys
+from contextlib import contextmanager
 from itertools import combinations, islice
 
 import pytest
@@ -516,10 +517,12 @@ def check_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk, open_fil
     opened = []
     most_open = [0]
 
+    @contextmanager
     def tracked(path, binary=False):
-        opened.append(ingest.open_output(path, binary))
-        most_open[0] = max(most_open[0], sum(not fh.closed for fh in opened))
-        return opened[-1]
+        with ingest.open_output(path, binary) as fh:
+            opened.append(fh)
+            most_open[0] = max(most_open[0], sum(not fh.closed for fh in opened))
+            yield fh
 
     monkeypatch.setattr(split_audit, "open_output", tracked)
     g = mixed_graph()
@@ -543,6 +546,7 @@ def check_per_seed_recipe(tmp_path, monkeypatch, preserve_order, chunk, open_fil
         inodes = {(seed_dir(tmp_path, task, seed) / "context.tsv").stat().st_ino for seed in seeds}
         assert len(inodes) == written_contexts
     assert not list(tmp_path.rglob("*.link"))
+    assert not list(tmp_path.rglob("*.partial"))
 
 
 def test_rewriting_a_bundle_leaves_other_names_of_its_old_files_alone(tmp_path):
