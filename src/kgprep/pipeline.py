@@ -237,7 +237,10 @@ class PipelineRunner:
     def write(self, g: KnowledgeGraph, graph: str | None = "graph.tsv") -> None:
         """Write a command's results of ``g``: the graph file ``graph``
         (none if None) and every split file the splits stage planned, in one
-        pass over the rows when there are plans."""
+        pass over the rows when there are plans. No stage runs after it, so
+        the cached auxiliary tables are dropped first."""
+        for table in ("harmonization_table", "id_maps", "taxonomy", "smiles_dict"):
+            self.__dict__.pop(table, None)
         preserve = self.config.preserve_order
         if self._plan:
             split_audit.write_bundle(self.out_dir, graph, g, list(self._plan.values()), preserve)

@@ -22,9 +22,11 @@ counterpart:
 
 With empty equivalence tables, standardization is the identity and all
 detectors reduce to duplicate_inverse. A match joins two rows with one
-unordered pair of canonical endpoints, so only target rows whose pair recurs
-can leak: ``leak_keys`` finds them one class of rows at a time, and every
-seed probes a class before the next is built.
+unordered pair of canonical endpoints and one relation group (relations
+linked, through any chain, by a shared raw or canonical label), so only
+target rows whose pair and group recur together can leak: ``leak_keys``
+finds them one class of rows at a time, and every seed probes a class before
+the next is built.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import random
 import statistics
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -136,18 +139,24 @@ def _codes(order: array, n_train: int, n_valid: int) -> bytearray:
 def leak_keys(
     split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable
 ) -> Iterator[tuple]:
-    """One ``(candidates, raw, relation, entity)`` per class, each built
-    when it is asked for. A match under any detector joins two rows with the
-    same unordered pair of canonical endpoints (texts mapped through
-    ``entities``), so only target rows whose pair recurs among the task's can
-    leak or be leaked. Target rows are dealt into classes by the sum of
-    their canonical endpoint ids (``model.deal``), so the rows of a pair
-    share a class; a class's candidates are its rows whose pair recurs, as
-    indices into ``target``. Each detector's (keys, inverse keys) of them
-    pack ``(head, (origin, label), tail)``, ``(head, canonical label, tail)``
-    or the latter on canonical endpoints into ints; an inverse key swaps
-    head and tail. Nothing per target row outlives the dealing but the
-    classes' row indices."""
+    """One ``(candidates, raw, relation, entity)`` per class that has
+    candidates, each built when it is asked for. A row's block is its
+    unordered pair of canonical endpoints (texts mapped through
+    ``entities``) and its relation's group, a component of the relations
+    linked by a shared raw ``(origin, label)`` or canonical label. Every
+    match joins two rows of one block: duplicate_inverse needs equal raw
+    labels, the other detectors equal canonical labels, and all one
+    canonical pair; harmonization is type-aware, so one raw label may have
+    two canonical labels, and a group takes both links. So only target rows
+    whose block recurs among the task's can leak or be leaked. Target rows
+    are dealt into classes by the sum of their canonical endpoint ids
+    (``model.deal``), so the rows of a block share a class; a class's
+    candidates are its rows whose block recurs, as indices into ``target``.
+    Each detector's (keys, inverse keys) of them pack ``(head, (origin,
+    label), tail)``, ``(head, canonical label, tail)`` or the latter on
+    canonical endpoints into ints; an inverse key swaps head and tail.
+    Nothing per target row outlives the dealing but the classes' row
+    positions."""
     g, target, vocab = split.graph, split.target, split.graph.vocab
     n_entity = len(vocab.entities)
     # each entity's canonical id: the first entity's with its canonical text;
@@ -163,6 +172,20 @@ def leak_keys(
     raws, canons = {}, {}
     raw = list(map(raws.setdefault, ((r.origin, r.label) for r in vocab.relations), count()))
     label = list(map(canons.setdefault, map(relations.canon_label, vocab.relations), count()))
+    # a relation's group: the least relation of its component, where a shared
+    # raw or canonical label id links two relations; only rows of one group
+    # match. A row's block key is its pair key plus 2n² times its group
+    group = list(range(len(raw)))
+
+    def root(r: int) -> int:
+        while group[r] != r:
+            r = group[r]
+        return r
+
+    for ids in zip(raw, label, count()):
+        roots = set(map(root, ids))
+        scatter(group, roots, repeat(min(roots)))
+    group = array("q", map(mul, map(root, range(len(raw))), repeat(2 * n_entity * n_entity)))
 
     def canonical(positions: Iterable[int]) -> list[Iterator[int]]:
         return [map(canon.__getitem__, gather(column, positions)) for column in (g.heads, g.tails)]
@@ -176,15 +199,18 @@ def leak_keys(
         return (array("q", pairs(pairs(of_rows, heads), tails)),
                 array("q", pairs(pairs(of_rows, tails), heads)))
 
-    for rows in deal(range(len(target)), map(add, *canonical(target))):
-        positions = array("i", gather(target, rows))
+    for positions in deal(target, map(add, *canonical(target))):
         ends = [array("i", column) for column in canonical(positions)]
-        unordered = array("q", pair_keys(*ends, n_entity))
-        seen = Counter(unordered)
-        recurs = bytes(map(gt, map(seen.__getitem__, unordered), repeat(1)))
-        del seen, unordered
-        candidates = array("i", compress(rows, recurs))
+        blocks = array("q", map(add, pair_keys(*ends, n_entity),
+                                gather(group, gather(g.relations, positions))))
+        seen = Counter(blocks)
+        if len(seen) == len(blocks):  # no block recurs: no candidates
+            continue
+        recurs = bytes(map(gt, map(seen.__getitem__, blocks), repeat(1)))
+        del seen, blocks
         positions = array("i", compress(positions, recurs))
+        # a candidate's index into target, which lists positions in order
+        candidates = array("i", map(bisect_left, repeat(target), positions))
         heads, rels, tails = (array("i", gather(column, positions))
                               for column in (g.heads, g.relations, g.tails))
         ends = [array("i", compress(column, recurs)) for column in ends]

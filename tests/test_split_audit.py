@@ -247,6 +247,27 @@ MIXED_POOLS = {
 }
 
 
+def mixed_row(relation: str, h: int, t: int) -> tuple[str, str, str]:
+    """A row of ``relation`` whose endpoints are the ``h``-th and ``t``-th
+    entities of its types' pools, wrapping round."""
+    head_type, tail_type = relation.rsplit("::", 1)[1].split(":")
+    head_pool, tail_pool = MIXED_POOLS[head_type], MIXED_POOLS[tail_type]
+    return head_pool[h % len(head_pool)], relation, tail_pool[t % len(tail_pool)]
+
+
+def draw_mixed_rows(data, task: str) -> list[tuple[str, str, str]]:
+    return [mixed_row(*drawn) for drawn in data.draw(st.lists(
+        st.tuples(st.sampled_from(MIXED_RELATIONS[task]), st.integers(0, 6), st.integers(0, 6)),
+        min_size=1, max_size=60,
+    ))]
+
+
+def mixed_tables() -> tuple[HarmonizationTable, dict]:
+    """The mixed harmonization as the package's table and as the oracles' map."""
+    table = HarmonizationTable.from_rows(list(MIXED_HARMONIZATION))
+    return table, {tuple(row[:4]): row[4] for row in MIXED_HARMONIZATION}
+
+
 @settings(max_examples=80)
 @given(
     task=st.sampled_from(sorted(MIXED_RELATIONS)),
@@ -258,18 +279,8 @@ def test_detectors_equal_exhaustive_oracle_on_mixed_signatures(task, seed, inclu
     """Type-aware harmonization, both orientations of one drug label, self
     loops (ppi rows may join a gene to itself), merges that make two pairs
     equal only after canonicalization, and audits without inverse keys."""
-    drawn = data.draw(st.lists(
-        st.tuples(st.sampled_from(MIXED_RELATIONS[task]), st.integers(0, 6), st.integers(0, 6)),
-        min_size=1, max_size=60,
-    ))
-    rows = []
-    for relation, h, t in drawn:
-        head_type, tail_type = relation.rsplit("::", 1)[1].split(":")
-        head_pool, tail_pool = MIXED_POOLS[head_type], MIXED_POOLS[tail_type]
-        rows.append((head_pool[h % len(head_pool)], relation, tail_pool[t % len(tail_pool)]))
-    split = make_splits(graph_of(*rows), task, [seed])
-    table = HarmonizationTable.from_rows(list(MIXED_HARMONIZATION))
-    relation_map = {tuple(row[:4]): row[4] for row in MIXED_HARMONIZATION}
+    split = make_splits(graph_of(*draw_mixed_rows(data, task)), task, [seed])
+    table, relation_map = mixed_tables()
     report = leakage_of(split, 0, MIXED_ENTITIES, table, include_inverse)
     # classes of a few rows each: pairs counted and probed bucket by bucket
     with pytest.MonkeyPatch.context() as patch:
@@ -284,6 +295,79 @@ def test_detectors_equal_exhaustive_oracle_on_mixed_signatures(task, seed, inclu
             expected = leaked_count_bruteforce(*args)
             assert leaked_count_hashed(*args) == expected
             assert report[(detector, pair)] == (expected, len(evaluated)), (detector, pair)
+
+
+def test_a_drug_label_with_two_canonical_labels_keeps_its_rows_in_one_group():
+    # DGIdb::Agonist is AGONIST as Compound:Gene and its own raw label as
+    # Gene:Compound, so only the raw label joins the first two rows (an
+    # inverse duplicate), and only the canonical label the last two (a
+    # relation synonym): a relation group must follow both links
+    table, relation_map = mixed_tables()
+    c0, c1 = MIXED_POOLS["Compound"][:2]
+    g1, g2 = MIXED_POOLS["Gene"][1:3]
+    train = [T(c0, "DGIdb::Agonist::Compound:Gene", g1), T(c1, "GNBR::A+::Compound:Gene", g2)]
+    valid = [T(c1, "DGIdb::Agonist::Compound:Gene", g2)]
+    test = [T(g1, "DGIdb::Agonist::Gene:Compound", c0)]
+    split = splits_of("drug_repurposing", 0, train, valid, test)
+    report = leakage_of(split, 0, MIXED_ENTITIES, table)
+    assert report[("duplicate_inverse", "train_test")] == (1, 1)
+    assert report[("relation_redundancy", "train_test")] == (0, 1)
+    assert report[("duplicate_inverse", "train_valid")] == (0, 1)
+    assert report[("relation_redundancy", "train_valid")] == (1, 1)
+    for pair, part in (("train_valid", valid), ("train_test", test)):
+        for detector in DETECTORS:
+            expected = leaked_count_bruteforce(
+                to_oracle_form(train), to_oracle_form(part), MIXED_ENTITIES, relation_map,
+                detector, canonical_labels=set(table.canonical_labels),
+            )
+            assert report[(detector, pair)] == (expected, 1), (detector, pair)
+
+
+@settings(max_examples=60)
+@given(task=st.sampled_from(sorted(MIXED_RELATIONS)),
+       sort_rows=st.sampled_from([2, model._SORT_ROWS]), data=st.data())
+def test_candidates_hold_every_row_a_scan_matches(task, sort_rows, data):
+    """Every target row that some other target row matches, under any
+    detector and either orientation, is a candidate of ``leak_keys``, in
+    classes of ``sort_rows`` rows."""
+    split = make_splits(graph_of(*draw_mixed_rows(data, task)), task, [0])
+    table, relation_map = mixed_tables()
+    rows = to_oracle_form(rows_of(split.graph)[p] for p in split.target)
+    matched = {i for i, row in enumerate(rows) if leaked_count_bruteforce(
+        rows[:i] + rows[i + 1 :], [row], MIXED_ENTITIES, relation_map, "any",
+        canonical_labels=set(table.canonical_labels),
+    )}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", sort_rows)
+        keys = leak_keys(split, MIXED_ENTITIES, table)
+        assert matched <= {i for candidates, *_ in keys for i in candidates}
+
+
+@settings(max_examples=40)
+@given(sort_rows=st.sampled_from([2, model._SORT_ROWS]), data=st.data())
+def test_pairs_recurring_only_across_relation_groups_give_no_candidates(sort_rows, data):
+    """ppi's relations form two groups, GNBR::B with STRING::Binding (one
+    canonical label) and GNBR::Q; each canonical pair here has one row in
+    each group, in either orientation, so every pair recurs, no two rows of
+    a pair can match, and ``leak_keys`` yields no class to key."""
+    relations = MIXED_RELATIONS["ppi"]
+
+    def canonical_pair(ends: tuple[int, int]) -> frozenset[str]:
+        genes = map(MIXED_POOLS["Gene"].__getitem__, ends)
+        return frozenset(MIXED_ENTITIES.get(gene, gene) for gene in genes)
+
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                               min_size=1, unique_by=canonical_pair))
+    rows = []
+    for h, t in pairs:
+        swapped = data.draw(st.booleans())
+        rows += [mixed_row(data.draw(st.sampled_from(relations[:2])), h, t),
+                 mixed_row(relations[2], *((t, h) if swapped else (h, t)))]
+    split = make_splits(graph_of(*rows), "ppi", [0])
+    table, _ = mixed_tables()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_SORT_ROWS", sort_rows)
+        assert list(leak_keys(split, MIXED_ENTITIES, table)) == []
 
 
 def test_plan_holds_one_byte_per_target_row_and_seed():
