@@ -16,7 +16,7 @@ from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
-from operator import add, attrgetter, floordiv, getitem, methodcaller, mod, mul, ne, sub
+from operator import add, attrgetter, floordiv, getitem, itemgetter, methodcaller, mod, mul, ne, sub
 from typing import Iterable, Iterator, KeysView, Sequence
 
 from .errors import StageError
@@ -503,6 +503,13 @@ def gather(column: Sequence, rows: Iterable[int]) -> Iterator:
     """``column[p]`` for each position ``p`` of ``rows``, lazily; the
     lookups run in C, with no Python frame per row."""
     return map(getitem, repeat(column), rows)
+
+
+def take(column: Sequence, rows: Sequence[int]) -> tuple:
+    """``column[p]`` for each position ``p`` of ``rows``, as one tuple made
+    in one C call, where ``gather`` steps an iterator per row: about twice
+    as fast, but it holds every value at once, an int object each."""
+    return itemgetter(*rows)(column) if len(rows) > 1 else tuple(gather(column, rows))
 
 
 def scatter(target, rows: Iterable[int], values: Iterable) -> None:

@@ -238,8 +238,9 @@ class PipelineRunner:
         """Write a command's results of ``g``: the graph file ``graph``
         (none if None) and every split file the splits stage planned, in one
         pass over the rows when there are plans. No stage runs after it, so
-        the cached auxiliary tables are dropped first."""
-        for table in ("harmonization_table", "id_maps", "taxonomy", "smiles_dict"):
+        the tables the audit reads are dropped first: dropping the taxonomy
+        and SMILES too raised drkg-shape's peak RSS by ~0.3 MB."""
+        for table in ("harmonization_table", "id_maps"):
             self.__dict__.pop(table, None)
         preserve = self.config.preserve_order
         if self._plan:

@@ -43,7 +43,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import compress, count, groupby, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import add, gt, itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Sequence
 from .clean import HarmonizationTable
 from .errors import StageError
 from .ingest import encoded, open_output, render_chunks, write_json
-from .model import KnowledgeGraph, deal, gather, marks, pair_keys, scatter
+from .model import KnowledgeGraph, deal, gather, marks, pair_keys, scatter, take
 
 DETECTORS = ("duplicate_inverse", "relation_redundancy", "entity_redundancy", "any")
 
@@ -136,6 +136,12 @@ def _codes(order: array, n_train: int, n_valid: int) -> bytearray:
     return codes
 
 
+# leak_keys takes ids as tuples, an int object (~40 B) a value: the deal's
+# keys this many target rows at a time, and one class more per this many
+# rows than model.deal's one per _SORT_ROWS, so a class has ~1,600 rows
+_CLASS_ROWS = 2048
+
+
 def leak_keys(
     split: TaskSplits, entities: dict[str, str], relations: HarmonizationTable
 ) -> Iterator[tuple]:
@@ -187,8 +193,8 @@ def leak_keys(
         scatter(group, roots, repeat(min(roots)))
     group = array("q", map(mul, map(root, range(len(raw))), repeat(2 * n_entity * n_entity)))
 
-    def canonical(positions: Iterable[int]) -> list[Iterator[int]]:
-        return [map(canon.__getitem__, gather(column, positions)) for column in (g.heads, g.tails)]
+    def canonical(positions: Sequence[int]) -> list[tuple]:
+        return [take(canon, take(column, positions)) for column in (g.heads, g.tails)]
 
     def pairs(first: Iterable[int], last: Iterable[int]) -> Iterable[int]:
         return map(add, map(mul, first, repeat(n_entity)), last)
@@ -199,10 +205,12 @@ def leak_keys(
         return (array("q", pairs(pairs(of_rows, heads), tails)),
                 array("q", pairs(pairs(of_rows, tails), heads)))
 
-    for positions in deal(target, map(add, *canonical(target))):
-        ends = [array("i", column) for column in canonical(positions)]
+    sums = chain.from_iterable(map(add, *canonical(target[at : at + _CLASS_ROWS]))
+                               for at in range(0, len(target), _CLASS_ROWS))
+    for positions in deal(target, sums, len(target) // _CLASS_ROWS):
+        ends = canonical(positions)
         blocks = array("q", map(add, pair_keys(*ends, n_entity),
-                                gather(group, gather(g.relations, positions))))
+                                take(group, take(g.relations, positions))))
         seen = Counter(blocks)
         if len(seen) == len(blocks):  # no block recurs: no candidates
             continue

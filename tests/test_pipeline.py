@@ -20,7 +20,7 @@ def test_write_drops_the_cached_auxiliary_tables(tiny_graph, tmp_path):
     config = PipelineConfig()
     config.out_dir = str(tmp_path)
     runner = PipelineRunner(config, stage="audit")
-    tables = ("harmonization_table", "id_maps", "taxonomy")
+    tables = ("harmonization_table", "id_maps")
     for name in tables:
         getattr(runner, name)
     runner.write(tiny_graph)

@@ -409,10 +409,11 @@ def class_audit_peak(split: TaskSplits) -> tuple[int, list]:
 
 
 def test_seed_audit_memory_scales_with_candidates_not_targets(monkeypatch):
-    # classes of 1,024 rows, so that one class's tables are small beside
-    # every target row's: measured 18.3 B/row in all, 8 of them canonical
-    # ids; keys built with a dict over every entity text peaked at 190 B/row
-    # with classes of 8,192 rows
+    # classes of ~680 rows, so that one class's tables are small beside
+    # every target row's: measured 24.8 B/row in all, 8 of them canonical
+    # ids, ~4 of them one class's ids taken as tuples; keys built with a
+    # dict over every entity text peaked at 190 B/row with classes of 8,192
+    # rows
     monkeypatch.setattr(model, "_SORT_ROWS", model._SORT_ROWS // 8)
     n = 20_000
     g = graph_of(*((f"Gene::NCBI:{i}", "GNBR::B::Gene:Gene", f"Gene::NCBI:{n + i}")
