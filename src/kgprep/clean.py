@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from importlib import resources
 from pathlib import Path
 
@@ -190,7 +189,7 @@ def remove_nonhuman(
     banned = bytes(2 * spec.is_banned(r.label) for r in g.vocab.relations)
     codes = g.flags(entity=nonhuman, relation=banned)
     on_gene_rows = marks(codes, 1)
-    removed = set(compress(g.heads, on_gene_rows)).union(compress(g.tails, on_gene_rows))
+    removed = g.endpoints(on_gene_rows)
     return g.where(marks(codes, 0)), {
         "banned_relation_rows": marks(codes, 2, 3).count(1),
         "nonhuman_gene_rows": on_gene_rows.count(1),
@@ -208,7 +207,7 @@ def drop_entity_types(
     dropped = bytes(e.entity_type in doomed for e in entities)
     rows = g.flags(entity=dropped)
     # every node of a listed type is on a removed row
-    on_rows = set(compress(g.heads, rows)).union(compress(g.tails, rows))
+    on_rows = g.endpoints(rows)
     removed = Counter(entities[e].entity_type for e in on_rows if dropped[e])
     details = {"nodes_removed": sum(removed.values())}
     for etype in sorted(doomed):

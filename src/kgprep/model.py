@@ -13,11 +13,10 @@ from __future__ import annotations
 import re
 from array import array
 from collections import Counter, deque
-from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from operator import add, attrgetter, floordiv, getitem, itemgetter, methodcaller, mod, mul, ne, sub
-from typing import Iterable, Iterator, KeysView, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import StageError
 
@@ -233,9 +232,9 @@ class KnowledgeGraph:
     of the columns they change, so a graph a library caller holds never
     changes once built.
 
-    ``node_ids``, which ``nodes`` views, is derived from the rows on first
-    use, so a chain of row stages that never asks for nodes never builds it.
-    ``text_order`` is likewise computed on first use.
+    ``node_ids`` is derived from the rows on first use, so a chain of row
+    stages that never asks for nodes never builds it. ``text_order`` is
+    likewise computed on first use.
     """
 
     __slots__ = (
@@ -258,7 +257,7 @@ class KnowledgeGraph:
         self.heads = array("i", map(entity, heads))
         self.relations = array("i", map(relation, relations))
         self.tails, self.lines = array("i", map(entity, tails)), array("i", lines)
-        self._nodes: dict[int, None] | None = None
+        self._nodes: set[int] | None = None
         self._text_order: array | None = None
         self._owned = False
 
@@ -299,40 +298,28 @@ class KnowledgeGraph:
             self.__class__ = _Consumed
         else:
             columns = [column[:] if c else column for column, c in zip(columns, changed)]
-            node_set = None if node_set is None else dict(node_set)
+            node_set = None if node_set is None else set(node_set)
         g = KnowledgeGraph._from_clean(vocab, *columns)
         g._nodes, g._owned = node_set, owned
         return g
 
     def where(self, keep: bytes) -> "KnowledgeGraph":
         """The rows whose byte in ``keep`` is 1, in order; every byte is 0
-        or 1. The kept rows move down the columns, which are then truncated:
-        an owned graph's own columns, and it is consumed, or copies of
-        another's. When nothing is dropped, nothing moves and nothing is
-        copied. Each run of kept rows moves as one block, unless the runs
-        number more than an eighth of the rows: a block costs about as much
-        as picking eight rows one by one, so then the rows are picked
-        ``_SORT_ROWS`` at a time and each slice's picks written back at the
-        cursor, below the rows not yet read."""
+        or 1. Each run of kept rows moves down the columns as one block, and
+        the columns are then truncated: an owned graph's own columns, and it
+        is consumed, or copies of another's. When nothing is dropped,
+        nothing moves and nothing is copied."""
         if 0 not in keep:
             return self._successor((False,) * 4)
         g = self._successor((True,) * 4)
         columns, at = g._columns(), 0
-        if 8 * (keep.count(b"\0\1") + keep.startswith(b"\1")) > len(keep):
-            for start in range(0, len(keep), _SORT_ROWS):
-                kept = keep[start : start + _SORT_ROWS]
-                end = at + kept.count(1)
-                for column in columns:
-                    column[at:end] = array("i", compress(column[start : start + _SORT_ROWS], kept))
-                at = end
-        else:
-            views = list(map(memoryview, columns))
-            for a, b in map(_SPAN, _KEPT.finditer(keep)):
-                if a != at:
-                    for view in views:
-                        view[at : at + b - a] = view[a:b]
-                at += b - a
-            deque(map(memoryview.release, views), maxlen=0)
+        views = list(map(memoryview, columns))
+        for a, b in map(_SPAN, _KEPT.finditer(keep)):
+            if a != at:
+                for view in views:
+                    view[at : at + b - a] = view[a:b]
+            at += b - a
+        deque(map(memoryview.release, views), maxlen=0)
         for column in columns:
             del column[at:]
         return g
@@ -361,7 +348,7 @@ class KnowledgeGraph:
         g = self._successor((True,) * 4, nodes=True)
         deque(map(array.extend, g._columns(), (heads, relations, tails, lines)), maxlen=0)
         if g._nodes is not None:
-            g._nodes.update(_first_appearance(heads, tails))
+            g._nodes.update(heads, tails)
         return g
 
     def flags(self, entity: bytes | None = None, relation: bytes | None = None) -> bytes:
@@ -379,18 +366,22 @@ class KnowledgeGraph:
             combined |= int.from_bytes(bytes(part), "little")
         return combined.to_bytes(len(self), "little")
 
-    @property
-    def node_ids(self) -> KeysView[int]:
-        """The ids of the row endpoints, in order of first appearance."""
-        if self._nodes is None:
-            self._nodes = _first_appearance(self.heads, self.tails)
-        return self._nodes.keys()
+    def endpoints(self, rows: bytes | None = None) -> set[int]:
+        """The ids of the endpoints of every row, or of the rows whose byte
+        in ``rows`` is 1."""
+        heads, tails = self.heads, self.tails
+        if rows is not None:
+            heads, tails = compress(heads, rows), compress(tails, rows)
+        ids = set(heads)
+        ids.update(tails)
+        return ids
 
     @property
-    def nodes(self) -> "NodeView":
-        """The row endpoints, in order of first appearance, as a set-like
-        view over ``node_ids``."""
-        return NodeView(self.vocab.entities, self.node_ids)
+    def node_ids(self) -> set[int]:
+        """The ids of the row endpoints, built on first use and kept."""
+        if self._nodes is None:
+            self._nodes = self.endpoints()
+        return self._nodes
 
     @property
     def text_order(self) -> array:
@@ -441,27 +432,8 @@ class KnowledgeGraph:
         return len(self.heads)
 
     def nodes_of_type(self, entity_type: str) -> list[EntityRef]:
-        return [n for n in self.nodes if n.entity_type == entity_type]
-
-
-class NodeView(Set):
-    """A graph's row endpoints as ``EntityRef``s, in order of first
-    appearance; membership goes through the vocabulary's ids."""
-
-    __slots__ = ("_entities", "_ids")
-
-    def __init__(self, entities: Interned, ids: KeysView[int]):
-        self._entities = entities
-        self._ids = ids
-
-    def __contains__(self, node: object) -> bool:
-        return self._entities.ids.get(node) in self._ids
-
-    def __iter__(self) -> Iterator[EntityRef]:
-        return map(self._entities.__getitem__, self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
+        entities = self.vocab.entities
+        return [entities[e] for e in self.node_ids if entities[e].entity_type == entity_type]
 
 
 class _Consumed(KnowledgeGraph):
@@ -486,17 +458,6 @@ def _ranks(refs: list) -> tuple[array, int]:
     texts, rank = list(map(texts.__getitem__, ids)), array("i", [0]) * len(ids)
     scatter(rank, ids, accumulate(map(ne, texts[1:], texts), initial=0))
     return rank, len(ids) and rank[ids[-1]] + 1
-
-
-def _first_appearance(heads: array, tails: array) -> dict[int, None]:
-    """The ids of these rows' endpoints, head before tail, in order of first
-    appearance, gathered ``_SORT_ROWS`` rows at a time."""
-    nodes: dict[int, None] = {}
-    for at in range(0, len(heads), _SORT_ROWS):
-        both = heads[at : at + _SORT_ROWS] * 2
-        both[::2], both[1::2] = heads[at : at + _SORT_ROWS], tails[at : at + _SORT_ROWS]
-        deque(map(nodes.setdefault, both), maxlen=0)
-    return nodes
 
 
 def gather(column: Sequence, rows: Iterable[int]) -> Iterator:

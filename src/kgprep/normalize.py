@@ -162,7 +162,7 @@ def remap_entities(
     entities = g.vocab.entities
     target = list(range(len(entities)))
     merged = bytearray(len(entities))
-    for e in set(g.heads).union(g.tails):
+    for e in g.endpoints():
         ref = entities[e]
         table = tables.get(ref.entity_type)
         to = None if table is None else table.mapping.get(ref)

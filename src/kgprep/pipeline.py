@@ -68,10 +68,10 @@ class PipelineRunner:
         self.out_dir = Path(config.out_dir)
         # per task, the splits the splits stage made, until they are written
         self._plan: dict[str, split_audit.TaskSplits] = {}
-        # in a run that fingerprints, the graph the SMILES filter returned and
-        # the fingerprints it made of what it parsed, until that stage runs
+        # in a run that fingerprints, the fingerprints the SMILES filter made
+        # of what it parsed, until that stage runs
         self._fingerprint_early = stage is None and config.enabled("fingerprints")
-        self._fingerprinted: tuple[KnowledgeGraph, dict] | None = None
+        self._fingerprinted: dict | None = None
 
     # --- auxiliary inputs, each read on first use -------------------------
 
@@ -172,22 +172,20 @@ class PipelineRunner:
     def _smiles_filter(self, g: KnowledgeGraph) -> StageResult:
         if not self._fingerprint_early:
             return enrich.filter_no_smiles(g, self.smiles_dict)
-        cfg, table = self.config, {}
+        cfg, self._fingerprinted = self.config, {}
         # only the filter holds the callback: it drops it, and its memo, once it has parsed
-        kept, details = enrich.filter_no_smiles(
-            g, self.smiles_dict, fingerprinter(table, cfg.fingerprint_radius, cfg.fingerprint_nbits)
-        )
-        self._fingerprinted = kept, table
-        return kept, details
+        return enrich.filter_no_smiles(g, self.smiles_dict, fingerprinter(
+            self._fingerprinted, cfg.fingerprint_radius, cfg.fingerprint_nbits
+        ))
 
     def _fingerprints(self, g: KnowledgeGraph) -> StageResult:
-        """Fingerprint ``g``, reusing the SMILES filter's table only if it
-        returned this very graph; the table is dropped either way."""
-        cfg, (filtered, known) = self.config, self._fingerprinted or (None, None)
-        self._fingerprinted = None
+        """Fingerprint ``g``, reusing the SMILES filter's table, then drop it.
+        A fingerprint depends only on the compound's SMILES, the radius and
+        the width, which are the runner's, so the table serves any graph."""
+        cfg, known, self._fingerprinted = self.config, self._fingerprinted, None
         table, details = fingerprint_all(
             g, self.smiles_dict, radius=cfg.fingerprint_radius, nbits=cfg.fingerprint_nbits,
-            known=known if filtered is g else None,
+            known=known,
         )
         write_fingerprints(self.out_dir / "fingerprints.tsv", table)
         return g, details

@@ -384,14 +384,19 @@ def write_bundle(
 
 
 def _linked(source: Path, path: Path) -> bool:
-    """Hard-link ``source`` to ``path`` via a temporary name; False if refused."""
-    partial = path.with_name(path.name + ".link")
+    """Hard-link ``source`` to ``path`` via ``<name>.partial``, which is
+    deleted if the rename fails; False if the link is refused."""
+    partial = path.with_name(path.name + ".partial")
     partial.unlink(missing_ok=True)
     try:
         os.link(source, partial)
     except OSError:
         return False
-    os.replace(partial, path)
+    try:
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return True
 
 

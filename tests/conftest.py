@@ -98,6 +98,10 @@ def plus(g: KnowledgeGraph, added: list[Row]) -> KnowledgeGraph:
                   array("i", map(entity, tails)), array("i", lines))
 
 
+def nodes(g: KnowledgeGraph) -> set[EntityRef]:
+    return {g.vocab.entities[e] for e in g.node_ids}
+
+
 def graph_of(*rows) -> KnowledgeGraph:
     return KnowledgeGraph(T(*row) for row in rows)
 

@@ -300,8 +300,8 @@ def dedup_by_scan(rows: list[tuple[str, str, str]], same_type_only: bool = False
 def merge_by_scan(graph, table, kind: str, min_tier: str = "high",
                   compound_map=None, side_effect_map=None):
     """A reactome or OnSIDES merge recomputed on texts: ``(counters, added
-    rows as (head, relation, tail, row number), every row endpoint in order
-    of first appearance, the number of the first mistyped row or None)``.
+    rows as (head, relation, tail, row number), the set of row endpoints,
+    the number of the first mistyped row or None)``.
     ``graph`` holds (head, relation, tail) texts; ``table`` holds (gene,
     pathway) or (compound, side effect, tier) texts, numbered from 1. An
     OnSIDES row below ``min_tier`` is skipped; its ids go through the maps.
@@ -346,11 +346,7 @@ def merge_by_scan(graph, table, kind: str, min_tier: str = "high",
     counts["pathway_nodes_added" if reactome else "side_effect_nodes_added"] = len(
         {t for _, _, t, _ in added} - before
     )
-    nodes = []
-    for h, _, t, *_ in [*graph, *added]:
-        for node in (h, t):
-            if node not in nodes:
-                nodes.append(node)
+    nodes = {node for h, _, t, *_ in [*graph, *added] for node in (h, t)}
     return counts, added, nodes, None
 
 
@@ -399,16 +395,9 @@ def render(t) -> tuple[str, str, str]:
     return (t.head.text, t.relation.text, t.tail.text)
 
 
-def endpoints(rows) -> list:
-    """The rows' heads and tails in order of first appearance."""
-    seen = set()
-    out = []
-    for t in rows:
-        for node in (t.head, t.tail):
-            if node not in seen:
-                seen.add(node)
-                out.append(node)
-    return out
+def endpoints(rows) -> set:
+    """The rows' heads and tails."""
+    return {node for t in rows for node in (t.head, t.tail)}
 
 
 def is_clean(ref) -> bool:

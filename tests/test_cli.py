@@ -18,7 +18,7 @@ from kgprep.corpus import build_corpus
 from kgprep.errors import ConfigError, InputError, StageError
 from kgprep.stats import compute_stats
 
-from conftest import graph_of
+from conftest import graph_of, nodes
 
 
 @pytest.fixture(scope="module")
@@ -531,9 +531,9 @@ def test_compute_stats_counts_row_endpoints_not_the_vocabulary():
     )
     kept = g.where(b"\x01\x00\x01\x01")
     report = compute_stats(kept)
-    assert report.node_total == len(kept.nodes) == len(kept.vocab.entities) - 2
+    assert report.node_total == len(kept.node_ids) == len(kept.vocab.entities) - 2
     counts = {(r["type"], r["source"]): r["count"] for r in report.nodes_by_type_source}
-    assert counts == Counter((n.entity_type, n.source) for n in kept.nodes)
+    assert counts == Counter((n.entity_type, n.source) for n in nodes(kept))
 
 
 # --- the output tree of each command ------------------------------------------

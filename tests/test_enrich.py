@@ -10,7 +10,7 @@ from kgprep.errors import InputError, ParseError
 from kgprep.ingest import load_onsides, load_reactome, parse_entity
 from kgprep.normalize import IdMapTable
 
-from conftest import E, T, graph_of, plus, rows_of
+from conftest import E, T, graph_of, nodes, plus, rows_of
 from oracles import endpoints, merge_by_scan, render
 
 
@@ -37,7 +37,7 @@ def test_merge_reactome_fixture():
     assert details["pathway_nodes_added"] == 2
     assert details["skipped_endpoint_absent"] == 2
     # no orphan pathways: the node set is exactly the row endpoints
-    assert list(g2.nodes) == endpoints(rows_of(g2))
+    assert nodes(g2) == endpoints(rows_of(g2))
     assert len(g2.nodes_of_type("Pathway")) == 2
 
 
@@ -134,7 +134,7 @@ ONSIDES_ROWS = st.lists(st.tuples(st.sampled_from([
 def _merged_as_scanned(merge, rows, dropped, kind: str, scanned) -> None:
     """``merge`` on a graph of ``rows``, whose vocabulary also holds the
     entities of ``dropped`` rows, unowned and owned, against the scan."""
-    details, added, nodes, error_row = scanned
+    details, added, texts, error_row = scanned
     for owned in (False, True):
         g = graph_of(*dropped, *rows)
         g = (g.owned() if owned else g).where(bytes(len(dropped)) + b"\1" * len(rows))
@@ -146,7 +146,7 @@ def _merged_as_scanned(merge, rows, dropped, kind: str, scanned) -> None:
         g2, got = merge(g)
         assert got == details
         assert [(*render(t), t.line) for t in rows_of(g2)[n:]] == added
-        assert [e.text for e in g2.nodes] == nodes
+        assert {e.text for e in nodes(g2)} == texts
 
 
 # every case below also arises at random, but not in every run: another
@@ -277,7 +277,7 @@ def test_merge_onsides_duplicate_of_any_orientation_or_alias():
     g2, details = merge_onsides(g, rows, compound_map=compound_map)
     assert details["skipped_duplicate"] == 3
     assert details["edges_added"] == 1
-    assert list(g2.nodes) == endpoints(rows_of(g2))
+    assert nodes(g2) == endpoints(rows_of(g2))
 
 
 def test_merge_onsides_first_bad_row_raises_in_order():
@@ -303,17 +303,17 @@ def test_filter_no_smiles_carries_registry():
         (cmp1, ddi, cmp2),
         ("Gene::NCBI:2", "GNBR::GENE_BIND::Gene:Gene", "Gene::NCBI:3"),
     )
-    before = list(g.nodes)
+    before = nodes(g)
     g2, details = filter_no_smiles(g, {cmp1: "C(", cmp2: "CCO"})
     assert details["edges_removed"] == 3
     assert [render(t) for t in rows_of(g2)] == [
         render(t) for t in rows_of(g) if cmp1 not in (t.head.text, t.tail.text)
     ]
-    assert list(g2.nodes) == endpoints(rows_of(g2))
-    assert E(cmp2) in g2.nodes
-    assert E("Gene::NCBI:1") not in g2.nodes
-    assert E(cmp1) not in g2.nodes
-    assert list(g.nodes) == before
+    assert nodes(g2) == endpoints(rows_of(g2))
+    assert E(cmp2) in nodes(g2)
+    assert E("Gene::NCBI:1") not in nodes(g2)
+    assert E(cmp1) not in nodes(g2)
+    assert nodes(g) == before
 
 
 def test_filter_no_smiles_registry_on_random_graphs():
@@ -341,4 +341,4 @@ def test_filter_no_smiles_registry_on_random_graphs():
             render(t) for t in rows_of(g)
             if all(n.entity_type != "Compound" or n.text in kept for n in (t.head, t.tail))
         ]
-        assert list(g2.nodes) == endpoints(rows_of(g2))
+        assert nodes(g2) == endpoints(rows_of(g2))

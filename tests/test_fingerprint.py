@@ -250,3 +250,38 @@ def test_run_parses_each_smiles_once(tmp_path, monkeypatch):
     PipelineRunner(config, stage="fingerprints").run_stage("fingerprints", g)
     assert sorted(parsed) == sorted([smiles[c1], smiles[c5]])
     assert (tmp_path / "stage" / "fingerprints.tsv").read_text() == table
+
+
+def test_fingerprints_reuse_the_filters_table_on_another_graph(tmp_path, monkeypatch):
+    """A fingerprint depends only on the compound's SMILES and the runner's
+    radius and width, so after the SMILES filter the fingerprints stage
+    parses, on any graph, only the compounds the filter never saw, and
+    writes what the stage alone writes."""
+    c1, c2, c3 = (f"Compound::PubChem_Compounds:{i}" for i in range(1, 4))
+    bind = "GNBR::CMP_BIND::Compound:Gene"
+    smiles = {c1: "CCO", c2: "C(", c3: "CC(=O)O"}
+    (tmp_path / "smiles.tsv").write_text("".join(f"{c}\t{s}\n" for c, s in smiles.items()))
+    config = PipelineConfig(out_dir=str(tmp_path / "run"), smiles=str(tmp_path / "smiles.tsv"))
+    config.stages = {name: name in ("smiles_filter", "fingerprints") for name in STAGE_NAMES}
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_smiles(text)
+
+    monkeypatch.setattr(enrich, "parse_smiles", counting)
+    monkeypatch.setattr(fingerprint, "parse_smiles", counting)
+    runner = PipelineRunner(config)
+    g = graph_of((c1, bind, "Gene::NCBI:1"), (c2, bind, "Gene::NCBI:2"))
+    runner.run_stage("smiles_filter", g)
+    assert sorted(parsed) == sorted([smiles[c1], smiles[c2]])
+
+    parsed.clear()
+    g2 = graph_of((c1, bind, "Gene::NCBI:1"), (c3, bind, "Gene::NCBI:3"))
+    runner.run_stage("fingerprints", g2)
+    assert parsed == [smiles[c3]]
+    config.out_dir = str(tmp_path / "stage")
+    PipelineRunner(config, stage="fingerprints").run_stage("fingerprints", g2)
+    table = (tmp_path / "run" / "fingerprints.tsv").read_bytes()
+    assert table == (tmp_path / "stage" / "fingerprints.tsv").read_bytes()
+    assert [line.split(b"\t")[0] for line in table.splitlines()] == [c1.encode(), c3.encode()]

@@ -21,7 +21,7 @@ from kgprep.ingest import parse_entity
 from kgprep.model import KnowledgeGraph
 from kgprep.normalize import IdMapTable, deduplicate, remap_entities
 
-from conftest import T, rows_of, run_stage
+from conftest import T, nodes, rows_of, run_stage
 from oracles import endpoints
 
 ENTITIES = (
@@ -106,7 +106,7 @@ def test_row_stage_ledgers(rows, taxonomy):
         assert log.rows_added == 0
         if reasons is not None:
             assert log.rows_removed == sum(log.details[key] for key in reasons), name
-        assert list(out.nodes) == endpoints(rows_of(out))
+        assert nodes(out) == endpoints(rows_of(out))
     _, log = run_stage("drop_types", g, lambda g: drop_entity_types(g, DROP_TYPES))
     by_type = {t: log.details[f"nodes_removed_{t}"] for t in DROP_TYPES}
     assert log.details["nodes_removed"] == sum(by_type.values())

@@ -16,22 +16,24 @@ from kgprep.clean import drop_entity_types
 from kgprep.model import EntityRef, KnowledgeGraph, RelationRef, StageLog
 from kgprep.normalize import deduplicate
 
-from conftest import BUCKET_TABLE_BYTES, E, R, T, fresh, graph_of, plus, rows_of, run_stage, traced
+from conftest import (
+    BUCKET_TABLE_BYTES, E, R, T, fresh, graph_of, nodes, plus, rows_of, run_stage, traced
+)
 from oracles import endpoints, is_clean, render
 
 
 def test_insert_builds_registry():
     g = KnowledgeGraph([T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157")])
     assert len(g) == 1
-    assert len(g.nodes) == 2
-    assert Counter(n.entity_type for n in g.nodes) == {"Gene": 2}
+    assert len(g.node_ids) == 2
+    assert Counter(n.entity_type for n in nodes(g)) == {"Gene": 2}
 
 
 def test_insert_same_triplet_twice_is_multiset():
     t = T("Gene::NCBI:2157", "GNBR::B::Gene:Gene", "Gene::NCBI:7157")
     g = KnowledgeGraph([t, t])
     assert len(g) == 2
-    assert len(g.nodes) == 2
+    assert len(g.node_ids) == 2
 
 
 def test_insert_signature_mismatch_rejected():
@@ -41,32 +43,32 @@ def test_insert_signature_mismatch_rejected():
 
 
 def test_registry_matches_endpoints_after_ops(tiny_graph):
-    assert list(tiny_graph.nodes) == endpoints(rows_of(tiny_graph))
+    assert nodes(tiny_graph) == endpoints(rows_of(tiny_graph))
     g2, _ = run_stage("drop_types", tiny_graph, lambda g: drop_entity_types(g, ("Compound",)))
-    assert list(g2.nodes) == endpoints(rows_of(g2))
+    assert nodes(g2) == endpoints(rows_of(g2))
     g3 = plus(g2, [T("Gene::NCBI:3", "GNBR::B::Gene:Gene", "Gene::NCBI:4")])
-    assert list(g3.nodes) == endpoints(rows_of(g3))
-    assert len(g3.nodes) == 4
+    assert nodes(g3) == endpoints(rows_of(g3))
+    assert len(g3.node_ids) == 4
 
 
 def test_registry_built_on_first_use_and_kept_by_insert(tiny_graph):
     g2, _ = run_stage("drop_types", tiny_graph, lambda g: drop_entity_types(g, ()))
     assert g2._nodes is None
-    assert E("Gene::NCBI:2") in g2.nodes
+    assert E("Gene::NCBI:2") in nodes(g2)
     row = T("Gene::NCBI:2", "GNBR::B::Gene:Gene", "Gene::NCBI:9")
     g3 = plus(g2, [row])
     assert g3._nodes is not None
-    assert E("Gene::NCBI:9") in g3.nodes
-    assert E("Gene::NCBI:9") not in g2.nodes
+    assert E("Gene::NCBI:9") in nodes(g3)
+    assert E("Gene::NCBI:9") not in nodes(g2)
     assert len(g2) == len(tiny_graph)
     # a graph whose node set was never built builds its own on first use
     g4 = plus(tiny_graph, [row])
     assert tiny_graph._nodes is None and g4._nodes is None
-    assert list(g4.nodes) == endpoints(rows_of(g4))
+    assert nodes(g4) == endpoints(rows_of(g4))
 
 
-def test_plus_extends_a_built_node_set_in_first_appearance_order(tiny_graph):
-    list(tiny_graph.nodes)
+def test_plus_extends_a_built_node_set_to_the_rebuilt_one(tiny_graph):
+    built = tiny_graph.node_ids
     rows = [
         T("Gene::NCBI:7", "GNBR::B::Gene:Gene", "Gene::NCBI:1"),
         T("Compound::PubChem_Compounds:11", "GNBR::B::Compound:Gene", "Gene::NCBI:7"),
@@ -74,8 +76,10 @@ def test_plus_extends_a_built_node_set_in_first_appearance_order(tiny_graph):
     ]
     g = plus(tiny_graph, rows)
     assert rows_of(g) == [*rows_of(tiny_graph), *rows]
-    assert list(g.nodes) == endpoints(rows_of(g))
-    assert list(tiny_graph.nodes) == endpoints(rows_of(tiny_graph))
+    assert g._nodes is not None and g._nodes is not built
+    assert g.node_ids == fresh(g).node_ids == g.endpoints()
+    assert nodes(g) == endpoints(rows_of(g))
+    assert tiny_graph.node_ids is built and nodes(tiny_graph) == endpoints(rows_of(tiny_graph))
 
 
 def test_stage_log_conservation_enforced():
@@ -167,22 +171,31 @@ def test_node_ids_hold_one_slice_of_endpoints_beyond_the_dict(many_rows_few_enti
     g = fresh(many_rows_few_entities)
     held, peak = traced(lambda: g.node_ids)
     # measured: 8.1 B/row interleaving every row's endpoints, 164 KB for
-    # slices of 8,192 rows: a slice's head, tail and interleaved ids take
-    # 16 B a row, twice over while the next slice is cut
+    # slices of 8,192 rows, 3 KB building the set from the columns directly;
+    # the bound is a slice's head, tail and interleaved ids, twice over
     assert len(g.node_ids) == 470
     assert peak - held <= 32 * model._SORT_ROWS
 
 
 @given(rows=st.lists(st.tuples(st.sampled_from(_GENES), st.sampled_from(_GENES)), max_size=12),
-       added=st.lists(st.tuples(st.sampled_from(_GENES), st.sampled_from(_GENES)), max_size=5))
-def test_nodes_gathered_a_few_rows_at_a_time_keep_first_appearance(rows, added):
+       added=st.lists(st.tuples(st.sampled_from(_GENES), st.sampled_from(_GENES)), max_size=5),
+       keep=st.lists(st.booleans(), min_size=12, max_size=12), owned=st.booleans())
+def test_endpoints_equal_a_brute_force_set(rows, added, keep, owned):
     triplets = [T(h, "GNBR::B::Gene:Gene", t) for h, t in rows]
     extra = [T(h, "GNBR::B::Gene:Gene", t) for h, t in added]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_SORT_ROWS", 2)
         g = KnowledgeGraph(triplets)
-        assert list(g.nodes) == endpoints(triplets)
-        assert list(plus(g, extra).nodes) == endpoints([*triplets, *extra])
+        g = g.owned() if owned else g
+        ids = g.vocab.entities.ids
+        mask = bytes(keep[: len(g)])
+        assert g.endpoints(mask) == {ids[n] for t in compress(rows_of(g), mask)
+                                     for n in (t.head, t.tail)}
+        assert g.endpoints() == {ids[n] for n in endpoints(triplets)} == g.node_ids
+        # a built set that plus extends equals the one its rows rebuild
+        grown = plus(g, extra)
+        assert grown.node_ids == {ids[n] for n in endpoints([*triplets, *extra])}
+        assert grown.node_ids == grown.endpoints()
 
 
 def test_row_types_are_slotted_and_frozen():
@@ -276,22 +289,18 @@ def test_column_graph_equals_its_list_definition(rows, extra, keep, renamed):
     g = KnowledgeGraph(triplets)
     fresh = plus(g, added)
     assert _read(rows_of(g)) == _read(triplets)
-    assert list(g.nodes) == endpoints(triplets)
+    assert nodes(g) == endpoints(triplets)
 
-    # scattered rows, picked one by one, then long runs of them, copied
-    # block by block
+    # scattered rows, then long runs of them
     for mask in (keep, [keep[i // 10] for i in range(40)], sorted(keep)):
         kept = list(compress(triplets, mask))
         masked = g.where(bytes(mask[: len(g)]))
         assert _read(rows_of(masked)) == _read(kept)
-    assert list(masked.nodes) == endpoints(kept)  # built, so plus extends it
-    assert [e for e in g.vocab.entities if e in masked.nodes] == [
-        e for e in g.vocab.entities if e in endpoints(kept)
-    ]
+    assert nodes(masked) == endpoints(kept)  # built, so plus extends it
     both = plus(masked, added)
     assert _read(rows_of(both)) == _read([*kept, *added])
-    assert list(both.nodes) == endpoints([*kept, *added])
-    assert fresh._nodes is None and list(fresh.nodes) == endpoints([*triplets, *added])
+    assert nodes(both) == endpoints([*kept, *added])
+    assert fresh._nodes is None and nodes(fresh) == endpoints([*triplets, *added])
 
     rename = dict(zip(_GENES, renamed))
     table = [g.vocab.entities.id_of(E(rename[e.text])) for e in list(g.vocab.entities)]

@@ -14,7 +14,7 @@ from kgprep.normalize import (
     resolve_fixed_point,
 )
 
-from conftest import E, T, graph_of, rows_of, run_stage
+from conftest import E, T, graph_of, nodes, rows_of, run_stage
 from oracles import dedup_by_scan, render, resolve_by_substitution
 
 
@@ -138,7 +138,7 @@ def test_remap_merged_count_equals_domain_occurrence():
         g, compounds, IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
     ))
     domain_in_graph = {
-        n for n in g.nodes if n in compounds.mapping
+        n for n in nodes(g) if n in compounds.mapping
     }
     assert log.details["compound_ids_merged"] == len(domain_in_graph) == 1
 

@@ -26,7 +26,7 @@ from kgprep.ingest import parse_entity
 from kgprep.model import _SORT_ROWS, KnowledgeGraph, Vocabulary
 from kgprep.pipeline import PipelineRunner
 
-from conftest import BUCKET_TABLE_BYTES, T, plus, rows_of, traced
+from conftest import BUCKET_TABLE_BYTES, T, nodes, plus, rows_of, traced
 
 ROW_STAGES = STAGE_NAMES[: STAGE_NAMES.index("splits")]
 
@@ -134,14 +134,14 @@ def _triplets(rows) -> list:
     return triplets
 
 
-def _rows(g: KnowledgeGraph, nodes: bool = True):
-    """A graph's columns and, when asked, its nodes in order."""
-    return [list(column) for column in g._columns()], nodes and list(g.nodes)
+def _rows(g: KnowledgeGraph, look: bool = True):
+    """A graph's columns and, when asked, its nodes."""
+    return [list(column) for column in g._columns()], look and nodes(g)
 
 
-def _state(g: KnowledgeGraph, nodes: bool = True):
+def _state(g: KnowledgeGraph, look: bool = True):
     """Everything a graph holds: its rows, nodes and vocabulary."""
-    return _rows(g, nodes), list(g.vocab.entities), list(g.vocab.relations)
+    return _rows(g, look), list(g.vocab.entities), list(g.vocab.relations)
 
 
 def _both(runner, name, owned, pure):
@@ -170,7 +170,7 @@ def test_owned_stage_equals_direct_call(runner, sort_rows, rows, look):
             pure = KnowledgeGraph(triplets)
             owned = KnowledgeGraph(triplets)
             if look:  # a node set built before the stage, for plus to extend
-                assert list(pure.nodes) == list(owned.nodes)
+                assert nodes(pure) == nodes(owned)
             before = _rows(pure, look)
             owned = owned.owned()
             out, direct = _both(runner, name, owned, pure)
@@ -222,7 +222,7 @@ def _masks(n: int, rng: random.Random):
 
 @pytest.mark.parametrize("sort_rows", [2, 5, _SORT_ROWS])
 def test_where_in_place_equals_its_definition(sort_rows):
-    """Both regimes, across many slices, on owned and unowned graphs."""
+    """Scattered keeps and runs of kept rows, on owned and unowned graphs."""
     rng = random.Random(sort_rows)
     n = 3 * _SORT_ROWS + 5 if sort_rows == _SORT_ROWS else 101
     with pytest.MonkeyPatch.context() as patch:
@@ -245,7 +245,7 @@ def test_a_consumed_graph_raises(tiny_graph):
     with pytest.raises(TypeError, match="consumed"):
         len(g)
     kept = owned.where(b"\1\0\1")
-    for use in (len, rows_of, lambda g: g.heads, lambda g: g.nodes, lambda g: g.where(b"\1")):
+    for use in (len, rows_of, lambda g: g.heads, lambda g: g.node_ids, lambda g: g.where(b"\1")):
         with pytest.raises(TypeError, match="consumed"):
             use(owned)
     grown = plus(kept, [T("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:7")])

@@ -650,6 +650,18 @@ def test_rewriting_a_bundle_leaves_other_names_of_its_old_files_alone(tmp_path):
         assert context != before and context.count(b"\n") == 5
 
 
+def test_a_failed_context_link_leaves_no_temporary_file(tmp_path):
+    """A directory where a seed's context file goes makes the rename of its
+    hard link fail: the error propagates, and the link's temporary name is
+    removed with it."""
+    split = make_splits(target_graph(10, n_context=3), "ppi", [0, 1])
+    (seed_dir(tmp_path, "ppi", 1) / "context.tsv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        write_bundle(tmp_path, "graph.tsv", split.graph, [split])
+    assert not list(tmp_path.rglob("*.partial"))
+    assert not list(tmp_path.rglob("*.link"))
+
+
 @pytest.mark.parametrize("preserve_order", [False, True])
 def test_write_bundle_writes_empty_valid_and_test(tmp_path, preserve_order):
     split = make_splits(target_graph(4), "ppi", [0, 1])
