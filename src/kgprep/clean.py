@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .config import DEFAULT_BANNED_LABELS, DEFAULT_DROP_TYPES
 from .errors import ParseError, StageError
-from .ingest import HARMONIZATION_SCHEMA, parse_entity, read_rows
-from .model import ENTITY_TYPE_ALIASES, KnowledgeGraph, RelationRef, marks
+from .ingest import HARMONIZATION_SCHEMA, read_rows
+from .model import ENTITY_TYPE_ALIASES, EntityRef, KnowledgeGraph, RelationRef, marks
 
 log = logging.getLogger(__name__)
 
@@ -153,40 +153,30 @@ def harmonize(
     return g.mapped(relation=canonical if details["labels_rewritten"] else None), details
 
 
-@dataclass(frozen=True)
-class NonHumanSpec:
-    """What the non-human filter removes: a closed, configurable list of
-    banned relation labels, plus any Vir-prefixed label when enabled."""
-
-    banned_labels: frozenset[str] = frozenset(DEFAULT_BANNED_LABELS)
-    ban_vir_prefix: bool = True
-
-    def is_banned(self, label: str) -> bool:
-        return label in self.banned_labels or (
-            self.ban_vir_prefix and label.startswith("Vir")
-        )
-
-
 def remove_nonhuman(
     g: KnowledgeGraph,
-    spec: NonHumanSpec | None = None,
-    taxonomy: dict[str, str] | None = None,
+    taxonomy: dict[EntityRef, str] | None = None,
+    banned_labels=DEFAULT_BANNED_LABELS,
+    ban_vir_prefix: bool = True,
 ) -> tuple[KnowledgeGraph, dict[str, int]]:
-    """Remove banned-relation rows, then every non-human gene node with its
-    incident rows. Genes absent from the taxonomy table default to human, so
-    missing evidence never deletes anything. ``nonhuman_genes_removed``
-    counts the distinct non-human genes on rows that survive the ban.
+    """Remove rows whose relation label is banned (listed in
+    ``banned_labels``, or Vir-prefixed when ``ban_vir_prefix``), then every
+    non-human gene node with its incident rows. Genes absent from the
+    taxonomy table default to human, so missing evidence never deletes
+    anything. ``nonhuman_genes_removed`` counts the distinct non-human genes
+    on rows that survive the ban.
     """
-    spec = spec or NonHumanSpec()
-    tags = {parse_entity(text): tag.casefold() for text, tag in (taxonomy or {}).items()}
     entities = g.vocab.entities
     # per entity, 1 for a non-human gene; per relation, 2 for a banned label
     nonhuman = bytearray(len(entities))
-    for node, tag in tags.items():
+    for node, tag in (taxonomy or {}).items():
         e = entities.ids.get(node)
-        if e is not None and node.entity_type == "Gene" and tag not in HUMAN_TAGS:
+        if e is not None and node.entity_type == "Gene" and tag.casefold() not in HUMAN_TAGS:
             nonhuman[e] = 1
-    banned = bytes(2 * spec.is_banned(r.label) for r in g.vocab.relations)
+    banned = bytes(
+        2 * (r.label in banned_labels or ban_vir_prefix and r.label.startswith("Vir"))
+        for r in g.vocab.relations
+    )
     codes = g.flags(entity=nonhuman, relation=banned)
     on_gene_rows = marks(codes, 1)
     removed = g.endpoints(on_gene_rows)

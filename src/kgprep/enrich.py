@@ -16,7 +16,7 @@ from .chem.smiles import parse_smiles
 from .config import VALID_TIERS
 from .errors import InputError, ParseError, SmilesError
 from .ingest import parse_entity
-from .model import KnowledgeGraph, RelationRef, marks
+from .model import EntityRef, KnowledgeGraph, RelationRef, marks
 from .normalize import IdMapTable
 
 log = logging.getLogger(__name__)
@@ -79,7 +79,7 @@ def _attach(
 
 
 def merge_reactome(
-    g: KnowledgeGraph, table: list[tuple[str, str]]
+    g: KnowledgeGraph, table: list[tuple[EntityRef, EntityRef]]
 ) -> tuple[KnowledgeGraph, dict[str, int]]:
     """Add gene-to-pathway edges for genes already in the graph.
 
@@ -92,8 +92,7 @@ def merge_reactome(
     # a merged row's key is its label and its endpoint pair, so only the
     # pairs of GENE_PATHWAY rows can match
     labelled = bytes(r.label == GENE_PATHWAY.label for r in g.vocab.relations)
-    rows = ((row_no, parse_entity(gene), parse_entity(pathway))
-            for row_no, (gene, pathway) in _numbered(table))
+    rows = ((row_no, gene, pathway) for row_no, (gene, pathway) in _numbered(table))
     details: dict[str, int] = {}
     g, details["pathway_nodes_added"] = _attach(
         g, rows, GENE_PATHWAY, _pairs(g, g.flags(relation=labelled)), details, "reactome"

@@ -34,26 +34,25 @@ def build_manifest(g: KnowledgeGraph) -> Manifest:
 
 
 def collapse_to_features(
-    g: KnowledgeGraph, manifest: Manifest
-) -> tuple[KnowledgeGraph, dict[EntityRef, tuple[int, ...]], dict[str, int]]:
+    g: KnowledgeGraph,
+) -> tuple[KnowledgeGraph, Manifest, dict[EntityRef, tuple[int, ...]], dict[str, int]]:
     """Turn gene/annotation adjacency into per-gene vectors, each the sorted
-    tuple of its set dimensions, and strip the annotation nodes and their
-    edges from the graph.
+    tuple of its set dimensions in ``build_manifest(g)``, and strip the
+    annotation nodes and their edges from the graph.
 
     Every gene present before the collapse gets a vector; genes with no
     annotations get the zero vector, ``()``. An annotation node adjacent to a
     non-gene violates the star-shape premise and is fatal. Parallel edges to
     the same annotation node collapse onto a single bit.
     """
+    manifest = build_manifest(g)
     refs = [ref for _, ids in manifest for ref in ids]
-    positions = {ref: i for i, ref in enumerate(refs)}
     annotation_types = frozenset(ANNOTATION_TYPES)
     entities = g.vocab.entities
-    # per entity: 0 other, 1 gene, 2 annotation, 3 annotation off the
-    # manifest; a row's code is its head's times 4 plus its tail's
+    # per entity: 0 other, 1 gene, 2 annotation; a row's code is its head's
+    # times 4 plus its tail's
     kind = [
-        2 + (e not in positions) if e.entity_type in annotation_types
-        else int(e.entity_type == "Gene")
+        2 if e.entity_type in annotation_types else int(e.entity_type == "Gene")
         for e in entities
     ]
     head_kind = [4 * k for k in kind]
@@ -62,21 +61,14 @@ def collapse_to_features(
     misfit = marks(codes, 0, 1, 4, 5, 6, 9).find(0)
     if misfit >= 0:
         head, tail = entities[g.heads[misfit]], entities[g.tails[misfit]]
-        annotation, other = head, tail
-        if annotation.entity_type not in annotation_types:
-            annotation, other = other, annotation
+        annotation, other = (head, tail) if head.entity_type in annotation_types else (tail, head)
         if other.entity_type in annotation_types:
             raise StageError(f"features: annotation-to-annotation edge {head.text} -> {tail.text}")
-        if other.entity_type != "Gene":
-            raise StageError(
-                f"features: annotation node {annotation.text} adjacent to "
-                f"non-gene {other.text}"
-            )
         raise StageError(
-            f"features: {annotation.text} missing from manifest; "
-            "manifest must be built from the same graph"
+            f"features: annotation node {annotation.text} adjacent to "
+            f"non-gene {other.text}"
         )
-    position = {entities.ids[ref]: i for ref, i in positions.items() if ref in entities.ids}
+    position = {entities.ids[ref]: i for i, ref in enumerate(refs)}
     gene_bits: dict[int, set[int]] = {e: set() for e in g.node_ids if kind[e] == 1}
     # (gene, annotation) on annotation-headed rows, then on gene-headed ones
     headed, tailed = marks(codes, 9), marks(codes, 6)
@@ -87,8 +79,8 @@ def collapse_to_features(
         gene_bits[gene].add(position[annotation])
 
     table = {entities[gene]: tuple(sorted(bits)) for gene, bits in gene_bits.items()}
-    return g.where(marks(codes, 0, 1, 4, 5)), table, {
-        "annotation_nodes_removed": len(positions),
+    return g.where(marks(codes, 0, 1, 4, 5)), manifest, table, {
+        "annotation_nodes_removed": len(refs),
         "feature_dim": len(refs),
         "genes_with_features": sum(1 for v in table.values() if v),
         "genes_total": len(table),

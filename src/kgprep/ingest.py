@@ -254,7 +254,7 @@ class TableSchema:
 
 XREF_SCHEMA = TableSchema("xref", ("from_id", "to_id"), entities=(0, 1))
 TAXONOMY_SCHEMA = TableSchema("taxonomy", ("gene_id", "species_tag"), entities=(0,))
-SMILES_SCHEMA = TableSchema("smiles", ("compound_id", "smiles"))
+SMILES_SCHEMA = TableSchema("smiles", ("compound_id", "smiles"), entities=(0,))
 REACTOME_SCHEMA = TableSchema("reactome", ("gene_id", "pathway_id"), entities=(0, 1))
 HARMONIZATION_SCHEMA = TableSchema(
     "harmonization", ("origin", "label", "head_type", "tail_type", "canonical_label")
@@ -278,8 +278,9 @@ class Rows(list):
 def read_rows(path: str | Path, schema: TableSchema) -> Rows:
     """Read and validate the rows of a declared-schema TSV. Blank and ``#``
     lines are skipped, and the first other line may be the literal header.
-    Schema violations, including an id in an entity column that does not
-    parse, are fatal with the offending line number."""
+    An entity column holds the ``EntityRef`` its text parses to. Schema
+    violations, including an id that does not parse, are fatal with the
+    offending line number."""
     path = Path(path)
     n = len(schema.columns)
     rows = Rows()
@@ -306,7 +307,7 @@ def read_rows(path: str | Path, schema: TableSchema) -> Rows:
                 )
         for idx in schema.entities:
             try:
-                parse_entity(cols[idx])
+                cols[idx] = parse_entity(cols[idx])
             except ParseError as exc:
                 raise ParseError(f"{schema.name} file {path}: {exc}", line=line_no) from exc
         rows.append(tuple(cols))
@@ -314,43 +315,44 @@ def read_rows(path: str | Path, schema: TableSchema) -> Rows:
     return rows
 
 
-def load_table(path: str | Path, schema: TableSchema) -> dict[str, str]:
+def load_table(path: str | Path, schema: TableSchema) -> dict:
     """Load a two-column keyed table per its schema, last row wins on a
-    repeated key (with a warning)."""
-    table: dict[str, str] = {}
+    repeated key (with a warning). An entity key is its ``EntityRef``, so two
+    spellings of one entity are one key."""
+    table = {}
     for key, value in read_rows(path, schema):
         if key in table and table[key] != value:
             log.warning(
-                "%s: duplicate key %r (%r replaces %r)",
-                schema.name, key, value, table[key],
+                "%s: duplicate key %s (%s replaces %s)", schema.name, key, value, table[key]
             )
         table[key] = value
     return table
 
 
-def load_xref(path: str | Path) -> dict[str, str]:
+def load_xref(path: str | Path) -> dict[EntityRef, EntityRef]:
     return load_table(path, XREF_SCHEMA)
 
 
-def load_taxonomy(path: str | Path) -> dict[str, str]:
+def load_taxonomy(path: str | Path) -> dict[EntityRef, str]:
     return load_table(path, TAXONOMY_SCHEMA)
 
 
 def load_smiles_dict(path: str | Path) -> dict[str, str]:
-    return load_table(path, SMILES_SCHEMA)
+    """Compound text -> SMILES; the text is the canonical one its id parses to."""
+    return {ref.text: smiles for ref, smiles in load_table(path, SMILES_SCHEMA).items()}
 
 
 def load_reactome(path: str | Path) -> Rows:
-    """Gene-to-pathway rows in file order (merge semantics need ordering)."""
+    """Gene-to-pathway ref rows in file order (merge semantics need ordering)."""
     rows = read_rows(path, REACTOME_SCHEMA)
     out = Rows()
-    seen: set[tuple[str, str]] = set()
-    for line_no, (gene, pathway) in zip(rows.lines, rows):
-        if (gene, pathway) in seen:
-            log.warning("reactome: duplicate row (%s, %s) collapsed", gene, pathway)
+    seen: set[tuple[EntityRef, EntityRef]] = set()
+    for line_no, row in zip(rows.lines, rows):
+        if row in seen:
+            log.warning("reactome: duplicate row (%s, %s) collapsed", *row)
             continue
-        seen.add((gene, pathway))
-        out.append((gene, pathway))
+        seen.add(row)
+        out.append(row)
         out.lines.append(line_no)
     return out
 

@@ -16,7 +16,7 @@ from itertools import compress, repeat
 from operator import add, and_, gt, mul, ne
 
 from .errors import InputError, StageError
-from .ingest import load_xref, parse_entity
+from .ingest import load_xref
 from .model import EntityRef, KnowledgeGraph, deal, gather, marks, pair_keys
 
 log = logging.getLogger(__name__)
@@ -94,9 +94,7 @@ class IdMapTable:
         entity_type: str,
         preference: tuple[str, ...] | None = None,
     ) -> "IdMapTable":
-        raw = load_xref(path)
-        pairs = [(parse_entity(k), parse_entity(v)) for k, v in raw.items()]
-        return cls.from_pairs(entity_type, pairs, preference)
+        return cls.from_pairs(entity_type, load_xref(path).items(), preference)
 
     def apply(self, ref: EntityRef) -> EntityRef:
         return self.mapping.get(ref, ref)

@@ -100,12 +100,6 @@ class PipelineRunner:
         return maps
 
     @cached_property
-    def taxonomy(self) -> dict[str, str]:
-        if self.config.taxonomy is None:
-            return {}
-        return ingest.load_taxonomy(self.config.taxonomy)
-
-    @cached_property
     def smiles_dict(self) -> dict[str, str]:
         if self.config.smiles is None:
             raise ConfigError("inputs.smiles is required for this stage")
@@ -141,13 +135,10 @@ class PipelineRunner:
             "harmonize": lambda g: clean.harmonize(
                 g, self.harmonization_table, strict=cfg.harmonize_strict
             ),
+            # only this stage reads the taxonomy, so the runner does not keep it
             "remove_nonhuman": lambda g: clean.remove_nonhuman(
-                g,
-                clean.NonHumanSpec(
-                    banned_labels=frozenset(cfg.nonhuman_banned_labels),
-                    ban_vir_prefix=cfg.nonhuman_ban_vir_prefix,
-                ),
-                self.taxonomy,
+                g, ingest.load_taxonomy(cfg.taxonomy) if cfg.taxonomy else None,
+                cfg.nonhuman_banned_labels, cfg.nonhuman_ban_vir_prefix,
             ),
             "drop_types": lambda g: clean.drop_entity_types(g, cfg.drop_types),
             "remap": lambda g: normalize.remap_entities(
@@ -191,8 +182,7 @@ class PipelineRunner:
         return g, details
 
     def _features(self, g: KnowledgeGraph) -> StageResult:
-        manifest = features.build_manifest(g)
-        collapsed, table, details = features.collapse_to_features(g, manifest)
+        collapsed, manifest, table, details = features.collapse_to_features(g)
         features.write_manifest(self.out_dir / "feature_manifest.tsv", manifest)
         features.write_features(self.out_dir / "gene_features.tsv", table)
         return collapsed, details
@@ -236,8 +226,8 @@ class PipelineRunner:
         """Write a command's results of ``g``: the graph file ``graph``
         (none if None) and every split file the splits stage planned, in one
         pass over the rows when there are plans. No stage runs after it, so
-        the tables the audit reads are dropped first: dropping the taxonomy
-        and SMILES too raised drkg-shape's peak RSS by ~0.3 MB."""
+        the tables the audit reads are dropped first: dropping the SMILES
+        table too raised drkg-shape's peak RSS by ~0.3 MB."""
         for table in ("harmonization_table", "id_maps"):
             self.__dict__.pop(table, None)
         preserve = self.config.preserve_order

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import shutil
 import statistics
 import sys
 from array import array
@@ -326,7 +327,7 @@ def write_bundle(
     its split's; context gets every other line. A seed's bytes are its
     ``TaskSplits.codes`` scattered onto the graph rows and read back in
     written order. Context is every seed's alike: a task's first seed's is
-    cut, and the other seeds' are hard links to it, or cut alike where
+    cut, and the other seeds' are hard links to it, or copies of it where
     linking fails. Under ``preserve_order`` the graph and context keep graph
     order, and each seed shuffles its permutation again and renders its
     target rows once more, in that order. The splits must be of ``g``, and
@@ -357,47 +358,48 @@ def write_bundle(
                      for code, name in enumerate(("train", "valid", "test"), start=1)]
             (shuffled if preserve_order else files).extend(parts)
 
-    def cut(files: list) -> None:
-        for at in range(0, len(files), _OPEN_FILES):
-            batch, codes = files[at : at + _OPEN_FILES], {}
-            # a task's files are consecutive: list its target rows once a batch
-            seeds = dict.fromkeys((i, k) for _, i, k, _ in batch if k is not None)
-            for i, same_task in groupby(seeds, itemgetter(0)):
-                split = splits[i]
-                written = array("i", compress(order, marks(tasks, i + 1)))
-                for _, k in same_task:
-                    scatter(by_row, split.target, split.codes[k])
-                    codes[i, k] = bytes(gather(by_row, written))
-                del written  # freed before the next task's target rows are listed
-            _fan_out(render_chunks(g, order, texts()), tasks,
-                     [(path, i, codes.get((i, k)), code) for path, i, k, code in batch])
+    for at in range(0, len(files), _OPEN_FILES):
+        batch, codes = files[at : at + _OPEN_FILES], {}
+        # a task's files are consecutive: list its target rows once a batch
+        seeds = dict.fromkeys((i, k) for _, i, k, _ in batch if k is not None)
+        for i, same_task in groupby(seeds, itemgetter(0)):
+            split = splits[i]
+            written = array("i", compress(order, marks(tasks, i + 1)))
+            for _, k in same_task:
+                scatter(by_row, split.target, split.codes[k])
+                codes[i, k] = bytes(gather(by_row, written))
+            del written  # freed before the next task's target rows are listed
+        _fan_out(render_chunks(g, order, texts()), tasks,
+                 [(path, i, codes.get((i, k)), code) for path, i, k, code in batch])
 
-    cut(files)
     for (i, k), same_seed in groupby(shuffled, itemgetter(1, 2)):
         for (path, *_), part in zip(same_seed, splits[i].parts(k)):
             rows = array("i", map(splits[i].target.__getitem__, part))
             _fan_out(render_chunks(g, rows, texts()), None, [(path, None, None, 0)])
-    contexts = [[out / "splits" / s.task / f"seed_{seed}" / "context.tsv" for seed in s.seeds]
-                for s in splits]
-    cut([(path, i, None, 0) for i, (first, *others) in enumerate(contexts)
-         for path in others if not _linked(first, path)])
+    for split in splits:
+        first, *others = (out / "splits" / split.task / f"seed_{seed}" / "context.tsv"
+                          for seed in split.seeds)
+        for path in others:
+            _linked(first, path)
 
 
-def _linked(source: Path, path: Path) -> bool:
+def _linked(source: Path, path: Path) -> None:
     """Hard-link ``source`` to ``path`` via ``<name>.partial``, which is
-    deleted if the rename fails; False if the link is refused."""
+    deleted if the rename fails; copy ``source`` to ``path`` if the link is
+    refused."""
     partial = path.with_name(path.name + ".partial")
     partial.unlink(missing_ok=True)
     try:
         os.link(source, partial)
     except OSError:
-        return False
+        with source.open("rb") as src, open_output(path, binary=True) as fh:
+            shutil.copyfileobj(src, fh)
+        return
     try:
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    return True
 
 
 def _fan_out(chunks: Iterable[list[bytes]], tasks: bytes | None, files: list) -> None:
@@ -406,20 +408,17 @@ def _fan_out(chunks: Iterable[list[bytes]], tasks: bytes | None, files: list) ->
     ``task`` is None; else, when ``codes`` is None, the rows that are not
     the task's targets (``tasks`` holds each row's task byte, as
     ``write_bundle`` makes it); else the task's target rows whose byte in
-    ``codes`` (one per target row, in order) is ``code``. Files that get the
-    same rows get bytes joined once."""
+    ``codes`` (one per target row, in order) is ``code``."""
     with ExitStack() as stack:
-        sinks: dict = {}
-        for path, task, codes, code in files:
-            fh = stack.enter_context(open_output(path, binary=True))
-            sinks.setdefault((task, id(codes), code), (task, codes, code, []))[3].append(fh)
-        picked = {task for task, *_ in sinks.values() if task is not None}
+        sinks = [(task, codes, code, stack.enter_context(open_output(path, binary=True)))
+                 for path, task, codes, code in files]
+        picked = {task for task, *_ in sinks if task is not None}
         start, taken = 0, Counter()
         for lines in chunks:
             end = start + len(lines)
             hits = {task: marks(tasks[start:end], task + 1) for task in picked}
             targets = {task: list(compress(lines, hit)) for task, hit in hits.items()}
-            for task, codes, code, handles in sinks.values():
+            for task, codes, code, fh in sinks:
                 if task is None:
                     kept = lines
                 elif codes is None:
@@ -427,9 +426,7 @@ def _fan_out(chunks: Iterable[list[bytes]], tasks: bytes | None, files: list) ->
                 else:
                     at = taken[task]
                     kept = compress(targets[task], marks(codes[at : at + len(targets[task])], code))
-                data = b"".join(kept)
-                for fh in handles:
-                    fh.write(data)
+                fh.write(b"".join(kept))
             taken.update({task: len(rows) for task, rows in targets.items()})
             start = end
 

@@ -22,7 +22,7 @@ from kgprep.chem.smiles import parse_smiles
 from kgprep.clean import HarmonizationTable, harmonize
 from kgprep.config import load_config
 from kgprep.corpus import build_corpus
-from kgprep.features import build_manifest, collapse_to_features
+from kgprep.features import collapse_to_features
 from kgprep.ingest import load_triplets, load_xref, parse_entity, parse_relation
 from kgprep.model import ENTITY_TYPES, EntityRef, KnowledgeGraph, RelationRef
 from kgprep.normalize import IdMapTable, deduplicate, remap_entities, resolve_fixed_point
@@ -84,10 +84,7 @@ def test_acceptance_1_property_suite(tmp_path):
     assert [render(t) for t in rows_of(h1)] == [render(t) for t in rows_of(h2)]
 
     compounds = resolve_fixed_point(
-        IdMapTable.from_pairs(
-            "Compound",
-            [(parse_entity(a), parse_entity(b)) for a, b in load_xref(corpus.compound_xref).items()],
-        )
+        IdMapTable.from_pairs("Compound", load_xref(corpus.compound_xref).items())
     )
     empty_d, empty_g = IdMapTable.empty("Disease"), IdMapTable.empty("Gene")
     r1, _ = run_stage("remap", h1, lambda g: remap_entities(g, compounds, empty_d, empty_g))
@@ -149,8 +146,7 @@ def test_acceptance_1_property_suite(tmp_path):
         seen_pairs.add((gene, annotation))
         rows.append((gene, label, annotation))
     annotated = graph_of(*rows)
-    manifest = build_manifest(annotated)
-    collapsed, feature_table, _ = collapse_to_features(annotated, manifest)
+    collapsed, manifest, feature_table, _ = collapse_to_features(annotated)
     assert reconstruct_edges(manifest, feature_table) == seen_pairs
     edges_removed = len(annotated) - len(collapsed)
     assert sum(map(len, feature_table.values())) == edges_removed

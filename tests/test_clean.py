@@ -2,16 +2,21 @@ import pytest
 
 from kgprep.clean import (
     HarmonizationTable,
-    NonHumanSpec,
     drop_entity_types,
     filter_malformed,
     harmonize,
     remove_nonhuman,
 )
 from kgprep.errors import StageError
+from kgprep.ingest import parse_entity
 
 from conftest import graph_of, plus, rows_of, run_stage
 from oracles import render
+
+
+def refs(taxonomy: dict[str, str]) -> dict:
+    """A taxonomy table as its loader gives it: keyed by parsed gene."""
+    return {parse_entity(gene): tag for gene, tag in taxonomy.items()}
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +138,7 @@ def test_remove_nonhuman_banned_labels():
         ("Compound::PubChem_Compounds:1", "bioarx::DrugVirGen::Compound:Gene", "Gene::NCBI:1"),
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
     )
-    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), {}))
+    g2, log = run_stage("remove_nonhuman", g, remove_nonhuman)
     assert len(g2) == 1
     assert log.details["banned_relation_rows"] == 2
 
@@ -147,8 +152,8 @@ def test_remove_nonhuman_gene_fixture():
         ("Gene::NCBI:h1", "GNBR::B::Gene:Gene", "Gene::NCBI:h2"),
         ("Gene::NCBI:h2", "STRING::Binding::Gene:Gene", "Gene::NCBI:h3"),
     )
-    taxonomy = {"Gene::NCBI:n1": "mouse", "Gene::NCBI:n2": "virus", "Gene::NCBI:h1": "human"}
-    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), taxonomy))
+    taxonomy = refs({"Gene::NCBI:n1": "mouse", "Gene::NCBI:n2": "virus", "Gene::NCBI:h1": "human"})
+    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, taxonomy))
     assert log.details["nonhuman_genes_removed"] == 2
     assert log.details["nonhuman_gene_rows"] == 3
     assert len(g2) == 2
@@ -161,8 +166,8 @@ def test_nonhuman_genes_only_on_banned_rows_are_not_counted():
         ("Gene::NCBI:n2", "bioarx::VirGenHumGen::Gene:Gene", "Gene::NCBI:n3"),
         ("Gene::NCBI:h1", "GNBR::B::Gene:Gene", "Gene::NCBI:n2"),
     )
-    taxonomy = {"Gene::NCBI:n1": "mouse", "Gene::NCBI:n2": "mouse", "Gene::NCBI:n3": "virus"}
-    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), taxonomy))
+    taxonomy = refs({"Gene::NCBI:n1": "mouse", "Gene::NCBI:n2": "mouse", "Gene::NCBI:n3": "virus"})
+    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, taxonomy))
     # n1 and n3 are only on banned rows; n2 is on two rows that survive the ban
     assert log.details == {
         "banned_relation_rows": 2, "nonhuman_gene_rows": 2, "nonhuman_genes_removed": 1,
@@ -172,7 +177,7 @@ def test_nonhuman_genes_only_on_banned_rows_are_not_counted():
 
 def test_remove_nonhuman_defaults_absent_genes_to_human():
     g = graph_of(("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"))
-    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, NonHumanSpec(), {}))
+    g2, log = run_stage("remove_nonhuman", g, remove_nonhuman)
     assert len(g2) == 1 and log.rows_removed == 0
 
 
@@ -181,8 +186,9 @@ def test_remove_nonhuman_retain_config_is_identity():
         ("Gene::NCBI:1", "bioarx::VirGenHumGen::Gene:Gene", "Gene::NCBI:2"),
         ("Gene::NCBI:1", "GNBR::B::Gene:Gene", "Gene::NCBI:2"),
     )
-    spec = NonHumanSpec(banned_labels=frozenset(), ban_vir_prefix=False)
-    g2, log = run_stage("remove_nonhuman", g, lambda g: remove_nonhuman(g, spec, {}))
+    g2, log = run_stage(
+        "remove_nonhuman", g, lambda g: remove_nonhuman(g, banned_labels=(), ban_vir_prefix=False)
+    )
     assert [render(t) for t in rows_of(g2)] == [render(t) for t in rows_of(g)]
     assert log.rows_removed == 0
 

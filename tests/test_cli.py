@@ -443,8 +443,14 @@ def test_enrichment_row_number_is_its_file_line(tmp_path, capsys, stage, table, 
             "Gene::NCBI:1\tPathway::Reactome:P1\nGene::NCBI:1\tBanana::x:1\n",
             "reactome file {path}: entity 'Banana::x:1': unknown entity type 'Banana'",
         ),
+        (
+            "smiles",
+            "smiles_filter",
+            "Compound::drugbank:DB1\tCCO\nnotanentity\tCCO\n",
+            "smiles file {path}: entity 'notanentity': missing '::' type separator",
+        ),
     ],
-    ids=["xref", "taxonomy", "reactome"],
+    ids=["xref", "taxonomy", "reactome", "smiles"],
 )
 def test_malformed_id_in_table_names_file_and_line(tmp_path, capsys, key, stage, table, message):
     graph = tmp_path / "g.tsv"
@@ -459,6 +465,63 @@ def test_malformed_id_in_table_names_file_and_line(tmp_path, capsys, key, stage,
     assert capsys.readouterr().err.splitlines() == [
         "input error: line 2: " + message.format(path=path)
     ]
+
+
+@pytest.mark.parametrize(
+    "key, stage, graph, table, details, kept",
+    [
+        (  # a SMILES key with its source inferred names the graph's compound
+            "smiles",
+            "smiles_filter",
+            ["Compound::DB00002\tGNBR::B::Compound:Gene\tGene::NCBI:1",
+             "Compound::drugbank:DB00003\tGNBR::B::Compound:Gene\tGene::NCBI:2"],
+            ["Compound::DB00002\tCCO", "Compound::drugbank:DB00003\tCCN"],
+            {"compounds_missing": 0, "edges_removed": 0},
+            ["Compound::drugbank:DB00002\tGNBR::B::Compound:Gene\tGene::NCBI:1",
+             "Compound::drugbank:DB00003\tGNBR::B::Compound:Gene\tGene::NCBI:2"],
+        ),
+        (  # the last of three rows on one compound wins, whatever their spelling
+            "compound_xref",
+            "remap",
+            ["Compound::drugbank:DB1\tGNBR::B::Compound:Gene\tGene::NCBI:1"],
+            ["Compound::DB1\tCompound::PubChem_Compounds:10",
+             "Compound::drugbank:DB1\tCompound::PubChem_Compounds:20",
+             "Compound::DB1\tCompound::PubChem_Compounds:30"],
+            {"compound_ids_merged": 1},
+            ["Compound::PubChem_Compounds:30\tGNBR::B::Compound:Gene\tGene::NCBI:1"],
+        ),
+        (  # the last of three rows on one gene tags it
+            "taxonomy",
+            "remove_nonhuman",
+            ["Gene::NCBI:1\tGNBR::B::Gene:Gene\tGene::NCBI:2"],
+            ["Gene::1\tmouse", "Gene::NCBI:1\thuman", "Gene::1\tvirus"],
+            {"nonhuman_genes_removed": 1},
+            [],
+        ),
+        (  # a row written two ways is one row of the table, not a duplicate edge
+            "reactome",
+            "reactome",
+            ["Gene::NCBI:1\tGNBR::B::Gene:Gene\tGene::NCBI:2"],
+            ["Gene::NCBI:1\tPathway::Reactome:R-HSA-1", "Gene::1\tPathway::R-HSA-1"],
+            {"edges_added": 1, "skipped_duplicate": 0},
+            ["Gene::NCBI:1\tGNBR::B::Gene:Gene\tGene::NCBI:2",
+             "Gene::NCBI:1\tReactome::GENE_PATHWAY::Gene:Pathway\tPathway::Reactome:R-HSA-1"],
+        ),
+    ],
+    ids=["smiles", "xref", "taxonomy", "reactome"],
+)
+def test_table_keys_are_entities_not_spellings(tmp_path, key, stage, graph, table, details, kept):
+    (tmp_path / "g.tsv").write_text("".join(f"{row}\n" for row in graph), encoding="utf-8")
+    (tmp_path / "table.tsv").write_text("".join(f"{row}\n" for row in table), encoding="utf-8")
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(f"inputs.{key} = table.tsv\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["--quiet", "--config", str(cfg), "--out", str(out),
+               "stage", stage, "--graph", str(tmp_path / "g.tsv")])
+    assert rc == 0
+    stage_log, = json.loads((out / f"stage_{stage}.json").read_text())
+    assert {k: stage_log["details"][k] for k in details} == details
+    assert (out / "graph.tsv").read_text(encoding="utf-8").splitlines() == kept
 
 
 def test_onsides_row_below_confidence_is_skipped_unparsed(tmp_path):

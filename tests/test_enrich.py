@@ -14,6 +14,11 @@ from conftest import E, T, graph_of, nodes, plus, rows_of
 from oracles import endpoints, merge_by_scan, render
 
 
+def refs(table):
+    """Reactome rows as their loader gives them: parsed gene and pathway."""
+    return [(E(gene), E(pathway)) for gene, pathway in table]
+
+
 def base_graph():
     return graph_of(
         ("Gene::NCBI:1", "GNBR::GENE_BIND::Gene:Gene", "Gene::NCBI:2"),
@@ -32,7 +37,7 @@ def test_merge_reactome_fixture():
         ("Gene::NCBI:999", "Pathway::Reactome:R-HSA-3"),
         ("Gene::NCBI:998", "Pathway::Reactome:R-HSA-3"),
     ]
-    g2, details = merge_reactome(base_graph(), table)
+    g2, details = merge_reactome(base_graph(), refs(table))
     assert details["edges_added"] == 3
     assert details["pathway_nodes_added"] == 2
     assert details["skipped_endpoint_absent"] == 2
@@ -46,7 +51,7 @@ def test_merge_reactome_duplicate_row_suppressed():
         ("Gene::NCBI:1", "Pathway::Reactome:R-HSA-1"),
         ("Gene::NCBI:1", "Pathway::Reactome:R-HSA-1"),
     ]
-    g2, details = merge_reactome(base_graph(), table)
+    g2, details = merge_reactome(base_graph(), refs(table))
     assert details["edges_added"] == 1
     assert details["skipped_duplicate"] == 1
 
@@ -63,7 +68,7 @@ def test_merge_reactome_duplicate_row_suppressed():
 def test_merge_reactome_duplicate_of_a_graph_row(row, duplicate):
     # only a GENE_PATHWAY row on the same endpoints, in either orientation, blocks the merge
     g = plus(base_graph(), [T(*row)])
-    g2, details = merge_reactome(g, [("Gene::NCBI:2", "Pathway::Reactome:R-HSA-1")])
+    g2, details = merge_reactome(g, refs([("Gene::NCBI:2", "Pathway::Reactome:R-HSA-1")]))
     assert details["skipped_duplicate"] == duplicate
     assert details["edges_added"] == 1 - duplicate
     assert details["pathway_nodes_added"] == 0
@@ -160,7 +165,7 @@ def _merged_as_scanned(merge, rows, dropped, kind: str, scanned) -> None:
 @given(rows=GRAPH_ROWS, dropped=GRAPH_ROWS, table=REACTOME_ROWS)
 def test_merge_reactome_equals_scan(rows, dropped, table):
     scanned = merge_by_scan(rows, table, "reactome")
-    _merged_as_scanned(lambda g: merge_reactome(g, table), rows, dropped, "reactome", scanned)
+    _merged_as_scanned(lambda g: merge_reactome(g, refs(table)), rows, dropped, "reactome", scanned)
 
 
 @example(rows=[(COMPOUNDS[0], "GNBR::CMP_BIND::Compound:Gene", GENES[0])], dropped=[],

@@ -28,7 +28,7 @@ def test_manifest_block_order_and_sorting():
     assert block_sizes(manifest) == {
         "Pathway": 2, "MolecularFunction": 1, "BiologicalProcess": 2, "CellularComponent": 0,
     }
-    assert collapse_to_features(annotated_graph(), manifest)[2]["feature_dim"] == 5
+    assert collapse_to_features(annotated_graph())[3]["feature_dim"] == 5
     # lexicographic within block
     pathway_ids = [r.text for r in manifest[0][1]]
     assert pathway_ids == sorted(pathway_ids)
@@ -37,14 +37,14 @@ def test_manifest_block_order_and_sorting():
 def test_manifest_empty_graph():
     manifest = build_manifest(KnowledgeGraph())
     assert manifest_entities(manifest) == []
-    assert collapse_to_features(KnowledgeGraph(), manifest)[2]["feature_dim"] == 0
+    assert collapse_to_features(KnowledgeGraph())[3]["feature_dim"] == 0
 
 
 def test_collapse_positions_and_zero_vectors():
     g = annotated_graph()
-    manifest = build_manifest(g)
+    g2, manifest, table, details = collapse_to_features(g)
+    assert manifest == build_manifest(g)
     positions = {ref: i for i, ref in enumerate(manifest_entities(manifest))}
-    g2, table, details = collapse_to_features(g, manifest)
     gene1 = table[E("Gene::NCBI:1")]
     expected = sorted(
         positions[E(t)]
@@ -70,8 +70,7 @@ def test_collapse_positions_and_zero_vectors():
 
 def test_collapse_handles_both_edge_orientations():
     g = annotated_graph()
-    manifest = build_manifest(g)
-    _, table, _ = collapse_to_features(g, manifest)
+    _, manifest, table, _ = collapse_to_features(g)
     # BiologicalProcess::GO:3 -> Gene::NCBI:2 is annotation-headed
     gene2_bits = set(table[E("Gene::NCBI:2")])
     assert manifest_entities(manifest).index(E("BiologicalProcess::GO:3")) in gene2_bits
@@ -79,8 +78,7 @@ def test_collapse_handles_both_edge_orientations():
 
 def test_round_trip_losslessness():
     g = annotated_graph()
-    manifest = build_manifest(g)
-    g2, table, _ = collapse_to_features(g, manifest)
+    g2, manifest, table, _ = collapse_to_features(g)
     original_pairs = set()
     for t in rows_of(g):
         for a, b in ((t.head, t.tail), (t.tail, t.head)):
@@ -97,15 +95,22 @@ def test_annotation_adjacent_to_non_gene_is_fatal():
     g = graph_of(
         ("Compound::PubChem_Compounds:1", "X::CPW::Compound:Pathway", "Pathway::Reactome:R-HSA-1"),
     )
-    manifest = build_manifest(g)
     with pytest.raises(StageError, match="non-gene"):
-        collapse_to_features(g, manifest)
+        collapse_to_features(g)
+
+
+def test_annotation_to_annotation_edge_is_fatal():
+    g = graph_of(
+        ("Gene::NCBI:1", "Reactome::GENE_PATHWAY::Gene:Pathway", "Pathway::Reactome:R-HSA-1"),
+        ("Pathway::Reactome:R-HSA-1", "X::PpBP::Pathway:BiologicalProcess", "BiologicalProcess::GO:7"),
+    )
+    with pytest.raises(StageError, match="annotation-to-annotation edge Pathway::Reactome:R-HSA-1 "):
+        collapse_to_features(g)
 
 
 def test_manifest_and_feature_files(tmp_path):
     g = annotated_graph()
-    manifest = build_manifest(g)
-    _, table, _ = collapse_to_features(g, manifest)
+    _, manifest, table, _ = collapse_to_features(g)
     write_manifest(tmp_path / "manifest.tsv", manifest)
     write_features(tmp_path / "features.tsv", table)
     manifest_lines = (tmp_path / "manifest.tsv").read_text().splitlines()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kgprep.errors import ParseError
 from kgprep.ingest import (
+    HARMONIZATION_SCHEMA,
     ONSIDES_SCHEMA,
     infer_source,
     load_onsides,
@@ -21,6 +22,7 @@ from kgprep.ingest import (
     open_output,
     parse_entity,
     parse_relation,
+    read_rows,
 )
 from kgprep.model import ENTITY_TYPE_ALIASES, ENTITY_TYPES, EntityRef, RelationRef
 
@@ -267,13 +269,31 @@ def test_load_xref_duplicate_last_wins(tmp_path, caplog):
     ])
     with caplog.at_level("WARNING"):
         table = load_xref(path)
-    assert table["Compound::CHEMBL:CHEMBL25"] == "Compound::PubChem_Compounds:9999"
-    assert any("duplicate key" in r.message for r in caplog.records)
+    assert table == {
+        parse_entity("Compound::CHEMBL:CHEMBL25"): parse_entity("Compound::PubChem_Compounds:9999")
+    }
+    assert [r.message for r in caplog.records] == [
+        "xref: duplicate key Compound::CHEMBL:CHEMBL25 (Compound::PubChem_Compounds:9999 "
+        "replaces Compound::PubChem_Compounds:2244)"
+    ]
+
+
+def test_load_xref_key_written_two_ways_is_one_key(tmp_path):
+    path = _write(tmp_path, "x.tsv", [
+        "Compound::DB1\tCompound::PubChem_Compounds:10",
+        "Compound::drugbank:DB1\tCompound::PubChem_Compounds:20",
+        "Compound::DB1\tCompound::PubChem_Compounds:30",
+    ])
+    assert load_xref(path) == {
+        parse_entity("Compound::DB1"): parse_entity("Compound::PubChem_Compounds:30")
+    }
 
 
 def test_load_smiles_dict(tmp_path):
-    path = _write(tmp_path, "s.tsv", ["Compound::PubChem_Compounds:702\tCCO"])
-    assert load_smiles_dict(path) == {"Compound::PubChem_Compounds:702": "CCO"}
+    path = _write(tmp_path, "s.tsv", ["Compound::PubChem_Compounds:702\tCCO", "Compound::DB1\tCCN"])
+    assert load_smiles_dict(path) == {
+        "Compound::PubChem_Compounds:702": "CCO", "Compound::drugbank:DB1": "CCN",
+    }
 
 
 def test_load_reactome_rows(tmp_path):
@@ -282,8 +302,22 @@ def test_load_reactome_rows(tmp_path):
         "Gene::NCBI:2157\tPathway::Reactome:R-HSA-5678",
     ])
     assert load_reactome(path) == [
-        ("Gene::NCBI:2157", "Pathway::Reactome:R-HSA-1234"),
-        ("Gene::NCBI:2157", "Pathway::Reactome:R-HSA-5678"),
+        (parse_entity("Gene::NCBI:2157"), parse_entity("Pathway::Reactome:R-HSA-1234")),
+        (parse_entity("Gene::NCBI:2157"), parse_entity("Pathway::Reactome:R-HSA-5678")),
+    ]
+
+
+def test_load_reactome_collapses_a_row_written_two_ways(tmp_path, caplog):
+    path = _write(tmp_path, "r.tsv", [
+        "Gene::NCBI:1\tPathway::Reactome:R-HSA-1",
+        "Gene::1\tPathway::R-HSA-1",
+    ])
+    with caplog.at_level("WARNING"):
+        rows = load_reactome(path)
+    assert rows == [(parse_entity("Gene::NCBI:1"), parse_entity("Pathway::Reactome:R-HSA-1"))]
+    assert rows.lines == [1]
+    assert [r.message for r in caplog.records] == [
+        "reactome: duplicate row (Gene::NCBI:1, Pathway::Reactome:R-HSA-1) collapsed"
     ]
 
 
@@ -315,14 +349,18 @@ def test_header_accepted_on_first_line_after_comments(tmp_path):
         "Compound::PubChem_Compounds:702\tCCO",
     ])
     assert load_smiles_dict(path) == {"Compound::PubChem_Compounds:702": "CCO"}
+    # only the first line may be the header: later, it is a row like any other
     later = _write(tmp_path, "later.tsv", [
         "Compound::PubChem_Compounds:702\tCCO",
         "compound_id\tsmiles",
     ])
-    assert load_smiles_dict(later) == {
-        "Compound::PubChem_Compounds:702": "CCO",
-        "compound_id": "smiles",
-    }
+    with pytest.raises(ParseError, match="^line 2: smiles file .*: entity 'compound_id'"):
+        load_smiles_dict(later)
+    header = "\t".join(HARMONIZATION_SCHEMA.columns)
+    later = _write(tmp_path, "later.tsv", ["GNBR\tB\tGene\tGene\tBIND", header])
+    assert read_rows(later, HARMONIZATION_SCHEMA) == [
+        ("GNBR", "B", "Gene", "Gene", "BIND"), tuple(HARMONIZATION_SCHEMA.columns),
+    ]
 
 
 def test_open_output_replaces_a_file_only_once_it_is_whole(tmp_path):

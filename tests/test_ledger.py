@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from kgprep.clean import (
     HarmonizationTable,
-    NonHumanSpec,
     drop_entity_types,
     filter_malformed,
     harmonize,
@@ -52,7 +51,7 @@ STAGES = {
     "filter_malformed": (lambda g, tax: filter_malformed(g), ("semicolon_rows", "pipe_rows")),
     "harmonize": (lambda g, tax: harmonize(g, HarmonizationTable.builtin()), ()),
     "remove_nonhuman": (
-        lambda g, tax: remove_nonhuman(g, NonHumanSpec(), tax),
+        lambda g, tax: remove_nonhuman(g, tax),
         ("banned_relation_rows", "nonhuman_gene_rows"),
     ),
     "drop_types": (lambda g, tax: drop_entity_types(g, DROP_TYPES), None),
@@ -82,7 +81,7 @@ graphs = st.lists(
     max_size=30,
 )
 taxonomies = st.dictionaries(
-    st.sampled_from([e for e in ENTITIES if e.startswith("Gene::")]),
+    st.sampled_from([parse_entity(e) for e in ENTITIES if e.startswith("Gene::")]),
     st.sampled_from(TAGS),
     max_size=4,
 )
